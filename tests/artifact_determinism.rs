@@ -1,13 +1,14 @@
 //! The checked-in `artifacts/` are byte-pinned: regenerating each one
 //! in process must reproduce it exactly. This is the repo's contract
-//! that sim runs are deterministic functions of their plan — any hot
-//! path change that perturbs RNG consumption order, event ordering, or
-//! serialization shows up here as a byte diff, not as a silent drift
-//! the campaign differ later has to explain.
+//! that sim and live runs are deterministic functions of their plan —
+//! any hot path change that perturbs RNG consumption order, event
+//! ordering, or serialization shows up here as a byte diff, not as a
+//! silent drift the campaign differ later has to explain.
 //!
-//! Only the sim-backend artifacts are pinned here (fast, thread-free);
-//! `scripts/ci.sh` re-derives the live counterparts through the
-//! emitter, which gates them the same way.
+//! All six JSON artifacts are pinned, on both backends. `scripts/ci.sh`
+//! alone would not notice the live harness drifting: it diffs only the
+//! failover pair against the goldens, diffs the rejoin pair run against
+//! run, and never regenerates the live campaign.
 
 use accelerated_heartbeat::chaos::{
     run_campaign, run_failover_campaign, run_rejoin_demo, Backend, CampaignSpec,
@@ -23,33 +24,53 @@ fn checked_in(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-#[test]
-fn rejoin_sim_artifact_is_byte_identical() {
-    let demo = run_rejoin_demo(Backend::Sim, REJOIN_SEED);
+fn assert_rejoin_pinned(backend: Backend) {
+    let name = format!("rejoin_{}.json", backend.name());
+    let demo = run_rejoin_demo(backend, REJOIN_SEED);
     assert_eq!(
         format!("{}\n", demo.to_json()),
-        checked_in("rejoin_sim.json"),
-        "rejoin_sim.json drifted from the checked-in golden"
+        checked_in(&name),
+        "{name} drifted from the checked-in golden"
+    );
+}
+
+#[test]
+fn rejoin_sim_artifact_is_byte_identical() {
+    assert_rejoin_pinned(Backend::Sim);
+}
+
+#[test]
+fn rejoin_live_artifact_is_byte_identical() {
+    assert_rejoin_pinned(Backend::Live);
+}
+
+fn assert_failover_pinned(backend: Backend) {
+    let name = format!("failover_{}.json", backend.name());
+    let report = run_failover_campaign(backend);
+    assert_eq!(
+        format!("{}\n", report.to_json()),
+        checked_in(&name),
+        "{name} drifted from the checked-in golden"
     );
 }
 
 #[test]
 fn failover_sim_artifact_is_byte_identical() {
-    let report = run_failover_campaign(Backend::Sim);
-    assert_eq!(
-        format!("{}\n", report.to_json()),
-        checked_in("failover_sim.json"),
-        "failover_sim.json drifted from the checked-in golden"
-    );
+    assert_failover_pinned(Backend::Sim);
 }
 
-/// The grid behind `artifacts/campaign_gm98_sim.json` (the
-/// `chaos_campaign` example's `full_spec` for the sim backend, with
-/// `--monitor` on — the configuration the artifact was emitted with).
-fn gm98_grid() -> CampaignSpec {
+#[test]
+fn failover_live_artifact_is_byte_identical() {
+    assert_failover_pinned(Backend::Live);
+}
+
+/// The grid behind `artifacts/campaign_gm98_{sim,live}.json` (the
+/// `chaos_campaign` example's `full_spec`, with `--monitor` on — the
+/// configuration the artifacts were emitted with).
+fn gm98_grid(backend: Backend) -> CampaignSpec {
     CampaignSpec {
         name: "gm98-grid".into(),
-        backend: Backend::Sim,
+        backend,
         variant: Variant::Binary,
         params: Params::new(2, 8).expect("valid"),
         n: 1,
@@ -69,12 +90,22 @@ fn gm98_grid() -> CampaignSpec {
     }
 }
 
-#[test]
-fn campaign_sim_artifact_is_byte_identical() {
-    let report = run_campaign(&gm98_grid());
+fn assert_campaign_pinned(backend: Backend) {
+    let name = format!("campaign_gm98_{}.json", backend.name());
+    let report = run_campaign(&gm98_grid(backend));
     assert_eq!(
         format!("{}\n", report.to_json()),
-        checked_in("campaign_gm98_sim.json"),
-        "campaign_gm98_sim.json drifted from the checked-in golden"
+        checked_in(&name),
+        "{name} drifted from the checked-in golden"
     );
+}
+
+#[test]
+fn campaign_sim_artifact_is_byte_identical() {
+    assert_campaign_pinned(Backend::Sim);
+}
+
+#[test]
+fn campaign_live_artifact_is_byte_identical() {
+    assert_campaign_pinned(Backend::Live);
 }
