@@ -17,7 +17,7 @@
 //! | `state_space` | model sizes per cell + the GM98 liveness core |
 //! | `ablation_burst` | burst-loss and outage ablations (beyond the papers) |
 //! | `rejoin` | future-work extension: naive vs epoch-tagged rejoin |
-//! | `monitor_overhead` | streaming R1–R3 monitor tap cost (beyond the papers) |
+//! | `throughput` | bare vs monitored beats/s (the monitor tap's cost) and campaign cells/s |
 //! | `checker_perf` | Criterion micro-benchmarks of the checker itself |
 
 #![forbid(unsafe_code)]

@@ -43,6 +43,11 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting is a stack overflow a
+/// plan file could trigger; plans nest only a handful of levels.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -137,8 +142,15 @@ impl<'a> Parser<'a> {
             .map_err(|_| JsonError(format!("bad number '{text}' at byte {start}")))
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// Parse one value sitting `depth` containers deep.
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.skip_ws();
+        if matches!(self.peek(), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
         match self.peek() {
             None => err("unexpected end of input"),
             Some(b'n') => self.literal("null", Value::Null),
@@ -154,7 +166,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -179,7 +191,7 @@ impl<'a> Parser<'a> {
                     let key = self.string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let val = self.value()?;
+                    let val = self.value(depth + 1)?;
                     map.insert(key, val);
                     self.skip_ws();
                     match self.peek() {
@@ -205,7 +217,7 @@ impl Value {
             bytes: text.as_bytes(),
             pos: 0,
         };
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return err(format!("trailing garbage at byte {}", p.pos));
@@ -325,6 +337,17 @@ mod tests {
             "nan",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} must fail");
+        }
+        // Nesting is bounded: a typed error, not a stack overflow.
+        let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        for deep in [
+            nest(MAX_DEPTH + 1),
+            "[".repeat(20_000),
+            "{\"a\":".repeat(20_000),
+        ] {
+            let e = Value::parse(&deep).expect_err("too deep");
+            assert!(e.0.starts_with("nesting deeper than 64"), "{e}");
         }
     }
 

@@ -15,15 +15,17 @@
 //!   engine owning all fault randomness, installed as the simulator's
 //!   [`FaultHook`](hb_sim::FaultHook) and consulted by the live
 //!   transport decorator;
-//! * [`sim`] / [`live`] — the two injection backends.
-//!   [`run_plan_sim`](sim::run_plan_sim) wraps `hb_sim::World`;
-//!   [`run_plan_live`](live::run_plan_live) wraps a loopback
-//!   [`ChaosCluster`](live::ChaosCluster) of `hb-net` node runtimes
-//!   whose endpoints are decorated by
-//!   [`ChaosTransport`](live::ChaosTransport) (which equally wraps UDP).
-//!   The same plan runs on both, producing the shared
-//!   [`RunSummary`](hb_sim::schema::RunSummary) schema, byte-identical
-//!   under replay;
+//! * [`sim`] / [`live`] — the two injection backends, neither with a
+//!   harness of its own. [`run_plan_sim`](sim::run_plan_sim) installs the
+//!   pipeline in `hb_sim::World`; [`run_plan_live`](live::run_plan_live)
+//!   runs [`ChaosCluster`](live::ChaosCluster), which is
+//!   `hb_net::VirtualCluster` instantiated with the
+//!   [`ChaosSeam`](live::ChaosSeam) — every endpoint decorated by
+//!   [`ChaosTransport`](live::ChaosTransport) (which equally wraps UDP),
+//!   every node polled at its drifted local tick. The same plan runs on
+//!   both, producing the shared
+//!   [`RunSummary`](hb_sim::schema::RunSummary) schema (assembled by the
+//!   one `RunLedger`), byte-identical under replay;
 //! * [`campaign`] — a parallel campaign runner sweeping
 //!   `fix × loss × burst × drift × partition` grids across worker
 //!   threads into a deterministic JSON report;
@@ -50,7 +52,7 @@ use hb_sim::schema::RunSummary;
 
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, Cell, CellStats, RunKind};
 pub use diff::{diff_reports, DiffReport, Divergence, Severity, Tolerances};
-pub use live::{run_plan_live, ChaosCluster, ChaosNet, ChaosTransport};
+pub use live::{run_plan_live, ChaosCluster, ChaosNet, ChaosSeam, ChaosTransport};
 pub use member::{
     failover_plan, member_config, run_failover_campaign, run_plan_member,
     run_plan_member_monitored, FailoverCell, FailoverReport, MemberRun, SharedPipeline,

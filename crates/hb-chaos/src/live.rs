@@ -8,28 +8,27 @@
 //! in the simulator and the loopback network: they are the harness's
 //! hand, not protocol traffic.
 //!
-//! [`ChaosCluster`] composes the decorator with
-//! [`hb_net`]'s node runtimes over a lossless loopback under virtual
-//! time, adding the one fault class only a live runtime can express:
-//! **per-node clock drift**. Each node is polled at the local tick its
-//! own [`SkewedClock`] reads, while the network and the observer stay on
-//! true time — a fast node fires watchdogs early, a slow one late,
-//! exactly the failure mode the corrected bounds must absorb.
+//! [`ChaosCluster`] is [`hb_net::VirtualCluster`] — the one tick-stepped
+//! live harness — instantiated with the [`ChaosSeam`]: the decorator on
+//! every endpoint of a lossless loopback, plus the one fault class only
+//! a live runtime can express, **per-node clock drift**. Each node is
+//! polled at the local tick its own [`SkewedClock`] reads, while the
+//! network and the observer stay on true time — a fast node fires
+//! watchdogs early, a slow one late, exactly the failure mode the
+//! corrected bounds must absorb.
 
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use hb_core::coordinator::CoordSpec;
 use hb_core::events::SharedTap;
-use hb_core::responder::RespSpec;
 use hb_core::trace::Event;
-use hb_core::{Pid, Status};
-use hb_net::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
-use hb_net::node::NodeRuntime;
+use hb_core::Pid;
+use hb_net::cluster::{ClusterConfig, Seam, VirtualCluster};
+use hb_net::loopback::{Faults, LoopbackEndpoint, NetStats};
 use hb_net::transport::{Recv, Transport};
-use hb_net::wire::{Command, Frame};
-use hb_net::{SkewedClock, TimeSource, VirtualClock};
+use hb_net::wire::Frame;
+use hb_net::{SkewedClock, VirtualClock};
 use hb_sim::channel::Time;
 use hb_sim::schema::RunSummary;
 use hb_sim::SendFate;
@@ -182,36 +181,64 @@ impl<T: Transport> Transport for ChaosTransport<T> {
     }
 }
 
-/// A live cluster running one [`FaultPlan`]: coordinator + N participants
-/// over a lossless loopback, every endpoint wrapped in a
-/// [`ChaosTransport`], stepped under virtual time with per-node drift.
-pub struct ChaosCluster {
-    plan: FaultPlan,
-    net: LoopbackNet,
+/// The [`Seam`] that turns [`VirtualCluster`] into the chaos harness:
+/// every endpoint is wrapped in a [`ChaosTransport`] over the run's
+/// shared [`ChaosNet`], each node is polled at its own (possibly drifted)
+/// local tick, and the pipeline's held-back frames and drop site take
+/// part in the tick.
+pub struct ChaosSeam {
     shared: Arc<Mutex<ChaosNet>>,
-    nodes: Vec<Option<NodeRuntime<ChaosTransport<LoopbackEndpoint>>>>,
-    injector: LoopbackEndpoint,
-    clock: VirtualClock,
-    /// Per-pid local clock (identity skew unless the plan drifts it).
+    /// Per-pid local clock (identity skew unless the plan drifts it);
+    /// only [`SkewedClock::map`] is used — the cluster supplies true time.
     local: Vec<SkewedClock<VirtualClock>>,
-    start_at: Vec<Time>,
-    injections: Vec<(Time, Pid, Command)>,
-    now: Time,
-    statuses: Vec<Option<(Status, bool)>>,
-    crashes: Vec<(Pid, Time)>,
-    nv_inactivations: Vec<(Pid, Time)>,
-    leaves: Vec<(Pid, Time)>,
-    revives: Vec<(Pid, Time)>,
-    /// Revived participants not yet fully re-converged:
-    /// `(pid, epoch, revived_at, detected_at)`.
-    pending_reconv: Vec<(Pid, u8, Time, Option<Time>)>,
-    reconv_detects: Vec<(Pid, Time)>,
-    reconv_stables: Vec<(Pid, Time)>,
-    all_inactive_at: Option<Time>,
-    /// Event tap attached to every node (including late joiners) and to
-    /// the pipeline's drop site.
-    tap: Option<SharedTap>,
 }
+
+impl ChaosSeam {
+    fn net(&self) -> MutexGuard<'_, ChaosNet> {
+        self.shared.lock().expect("chaos state poisoned")
+    }
+}
+
+impl Seam for ChaosSeam {
+    type Transport = ChaosTransport<LoopbackEndpoint>;
+
+    fn wrap(&self, _pid: Pid, endpoint: LoopbackEndpoint) -> Self::Transport {
+        ChaosTransport::new(endpoint, Arc::clone(&self.shared))
+    }
+
+    fn local_tick(&self, pid: Pid, now: Time) -> Time {
+        self.local[pid].map(now)
+    }
+
+    fn begin_tick(&mut self, now: Time) {
+        self.net().true_now = Some(now);
+    }
+
+    fn holds_due(&self, now: Time) -> bool {
+        self.net().held.iter().any(|h| h.due <= now)
+    }
+
+    fn attach_tap(&mut self, tap: &SharedTap) {
+        self.net().tap = Some(tap.clone());
+    }
+
+    /// Sends are logical (one per send call, as in the simulator, however
+    /// many copies the pipeline made) and the pipeline's drops count as
+    /// losses; deliveries are the loopback's.
+    fn traffic(&self, net: NetStats) -> NetStats {
+        let st = self.net();
+        NetStats {
+            sent: st.sent,
+            delivered: net.delivered,
+            lost: st.lost + net.lost,
+        }
+    }
+}
+
+/// A live cluster running one [`FaultPlan`]: [`VirtualCluster`] over a
+/// lossless loopback, instantiated with the [`ChaosSeam`] and the plan's
+/// crash / start / leave / revive schedule.
+pub struct ChaosCluster(VirtualCluster<ChaosSeam>);
 
 impl ChaosCluster {
     /// Build a cluster for `plan`; nothing runs until [`step`](Self::step).
@@ -221,64 +248,45 @@ impl ChaosCluster {
     /// Panics if the plan fails [`FaultPlan::validate`].
     pub fn new(plan: FaultPlan) -> Self {
         plan.validate().expect("invalid fault plan");
-        let n = plan.proto.n;
-        // Endpoints 0..=n for the nodes, n+1 for the control injector.
-        // The loopback itself is lossless: the pipeline is the sole drop
-        // authority, exactly as when it is the simulator's fault hook.
-        let net = LoopbackNet::new(n + 2, Faults::none(), plan.seed);
-        let shared = ChaosNet::new(FaultPipeline::new(&plan));
-        let clock = VirtualClock::new();
-        let mut local: Vec<SkewedClock<VirtualClock>> = (0..=n)
-            .map(|_| SkewedClock::new(clock.clone(), 0, 1, 1))
-            .collect();
-        let mut start_at = vec![0; n];
-        let mut injections = Vec::new();
+        let proto = plan.proto;
+        let mut local = vec![SkewedClock::new(VirtualClock::new(), 0, 1, 1); proto.n + 1];
+        for fault in &plan.faults {
+            if let FaultSpec::Drift {
+                pid,
+                offset,
+                num,
+                den,
+            } = *fault
+            {
+                local[pid] = SkewedClock::new(VirtualClock::new(), offset, num, den);
+            }
+        }
+        let seam = ChaosSeam {
+            shared: ChaosNet::new(FaultPipeline::new(&plan)),
+            local,
+        };
+        let cfg = ClusterConfig {
+            variant: proto.variant,
+            params: proto.params,
+            fix: proto.fix,
+            n: proto.n,
+            // The loopback itself is lossless: the pipeline is the sole
+            // drop authority, exactly as when it is the simulator's hook.
+            faults: Faults::none(),
+            seed: plan.seed,
+            record_events: false,
+        };
+        let mut cluster = VirtualCluster::with_seam(cfg, seam);
         for fault in &plan.faults {
             match *fault {
-                FaultSpec::Drift {
-                    pid,
-                    offset,
-                    num,
-                    den,
-                } => local[pid] = SkewedClock::new(clock.clone(), offset, num, den),
-                FaultSpec::Crash { pid, at } => injections.push((at, pid, Command::Crash)),
-                FaultSpec::Leave { pid, at } => injections.push((at, pid, Command::Leave)),
-                FaultSpec::Revive { pid, at } => injections.push((at, pid, Command::Revive)),
-                FaultSpec::Start { pid, at } => start_at[pid - 1] = at,
+                FaultSpec::Crash { pid, at } => cluster.schedule_crash(pid, at),
+                FaultSpec::Leave { pid, at } => cluster.schedule_leave(pid, at),
+                FaultSpec::Revive { pid, at } => cluster.schedule_revive(pid, at),
+                FaultSpec::Start { pid, at } => cluster.schedule_start(pid, at),
                 _ => {}
             }
         }
-        let coord_spec = CoordSpec::new(plan.proto.variant, plan.proto.params, n, plan.proto.fix);
-        let coord = NodeRuntime::coordinator(
-            coord_spec,
-            ChaosTransport::new(net.endpoint(0), Arc::clone(&shared)),
-        );
-        let mut nodes: Vec<Option<NodeRuntime<ChaosTransport<LoopbackEndpoint>>>> =
-            vec![Some(coord)];
-        nodes.extend((0..n).map(|_| None));
-        let injector = net.endpoint(n + 1);
-        ChaosCluster {
-            net,
-            shared,
-            nodes,
-            injector,
-            clock,
-            local,
-            start_at,
-            injections,
-            now: 0,
-            statuses: vec![None; n + 1],
-            crashes: Vec::new(),
-            nv_inactivations: Vec::new(),
-            leaves: Vec::new(),
-            revives: Vec::new(),
-            pending_reconv: Vec::new(),
-            reconv_detects: Vec::new(),
-            reconv_stables: Vec::new(),
-            all_inactive_at: None,
-            tap: None,
-            plan,
-        }
+        ChaosCluster(cluster)
     }
 
     /// Attach a live event tap — e.g. a streaming requirement monitor
@@ -287,199 +295,34 @@ impl ChaosCluster {
     /// the tap sees the same event stream the simulator would emit:
     /// sends, deliveries, lifecycle transitions, and losses.
     pub fn attach_monitor(&mut self, tap: SharedTap) {
-        for node in self.nodes.iter_mut().flatten() {
-            node.attach_tap(tap.clone());
-        }
-        self.shared.lock().expect("chaos state poisoned").tap = Some(tap.clone());
-        self.tap = Some(tap);
+        self.0.attach_tap(tap);
     }
 
     /// Current true tick.
     pub fn now(&self) -> Time {
-        self.now
+        self.0.now()
     }
 
     /// Whether the coordinator and every started, not-left participant
     /// are inactive.
     pub fn all_inactive(&self) -> bool {
-        let coord_inactive = self.nodes[0]
-            .as_ref()
-            .is_some_and(|c| c.status().is_inactive());
-        coord_inactive
-            && self.nodes[1..]
-                .iter()
-                .flatten()
-                .all(|p| p.status().is_inactive() || p.left())
+        self.0.all_inactive()
     }
 
-    /// Advance by one true tick: start late joiners, deliver due control
-    /// injections, then drain every node at its own (possibly drifted)
-    /// local tick until the network is quiet.
+    /// Advance by one true tick (see [`VirtualCluster::step`]).
     pub fn step(&mut self) {
-        let now = self.now;
-        self.shared.lock().expect("chaos state poisoned").true_now = Some(now);
-        for i in 0..self.plan.proto.n {
-            if self.nodes[i + 1].is_none() && self.start_at[i] == now {
-                self.net.purge(i + 1);
-                let spec = RespSpec::new(
-                    self.plan.proto.variant,
-                    self.plan.proto.params,
-                    self.plan.proto.fix,
-                );
-                let transport =
-                    ChaosTransport::new(self.net.endpoint(i + 1), Arc::clone(&self.shared));
-                let mut node = NodeRuntime::participant(i + 1, spec, transport)
-                    .started_at(self.local[i + 1].now());
-                if let Some(tap) = &self.tap {
-                    node.attach_tap(tap.clone());
-                }
-                self.nodes[i + 1] = Some(node);
-            }
-        }
-        let src = self.plan.proto.n + 1;
-        let mut pending = std::mem::take(&mut self.injections);
-        pending.retain(|&(t, pid, cmd)| {
-            if t != now {
-                return true;
-            }
-            self.injector
-                .send(now, pid, &Frame::control(src, cmd), 0)
-                .expect("loopback send cannot fail");
-            false
-        });
-        self.injections = pending;
-
-        loop {
-            for (pid, node) in self.nodes.iter_mut().enumerate() {
-                if let Some(node) = node {
-                    node.poll(self.local[pid].now())
-                        .expect("loopback polling cannot fail");
-                }
-            }
-            let held_due = {
-                let st = self.shared.lock().expect("chaos state poisoned");
-                st.held.iter().any(|h| h.due <= now)
-            };
-            if !self.net.any_deliverable(now) && !held_due {
-                break;
-            }
-        }
-
-        self.observe(now);
-        if self.all_inactive_at.is_none() && self.all_inactive() {
-            self.all_inactive_at = Some(now);
-        }
-        self.clock.advance(1);
-        self.now += 1;
-    }
-
-    /// Record status transitions at true time and resolve pending
-    /// re-convergences.
-    fn observe(&mut self, now: Time) {
-        for (pid, node) in self.nodes.iter().enumerate() {
-            let Some(node) = node else { continue };
-            let cur = (node.status(), node.left());
-            let prev = self.statuses[pid];
-            if prev.map(|(s, _)| s) != Some(cur.0) {
-                match cur.0 {
-                    Status::Crashed => self.crashes.push((pid, now)),
-                    Status::NvInactive => self.nv_inactivations.push((pid, now)),
-                    Status::Active => {
-                        // Crashed -> Active is only reachable via revive.
-                        if prev.map(|(s, _)| s) == Some(Status::Crashed) {
-                            self.revives.push((pid, now));
-                            self.pending_reconv.push((pid, node.epoch(), now, None));
-                            self.all_inactive_at = None;
-                        }
-                    }
-                }
-            }
-            if prev.map(|(_, l)| l) != Some(cur.1) && cur.1 {
-                self.leaves.push((pid, now));
-            }
-            self.statuses[pid] = Some(cur);
-        }
-        let mut i = 0;
-        while i < self.pending_reconv.len() {
-            let (pid, epoch, t0, detected) = self.pending_reconv[i];
-            let mut detected = detected;
-            if detected.is_none()
-                && self.nodes[0].as_ref().is_some_and(|coord| {
-                    coord
-                        .registered_epoch(pid)
-                        .is_some_and(|bar| hb_core::serial::serial_ge(bar, epoch))
-                })
-            {
-                detected = Some(now);
-                self.reconv_detects.push((pid, now - t0));
-            }
-            let stable = detected.is_some()
-                && self.nodes[pid].as_ref().is_some_and(|n| {
-                    n.status() == Status::Active && n.joined() && n.epoch() == epoch
-                });
-            if stable {
-                self.reconv_stables.push((pid, now - t0));
-                self.pending_reconv.remove(i);
-            } else {
-                self.pending_reconv[i].3 = detected;
-                i += 1;
-            }
-        }
-    }
-
-    fn revives_pending(&self) -> bool {
-        self.injections
-            .iter()
-            .any(|&(t, _, cmd)| cmd == Command::Revive && t >= self.now)
+        self.0.step();
     }
 
     /// Run until true tick `t` or until everything is inactive (a pending
     /// revive keeps the run alive — a crashed node is coming back).
     pub fn run_until(&mut self, t: Time) {
-        while self.now < t && (!self.all_inactive() || self.revives_pending()) {
-            self.step();
-        }
+        self.0.run_until(t);
     }
 
     /// Finish the run and produce the shared summary (`source: "live"`).
     pub fn into_summary(self) -> RunSummary {
-        let st = self.shared.lock().expect("chaos state poisoned");
-        let first_crash = self.crashes.iter().map(|&(_, t)| t).min();
-        let detection_delay = match (first_crash, self.all_inactive_at) {
-            (Some(c), Some(d)) => Some(d.saturating_sub(c)),
-            _ => None,
-        };
-        let false_inactivations = if self.crashes.is_empty() {
-            self.nv_inactivations.len() as u32
-        } else {
-            0
-        };
-        let final_status: Vec<Status> = self
-            .nodes
-            .iter()
-            .map(|n| n.as_ref().map_or(Status::Active, |n| n.status()))
-            .collect();
-        let (stale_admitted, stale_filtered) =
-            self.nodes[0].as_ref().map_or((0, 0), |c| c.stale_beats());
-        RunSummary {
-            source: "live",
-            duration: self.now,
-            messages_sent: st.sent,
-            messages_delivered: self.net.stats().delivered,
-            messages_lost: st.lost + self.net.stats().lost,
-            crashes: self.crashes,
-            nv_inactivations: self.nv_inactivations,
-            leaves: self.leaves,
-            revives: self.revives,
-            reconv_detect: self.reconv_detects.iter().map(|&(_, d)| d).max(),
-            reconv_stable: self.reconv_stables.iter().map(|&(_, d)| d).max(),
-            stale_beats_admitted: stale_admitted,
-            stale_beats_filtered: stale_filtered,
-            detection_delay,
-            false_inactivations,
-            monitor: None,
-            final_status,
-        }
+        self.0.into_report().summary
     }
 }
 
@@ -508,37 +351,6 @@ mod tests {
             duration: 2_000,
             membership: false,
         }
-    }
-
-    #[test]
-    fn faultless_plan_stays_alive() {
-        let plan = FaultPlan::new("quiet", 1, proto(FixLevel::Full));
-        let s = run_plan_live(&plan);
-        assert_eq!(s.source, "live");
-        assert_eq!(s.false_inactivations, 0);
-        assert!(s.messages_lost == 0 && s.messages_delivered > 0);
-    }
-
-    #[test]
-    fn crash_is_detected_under_burst_loss() {
-        // Seed-pinned, as in the sim counterpart: this seed survives the
-        // burst weather until the scheduled crash.
-        let plan = FaultPlan::new("crash", 1, proto(FixLevel::Full))
-            .with(FaultSpec::Loss {
-                window: Window::always(),
-                link: Link::any(),
-                model: crate::pipeline::burst_model(0.05, 2.0),
-            })
-            .with(FaultSpec::Crash { pid: 1, at: 500 });
-        let s = run_plan_live(&plan);
-        assert_eq!(s.crashes, vec![(1, 500)]);
-        let d = s.detection_delay.expect("crash must be detected");
-        let bound = u64::from(
-            Params::new(2, 8)
-                .unwrap()
-                .p0_bound_corrected(Variant::Binary),
-        );
-        assert!(d <= bound, "delay {d} > bound {bound}");
     }
 
     #[test]
@@ -601,29 +413,6 @@ mod tests {
         // The drifted node observes a different local schedule, so the
         // runs must genuinely differ.
         assert_ne!(drifted.to_json(), straight.to_json());
-    }
-
-    #[test]
-    fn replay_is_byte_identical() {
-        let plan = FaultPlan::new("replay", 11, proto(FixLevel::ReceivePriority))
-            .with(FaultSpec::Loss {
-                window: Window::always(),
-                link: Link::any(),
-                model: hb_sim::LossModel::Bernoulli(0.2),
-            })
-            .with(FaultSpec::Drift {
-                pid: 1,
-                offset: 0,
-                num: 101,
-                den: 100,
-            })
-            .with(FaultSpec::Crash { pid: 1, at: 700 });
-        let a = run_plan_live(&plan).to_json();
-        let b = run_plan_live(&plan).to_json();
-        assert_eq!(a, b);
-        let mut other = plan.clone();
-        other.seed = 12;
-        assert_ne!(run_plan_live(&other).to_json(), a);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl FaultPipeline {
                     model,
                     ge_bad,
                 } if window.contains(now) && link.matches(src, dst) => {
-                    lost |= step_loss(&mut self.rng, model, ge_bad);
+                    lost |= model.drops(ge_bad, &mut self.rng);
                 }
                 Stage::Duplicate { window, link, p }
                     if !cut && window.contains(now) && link.matches(src, dst) =>
@@ -217,28 +217,6 @@ impl FaultPipeline {
         SendFate::Deliver {
             copies,
             extra_delay: extra,
-        }
-    }
-}
-
-/// One loss decision, stepping the fault's own burst chain.
-fn step_loss(rng: &mut StdRng, model: &LossModel, ge_bad: &mut bool) -> bool {
-    match *model {
-        LossModel::Bernoulli(p) => rng.gen_bool(p),
-        LossModel::GilbertElliott {
-            to_bad,
-            to_good,
-            good_loss,
-            bad_loss,
-        } => {
-            if *ge_bad {
-                if rng.gen_bool(to_good) {
-                    *ge_bad = false;
-                }
-            } else if rng.gen_bool(to_bad) {
-                *ge_bad = true;
-            }
-            rng.gen_bool(if *ge_bad { bad_loss } else { good_loss })
         }
     }
 }

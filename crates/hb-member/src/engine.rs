@@ -29,6 +29,8 @@ use crate::node::{MemberNode, MemberSpec, Outbound, RoleKind};
 /// Implementations must consume fault randomness identically (one loss
 /// draw plus one uniform in-budget delay draw per in-band frame, in send
 /// order) — that is what keeps sim and live event streams byte-equal.
+/// Both shipped meshes are `hb_net::loopback::LoopbackCore`, bare or
+/// behind the loopback net's lock, so they do by construction.
 pub trait Mesh {
     /// Queue `frame` (whose source is `frame.src()`) for `dst`.
     fn send(&mut self, now: u64, dst: Pid, frame: &Frame, budget: u32);

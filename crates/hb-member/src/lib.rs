@@ -22,8 +22,9 @@
 //!
 //! The machine itself ([`MemberNode`]) is sans-IO; the [`Engine`] drives
 //! a whole group over a [`Mesh`] substrate — simulated
-//! ([`sim::SimMesh`]) or the live `hb-net` loopback
-//! ([`live::LiveMesh`]) — with identical semantics, emitting the same
+//! ([`sim::SimMesh`], which is the `hb-net` loopback core driven without
+//! its lock) or the live `hb-net` loopback ([`live::LiveMesh`], the same
+//! core behind it) — with identical semantics, emitting the same
 //! [`hb_core::trace::Event`] stream the plain runtimes emit (plus
 //! `ViewChange`/`StateTransfer`), so `hb-monitor` taps work unchanged.
 

@@ -2,9 +2,9 @@
 //! transport.
 //!
 //! [`LiveMesh`] adapts a [`LoopbackNet`] and its per-pid endpoints to
-//! the engine's [`Mesh`] seam. The loopback net draws its loss and
-//! delay randomness in the same order [`SimMesh`](crate::sim::SimMesh)
-//! does (it is the reference `SimMesh` replicates), so the same seed
+//! the engine's [`Mesh`] seam. The loopback net is the same
+//! [`LoopbackCore`](hb_net::loopback::LoopbackCore) that
+//! [`SimMesh`](crate::sim::SimMesh) is, behind its lock, so the same seed
 //! yields byte-identical event streams across the two substrates.
 //!
 //! Unlike the plain live runtime there is no injector endpoint: process

@@ -1,144 +1,40 @@
-//! The simulated mesh: an in-memory replica of the live loopback
-//! network's fault channel.
+//! The simulated mesh: the loopback core, driven without the lock.
 //!
-//! [`SimMesh`] consumes fault randomness in *exactly* the order
-//! [`hb_net::loopback::LoopbackNet`] does — one loss draw, then one
-//! uniform in-budget delay draw, per in-band frame, in send order; beats
-//! counted, membership frames uncounted — so an [`Engine`](crate::Engine)
-//! run over `SimMesh` and one over [`LiveMesh`](crate::live::LiveMesh)
-//! with the same seed produce byte-identical event streams.
+//! [`SimMesh`] *is* [`hb_net::loopback::LoopbackCore`] — the queue, loss
+//! and delay-draw implementation the live [`LoopbackNet`] keeps behind
+//! its mutex — so an [`Engine`](crate::Engine) run over `SimMesh` and one
+//! over [`LiveMesh`](crate::live::LiveMesh) with the same seed consume
+//! fault randomness identically and produce byte-identical event streams
+//! by construction.
+//!
+//! [`LoopbackNet`]: hb_net::loopback::LoopbackNet
 
 use hb_core::events::SharedTap;
 use hb_core::Pid;
-use hb_net::loopback::NetStats;
+use hb_net::loopback::{LoopbackCore, NetStats};
 use hb_net::wire::Frame;
-use hb_sim::channel::{FaultHook, LossModel};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hb_sim::channel::FaultHook;
 
 use crate::engine::{Engine, MemberConfig, MemberReport, Mesh};
 
-#[derive(Clone, Copy)]
-struct Stored {
-    deliver_at: u64,
-    frame: Frame,
-    budget_left: u32,
-    seq: u64,
-}
-
 /// The simulated substrate (see module docs).
-pub struct SimMesh {
-    queues: Vec<Vec<Stored>>,
-    loss: LossModel,
-    ge_bad: bool,
-    rng: StdRng,
-    stats: NetStats,
-    next_seq: u64,
-}
+pub type SimMesh = LoopbackCore;
 
-impl SimMesh {
-    /// A mesh for pids `0..group` with seeded loss/delay randomness.
-    pub fn new(group: usize, loss: LossModel, seed: u64) -> Self {
-        SimMesh {
-            queues: (0..group).map(|_| Vec::new()).collect(),
-            loss,
-            ge_bad: false,
-            rng: StdRng::seed_from_u64(seed),
-            stats: NetStats::default(),
-            next_seq: 0,
-        }
-    }
-
-    /// One loss decision, mirroring `hb_sim::channel::Channel::drops_now`
-    /// (and the loopback net's copy of it).
-    fn drops_now(&mut self) -> bool {
-        match self.loss {
-            LossModel::Bernoulli(p) => self.rng.gen_bool(p),
-            LossModel::GilbertElliott {
-                to_bad,
-                to_good,
-                good_loss,
-                bad_loss,
-            } => {
-                if self.ge_bad {
-                    if self.rng.gen_bool(to_good) {
-                        self.ge_bad = false;
-                    }
-                } else if self.rng.gen_bool(to_bad) {
-                    self.ge_bad = true;
-                }
-                self.rng
-                    .gen_bool(if self.ge_bad { bad_loss } else { good_loss })
-            }
-        }
-    }
-}
-
-impl Mesh for SimMesh {
+impl Mesh for LoopbackCore {
     fn send(&mut self, now: u64, dst: Pid, frame: &Frame, budget: u32) {
-        assert!(dst < self.queues.len(), "no endpoint {dst}");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match frame {
-            Frame::Control { .. } => {
-                self.queues[dst].push(Stored {
-                    deliver_at: now,
-                    frame: *frame,
-                    budget_left: 0,
-                    seq,
-                });
-            }
-            Frame::Beat { .. } => {
-                self.stats.sent += 1;
-                if self.drops_now() {
-                    self.stats.lost += 1;
-                    return;
-                }
-                let delay = self.rng.gen_range(0..=budget);
-                self.queues[dst].push(Stored {
-                    deliver_at: now + u64::from(delay),
-                    frame: *frame,
-                    budget_left: budget - delay,
-                    seq,
-                });
-            }
-            Frame::ViewChange { .. } | Frame::StateRequest { .. } | Frame::StateReply { .. } => {
-                if self.drops_now() {
-                    return;
-                }
-                let delay = self.rng.gen_range(0..=budget);
-                self.queues[dst].push(Stored {
-                    deliver_at: now + u64::from(delay),
-                    frame: *frame,
-                    budget_left: budget.saturating_sub(delay),
-                    seq,
-                });
-            }
-        }
+        LoopbackCore::send(self, now, dst, frame, budget);
     }
 
     fn recv_due(&mut self, now: u64, dst: Pid) -> Option<(Frame, u32)> {
-        let i = self.queues[dst]
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.deliver_at <= now)
-            .min_by_key(|(_, m)| (m.deliver_at, m.seq))
-            .map(|(i, _)| i)?;
-        let m = self.queues[dst].remove(i);
-        if matches!(m.frame, Frame::Beat { .. }) {
-            self.stats.delivered += 1;
-        }
-        Some((m.frame, m.budget_left))
+        self.recv(now, dst).map(|r| (r.frame, r.reply_budget))
     }
 
     fn any_due(&self, now: u64) -> bool {
-        self.queues
-            .iter()
-            .any(|q| q.iter().any(|m| m.deliver_at <= now))
+        self.any_deliverable(now)
     }
 
     fn stats(&self) -> NetStats {
-        self.stats
+        LoopbackCore::stats(self)
     }
 }
 

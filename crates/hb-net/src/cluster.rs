@@ -11,7 +11,7 @@
 use hb_core::coordinator::CoordSpec;
 use hb_core::responder::RespSpec;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
-use hb_sim::schema::RunSummary;
+use hb_sim::schema::{NetStats, RunLedger, RunSummary};
 
 use crate::events::{EventSink, SharedTap};
 use crate::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
@@ -49,30 +49,66 @@ pub struct LiveReport {
     pub nodes: Vec<NodeReport>,
 }
 
+/// What a [`VirtualCluster`] puts between its nodes and their loopback
+/// endpoints. The defaults are the plain cluster — every hook a no-op the
+/// optimiser removes — so a decorator only states where it differs.
+pub trait Seam {
+    /// The transport each node runs over.
+    type Transport: Transport;
+
+    /// Wrap `pid`'s loopback endpoint.
+    fn wrap(&self, pid: Pid, endpoint: LoopbackEndpoint) -> Self::Transport;
+
+    /// The local tick `pid` is polled at when the true tick is `now`.
+    fn local_tick(&self, _pid: Pid, now: Time) -> Time {
+        now
+    }
+
+    /// Called first thing every tick, with the true tick.
+    fn begin_tick(&mut self, _now: Time) {}
+
+    /// Whether the decorator is holding a frame back that is due at
+    /// `now` (the tick is not settled until it is released).
+    fn holds_due(&self, _now: Time) -> bool {
+        false
+    }
+
+    /// An event tap was attached to the cluster: install it wherever the
+    /// decorator itself produces events.
+    fn attach_tap(&mut self, _tap: &SharedTap) {}
+
+    /// The run's message counters, given the loopback network's.
+    fn traffic(&self, net: NetStats) -> NetStats {
+        net
+    }
+}
+
+/// The undecorated seam: nodes run directly over their loopback endpoints.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Plain;
+
+impl Seam for Plain {
+    type Transport = LoopbackEndpoint;
+
+    fn wrap(&self, _pid: Pid, endpoint: LoopbackEndpoint) -> LoopbackEndpoint {
+        endpoint
+    }
+}
+
 /// A stepping live cluster under virtual time.
-pub struct VirtualCluster {
+pub struct VirtualCluster<E: Seam = Plain> {
     cfg: ClusterConfig,
+    seam: E,
     net: LoopbackNet,
     /// `nodes[0]` is the coordinator; `nodes[i]` participant `i` (absent
     /// until its start time).
-    nodes: Vec<Option<NodeRuntime<LoopbackEndpoint>>>,
+    nodes: Vec<Option<NodeRuntime<E::Transport>>>,
     injector: LoopbackEndpoint,
     start_at: Vec<Time>,
     injections: Vec<(Time, Pid, Command)>,
     now: Time,
     statuses: Vec<Option<(Status, bool)>>,
-    crashes: Vec<(Pid, Time)>,
-    nv_inactivations: Vec<(Pid, Time)>,
-    leaves: Vec<(Pid, Time)>,
-    revives: Vec<(Pid, Time)>,
-    /// Revived participants still re-converging: `(pid, epoch,
-    /// revived_at, detected_at)`. Detection = the coordinator registered
-    /// the fresh epoch; stability = the revived node is an active,
-    /// joined member again.
-    pending_reconv: Vec<(Pid, u8, Time, Option<Time>)>,
-    reconv_detects: Vec<(Pid, Time)>,
-    reconv_stables: Vec<(Pid, Time)>,
-    all_inactive_at: Option<Time>,
+    ledger: RunLedger,
     /// A live event tap (e.g. a streaming monitor) attached to every
     /// node, including late joiners.
     tap: Option<SharedTap>,
@@ -81,17 +117,26 @@ pub struct VirtualCluster {
 impl VirtualCluster {
     /// Build a cluster; nothing runs until [`step`](Self::step).
     pub fn new(cfg: ClusterConfig) -> Self {
+        Self::with_seam(cfg, Plain)
+    }
+}
+
+impl<E: Seam> VirtualCluster<E> {
+    /// Build a cluster whose endpoints are decorated by `seam`; nothing
+    /// runs until [`step`](Self::step).
+    pub fn with_seam(cfg: ClusterConfig, seam: E) -> Self {
         // endpoints: 0..=n for the nodes, n+1 for the out-of-band injector
         let net = LoopbackNet::new(cfg.n + 2, cfg.faults, cfg.seed);
         let coord_spec = CoordSpec::new(cfg.variant, cfg.params, cfg.n, cfg.fix);
-        let mut coord = NodeRuntime::coordinator(coord_spec, net.endpoint(0));
+        let mut coord = NodeRuntime::coordinator(coord_spec, seam.wrap(0, net.endpoint(0)));
         if cfg.record_events {
             coord = coord.with_sink(EventSink::memory());
         }
-        let mut nodes: Vec<Option<NodeRuntime<LoopbackEndpoint>>> = vec![Some(coord)];
+        let mut nodes = vec![Some(coord)];
         nodes.extend((0..cfg.n).map(|_| None));
         let injector = net.endpoint(cfg.n + 1);
         VirtualCluster {
+            seam,
             net,
             nodes,
             injector,
@@ -99,14 +144,7 @@ impl VirtualCluster {
             injections: Vec::new(),
             now: 0,
             statuses: vec![None; cfg.n + 1],
-            crashes: Vec::new(),
-            nv_inactivations: Vec::new(),
-            leaves: Vec::new(),
-            revives: Vec::new(),
-            pending_reconv: Vec::new(),
-            reconv_detects: Vec::new(),
-            reconv_stables: Vec::new(),
-            all_inactive_at: None,
+            ledger: RunLedger::default(),
             tap: None,
             cfg,
         }
@@ -114,12 +152,14 @@ impl VirtualCluster {
 
     /// Attach a live [`EventTap`](crate::events::EventTap) — e.g. a
     /// streaming requirement monitor — to every node in the cluster,
-    /// including participants that start later. Each node feeds the tap
-    /// its own events; taps see the merged stream in polling order.
+    /// including participants that start later, and to the seam. Each
+    /// node feeds the tap its own events; taps see the merged stream in
+    /// polling order.
     pub fn attach_tap(&mut self, tap: SharedTap) {
         for node in self.nodes.iter_mut().flatten() {
             node.attach_tap(tap.clone());
         }
+        self.seam.attach_tap(&tap);
         self.tap = Some(tap);
     }
 
@@ -179,23 +219,25 @@ impl VirtualCluster {
 
     /// Advance the cluster by one tick: start late joiners, deliver due
     /// injections, drain every node (and every zero-delay reply chain)
-    /// at the current tick, then move time forward.
+    /// at its local reading of the current tick, then move time forward.
     pub fn step(&mut self) {
         let now = self.now;
-        for i in 0..self.cfg.n {
-            if self.nodes[i + 1].is_none() && self.start_at[i] == now {
+        self.seam.begin_tick(now);
+        for pid in 1..=self.cfg.n {
+            if self.nodes[pid].is_none() && self.start_at[pid - 1] == now {
                 // Frames sent before a node exists vanish, as in the sim.
-                self.net.purge(i + 1);
+                self.net.purge(pid);
                 let spec = RespSpec::new(self.cfg.variant, self.cfg.params, self.cfg.fix);
-                let mut node =
-                    NodeRuntime::participant(i + 1, spec, self.net.endpoint(i + 1)).started_at(now);
+                let transport = self.seam.wrap(pid, self.net.endpoint(pid));
+                let mut node = NodeRuntime::participant(pid, spec, transport)
+                    .started_at(self.seam.local_tick(pid, now));
                 if self.cfg.record_events {
                     node = node.with_sink(EventSink::memory());
                 }
                 if let Some(tap) = &self.tap {
                     node.attach_tap(tap.clone());
                 }
-                self.nodes[i + 1] = Some(node);
+                self.nodes[pid] = Some(node);
             }
         }
         let src = self.cfg.n + 1;
@@ -212,23 +254,24 @@ impl VirtualCluster {
         self.injections = pending;
 
         loop {
-            for node in self.nodes.iter_mut().flatten() {
-                node.poll(now).expect("loopback polling cannot fail");
+            for (pid, node) in self.nodes.iter_mut().enumerate() {
+                if let Some(node) = node {
+                    node.poll(self.seam.local_tick(pid, now))
+                        .expect("loopback polling cannot fail");
+                }
             }
-            if !self.net.any_deliverable(now) {
+            if !self.net.any_deliverable(now) && !self.seam.holds_due(now) {
                 break;
             }
         }
 
         self.observe(now);
-        if self.all_inactive_at.is_none() && self.all_inactive() {
-            self.all_inactive_at = Some(now);
-        }
         self.now += 1;
     }
 
-    /// Record status transitions (crash / nv-inactivation / leave /
-    /// revive times) and resolve pending re-convergences.
+    /// Feed the ledger this tick's status transitions (crash /
+    /// nv-inactivation / leave / revive), then let it resolve pending
+    /// re-convergences and the cluster-wide detection time.
     fn observe(&mut self, now: Time) {
         for (pid, node) in self.nodes.iter().enumerate() {
             let Some(node) = node else { continue };
@@ -236,49 +279,32 @@ impl VirtualCluster {
             let prev = self.statuses[pid];
             if prev.map(|(s, _)| s) != Some(cur.0) {
                 match cur.0 {
-                    Status::Crashed => self.crashes.push((pid, now)),
-                    Status::NvInactive => self.nv_inactivations.push((pid, now)),
+                    Status::Crashed => self.ledger.crash(pid, now),
+                    Status::NvInactive => self.ledger.nv_inactivation(pid, now),
                     Status::Active => {
                         // Crashed -> Active is only reachable via revive.
                         if prev.map(|(s, _)| s) == Some(Status::Crashed) {
-                            self.revives.push((pid, now));
-                            self.pending_reconv.push((pid, node.epoch(), now, None));
-                            self.all_inactive_at = None;
+                            self.ledger.revive(pid, node.epoch(), now);
                         }
                     }
                 }
             }
             if prev.map(|(_, l)| l) != Some(cur.1) && cur.1 {
-                self.leaves.push((pid, now));
+                self.ledger.leave(pid, now);
             }
             self.statuses[pid] = Some(cur);
         }
-        let mut i = 0;
-        while i < self.pending_reconv.len() {
-            let (pid, epoch, t0, detected) = self.pending_reconv[i];
-            let mut detected = detected;
-            if detected.is_none()
-                && self.nodes[0].as_ref().is_some_and(|coord| {
-                    coord
-                        .registered_epoch(pid)
-                        .is_some_and(|bar| hb_core::serial::serial_ge(bar, epoch))
-                })
-            {
-                detected = Some(now);
-                self.reconv_detects.push((pid, now - t0));
-            }
-            let stable = detected.is_some()
-                && self.nodes[pid].as_ref().is_some_and(|n| {
+        let nodes = &self.nodes;
+        self.ledger.resolve_reconv(
+            now,
+            |pid| nodes[0].as_ref()?.registered_epoch(pid),
+            |pid, epoch| {
+                nodes[pid].as_ref().is_some_and(|n| {
                     n.status() == Status::Active && n.joined() && n.epoch() == epoch
-                });
-            if stable {
-                self.reconv_stables.push((pid, now - t0));
-                self.pending_reconv.remove(i);
-            } else {
-                self.pending_reconv[i].3 = detected;
-                i += 1;
-            }
-        }
+                })
+            },
+        );
+        self.ledger.note_all_inactive(now, self.all_inactive());
     }
 
     /// Run until tick `t` or until everything is inactive (a pending
@@ -291,43 +317,16 @@ impl VirtualCluster {
 
     /// Finish the run and produce the report.
     pub fn into_report(self) -> LiveReport {
-        let stats = self.net.stats();
-        let first_crash = self.crashes.iter().map(|&(_, t)| t).min();
-        let detection_delay = match (first_crash, self.all_inactive_at) {
-            (Some(c), Some(d)) => Some(d.saturating_sub(c)),
-            _ => None,
-        };
-        let false_inactivations = if self.crashes.is_empty() {
-            self.nv_inactivations.len() as u32
-        } else {
-            0
-        };
-        let final_status: Vec<Status> = self
+        let final_status = self
             .nodes
             .iter()
             .map(|n| n.as_ref().map_or(Status::Active, |n| n.status()))
             .collect();
-        let (stale_admitted, stale_filtered) =
-            self.nodes[0].as_ref().map_or((0, 0), |c| c.stale_beats());
-        let summary = RunSummary {
-            source: "live",
-            duration: self.now,
-            messages_sent: stats.sent,
-            messages_delivered: stats.delivered,
-            messages_lost: stats.lost,
-            crashes: self.crashes,
-            nv_inactivations: self.nv_inactivations,
-            leaves: self.leaves,
-            revives: self.revives,
-            reconv_detect: self.reconv_detects.iter().map(|&(_, d)| d).max(),
-            reconv_stable: self.reconv_stables.iter().map(|&(_, d)| d).max(),
-            stale_beats_admitted: stale_admitted,
-            stale_beats_filtered: stale_filtered,
-            detection_delay,
-            false_inactivations,
-            monitor: None,
-            final_status,
-        };
+        let stale = self.nodes[0].as_ref().map_or((0, 0), |c| c.stale_beats());
+        let traffic = self.seam.traffic(self.net.stats());
+        let summary = self
+            .ledger
+            .into_summary("live", self.now, traffic, stale, final_status);
         let nodes = self
             .nodes
             .into_iter()

@@ -39,9 +39,9 @@ pub mod transport;
 pub mod udp;
 pub mod wire;
 
-pub use cluster::{ClusterConfig, LiveReport, VirtualCluster};
+pub use cluster::{ClusterConfig, LiveReport, Plain, Seam, VirtualCluster};
 pub use events::{Counters, EventSink, EventTap, SharedTap};
-pub use loopback::{Faults, LoopbackEndpoint, LoopbackNet, NetStats};
+pub use loopback::{Faults, LoopbackCore, LoopbackEndpoint, LoopbackNet, NetStats};
 pub use node::{NodeReport, NodeRuntime};
 pub use time::{SkewedClock, Time, TimeSource, VirtualClock, WallClock};
 pub use transport::{Recv, Transport};

@@ -60,16 +60,7 @@ impl Faults {
     }
 }
 
-/// Message counters of a loopback network (heartbeat frames only).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Frames handed to the network (including lost ones).
-    pub sent: u64,
-    /// Frames delivered (or purged into a not-yet-started node).
-    pub delivered: u64,
-    /// Frames dropped by the loss model.
-    pub lost: u64,
-}
+pub use hb_sim::schema::NetStats;
 
 #[derive(Clone, Copy, Debug)]
 struct Stored {
@@ -78,7 +69,14 @@ struct Stored {
     budget_left: u32,
 }
 
-struct NetState {
+/// The loopback queue itself, without any locking: per-destination
+/// queues, the loss model with its burst state, the seeded loss/delay
+/// randomness and the beat counters. [`LoopbackNet`] is this core behind
+/// a mutex and a condvar; single-threaded harnesses (the simulated
+/// membership mesh) drive it directly — one implementation, so the two
+/// consume fault randomness identically: per in-band frame one loss draw
+/// then one uniform in-budget delay draw, in send order.
+pub struct LoopbackCore {
     queues: Vec<Vec<Stored>>,
     loss: LossModel,
     ge_bad: bool,
@@ -86,33 +84,102 @@ struct NetState {
     stats: NetStats,
 }
 
-impl NetState {
-    /// One loss decision, mirroring `hb_sim::channel::Channel::drops_now`.
-    fn drops_now(&mut self) -> bool {
-        match self.loss {
-            LossModel::Bernoulli(p) => self.rng.gen_bool(p),
-            LossModel::GilbertElliott {
-                to_bad,
-                to_good,
-                good_loss,
-                bad_loss,
-            } => {
-                if self.ge_bad {
-                    if self.rng.gen_bool(to_good) {
-                        self.ge_bad = false;
-                    }
-                } else if self.rng.gen_bool(to_bad) {
-                    self.ge_bad = true;
-                }
-                self.rng
-                    .gen_bool(if self.ge_bad { bad_loss } else { good_loss })
-            }
+// The `#[inline]`s below are load-bearing: the generic cluster harness and
+// the membership engine are instantiated in downstream crates, where a
+// non-inline `send`/`recv` is a cross-crate call handing a ~150-byte
+// `Recv` back through memory (measured: -15 % `live_loopback` work/s).
+impl LoopbackCore {
+    /// Queues for pids `0..endpoints` with seeded loss/delay randomness.
+    pub fn new(endpoints: usize, loss: LossModel, seed: u64) -> Self {
+        LoopbackCore {
+            queues: (0..endpoints).map(|_| Vec::new()).collect(),
+            loss,
+            ge_bad: false,
+            rng: StdRng::seed_from_u64(seed),
+            stats: NetStats::default(),
         }
+    }
+
+    /// Queue `frame` for `dst`; returns whether it was queued (not lost).
+    /// Control frames are out-of-band: instant, lossless, uncounted.
+    /// Membership traffic rides the same in-band channel as beats
+    /// (delayed, droppable) but stays out of the beat stats — overhead
+    /// comparisons against the paper's message counts must not be skewed
+    /// by the member layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is out of range.
+    #[inline]
+    pub fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> bool {
+        assert!(dst < self.queues.len(), "no endpoint {dst}");
+        let (delay, budget_left) = if matches!(frame, Frame::Control { .. }) {
+            (0, 0)
+        } else {
+            let counted = matches!(frame, Frame::Beat { .. });
+            if counted {
+                self.stats.sent += 1;
+            }
+            if self.loss.drops(&mut self.ge_bad, &mut self.rng) {
+                if counted {
+                    self.stats.lost += 1;
+                }
+                return false;
+            }
+            let delay = self.rng.gen_range(0..=budget);
+            (delay, budget - delay)
+        };
+        self.queues[dst].push(Stored {
+            deliver_at: now + Time::from(delay),
+            frame: *frame,
+            budget_left,
+        });
+        true
+    }
+
+    /// Take the earliest frame deliverable to `pid` at `now` (FIFO among
+    /// equal times, for a deterministic processing order).
+    #[inline]
+    pub fn recv(&mut self, now: Time, pid: Pid) -> Option<Recv> {
+        let i = self.queues[pid]
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.deliver_at <= now)
+            .min_by_key(|(i, m)| (m.deliver_at, *i))
+            .map(|(i, _)| i)?;
+        let m = self.queues[pid].remove(i);
+        if matches!(m.frame, Frame::Beat { .. }) {
+            self.stats.delivered += 1;
+        }
+        Some(Recv {
+            frame: m.frame,
+            reply_budget: m.budget_left,
+        })
+    }
+
+    /// Whether any heartbeat or control frame is deliverable at `now`.
+    #[inline]
+    pub fn any_deliverable(&self, now: Time) -> bool {
+        self.queues
+            .iter()
+            .any(|q| q.iter().any(|m| m.deliver_at <= now))
+    }
+
+    /// Message counters so far.
+    pub fn stats(&self) -> NetStats {
+        self.stats
+    }
+
+    /// Discard everything queued for `pid` (counted as delivered into the
+    /// void).
+    pub fn purge(&mut self, pid: Pid) {
+        self.stats.delivered += self.queues[pid].len() as u64;
+        self.queues[pid].clear();
     }
 }
 
 struct Inner {
-    state: Mutex<NetState>,
+    state: Mutex<LoopbackCore>,
     arrived: Condvar,
 }
 
@@ -129,13 +196,7 @@ impl LoopbackNet {
     pub fn new(endpoints: usize, faults: Faults, seed: u64) -> Self {
         LoopbackNet {
             inner: Arc::new(Inner {
-                state: Mutex::new(NetState {
-                    queues: (0..endpoints).map(|_| Vec::new()).collect(),
-                    loss: faults.loss,
-                    ge_bad: false,
-                    rng: StdRng::seed_from_u64(seed),
-                    stats: NetStats::default(),
-                }),
+                state: Mutex::new(LoopbackCore::new(endpoints, faults.loss, seed)),
                 arrived: Condvar::new(),
             }),
             endpoints,
@@ -156,26 +217,21 @@ impl LoopbackNet {
     }
 
     /// Whether any heartbeat or control frame is deliverable at `now`.
+    #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
-        let st = self.inner.state.lock().unwrap();
-        st.queues
-            .iter()
-            .any(|q| q.iter().any(|m| m.deliver_at <= now))
+        self.inner.state.lock().unwrap().any_deliverable(now)
     }
 
     /// Message counters so far.
     pub fn stats(&self) -> NetStats {
-        self.inner.state.lock().unwrap().stats
+        self.inner.state.lock().unwrap().stats()
     }
 
     /// Discard everything queued for `pid` — used when a node starts late,
     /// mirroring the simulator's "messages to not-yet-started participants
     /// vanish" (they count as delivered-into-the-void).
     pub fn purge(&self, pid: Pid) {
-        let mut st = self.inner.state.lock().unwrap();
-        let dropped = st.queues[pid].len() as u64;
-        st.queues[pid].clear();
-        st.stats.delivered += dropped;
+        self.inner.state.lock().unwrap().purge(pid);
     }
 }
 
@@ -193,6 +249,7 @@ impl LoopbackEndpoint {
 }
 
 impl Transport for LoopbackEndpoint {
+    #[inline]
     fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
         let mut st = self.inner.state.lock().unwrap();
         if dst >= st.queues.len() {
@@ -201,70 +258,17 @@ impl Transport for LoopbackEndpoint {
                 format!("no endpoint {dst}"),
             ));
         }
-        match frame {
-            Frame::Control { .. } => {
-                // Out-of-band: instant, lossless, uncounted.
-                st.queues[dst].push(Stored {
-                    deliver_at: now,
-                    frame: *frame,
-                    budget_left: 0,
-                });
-            }
-            Frame::Beat { .. } => {
-                st.stats.sent += 1;
-                if st.drops_now() {
-                    st.stats.lost += 1;
-                    return Ok(());
-                }
-                let delay = st.rng.gen_range(0..=budget);
-                st.queues[dst].push(Stored {
-                    deliver_at: now + Time::from(delay),
-                    frame: *frame,
-                    budget_left: budget - delay,
-                });
-            }
-            Frame::ViewChange { .. } | Frame::StateRequest { .. } | Frame::StateReply { .. } => {
-                // Membership traffic rides the same in-band channel as
-                // beats (delayed, droppable) but stays out of the beat
-                // stats — overhead comparisons against the paper's
-                // message counts must not be skewed by the member layer.
-                if st.drops_now() {
-                    return Ok(());
-                }
-                let delay = st.rng.gen_range(0..=budget);
-                st.queues[dst].push(Stored {
-                    deliver_at: now + Time::from(delay),
-                    frame: *frame,
-                    budget_left: budget.saturating_sub(delay),
-                });
-            }
-        }
+        let queued = st.send(now, dst, frame, budget);
         drop(st);
-        self.inner.arrived.notify_all();
+        if queued {
+            self.inner.arrived.notify_all();
+        }
         Ok(())
     }
 
+    #[inline]
     fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
-        let mut st = self.inner.state.lock().unwrap();
-        // Earliest deliverable first (FIFO among equal times) for a
-        // deterministic processing order.
-        let best = st.queues[self.pid]
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.deliver_at <= now)
-            .min_by_key(|(i, m)| (m.deliver_at, *i))
-            .map(|(i, _)| i);
-        let Some(i) = best else {
-            return Ok(None);
-        };
-        let m = st.queues[self.pid].remove(i);
-        if matches!(m.frame, Frame::Beat { .. }) {
-            st.stats.delivered += 1;
-        }
-        Ok(Some(Recv {
-            frame: m.frame,
-            reply_budget: m.budget_left,
-        }))
+        Ok(self.inner.state.lock().unwrap().recv(now, self.pid))
     }
 
     fn wait(&mut self, timeout: Duration) -> io::Result<()> {

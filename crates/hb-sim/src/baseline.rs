@@ -22,6 +22,7 @@ use rand::SeedableRng;
 
 use crate::channel::{Channel, Time};
 use crate::metrics::Report;
+use crate::schema::RunLedger;
 
 /// Configuration of the naive heartbeat protocol.
 #[derive(Clone, Copy, Debug)]
@@ -77,9 +78,7 @@ pub struct NaiveWorld {
     rng: StdRng,
     now: Time,
     scheduled_crashes: Vec<(Pid, Time)>,
-    crashes: Vec<(Pid, Time)>,
-    nv_inactivations: Vec<(Pid, Time)>,
-    all_inactive_at: Option<Time>,
+    ledger: RunLedger,
 }
 
 impl NaiveWorld {
@@ -102,9 +101,7 @@ impl NaiveWorld {
             rng: StdRng::seed_from_u64(seed),
             now: 0,
             scheduled_crashes: Vec::new(),
-            crashes: Vec::new(),
-            nv_inactivations: Vec::new(),
-            all_inactive_at: None,
+            ledger: RunLedger::default(),
             cfg,
         }
     }
@@ -136,7 +133,7 @@ impl NaiveWorld {
             };
             if status.is_active() {
                 *status = Status::Crashed;
-                self.crashes.push((pid, now));
+                self.ledger.crash(pid, now);
             }
             false
         });
@@ -170,7 +167,7 @@ impl NaiveWorld {
             }
             if self.silent.iter().any(|&s| s > self.cfg.tolerance) {
                 self.coord_status = Status::NvInactive;
-                self.nv_inactivations.push((0, now));
+                self.ledger.nv_inactivation(0, now);
             } else {
                 for i in 0..self.cfg.n {
                     let bound = self.cfg.delay_bound;
@@ -184,13 +181,11 @@ impl NaiveWorld {
         for i in 0..self.cfg.n {
             if self.resp_status[i].is_active() && self.waiting[i] >= self.cfg.responder_bound() {
                 self.resp_status[i] = Status::NvInactive;
-                self.nv_inactivations.push((i + 1, now));
+                self.ledger.nv_inactivation(i + 1, now);
             }
         }
 
-        if self.all_inactive_at.is_none() && self.all_inactive() {
-            self.all_inactive_at = Some(now);
-        }
+        self.ledger.note_all_inactive(now, self.all_inactive());
 
         if self.coord_status.is_active() {
             self.elapsed += 1;
@@ -212,36 +207,13 @@ impl NaiveWorld {
 
     /// Produce the metrics report.
     pub fn into_report(self) -> Report {
-        let first_crash = self.crashes.iter().map(|&(_, t)| t).min();
-        let detection_delay = match (first_crash, self.all_inactive_at) {
-            (Some(c), Some(d)) => Some(d.saturating_sub(c)),
-            _ => None,
-        };
-        let false_inactivations = if self.crashes.is_empty() {
-            self.nv_inactivations.len() as u32
-        } else {
-            0
-        };
         let mut final_status = vec![self.coord_status];
         final_status.extend(&self.resp_status);
-        Report {
-            duration: self.now,
-            messages_sent: self.channel.sent,
-            messages_delivered: self.channel.delivered,
-            messages_lost: self.channel.lost,
-            crashes: self.crashes,
-            nv_inactivations: self.nv_inactivations,
-            leaves: Vec::new(),
-            revives: Vec::new(),
-            reconv_detect: None,
-            reconv_stable: None,
-            stale_beats_admitted: 0,
-            stale_beats_filtered: 0,
-            detection_delay,
-            false_inactivations,
-            final_status,
-            log: hb_core::trace::EventLog::new(),
-        }
+        let traffic = self.channel.stats();
+        let summary = self
+            .ledger
+            .into_summary("sim", self.now, traffic, (0, 0), final_status);
+        Report::from_summary(summary, hb_core::trace::EventLog::new())
     }
 }
 

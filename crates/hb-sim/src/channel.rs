@@ -3,6 +3,8 @@
 use hb_core::{Heartbeat, Pid};
 use rand::Rng;
 
+use crate::schema::NetStats;
+
 /// Discrete simulation time.
 pub type Time = u64;
 
@@ -104,6 +106,31 @@ impl LossModel {
         }
     }
 
+    /// One loss decision: step the burst chain (one step per message,
+    /// its state in `ge_bad`) and draw. Every consumer of a loss model —
+    /// the simulator's channel, the loopback core, the fault pipeline —
+    /// draws through here, so they consume randomness identically.
+    pub fn drops<R: Rng>(&self, ge_bad: &mut bool, rng: &mut R) -> bool {
+        match *self {
+            LossModel::Bernoulli(p) => rng.gen_bool(p),
+            LossModel::GilbertElliott {
+                to_bad,
+                to_good,
+                good_loss,
+                bad_loss,
+            } => {
+                if *ge_bad {
+                    if rng.gen_bool(to_good) {
+                        *ge_bad = false;
+                    }
+                } else if rng.gen_bool(to_bad) {
+                    *ge_bad = true;
+                }
+                rng.gen_bool(if *ge_bad { bad_loss } else { good_loss })
+            }
+        }
+    }
+
     fn validate(&self) {
         let probs: Vec<f64> = match *self {
             LossModel::Bernoulli(p) => vec![p],
@@ -176,30 +203,10 @@ impl Channel {
     }
 
     fn drops_now<R: Rng>(&mut self, rng: &mut R, now: Time) -> bool {
-        if let Some((from, to)) = self.outage {
-            if (from..to).contains(&now) {
-                return true;
-            }
-        }
-        match self.model {
-            LossModel::Bernoulli(p) => rng.gen_bool(p),
-            LossModel::GilbertElliott {
-                to_bad,
-                to_good,
-                good_loss,
-                bad_loss,
-            } => {
-                // one chain step per message
-                if self.ge_bad {
-                    if rng.gen_bool(to_good) {
-                        self.ge_bad = false;
-                    }
-                } else if rng.gen_bool(to_bad) {
-                    self.ge_bad = true;
-                }
-                rng.gen_bool(if self.ge_bad { bad_loss } else { good_loss })
-            }
-        }
+        let in_outage = self
+            .outage
+            .is_some_and(|(from, to)| (from..to).contains(&now));
+        in_outage || self.model.drops(&mut self.ge_bad, rng)
     }
 
     /// Send a message at time `now` with a delay drawn uniformly from
@@ -290,6 +297,15 @@ impl Channel {
             } else {
                 i += 1;
             }
+        }
+    }
+
+    /// The message counters so far.
+    pub fn stats(&self) -> NetStats {
+        NetStats {
+            sent: self.sent,
+            delivered: self.delivered,
+            lost: self.lost,
         }
     }
 

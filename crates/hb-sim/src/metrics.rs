@@ -4,6 +4,7 @@ use hb_core::trace::EventLog;
 use hb_core::{Pid, Status};
 
 use crate::channel::Time;
+use crate::schema::RunSummary;
 
 /// Everything measured over one simulation run.
 #[derive(Clone, Debug)]
@@ -53,6 +54,28 @@ pub struct Report {
 }
 
 impl Report {
+    /// A run summary plus the run's event log.
+    pub fn from_summary(s: RunSummary, log: EventLog) -> Self {
+        Report {
+            duration: s.duration,
+            messages_sent: s.messages_sent,
+            messages_delivered: s.messages_delivered,
+            messages_lost: s.messages_lost,
+            crashes: s.crashes,
+            nv_inactivations: s.nv_inactivations,
+            leaves: s.leaves,
+            revives: s.revives,
+            reconv_detect: s.reconv_detect,
+            reconv_stable: s.reconv_stable,
+            stale_beats_admitted: s.stale_beats_admitted,
+            stale_beats_filtered: s.stale_beats_filtered,
+            detection_delay: s.detection_delay,
+            false_inactivations: s.false_inactivations,
+            final_status: s.final_status,
+            log,
+        }
+    }
+
     /// Steady-state message rate: messages per time unit.
     ///
     /// For a healthy accelerated protocol with one participant this is

@@ -131,6 +131,150 @@ pub struct RunSummary {
     pub final_status: Vec<Status>,
 }
 
+/// Message counters of one run (heartbeat frames only).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Frames handed to the network (including lost ones).
+    pub sent: u64,
+    /// Frames delivered (or purged into a not-yet-started node).
+    pub delivered: u64,
+    /// Frames dropped by the loss model.
+    pub lost: u64,
+}
+
+/// The lifecycle bookkeeping of one run, shared by every substrate:
+/// crash / inactivation / leave / revive times, the two-sided §7
+/// re-convergence resolver, the cluster-wide detection time, and the
+/// assembly of the [`RunSummary`]. The simulator feeds it where the
+/// transitions happen; the live harness feeds it from its status diff.
+#[derive(Clone, Debug, Default)]
+pub struct RunLedger {
+    crashes: Vec<(Pid, Time)>,
+    nv_inactivations: Vec<(Pid, Time)>,
+    leaves: Vec<(Pid, Time)>,
+    revives: Vec<(Pid, Time)>,
+    pending_reconv: Vec<Reconv>,
+    reconv_detect: Option<Time>,
+    reconv_stable: Option<Time>,
+    all_inactive_at: Option<Time>,
+}
+
+/// A revived participant still re-converging.
+#[derive(Clone, Copy, Debug)]
+struct Reconv {
+    pid: Pid,
+    epoch: u8,
+    revived_at: Time,
+    detected: bool,
+}
+
+impl RunLedger {
+    /// `pid` crashed at `at`.
+    pub fn crash(&mut self, pid: Pid, at: Time) {
+        self.crashes.push((pid, at));
+    }
+
+    /// `pid` inactivated non-voluntarily at `at`.
+    pub fn nv_inactivation(&mut self, pid: Pid, at: Time) {
+        self.nv_inactivations.push((pid, at));
+    }
+
+    /// `pid` left gracefully at `at`.
+    pub fn leave(&mut self, pid: Pid, at: Time) {
+        self.leaves.push((pid, at));
+    }
+
+    /// `pid` came back from a crash at `at` as incarnation `epoch`: the
+    /// run is no longer all-inactive, and a re-convergence sample opens.
+    pub fn revive(&mut self, pid: Pid, epoch: u8, at: Time) {
+        self.revives.push((pid, at));
+        self.pending_reconv.push(Reconv {
+            pid,
+            epoch,
+            revived_at: at,
+            detected: false,
+        });
+        self.all_inactive_at = None;
+    }
+
+    /// Resolve pending re-convergences at the end of tick `now`.
+    /// Detection: the coordinator's epoch bar for the revived pid
+    /// (`bar_of`, `None` while unknown) has caught up with the fresh
+    /// incarnation in RFC 1982 serial order. Stability: on top of that,
+    /// `rejoined(pid, epoch)` — the revived participant is an active,
+    /// joined member at that incarnation again (for join variants the
+    /// completed §5 handshake; variants without a join phase are joined
+    /// from the start, so stability coincides with detection).
+    pub fn resolve_reconv(
+        &mut self,
+        now: Time,
+        bar_of: impl Fn(Pid) -> Option<u8>,
+        rejoined: impl Fn(Pid, u8) -> bool,
+    ) {
+        let worst = |slot: &mut Option<Time>, d: Time| *slot = Some(slot.map_or(d, |w| w.max(d)));
+        let (detect, stable) = (&mut self.reconv_detect, &mut self.reconv_stable);
+        self.pending_reconv.retain_mut(|r| {
+            let caught_up = |bar| hb_core::serial::serial_ge(bar, r.epoch);
+            if !r.detected && bar_of(r.pid).is_some_and(caught_up) {
+                r.detected = true;
+                worst(detect, now - r.revived_at);
+            }
+            let is_stable = r.detected && rejoined(r.pid, r.epoch);
+            if is_stable {
+                worst(stable, now - r.revived_at);
+            }
+            !is_stable
+        });
+    }
+
+    /// Record the first tick at which the whole run was inactive.
+    pub fn note_all_inactive(&mut self, now: Time, all_inactive: bool) {
+        if all_inactive && self.all_inactive_at.is_none() {
+            self.all_inactive_at = Some(now);
+        }
+    }
+
+    /// Close the ledger into the shared summary record.
+    pub fn into_summary(
+        self,
+        source: &'static str,
+        duration: Time,
+        traffic: NetStats,
+        (stale_beats_admitted, stale_beats_filtered): (u32, u32),
+        final_status: Vec<Status>,
+    ) -> RunSummary {
+        let first_crash = self.crashes.iter().map(|&(_, t)| t).min();
+        let detection_delay = match (first_crash, self.all_inactive_at) {
+            (Some(c), Some(d)) => Some(d.saturating_sub(c)),
+            _ => None,
+        };
+        let false_inactivations = if self.crashes.is_empty() {
+            self.nv_inactivations.len() as u32
+        } else {
+            0
+        };
+        RunSummary {
+            source,
+            duration,
+            messages_sent: traffic.sent,
+            messages_delivered: traffic.delivered,
+            messages_lost: traffic.lost,
+            crashes: self.crashes,
+            nv_inactivations: self.nv_inactivations,
+            leaves: self.leaves,
+            revives: self.revives,
+            reconv_detect: self.reconv_detect,
+            reconv_stable: self.reconv_stable,
+            stale_beats_admitted,
+            stale_beats_filtered,
+            detection_delay,
+            false_inactivations,
+            monitor: None,
+            final_status,
+        }
+    }
+}
+
 impl RunSummary {
     /// Summarize a simulator [`Report`].
     pub fn from_report(r: &Report) -> Self {
@@ -289,6 +433,60 @@ mod tests {
         assert!(s.to_json().contains("\"detection_delay\":null"));
         assert!(s.to_json().contains("\"reconv_detect\":null"));
         assert!(s.to_json().contains("\"reconv_stable\":null"));
+    }
+
+    fn close(ledger: RunLedger) -> RunSummary {
+        ledger.into_summary("sim", 100, NetStats::default(), (0, 0), vec![])
+    }
+
+    #[test]
+    fn ledger_resolves_detection_then_stability_on_the_serial_circle() {
+        let mut l = RunLedger::default();
+        // Incarnation 0 follows 255: a bar still at 255 has not caught up.
+        l.revive(1, 0, 10);
+        l.revive(2, 7, 12);
+        l.resolve_reconv(11, |_| None, |_, _| true);
+        l.resolve_reconv(13, |_| Some(255), |_, _| true);
+        // The bar reaches both epochs; only pid 2 is an active member yet.
+        l.resolve_reconv(15, |pid| Some([0, 0, 7][pid]), |pid, _| pid == 2);
+        l.resolve_reconv(20, |_| None, |pid, epoch| (pid, epoch) == (1, 0));
+        let s = close(l);
+        assert_eq!(s.revives, vec![(1, 10), (2, 12)]);
+        assert_eq!(s.reconv_detect, Some(5), "worst of 15-10 and 15-12");
+        assert_eq!(s.reconv_stable, Some(10), "worst of 20-10 and 15-12");
+
+        let mut never = RunLedger::default();
+        never.revive(1, 3, 10);
+        never.resolve_reconv(50, |_| Some(2), |_, _| true);
+        let s = close(never);
+        assert_eq!((s.reconv_detect, s.reconv_stable), (None, None));
+    }
+
+    #[test]
+    fn ledger_times_detection_from_the_first_crash() {
+        // No crash: every inactivation is a false one, nothing to detect.
+        let mut l = RunLedger::default();
+        l.nv_inactivation(1, 30);
+        l.nv_inactivation(0, 31);
+        l.note_all_inactive(31, true);
+        let s = close(l);
+        assert_eq!((s.detection_delay, s.false_inactivations), (None, 2));
+
+        // With crashes the clock runs from the earliest to the first
+        // all-inactive tick; a revive re-opens the run.
+        let mut l = RunLedger::default();
+        l.crash(2, 50);
+        l.crash(1, 40);
+        l.nv_inactivation(0, 60);
+        l.note_all_inactive(59, false);
+        l.note_all_inactive(60, true);
+        l.note_all_inactive(61, true);
+        assert_eq!(close(l.clone()).detection_delay, Some(20));
+        assert_eq!(close(l.clone()).false_inactivations, 0);
+        l.revive(1, 1, 70);
+        assert_eq!(close(l.clone()).detection_delay, None);
+        l.note_all_inactive(90, true);
+        assert_eq!(close(l).detection_delay, Some(50));
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rand::SeedableRng;
 
 use crate::channel::{Channel, FaultHook, InFlight, LossModel, Time};
 use crate::metrics::Report;
+use crate::schema::RunLedger;
 
 /// Static configuration of a simulation world.
 #[derive(Clone, Copy, Debug)]
@@ -50,22 +51,11 @@ pub struct World {
     leave_after: Vec<Option<Time>>,
     scheduled_crashes: Vec<(Pid, Time)>,
     scheduled_revives: Vec<(Pid, Time)>,
-    /// Revived participants still re-converging: `(pid, epoch,
-    /// revived_at, detected_at)`. Detection = the coordinator registered
-    /// the fresh epoch; the entry is retired once the revived
-    /// participant is an active, joined member again (stability).
-    pending_reconv: Vec<(Pid, u8, Time, Option<Time>)>,
-    reconv_detects: Vec<(Pid, Time)>,
-    reconv_stables: Vec<(Pid, Time)>,
+    ledger: RunLedger,
     channel: Channel,
     fault_hook: Option<Box<dyn FaultHook>>,
     rng: StdRng,
     now: Time,
-    crashes: Vec<(Pid, Time)>,
-    nv_inactivations: Vec<(Pid, Time)>,
-    leaves: Vec<(Pid, Time)>,
-    revives: Vec<(Pid, Time)>,
-    all_inactive_at: Option<Time>,
     sink: EventSink,
     /// Scratch storage for [`gather_due`](Self::gather_due), reused
     /// across ticks so the hot loop never allocates.
@@ -95,18 +85,11 @@ impl World {
             leave_after: vec![None; cfg.n],
             scheduled_crashes: Vec::new(),
             scheduled_revives: Vec::new(),
-            pending_reconv: Vec::new(),
-            reconv_detects: Vec::new(),
-            reconv_stables: Vec::new(),
+            ledger: RunLedger::default(),
             channel: Channel::new(cfg.loss_prob),
             fault_hook: None,
             rng: StdRng::seed_from_u64(seed),
             now: 0,
-            crashes: Vec::new(),
-            nv_inactivations: Vec::new(),
-            leaves: Vec::new(),
-            revives: Vec::new(),
-            all_inactive_at: None,
             sink: if cfg.log_events {
                 EventSink::memory()
             } else {
@@ -338,7 +321,7 @@ impl World {
                     }
                     // messages to not-yet-started participants vanish
                     if newly_left {
-                        self.leaves.push((m.dst, self.now));
+                        self.ledger.leave(m.dst, self.now);
                         self.log_event(Event::Leave {
                             at: self.now,
                             pid: m.dst,
@@ -359,7 +342,7 @@ impl World {
                 });
                 match self.coord_spec.on_timeout(&mut self.coord) {
                     TimeoutOutcome::Inactivated => {
-                        self.nv_inactivations.push((0, self.now));
+                        self.ledger.nv_inactivation(0, self.now);
                         self.log_event(Event::NvInactivate {
                             at: self.now,
                             pid: 0,
@@ -383,7 +366,7 @@ impl World {
                         return; // stale: a delivery won the race
                     }
                     self.resp_spec.on_watchdog(r);
-                    self.nv_inactivations.push((pid, self.now));
+                    self.ledger.nv_inactivation(pid, self.now);
                     self.log_event(Event::NvInactivate { at: self.now, pid });
                 }
             }
@@ -421,7 +404,7 @@ impl World {
                 false
             };
             if crashed {
-                self.crashes.push((pid, self.now));
+                self.ledger.crash(pid, self.now);
                 self.log_event(Event::Crash { at: self.now, pid });
             }
             false
@@ -437,9 +420,7 @@ impl World {
                     let fresh = self.resp_spec.revive_state(r.epoch);
                     let epoch = fresh.epoch;
                     self.resps[pid - 1] = Some(fresh);
-                    self.revives.push((pid, self.now));
-                    self.pending_reconv.push((pid, epoch, self.now, None));
-                    self.all_inactive_at = None;
+                    self.ledger.revive(pid, epoch, self.now);
                     self.log_event(Event::Revive { at: self.now, pid });
                 }
             }
@@ -468,39 +449,17 @@ impl World {
             self.due_scratch = batch;
         }
 
-        // Two-sided re-convergence. Detection: the coordinator's epoch
-        // bar has caught up with the fresh incarnation. Stability: on
-        // top of that, the revived participant is an active, joined
-        // member of the round again (for join variants that is the
-        // completed §5 handshake; variants without a join phase are
-        // joined from the start, so stability coincides with detection).
-        let now = self.now;
-        let mut i = 0;
-        while i < self.pending_reconv.len() {
-            let (pid, epoch, t0, detected) = self.pending_reconv[i];
-            let mut detected = detected;
-            if detected.is_none()
-                && hb_core::serial::serial_ge(self.coord.min_epoch[pid - 1], epoch)
-            {
-                detected = Some(now);
-                self.reconv_detects.push((pid, now - t0));
-            }
-            let stable = detected.is_some()
-                && self.resps[pid - 1]
+        let (coord, resps) = (&self.coord, &self.resps);
+        self.ledger.resolve_reconv(
+            self.now,
+            |pid| Some(coord.min_epoch[pid - 1]),
+            |pid, epoch| {
+                resps[pid - 1]
                     .as_ref()
-                    .is_some_and(|r| r.status.is_active() && r.joined && r.epoch == epoch);
-            if stable {
-                self.reconv_stables.push((pid, now - t0));
-                self.pending_reconv.remove(i);
-            } else {
-                self.pending_reconv[i].3 = detected;
-                i += 1;
-            }
-        }
-
-        if self.all_inactive_at.is_none() && self.all_inactive() {
-            self.all_inactive_at = Some(self.now);
-        }
+                    .is_some_and(|r| r.status.is_active() && r.joined && r.epoch == epoch)
+            },
+        );
+        self.ledger.note_all_inactive(self.now, self.all_inactive());
 
         // Time passes.
         self.coord_spec.tick(&mut self.coord);
@@ -521,40 +480,18 @@ impl World {
     /// Finish the run and produce the metrics report.
     pub fn into_report(mut self) -> Report {
         let log = self.sink.take_log();
-        let first_crash = self.crashes.iter().map(|&(_, t)| t).min();
-        let detection_delay = match (first_crash, self.all_inactive_at) {
-            (Some(c), Some(d)) => Some(d.saturating_sub(c)),
-            _ => None,
-        };
-        let false_inactivations = if self.crashes.is_empty() {
-            self.nv_inactivations.len() as u32
-        } else {
-            0
-        };
         let mut final_status = vec![self.coord.status];
         final_status.extend(
             self.resps
                 .iter()
                 .map(|r| r.as_ref().map(|r| r.status).unwrap_or(Status::Active)),
         );
-        Report {
-            duration: self.now,
-            messages_sent: self.channel.sent,
-            messages_delivered: self.channel.delivered,
-            messages_lost: self.channel.lost,
-            crashes: self.crashes,
-            nv_inactivations: self.nv_inactivations,
-            leaves: self.leaves,
-            revives: self.revives,
-            reconv_detect: self.reconv_detects.iter().map(|&(_, d)| d).max(),
-            reconv_stable: self.reconv_stables.iter().map(|&(_, d)| d).max(),
-            stale_beats_admitted: self.coord.stale_admitted,
-            stale_beats_filtered: self.coord.stale_filtered,
-            detection_delay,
-            false_inactivations,
-            final_status,
-            log,
-        }
+        let traffic = self.channel.stats();
+        let stale = (self.coord.stale_admitted, self.coord.stale_filtered);
+        let summary = self
+            .ledger
+            .into_summary("sim", self.now, traffic, stale, final_status);
+        Report::from_summary(summary, log)
     }
 }
 

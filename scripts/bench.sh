@@ -12,11 +12,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo bench (paper tables and figures)"
 cargo bench -p bench
 
-echo "==> monitor overhead (streaming checker tap vs bare simulator)"
+echo "==> hot-path throughput (bare vs monitored beats/sec = monitor tap overhead, campaign cells/sec)"
 # cargo bench runs with the package as cwd, so hand it an absolute path.
-cargo bench -p bench --bench monitor_overhead -- "$PWD/BENCH_monitor.json"
-
-echo "==> hot-path throughput (bare vs monitored beats/sec, campaign cells/sec)"
 cargo bench -p bench --bench throughput -- "$PWD/BENCH_throughput.json"
 
 echo "==> mck scale (states/sec and peak frontier bytes per reduction stack, n up to 8)"
@@ -25,4 +22,4 @@ cargo bench -p bench --bench mck_states -- "$PWD/BENCH_mck.json"
 echo "==> chaos campaign (sim backend)"
 cargo run --release --example chaos_campaign -- --out BENCH_chaos.json --table
 
-echo "benchmarks done; campaign report in BENCH_chaos.json, monitor overhead in BENCH_monitor.json, throughput in BENCH_throughput.json, checker scaling in BENCH_mck.json"
+echo "benchmarks done; campaign report in BENCH_chaos.json, throughput and monitor overhead in BENCH_throughput.json, checker scaling in BENCH_mck.json"

@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+echo "==> benchmark smoke (compiles benchmark/ against the façade; its correctness checks must count zero failures)"
+# benchmark/ is its own cargo package, so no other step compiles it: this
+# is the gate that catches a refactor breaking the surface it imports.
+# It shares target/ with the release build above.
+benchmark/run.sh --smoke >/dev/null
+
 echo "==> cargo test"
 cargo test --workspace -q
 

@@ -8,8 +8,10 @@
 //! paper quantifies); such runs are counted, not asserted against the
 //! bound, and both substrates must keep them a minority.
 
-use accelerated_heartbeat::core::{FixLevel, Params, Variant};
-use accelerated_heartbeat::net::{ClusterConfig, Faults, VirtualCluster};
+use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
+use accelerated_heartbeat::net::{
+    ClusterConfig, Faults, Frame, LoopbackEndpoint, Recv, Seam, Transport, VirtualCluster,
+};
 use accelerated_heartbeat::sim::channel::LossModel;
 use accelerated_heartbeat::sim::{run_scenario, Scenario};
 
@@ -177,4 +179,68 @@ fn three_participant_cluster_detects_and_reports() {
         assert!(json.contains("\"source\":\"live\""), "{json}");
     }
     assert!(checked >= SEEDS / 2, "only {checked}/{SEEDS} clean runs");
+}
+
+/// A [`Transport`] decorator that changes nothing.
+struct Through(LoopbackEndpoint);
+
+impl Transport for Through {
+    fn send(&mut self, now: u64, dst: Pid, frame: &Frame, budget: u32) -> std::io::Result<()> {
+        self.0.send(now, dst, frame, budget)
+    }
+
+    fn try_recv(&mut self, now: u64) -> std::io::Result<Option<Recv>> {
+        self.0.try_recv(now)
+    }
+
+    fn wait(&mut self, timeout: std::time::Duration) -> std::io::Result<()> {
+        self.0.wait(timeout)
+    }
+}
+
+/// The seam that wraps every endpoint in [`Through`] and keeps every
+/// other default.
+struct Identity;
+
+impl Seam for Identity {
+    type Transport = Through;
+
+    fn wrap(&self, _pid: Pid, endpoint: LoopbackEndpoint) -> Through {
+        Through(endpoint)
+    }
+}
+
+#[test]
+fn identity_seam_is_indistinguishable_from_the_plain_cluster() {
+    // Crash + revive + late start under light loss: every harness path
+    // (purge, injection, settle loop, status diff, ledger) is on the cell.
+    fn drive<E: Seam>(mut cl: VirtualCluster<E>, start: u64) -> (String, Vec<String>) {
+        cl.schedule_start(2, start);
+        cl.schedule_crash(1, 100);
+        cl.schedule_revive(1, 104);
+        cl.run_until(600);
+        let r = cl.into_report();
+        let logs = r.nodes.iter().map(|node| node.log.to_string()).collect();
+        (r.summary.to_json(), logs)
+    }
+    // A static participant must be up before the first beat reaches it;
+    // an expanding one joins whenever it starts.
+    for (variant, n, start) in [(Variant::Static, 4, 3), (Variant::Expanding, 3, 30)] {
+        for fix in [FixLevel::Original, FixLevel::Full] {
+            for seed in 1..=3 {
+                let cfg = ClusterConfig {
+                    variant,
+                    fix,
+                    n,
+                    record_events: true,
+                    ..live_config(variant, Params::new(2, 8).unwrap(), 0.02, seed)
+                };
+                let plain = drive(VirtualCluster::new(cfg), start);
+                let wrapped = drive(VirtualCluster::with_seam(cfg, Identity), start);
+                assert!(plain.0.contains("\"revives\":[[1,104]]"), "{}", plain.0);
+                assert_eq!(plain.1.len(), n + 1, "every node started and logged");
+                assert_eq!(plain, wrapped, "{variant:?}/{fix:?}/seed {seed}");
+            }
+        }
+    }
 }
