@@ -18,7 +18,6 @@
 //! | `ablation_burst` | burst-loss and outage ablations (beyond the papers) |
 //! | `rejoin` | future-work extension: naive vs epoch-tagged rejoin |
 //! | `throughput` | bare vs monitored beats/s (the monitor tap's cost) and campaign cells/s |
-//! | `checker_perf` | Criterion micro-benchmarks of the checker itself |
 
 #![forbid(unsafe_code)]
 

@@ -383,6 +383,19 @@ fn scale_outcome<M: Model>(o: &CheckOutcome<M>) -> (ScaleOutcome, Stats) {
     }
 }
 
+/// Plain BFS over `model` (bare or wrapped) within the cell's limits.
+fn bfs<M: Model<State = HbState>>(
+    model: &M,
+    limits: ScaleLimits,
+    pred: impl Fn(&HbState) -> bool,
+) -> (ScaleOutcome, Stats) {
+    let out = Checker::new(model)
+        .max_states(limits.max_states)
+        .time_budget(limits.time_budget)
+        .check_invariant(pred);
+    scale_outcome(&out)
+}
+
 /// Measure one scale-campaign cell.
 ///
 /// The model is built exactly as the paper cells are
@@ -403,46 +416,27 @@ pub fn scale_cell(
     let pred = |s: &HbState| !error_predicate(&model, req)(s);
     let start = Instant::now();
     let mut peak_bytes = None;
-    let (outcome, stats) = match reduction {
-        Reduction::Full => {
-            let out = Checker::new(&model)
-                .max_states(limits.max_states)
-                .time_budget(limits.time_budget)
-                .check_invariant(pred);
-            scale_outcome(&out)
-        }
-        Reduction::Sym | Reduction::SymPor | Reduction::SymPorPacked => {
-            match certified_canonical(&model) {
-                Err(refusal) => (ScaleOutcome::Refused(refusal.to_string()), Stats::default()),
-                Ok(canon) => match reduction {
-                    Reduction::Sym => {
-                        let sym = Symmetric::new(&model, canon);
-                        let out = Checker::new(&sym)
-                            .max_states(limits.max_states)
-                            .time_budget(limits.time_budget)
-                            .check_invariant(pred);
-                        scale_outcome(&out)
-                    }
-                    Reduction::SymPor => {
-                        let red = Reduced::new(&model, HbAmpleOracle::new(&model, req));
-                        let sym = Symmetric::new(&red, canon);
-                        let out = Checker::new(&sym)
-                            .max_states(limits.max_states)
-                            .time_budget(limits.time_budget)
-                            .check_invariant(pred);
-                        scale_outcome(&out)
-                    }
-                    _ => {
-                        let red = Reduced::new(&model, HbAmpleOracle::new(&model, req));
-                        let sym = Symmetric::new(&red, canon);
-                        let run = PackedChecker::new(&sym, HbCodec::for_model(&model))
-                            .max_states(limits.max_states)
-                            .time_budget(limits.time_budget)
-                            .check_invariant(pred);
-                        peak_bytes = Some(run.mem.total());
-                        scale_outcome(&run.outcome)
-                    }
-                },
+    let (outcome, stats) = if reduction == Reduction::Full {
+        bfs(&model, limits, pred)
+    } else {
+        match certified_canonical(&model) {
+            Err(refusal) => (ScaleOutcome::Refused(refusal.to_string()), Stats::default()),
+            Ok(canon) if reduction == Reduction::Sym => {
+                bfs(&Symmetric::new(&model, canon), limits, pred)
+            }
+            Ok(canon) => {
+                let red = Reduced::new(&model, HbAmpleOracle::new(&model, req));
+                let sym = Symmetric::new(&red, canon);
+                if reduction == Reduction::SymPor {
+                    bfs(&sym, limits, pred)
+                } else {
+                    let run = PackedChecker::new(&sym, HbCodec::for_model(&model))
+                        .max_states(limits.max_states)
+                        .time_budget(limits.time_budget)
+                        .check_invariant(pred);
+                    peak_bytes = Some(run.mem.total());
+                    scale_outcome(&run.outcome)
+                }
             }
         }
     };

@@ -1,10 +1,10 @@
 //! Breadth-first invariant checking with shortest-counterexample
 //! reconstruction.
 
-use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::model::Model;
+use crate::search::{find, Hashed, Limits, Order};
 use crate::trace::Path;
 
 /// Exploration statistics reported by every check.
@@ -82,9 +82,7 @@ impl<M: Model> CheckOutcome<M> {
 /// ```
 pub struct Checker<'a, M: Model> {
     model: &'a M,
-    max_states: usize,
-    max_depth: usize,
-    time_budget: Option<Duration>,
+    limits: Limits,
 }
 
 impl<'a, M: Model> Checker<'a, M> {
@@ -92,28 +90,26 @@ impl<'a, M: Model> Checker<'a, M> {
     pub fn new(model: &'a M) -> Self {
         Self {
             model,
-            max_states: usize::MAX,
-            max_depth: usize::MAX,
-            time_budget: None,
+            limits: Limits::NONE,
         }
     }
 
     /// Stop exploring (returning [`CheckOutcome::Incomplete`]) after this
     /// many distinct states.
     pub fn max_states(mut self, n: usize) -> Self {
-        self.max_states = n;
+        self.limits.max_states = n;
         self
     }
 
     /// Stop exploring beyond this BFS depth.
     pub fn max_depth(mut self, d: usize) -> Self {
-        self.max_depth = d;
+        self.limits.max_depth = d;
         self
     }
 
     /// Stop exploring after roughly this wall-clock budget.
     pub fn time_budget(mut self, d: Duration) -> Self {
-        self.time_budget = Some(d);
+        self.limits.time_budget = Some(d);
         self
     }
 
@@ -122,8 +118,7 @@ impl<'a, M: Model> Checker<'a, M> {
     where
         F: Fn(&M::State) -> bool,
     {
-        self.check_reachability(|s| !invariant(s))
-            .map_reachability_to_invariant()
+        self.check_reachability(|s| !invariant(s)).into_check()
     }
 
     /// Search for a reachable state satisfying `goal`.
@@ -137,107 +132,7 @@ impl<'a, M: Model> Checker<'a, M> {
     where
         F: Fn(&M::State) -> bool,
     {
-        let start = Instant::now();
-        let mut stats = Stats::default();
-
-        // Interned states: id -> state, plus parent links for trace rebuild.
-        let mut states: Vec<M::State> = Vec::new();
-        let mut index: HashMap<M::State, usize> = HashMap::new();
-        let mut parent: Vec<Option<(usize, M::Action)>> = Vec::new();
-        let mut depth_of: Vec<usize> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-
-        let intern = |s: M::State,
-                      par: Option<(usize, M::Action)>,
-                      d: usize,
-                      states: &mut Vec<M::State>,
-                      index: &mut HashMap<M::State, usize>,
-                      parent: &mut Vec<Option<(usize, M::Action)>>,
-                      depth_of: &mut Vec<usize>| {
-            if let Some(&id) = index.get(&s) {
-                return (id, false);
-            }
-            let id = states.len();
-            index.insert(s.clone(), id);
-            states.push(s);
-            parent.push(par);
-            depth_of.push(d);
-            (id, true)
-        };
-
-        for init in self.model.initial_states() {
-            let (id, fresh) = intern(
-                init,
-                None,
-                0,
-                &mut states,
-                &mut index,
-                &mut parent,
-                &mut depth_of,
-            );
-            if fresh {
-                stats.states += 1;
-                if goal(&states[id]) {
-                    let path = rebuild_path::<M>(&states, &parent, id);
-                    return Reachability::Found { path, stats };
-                }
-                queue.push_back(id);
-            }
-        }
-
-        let mut actions = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            let d = depth_of[id];
-            if d >= self.max_depth {
-                stats.truncated = true;
-                continue;
-            }
-            if stats.states >= self.max_states {
-                stats.truncated = true;
-                break;
-            }
-            if let Some(budget) = self.time_budget {
-                if start.elapsed() > budget {
-                    stats.truncated = true;
-                    break;
-                }
-            }
-            actions.clear();
-            let cur = states[id].clone();
-            self.model.actions(&cur, &mut actions);
-            let acts = std::mem::take(&mut actions);
-            for a in &acts {
-                let Some(next) = self.model.next_state(&cur, a) else {
-                    continue;
-                };
-                stats.transitions += 1;
-                let (nid, fresh) = intern(
-                    next,
-                    Some((id, a.clone())),
-                    d + 1,
-                    &mut states,
-                    &mut index,
-                    &mut parent,
-                    &mut depth_of,
-                );
-                if fresh {
-                    stats.states += 1;
-                    stats.depth = stats.depth.max(d + 1);
-                    if goal(&states[nid]) {
-                        let path = rebuild_path::<M>(&states, &parent, nid);
-                        return Reachability::Found { path, stats };
-                    }
-                    queue.push_back(nid);
-                }
-            }
-            actions = acts;
-        }
-
-        if stats.truncated {
-            Reachability::Unknown(stats)
-        } else {
-            Reachability::Unreachable(stats)
-        }
+        find(self.model, Hashed::new(), Order::Fifo, self.limits, goal).reachability(self.model)
     }
 
     /// Goal-oriented alias for [`check_reachability`](Self::check_reachability):
@@ -292,27 +187,14 @@ impl<M: Model> Reachability<M> {
         matches!(self, Reachability::Unreachable(_))
     }
 
-    fn map_reachability_to_invariant(self) -> CheckOutcome<M> {
+    /// The same result read as an invariant check (`goal` = bad state).
+    pub(crate) fn into_check(self) -> CheckOutcome<M> {
         match self {
             Reachability::Found { path, stats } => CheckOutcome::Violated { path, stats },
             Reachability::Unreachable(stats) => CheckOutcome::Holds(stats),
             Reachability::Unknown(stats) => CheckOutcome::Incomplete(stats),
         }
     }
-}
-
-fn rebuild_path<M: Model>(
-    states: &[M::State],
-    parent: &[Option<(usize, M::Action)>],
-    mut id: usize,
-) -> Path<M> {
-    let mut rev: Vec<(M::Action, M::State)> = Vec::new();
-    while let Some((pid, a)) = &parent[id] {
-        rev.push((a.clone(), states[id].clone()));
-        id = *pid;
-    }
-    rev.reverse();
-    Path::from_steps(states[id].clone(), rev)
 }
 
 #[cfg(test)]

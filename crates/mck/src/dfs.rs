@@ -6,52 +6,18 @@
 //! would not fit in memory, when any counterexample (not necessarily
 //! shortest) suffices, or to enumerate deadlocks.
 
-use std::collections::HashSet;
-
-use crate::bfs::Stats;
+use crate::bfs::Reachability;
 use crate::model::Model;
-use crate::trace::Path;
+use crate::search::{explore, find, Hashed, Limits, Order, Store};
 
-/// Result of a DFS search.
-#[derive(Clone, Debug)]
-pub enum DfsOutcome<M: Model> {
-    /// A goal state was found; the (not necessarily shortest) path is
-    /// attached.
-    Found {
-        /// Path from an initial state to the found state.
-        path: Path<M>,
-        /// Exploration statistics.
-        stats: Stats,
-    },
-    /// The goal is unreachable within the explored depth.
-    Unreachable(Stats),
-    /// The search was truncated by the state bound.
-    Unknown(Stats),
-}
-
-impl<M: Model> DfsOutcome<M> {
-    /// The witness path if found.
-    pub fn path(&self) -> Option<&Path<M>> {
-        match self {
-            DfsOutcome::Found { path, .. } => Some(path),
-            _ => None,
-        }
-    }
-
-    /// Exploration statistics.
-    pub fn stats(&self) -> Stats {
-        match self {
-            DfsOutcome::Found { stats, .. } => *stats,
-            DfsOutcome::Unreachable(s) | DfsOutcome::Unknown(s) => *s,
-        }
-    }
-}
+/// Result of a DFS search: [`Reachability`], whose witness is then not
+/// necessarily shortest.
+pub type DfsOutcome<M> = Reachability<M>;
 
 /// Depth-first searcher.
 pub struct Dfs<'a, M: Model> {
     model: &'a M,
-    max_depth: usize,
-    max_states: usize,
+    limits: Limits,
 }
 
 impl<'a, M: Model> Dfs<'a, M> {
@@ -59,24 +25,24 @@ impl<'a, M: Model> Dfs<'a, M> {
     pub fn new(model: &'a M) -> Self {
         Self {
             model,
-            max_depth: usize::MAX,
-            max_states: usize::MAX,
+            limits: Limits::NONE,
         }
     }
 
     /// Bound the search depth.
     pub fn max_depth(mut self, d: usize) -> Self {
-        self.max_depth = d;
+        self.limits.max_depth = d;
         self
     }
 
     /// Bound the number of distinct visited states.
     pub fn max_states(mut self, n: usize) -> Self {
-        self.max_states = n;
+        self.limits.max_states = n;
         self
     }
 
-    /// Depth-first search for a state satisfying `goal`.
+    /// Depth-first search for a state satisfying `goal`: the most recently
+    /// discovered state is expanded next.
     ///
     /// Visited-state deduplication is global, so with an unbounded depth the
     /// search is exhaustive. With a depth bound, dedup is still global,
@@ -88,67 +54,7 @@ impl<'a, M: Model> Dfs<'a, M> {
     where
         F: Fn(&M::State) -> bool,
     {
-        let mut stats = Stats::default();
-        let mut visited: HashSet<M::State> = HashSet::new();
-        // Explicit stack of (path-so-far) frames to avoid recursion depth
-        // limits: each frame is (state, action-iterator index, actions).
-        for init in self.model.initial_states() {
-            if !visited.insert(init.clone()) {
-                continue;
-            }
-            stats.states += 1;
-            if goal(&init) {
-                return DfsOutcome::Found {
-                    path: Path::new(init),
-                    stats,
-                };
-            }
-            let mut frames: Vec<(M::State, Vec<M::Action>, usize)> = Vec::new();
-            let mut trail: Vec<(M::Action, M::State)> = Vec::new();
-            let mut acts = Vec::new();
-            self.model.actions(&init, &mut acts);
-            frames.push((init.clone(), acts, 0));
-            while !frames.is_empty() {
-                let depth_now = frames.len();
-                let (state, actions, idx) = frames.last_mut().expect("non-empty");
-                if *idx >= actions.len() || depth_now > self.max_depth {
-                    frames.pop();
-                    trail.pop();
-                    continue;
-                }
-                let a = actions[*idx].clone();
-                *idx += 1;
-                let Some(next) = self.model.next_state(state, &a) else {
-                    continue;
-                };
-                stats.transitions += 1;
-                if !visited.insert(next.clone()) {
-                    continue;
-                }
-                stats.states += 1;
-                stats.depth = stats.depth.max(frames.len());
-                trail.push((a, next.clone()));
-                if goal(&next) {
-                    return DfsOutcome::Found {
-                        path: Path::from_steps(init, trail),
-                        stats,
-                    };
-                }
-                if stats.states >= self.max_states {
-                    stats.truncated = true;
-                    return DfsOutcome::Unknown(stats);
-                }
-                let mut nacts = Vec::new();
-                self.model.actions(&next, &mut nacts);
-                frames.push((next, nacts, 0));
-            }
-        }
-        if self.max_depth != usize::MAX && stats.depth >= self.max_depth {
-            stats.truncated = true;
-            DfsOutcome::Unknown(stats)
-        } else {
-            DfsOutcome::Unreachable(stats)
-        }
+        find(self.model, Hashed::new(), Order::Lifo, self.limits, goal).reachability(self.model)
     }
 
     /// Iterative-deepening search: repeated depth-bounded DFS with depth
@@ -163,7 +69,7 @@ impl<'a, M: Model> Dfs<'a, M> {
         loop {
             let out = Dfs::new(self.model)
                 .max_depth(depth)
-                .max_states(self.max_states)
+                .max_states(self.limits.max_states)
                 .find(goal);
             match out {
                 DfsOutcome::Found { .. } => return out,
@@ -179,34 +85,22 @@ impl<'a, M: Model> Dfs<'a, M> {
     }
 
     /// Enumerate all reachable deadlock states (no enabled transitions),
-    /// up to the configured state bound.
+    /// among the states expanded within the configured bounds.
     pub fn deadlocks(&self) -> Vec<M::State> {
-        let mut visited: HashSet<M::State> = HashSet::new();
-        let mut stack: Vec<M::State> = Vec::new();
-        let mut found = Vec::new();
-        for init in self.model.initial_states() {
-            if visited.insert(init.clone()) {
-                stack.push(init);
-            }
-        }
-        let mut acts = Vec::new();
-        while let Some(s) = stack.pop() {
-            acts.clear();
-            self.model.actions(&s, &mut acts);
-            let mut any = false;
-            for a in &acts {
-                if let Some(n) = self.model.next_state(&s, a) {
-                    any = true;
-                    if visited.len() < self.max_states && visited.insert(n.clone()) {
-                        stack.push(n);
-                    }
+        let mut dead = Vec::new();
+        let out = explore(
+            self.model,
+            Hashed::new(),
+            Order::Lifo,
+            self.limits,
+            |_, _| true,
+            |id, edges| {
+                if edges.is_empty() {
+                    dead.push(id);
                 }
-            }
-            if !any {
-                found.push(s);
-            }
-        }
-        found
+            },
+        );
+        dead.into_iter().map(|id| out.store.get(id)).collect()
     }
 }
 

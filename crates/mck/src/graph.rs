@@ -3,10 +3,10 @@
 //! Used by the figure-regeneration benches (reduced transition systems of
 //! p\[0\] and p\[1\]) and handy for debugging models.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::model::Model;
+use crate::search::{self, Hashed, Limits, Order};
 
 /// A fully explored state graph of a model.
 #[derive(Clone, Debug)]
@@ -35,61 +35,41 @@ pub struct GraphStats {
 }
 
 impl<M: Model> StateGraph<M> {
-    /// Exhaustively explore `model`, up to `max_states` distinct states.
+    /// Exhaustively explore `model`, expanding nothing more once
+    /// `max_states` distinct states are known.
     pub fn explore(model: &M, max_states: usize) -> Self {
-        let mut states: Vec<M::State> = Vec::new();
-        let mut index: HashMap<M::State, usize> = HashMap::new();
-        let mut transitions = Vec::new();
-        let mut initial = Vec::new();
-        let mut truncated = false;
-
-        let mut frontier: Vec<usize> = Vec::new();
-        for s in model.initial_states() {
-            let id = *index.entry(s.clone()).or_insert_with(|| {
-                states.push(s);
-                states.len() - 1
-            });
-            if !initial.contains(&id) {
-                initial.push(id);
-                frontier.push(id);
+        let mut edges: Vec<(usize, u32, usize)> = Vec::new();
+        let limits = Limits {
+            max_states,
+            ..Limits::NONE
+        };
+        let out = search::explore(
+            model,
+            Hashed::new(),
+            Order::Fifo,
+            limits,
+            |_, _| true,
+            |id, out_edges| edges.extend(out_edges.iter().map(|&(k, t)| (id, k, t as usize))),
+        );
+        let states = out.store.into_states();
+        // The search reports action indices; edges arrive grouped by
+        // source, so each source's actions are enumerated once more.
+        let mut transitions = Vec::with_capacity(edges.len());
+        let mut actions = Vec::new();
+        let mut actions_of = usize::MAX;
+        for (id, k, target) in edges {
+            if id != actions_of {
+                actions.clear();
+                model.actions(&states[id], &mut actions);
+                actions_of = id;
             }
+            transitions.push((id, actions[k as usize].clone(), target));
         }
-
-        let mut acts = Vec::new();
-        let mut cursor = 0;
-        while cursor < frontier.len() {
-            let id = frontier[cursor];
-            cursor += 1;
-            let cur = states[id].clone();
-            acts.clear();
-            model.actions(&cur, &mut acts);
-            for a in acts.clone() {
-                let Some(next) = model.next_state(&cur, &a) else {
-                    continue;
-                };
-                let nid = match index.get(&next) {
-                    Some(&nid) => nid,
-                    None => {
-                        if states.len() >= max_states {
-                            truncated = true;
-                            continue;
-                        }
-                        let nid = states.len();
-                        index.insert(next.clone(), nid);
-                        states.push(next);
-                        frontier.push(nid);
-                        nid
-                    }
-                };
-                transitions.push((id, a, nid));
-            }
-        }
-
         StateGraph {
             states,
             transitions,
-            initial,
-            truncated,
+            initial: (0..out.roots).collect(),
+            truncated: out.stats.truncated,
         }
     }
 

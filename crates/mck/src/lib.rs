@@ -12,9 +12,16 @@
 //!   actions per state, successor per action.
 //! * [`bfs::Checker`] — breadth-first reachability / invariant checking with
 //!   shortest counterexample reconstruction.
-//! * [`dfs`] — depth-first and iterative-deepening exploration for
-//!   memory-constrained runs, plus deadlock detection.
-//! * [`parallel`] — frontier-parallel BFS over all cores (scoped threads).
+//! * [`dfs`] — depth-first and iterative-deepening exploration, plus
+//!   deadlock detection.
+//! * [`parallel`] — the same BFS with each level expanded across scoped
+//!   threads; statistics and counterexamples are exactly `Checker`'s.
+//! * [`packed`] — the same BFS over bit-packed states in a flat arena.
+//! * [`props`] — several named invariants in one exploration.
+//! * [`por`], [`symmetry`] — partial-order and symmetry reduction as
+//!   [`Model`] wrappers; they compose with every engine above.
+//! * [`liveness`] — leads-to checking (`AG (trigger → AF goal)`) by
+//!   goal-avoiding lasso search.
 //! * [`sim`] — random-walk exploration (smoke tests, property-based tests).
 //! * [`graph`] — exhaustive state-graph construction, statistics and DOT
 //!   export.
@@ -23,6 +30,10 @@
 //!   regenerate the reduced LTS figures of the paper).
 //! * [`timed`] — digital-clock helpers (saturating clocks, urgency), the
 //!   discrete-time encoding used by all heartbeat models.
+//!
+//! The engines ([`bfs`], [`dfs`], [`parallel`], [`packed`], [`props`],
+//! [`graph`]) are a few lines each over one crate-private search loop: a
+//! state store, a frontier order, shared limits and two callbacks.
 //!
 //! # Example
 //!
@@ -60,6 +71,7 @@ pub mod packed;
 pub mod parallel;
 pub mod por;
 pub mod props;
+mod search;
 pub mod sim;
 pub mod symmetry;
 pub mod timed;

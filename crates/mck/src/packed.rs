@@ -4,21 +4,17 @@
 //! `State` value.
 //!
 //! The plain [`crate::bfs::Checker`] stores every distinct state twice
-//! (once in the intern vector, once as a `HashMap` key) plus a parent
-//! link with a cloned action — dozens of heap allocations per state for
-//! a model like the heartbeat composition whose states own vectors.
-//! [`PackedChecker`] replaces all of that with four flat buffers:
+//! (once in the intern vector, once as a `HashMap` key) — dozens of heap
+//! allocations per state for a model like the heartbeat composition
+//! whose states own vectors. [`PackedChecker`] runs the same search over
+//! three flat buffers, beside the search's own parent links:
 //!
 //! * an **arena** of concatenated bit-packed records (one per state,
 //!   variable length, written by a [`StateCodec`]),
 //! * an **offset** vector locating each record,
 //! * an open-addressing **hash index** over the records (no stored
 //!   keys: a 16-bit fingerprint per slot, byte-compare on candidate
-//!   hits),
-//! * a **parent-link** vector of `(parent id, action index)` pairs for
-//!   counterexample reconstruction — the action itself is re-derived by
-//!   re-enumerating the parent's actions, so nothing per-transition is
-//!   heap-allocated.
+//!   hits).
 //!
 //! The codec owns the soundness of the widths: encoding a value outside
 //! its proven range panics (never silently truncates), and in debug
@@ -27,16 +23,15 @@
 //! first test that reaches it. `hb-verify::packed` derives its codec
 //! widths from the `hb-core::dataflow` interval analysis.
 //!
-//! Exploration order is breadth-first by default (shortest
-//! counterexamples, like [`crate::bfs`]) with an optional depth-first
-//! mode ([`PackedChecker::depth_first`]) for memory-shaped workloads
-//! where the BFS frontier would dominate.
+//! Exploration is breadth-first (shortest counterexamples): the same
+//! search loop as [`crate::bfs`], over this store instead of the hashed
+//! one, so statistics and counterexamples are identical.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::bfs::{CheckOutcome, Stats};
+use crate::bfs::CheckOutcome;
 use crate::model::Model;
-use crate::trace::Path;
+use crate::search::{self, find, Limits, Order};
 
 /// LSB-first bit writer over a reusable byte buffer.
 #[derive(Clone, Debug, Default)]
@@ -134,7 +129,7 @@ pub struct PackedMem {
     pub index_bytes: usize,
     /// Offsets and parent links.
     pub links_bytes: usize,
-    /// Peak frontier (BFS queue / DFS stack) size.
+    /// Peak count of discovered-but-unexpanded ids, at 8 bytes each.
     pub frontier_bytes: usize,
 }
 
@@ -249,6 +244,36 @@ impl Store {
     }
 }
 
+/// The packed arena as a [`search::Store`]: states go in through the
+/// codec and come back out by decoding.
+struct Packed<'c, C> {
+    arena: Store,
+    codec: &'c C,
+    scratch: BitWriter,
+}
+
+impl<S: PartialEq + std::fmt::Debug, C: StateCodec<S>> search::Store<S> for Packed<'_, C> {
+    fn intern<R>(&mut self, state: S, fresh: impl FnOnce(&S) -> R) -> (usize, Option<R>) {
+        self.scratch.clear();
+        self.codec.encode(&state, &mut self.scratch);
+        #[cfg(debug_assertions)]
+        {
+            let back = self.codec.decode(&mut BitReader::new(self.scratch.bytes()));
+            debug_assert!(
+                back == state,
+                "packed codec round-trip mismatch:\n  in:  {state:?}\n  out: {back:?}"
+            );
+        }
+        let (id, is_fresh) = self.arena.intern(self.scratch.bytes());
+        (id, is_fresh.then(|| fresh(&state)))
+    }
+
+    fn get(&self, id: usize) -> S {
+        self.codec
+            .decode(&mut BitReader::new(self.arena.record(id)))
+    }
+}
+
 /// Explicit-state checker over bit-packed states.
 ///
 /// Mirrors [`crate::bfs::Checker`]'s builder and outcome shapes; the
@@ -256,85 +281,29 @@ impl Store {
 pub struct PackedChecker<'a, M: Model, C: StateCodec<M::State>> {
     model: &'a M,
     codec: C,
-    max_states: usize,
-    max_depth: usize,
-    time_budget: Option<Duration>,
-    depth_first: bool,
+    limits: Limits,
 }
 
 impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
-    /// A checker with no practical limits, exploring breadth-first.
+    /// A checker with no practical limits.
     pub fn new(model: &'a M, codec: C) -> Self {
         Self {
             model,
             codec,
-            max_states: usize::MAX,
-            max_depth: usize::MAX,
-            time_budget: None,
-            depth_first: false,
+            limits: Limits::NONE,
         }
     }
 
     /// Stop (reporting `Incomplete`) after this many distinct states.
     pub fn max_states(mut self, n: usize) -> Self {
-        self.max_states = n;
-        self
-    }
-
-    /// Stop exploring beyond this depth.
-    pub fn max_depth(mut self, d: usize) -> Self {
-        self.max_depth = d;
+        self.limits.max_states = n;
         self
     }
 
     /// Stop after roughly this wall-clock budget.
     pub fn time_budget(mut self, d: Duration) -> Self {
-        self.time_budget = Some(d);
+        self.limits.time_budget = Some(d);
         self
-    }
-
-    /// Explore depth-first (counterexamples are no longer shortest; the
-    /// frontier stays small when the state graph is deep and narrow).
-    pub fn depth_first(mut self, yes: bool) -> Self {
-        self.depth_first = yes;
-        self
-    }
-
-    fn encode(&self, state: &M::State, w: &mut BitWriter) {
-        w.clear();
-        self.codec.encode(state, w);
-        #[cfg(debug_assertions)]
-        {
-            let mut r = BitReader::new(w.bytes());
-            let back = self.codec.decode(&mut r);
-            debug_assert!(
-                &back == state,
-                "packed codec round-trip mismatch:\n  in:  {state:?}\n  out: {back:?}"
-            );
-        }
-    }
-
-    fn decode(&self, store: &Store, id: usize) -> M::State {
-        let mut r = BitReader::new(store.record(id));
-        self.codec.decode(&mut r)
-    }
-
-    /// Rebuild the path to `id` by decoding ancestors and re-deriving
-    /// each step's action from its recorded index.
-    fn rebuild(&self, store: &Store, links: &[u64], mut id: usize) -> Path<M> {
-        let mut rev: Vec<(M::Action, M::State)> = Vec::new();
-        while links[id] != 0 {
-            let parent = ((links[id] >> 16) - 1) as usize;
-            let action_idx = (links[id] & 0xFFFF) as usize;
-            let parent_state = self.decode(store, parent);
-            let mut acts = Vec::new();
-            self.model.actions(&parent_state, &mut acts);
-            let action = acts.swap_remove(action_idx);
-            rev.push((action, self.decode(store, id)));
-            id = parent;
-        }
-        rev.reverse();
-        Path::from_steps(self.decode(store, id), rev)
     }
 
     /// Check that `invariant` holds on every reachable state.
@@ -342,101 +311,25 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
     where
         F: Fn(&M::State) -> bool,
     {
-        let start = Instant::now();
-        let mut stats = Stats::default();
-        let mut store = Store::new();
-        // `0` = root, else `((parent + 1) << 16) | action index`.
-        let mut links: Vec<u64> = Vec::new();
-        // Frontier of `(id, depth)`; pushed/popped at the back in DFS
-        // mode, popped at the front in BFS mode.
-        let mut frontier: std::collections::VecDeque<(u32, u32)> =
-            std::collections::VecDeque::new();
-        let mut peak_frontier = 0usize;
-        let mut scratch = BitWriter::new();
-
-        let mut violation: Option<usize> = None;
-        for init in self.model.initial_states() {
-            self.encode(&init, &mut scratch);
-            let (id, fresh) = store.intern(scratch.bytes());
-            if fresh {
-                links.push(0);
-                stats.states += 1;
-                if !invariant(&init) {
-                    violation = Some(id);
-                    break;
-                }
-                frontier.push_back((id as u32, 0));
-            }
-        }
-
-        let mut actions = Vec::new();
-        while violation.is_none() {
-            let Some((id, d)) = (if self.depth_first {
-                frontier.pop_back()
-            } else {
-                frontier.pop_front()
-            }) else {
-                break;
-            };
-            peak_frontier = peak_frontier.max(frontier.len() + 1);
-            let d = d as usize;
-            if d >= self.max_depth {
-                stats.truncated = true;
-                continue;
-            }
-            if stats.states >= self.max_states {
-                stats.truncated = true;
-                break;
-            }
-            if let Some(budget) = self.time_budget {
-                if start.elapsed() > budget {
-                    stats.truncated = true;
-                    break;
-                }
-            }
-            let cur = self.decode(&store, id as usize);
-            actions.clear();
-            self.model.actions(&cur, &mut actions);
-            assert!(
-                actions.len() <= 0xFFFF,
-                "more than 65535 actions in one state"
-            );
-            for (k, a) in actions.iter().enumerate() {
-                let Some(next) = self.model.next_state(&cur, a) else {
-                    continue;
-                };
-                stats.transitions += 1;
-                self.encode(&next, &mut scratch);
-                let (nid, fresh) = store.intern(scratch.bytes());
-                if fresh {
-                    links.push(((id as u64 + 1) << 16) | k as u64);
-                    stats.states += 1;
-                    stats.depth = stats.depth.max(d + 1);
-                    if !invariant(&next) {
-                        violation = Some(nid);
-                        break;
-                    }
-                    frontier.push_back((nid as u32, (d + 1) as u32));
-                    peak_frontier = peak_frontier.max(frontier.len());
-                }
-            }
-        }
-
+        let store = Packed {
+            arena: Store::new(),
+            codec: &self.codec,
+            scratch: BitWriter::new(),
+        };
+        let out = find(self.model, store, Order::Fifo, self.limits, |s| {
+            !invariant(s)
+        });
+        let arena = &out.store.arena;
         let mem = PackedMem {
-            arena_bytes: store.arena.len(),
-            index_bytes: store.index_bytes(),
-            links_bytes: links.len() * 8 + store.offsets.len() * 4,
-            frontier_bytes: peak_frontier * std::mem::size_of::<(u32, u32)>(),
+            arena_bytes: arena.arena.len(),
+            index_bytes: arena.index_bytes(),
+            links_bytes: out.links_bytes() + arena.offsets.len() * 4,
+            frontier_bytes: out.peak_frontier * std::mem::size_of::<(u32, u32)>(),
         };
-        let outcome = match violation {
-            Some(id) => CheckOutcome::Violated {
-                path: self.rebuild(&store, &links, id),
-                stats,
-            },
-            None if stats.truncated => CheckOutcome::Incomplete(stats),
-            None => CheckOutcome::Holds(stats),
-        };
-        PackedRun { outcome, mem }
+        PackedRun {
+            outcome: out.reachability(self.model).into_check(),
+            mem,
+        }
     }
 }
 
@@ -532,15 +425,6 @@ mod tests {
             .max_states(3)
             .check_invariant(|s| *s != (3, 3));
         assert!(matches!(run.outcome, CheckOutcome::Incomplete(_)));
-    }
-
-    #[test]
-    fn depth_first_mode_visits_the_same_states() {
-        let run = PackedChecker::new(&Grid, GridCodec)
-            .depth_first(true)
-            .check_invariant(|_| true);
-        assert!(run.outcome.holds());
-        assert_eq!(run.outcome.stats().states, 16);
     }
 
     #[test]

@@ -1,45 +1,40 @@
 //! Frontier-parallel BFS over all cores.
 //!
-//! Level-synchronous parallel breadth-first search: each BFS level is split
-//! across scoped worker threads (`std::thread::scope`); the visited set is
-//! sharded behind mutexes. Preserves the shortest-counterexample guarantee
-//! *per level* (a violation is reported from the shallowest level
-//! containing one).
+//! Level-synchronous parallel breadth-first search: the states of each BFS
+//! level are *expanded* across scoped worker threads
+//! (`std::thread::scope`) and their successors *interned* sequentially, in
+//! frontier order, by the one search loop of this crate. State ids, parent
+//! links, statistics and the counterexample are therefore exactly those
+//! of the sequential [`crate::bfs::Checker`], at any thread count.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
 
-use crate::bfs::{CheckOutcome, Stats};
+use crate::bfs::CheckOutcome;
 use crate::model::Model;
-use crate::trace::Path;
+use crate::search::{find, successors, Hashed, Limits, Order, Store, Successors};
 
-const SHARDS: usize = 64;
-
-fn shard_of<T: Hash>(value: &T) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    value.hash(&mut h);
-    (h.finish() as usize) % SHARDS
-}
+/// Below this many states per worker a level is expanded on fewer threads
+/// (spawning one costs about as much as a few expansions).
+const MIN_STATES_PER_WORKER: usize = 16;
 
 /// A parallel breadth-first invariant checker.
 ///
-/// Requires `State: Send + Sync` and `Action: Send` in addition to the
-/// usual [`Model`] bounds. For small models the sequential
-/// [`crate::bfs::Checker`] is faster; this engine pays off on state spaces
-/// above ~10^6 states.
+/// Requires `Model: Sync` and `State: Send + Sync` in addition to the
+/// usual [`Model`] bounds; it composes with any `Model` wrapper
+/// ([`Symmetric`](crate::symmetry::Symmetric),
+/// [`Reduced`](crate::por::Reduced), …). For small models the sequential
+/// [`crate::bfs::Checker`] is faster; this engine pays off when a
+/// transition is expensive and BFS levels are wide.
 pub struct ParallelChecker<'a, M: Model> {
     model: &'a M,
     threads: usize,
-    max_states: usize,
+    limits: Limits,
 }
 
 impl<'a, M> ParallelChecker<'a, M>
 where
     M: Model + Sync,
     M::State: Send + Sync,
-    M::Action: Send + Sync,
 {
     /// Create a parallel checker using all available parallelism.
     pub fn new(model: &'a M) -> Self {
@@ -49,7 +44,7 @@ where
         Self {
             model,
             threads,
-            max_states: usize::MAX,
+            limits: Limits::NONE,
         }
     }
 
@@ -61,137 +56,53 @@ where
 
     /// Bound the number of distinct states explored.
     pub fn max_states(mut self, n: usize) -> Self {
-        self.max_states = n;
+        self.limits.max_states = n;
         self
     }
 
     /// Check that `invariant` holds on every reachable state.
     pub fn check_invariant<F>(&self, invariant: F) -> CheckOutcome<M>
     where
-        F: Fn(&M::State) -> bool + Sync,
+        F: Fn(&M::State) -> bool,
     {
-        // Sharded visited set; each shard also records the parent link so a
-        // counterexample can be rebuilt after the fact.
-        type Parent<M> = Option<(<M as Model>::State, <M as Model>::Action)>;
-        let visited: Vec<Mutex<HashMap<M::State, Parent<M>>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-
-        let states_count = AtomicUsize::new(0);
-        let transitions_count = AtomicUsize::new(0);
-        let truncated = AtomicBool::new(false);
-        let violation: Mutex<Option<M::State>> = Mutex::new(None);
-        let found = AtomicBool::new(false);
-
-        let mut frontier: Vec<M::State> = Vec::new();
-        for init in self.model.initial_states() {
-            let shard = shard_of(&init);
-            let mut guard = visited[shard].lock().unwrap();
-            if !guard.contains_key(&init) {
-                guard.insert(init.clone(), None);
-                states_count.fetch_add(1, Ordering::Relaxed);
-                if !invariant(&init) {
-                    *violation.lock().unwrap() = Some(init.clone());
-                    found.store(true, Ordering::SeqCst);
-                }
-                frontier.push(init);
-            }
-        }
-
-        let mut depth = 0usize;
-        while !frontier.is_empty() && !found.load(Ordering::SeqCst) {
-            if states_count.load(Ordering::Relaxed) >= self.max_states {
-                truncated.store(true, Ordering::SeqCst);
-                break;
-            }
-            depth += 1;
-            let chunk = frontier.len().div_ceil(self.threads);
-            let next_frontier: Mutex<Vec<M::State>> = Mutex::new(Vec::new());
-
-            let model = self.model;
-            let next_frontier_ref = &next_frontier;
-            let visited_ref = &visited;
-            let violation_ref = &violation;
-            let found_ref = &found;
-            let states_count_ref = &states_count;
-            let transitions_count_ref = &transitions_count;
-            let invariant_ref = &invariant;
-            std::thread::scope(|scope| {
-                for work in frontier.chunks(chunk.max(1)) {
-                    scope.spawn(move || {
-                        let mut local_next = Vec::new();
-                        let mut acts = Vec::new();
-                        for cur in work {
-                            if found_ref.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            acts.clear();
-                            model.actions(cur, &mut acts);
-                            for a in &acts {
-                                let Some(next) = model.next_state(cur, a) else {
-                                    continue;
-                                };
-                                transitions_count_ref.fetch_add(1, Ordering::Relaxed);
-                                let shard = shard_of(&next);
-                                let mut guard = visited_ref[shard].lock().unwrap();
-                                if guard.contains_key(&next) {
-                                    continue;
-                                }
-                                guard.insert(next.clone(), Some((cur.clone(), a.clone())));
-                                drop(guard);
-                                states_count_ref.fetch_add(1, Ordering::Relaxed);
-                                if !invariant_ref(&next) {
-                                    let mut v = violation_ref.lock().unwrap();
-                                    if v.is_none() {
-                                        *v = Some(next.clone());
-                                    }
-                                    found_ref.store(true, Ordering::SeqCst);
-                                }
-                                local_next.push(next);
-                            }
-                        }
-                        next_frontier_ref.lock().unwrap().extend(local_next);
-                    });
-                }
-            });
-
-            frontier = next_frontier.into_inner().unwrap();
-        }
-
-        let stats = Stats {
-            states: states_count.load(Ordering::Relaxed),
-            transitions: transitions_count.load(Ordering::Relaxed),
-            depth,
-            truncated: truncated.load(Ordering::Relaxed),
+        let model = self.model;
+        let expand = |store: &Hashed<M::State>, ids: Range<usize>| {
+            let mut actions = Vec::new();
+            ids.map(|id| {
+                let mut out = Successors::new();
+                successors(model, &store.get(id), &mut actions, |k, next| {
+                    out.push((k, next));
+                    true
+                });
+                out
+            })
+            .collect::<Vec<_>>()
         };
-
-        let bad = violation.into_inner().unwrap();
-        if let Some(bad) = bad {
-            // Rebuild the path by walking parent links through the shards.
-            let mut rev: Vec<(M::Action, M::State)> = Vec::new();
-            let mut cur = bad;
-            loop {
-                let shard = shard_of(&cur);
-                let guard = visited[shard].lock().unwrap();
-                match guard.get(&cur).cloned().flatten() {
-                    Some((parent, action)) => {
-                        drop(guard);
-                        rev.push((action, cur));
-                        cur = parent;
-                    }
-                    None => break,
-                }
+        let fan_out = |store: &Hashed<M::State>, ids: Range<usize>| {
+            let workers = self.threads.min(ids.len() / MIN_STATES_PER_WORKER);
+            if workers < 2 {
+                return expand(store, ids);
             }
-            rev.reverse();
-            return CheckOutcome::Violated {
-                path: Path::from_steps(cur, rev),
-                stats,
-            };
-        }
-        if stats.truncated {
-            CheckOutcome::Incomplete(stats)
-        } else {
-            CheckOutcome::Holds(stats)
-        }
+            let share = ids.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = ids
+                    .clone()
+                    .step_by(share)
+                    .map(|from| {
+                        let part = from..ids.end.min(from + share);
+                        scope.spawn(|| expand(store, part))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("expansion worker panicked"))
+                    .collect()
+            })
+        };
+        let order = Order::Levels(&fan_out);
+        find(model, Hashed::new(), order, self.limits, |s| !invariant(s))
+            .reachability(model)
+            .into_check()
     }
 }
 

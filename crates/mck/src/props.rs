@@ -33,10 +33,9 @@
 //! assert_eq!(report.violation("below-7").unwrap().len(), 7);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
-
 use crate::bfs::Stats;
 use crate::model::Model;
+use crate::search::{explore, Hashed, Limits, Order};
 use crate::trace::Path;
 
 /// A named invariant.
@@ -108,95 +107,37 @@ pub fn check_all<M: Model>(
     properties: Vec<Property<M::State>>,
     max_states: usize,
 ) -> PropsReport<M> {
-    let mut stats = Stats::default();
-    let mut states: Vec<M::State> = Vec::new();
-    let mut index: HashMap<M::State, usize> = HashMap::new();
-    let mut parent: Vec<Option<(usize, M::Action)>> = Vec::new();
-    let mut depth_of: Vec<usize> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut violations: Vec<Option<Path<M>>> = properties.iter().map(|_| None).collect();
+    // Id of the first state violating each property; `open` counts the
+    // properties with none yet.
+    let mut first: Vec<Option<usize>> = vec![None; properties.len()];
     let mut open = properties.len();
-
-    let rebuild =
-        |states: &Vec<M::State>, parent: &Vec<Option<(usize, M::Action)>>, mut id: usize| {
-            let mut rev = Vec::new();
-            while let Some((pid, a)) = &parent[id] {
-                rev.push((a.clone(), states[id].clone()));
-                id = *pid;
-            }
-            rev.reverse();
-            Path::from_steps(states[id].clone(), rev)
-        };
-
-    let visit = |id: usize,
-                 states: &Vec<M::State>,
-                 parent: &Vec<Option<(usize, M::Action)>>,
-                 violations: &mut Vec<Option<Path<M>>>,
-                 open: &mut usize| {
-        for (pi, prop) in properties.iter().enumerate() {
-            if violations[pi].is_none() && !(prop.invariant)(&states[id]) {
-                violations[pi] = Some(rebuild(states, parent, id));
-                *open -= 1;
-            }
-        }
+    let limits = Limits {
+        max_states,
+        ..Limits::NONE
     };
-
-    for init in model.initial_states() {
-        if index.contains_key(&init) {
-            continue;
-        }
-        let id = states.len();
-        index.insert(init.clone(), id);
-        states.push(init);
-        parent.push(None);
-        depth_of.push(0);
-        stats.states += 1;
-        visit(id, &states, &parent, &mut violations, &mut open);
-        queue.push_back(id);
-    }
-
-    let mut actions = Vec::new();
-    'outer: while let Some(id) = queue.pop_front() {
-        if open == 0 {
-            break; // every property already violated: nothing left to learn
-        }
-        if stats.states >= max_states {
-            stats.truncated = true;
-            break 'outer;
-        }
-        let cur = states[id].clone();
-        let d = depth_of[id];
-        actions.clear();
-        model.actions(&cur, &mut actions);
-        let acts = std::mem::take(&mut actions);
-        for a in &acts {
-            let Some(next) = model.next_state(&cur, a) else {
-                continue;
-            };
-            stats.transitions += 1;
-            if index.contains_key(&next) {
-                continue;
+    let out = explore(
+        model,
+        Hashed::new(),
+        Order::Fifo,
+        limits,
+        |id, state| {
+            for (slot, prop) in first.iter_mut().zip(&properties) {
+                if slot.is_none() && !(prop.invariant)(state) {
+                    *slot = Some(id);
+                    open -= 1;
+                }
             }
-            let nid = states.len();
-            index.insert(next.clone(), nid);
-            states.push(next);
-            parent.push(Some((id, a.clone())));
-            depth_of.push(d + 1);
-            stats.states += 1;
-            stats.depth = stats.depth.max(d + 1);
-            visit(nid, &states, &parent, &mut violations, &mut open);
-            queue.push_back(nid);
-        }
-        actions = acts;
-    }
-
+            open > 0 // every property already violated: nothing left to learn
+        },
+        |_, _| {},
+    );
     PropsReport {
         results: properties
             .into_iter()
-            .zip(violations)
-            .map(|(p, v)| (p.name, v))
+            .zip(first)
+            .map(|(p, id)| (p.name, id.map(|id| out.path(model, id))))
             .collect(),
-        stats,
+        stats: out.stats,
     }
 }
 

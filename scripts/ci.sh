@@ -12,6 +12,10 @@ echo "==> benchmark smoke (compiles benchmark/ against the façade; its correctn
 # It shares target/ with the release build above.
 benchmark/run.sh --smoke >/dev/null
 
+echo "==> benchmark package tests (unit + contract; a separate workspace the root cargo test cannot see)"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+  cargo test --offline --release --manifest-path benchmark/Cargo.toml -q
+
 echo "==> cargo test"
 cargo test --workspace -q
 

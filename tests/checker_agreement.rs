@@ -1,11 +1,13 @@
-//! Integration: the three exploration engines (sequential BFS, parallel
-//! BFS, DFS) and the random walker agree with each other on the heartbeat
-//! models, and the LTS pipeline is self-consistent.
+//! Integration: the exploration engines (sequential BFS, parallel BFS,
+//! packed BFS, DFS) and the random walker agree with each other on the
+//! heartbeat models, and the LTS pipeline is self-consistent.
 
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::verify::requirements::{build_model, error_predicate, Requirement};
 use accelerated_heartbeat::verify::solo::{p0_raw_lts, p0_reduced_lts};
+use accelerated_heartbeat::verify::HbCodec;
 use mck::dfs::{Dfs, DfsOutcome};
+use mck::packed::PackedChecker;
 use mck::parallel::ParallelChecker;
 use mck::sim::random_walk;
 use mck::{Checker, Model};
@@ -24,14 +26,23 @@ fn engines_agree_on_state_counts() {
             Requirement::R2,
         );
         let seq = Checker::new(&model).check_invariant(|_| true);
-        let par = ParallelChecker::new(&model)
-            .threads(4)
-            .check_invariant(|_| true);
-        let dfs = Dfs::new(&model).find(|_| false);
-        assert_eq!(seq.stats().states, par.stats().states, "({tmin},{tmax})");
-        match dfs {
+        for threads in [1, 2, 4] {
+            let par = ParallelChecker::new(&model)
+                .threads(threads)
+                .check_invariant(|_| true);
+            assert_eq!(seq.stats(), par.stats(), "({tmin},{tmax}) x{threads}");
+        }
+        let packed =
+            PackedChecker::new(&model, HbCodec::for_model(&model)).check_invariant(|_| true);
+        assert_eq!(seq.stats(), packed.outcome.stats(), "({tmin},{tmax})");
+        match Dfs::new(&model).find(|_| false) {
             DfsOutcome::Unreachable(stats) => {
-                assert_eq!(stats.states, seq.stats().states, "({tmin},{tmax})")
+                assert_eq!(stats.states, seq.stats().states, "({tmin},{tmax})");
+                assert_eq!(
+                    stats.transitions,
+                    seq.stats().transitions,
+                    "({tmin},{tmax})"
+                );
             }
             _ => panic!("goal `false` can never be found"),
         }
@@ -51,12 +62,22 @@ fn engines_agree_on_verdicts_with_faults() {
     let goal = |s: &_| error_predicate(&model, Requirement::R1)(s);
     let seq = Checker::new(&model).find_state(goal);
     let dfs = Dfs::new(&model).find(goal);
-    let par = ParallelChecker::new(&model)
-        .threads(2)
-        .check_invariant(|s| !goal(s));
+    let bfs = Checker::new(&model).check_invariant(|s| !goal(s));
     assert!(seq.is_some());
     assert!(dfs.path().is_some());
-    assert!(par.counterexample().is_some());
+    // The parallel engine is the same search with each level fanned out:
+    // same statistics and the same counterexample, at any thread count.
+    for threads in [1, 2, 4] {
+        let par = ParallelChecker::new(&model)
+            .threads(threads)
+            .check_invariant(|s| !goal(s));
+        assert_eq!(par.stats(), bfs.stats(), "x{threads}");
+        assert_eq!(
+            par.counterexample().expect("violated").steps(),
+            bfs.counterexample().expect("violated").steps(),
+            "x{threads}"
+        );
+    }
     // BFS counterexamples are shortest.
     assert!(seq.as_ref().unwrap().len() <= dfs.path().unwrap().len());
 }

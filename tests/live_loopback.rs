@@ -8,12 +8,13 @@
 //! paper quantifies); such runs are counted, not asserted against the
 //! bound, and both substrates must keep them a minority.
 
-use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
+use accelerated_heartbeat::core::{FixLevel, Params, Pid, Status, Variant};
 use accelerated_heartbeat::net::{
     ClusterConfig, Faults, Frame, LoopbackEndpoint, Recv, Seam, Transport, VirtualCluster,
 };
 use accelerated_heartbeat::sim::channel::LossModel;
-use accelerated_heartbeat::sim::{run_scenario, Scenario};
+use accelerated_heartbeat::sim::world::WorldConfig;
+use accelerated_heartbeat::sim::{run_scenario, Scenario, World};
 
 const CRASH_AT: u64 = 100;
 const SEEDS: u64 = 20;
@@ -214,18 +215,25 @@ impl Seam for Identity {
 fn identity_seam_is_indistinguishable_from_the_plain_cluster() {
     // Crash + revive + late start under light loss: every harness path
     // (purge, injection, settle loop, status diff, ledger) is on the cell.
-    fn drive<E: Seam>(mut cl: VirtualCluster<E>, start: u64) -> (String, Vec<String>) {
+    fn drive<E: Seam>(mut cl: VirtualCluster<E>, start: u64) -> (String, Vec<String>, Vec<Status>) {
         cl.schedule_start(2, start);
         cl.schedule_crash(1, 100);
         cl.schedule_revive(1, 104);
         cl.run_until(600);
         let r = cl.into_report();
         let logs = r.nodes.iter().map(|node| node.log.to_string()).collect();
-        (r.summary.to_json(), logs)
+        (r.summary.to_json(), logs, r.summary.final_status)
     }
-    // A static participant must be up before the first beat reaches it;
-    // an expanding one joins whenever it starts.
-    for (variant, n, start) in [(Variant::Static, 4, 3), (Variant::Expanding, 3, 30)] {
+    // A static participant up before the first beat reaches it takes part
+    // from the start, and an expanding one joins whenever it starts. A
+    // static one that starts later never hears the beats sent meanwhile
+    // (they vanish, as in the sim; the tick must not wait for them), so
+    // the cluster is down before the crash lands and nobody revives.
+    for (variant, n, start, revived) in [
+        (Variant::Static, 4, 3, true),
+        (Variant::Expanding, 3, 30, true),
+        (Variant::Static, 2, 30, false),
+    ] {
         for fix in [FixLevel::Original, FixLevel::Full] {
             for seed in 1..=3 {
                 let cfg = ClusterConfig {
@@ -237,9 +245,29 @@ fn identity_seam_is_indistinguishable_from_the_plain_cluster() {
                 };
                 let plain = drive(VirtualCluster::new(cfg), start);
                 let wrapped = drive(VirtualCluster::with_seam(cfg, Identity), start);
-                assert!(plain.0.contains("\"revives\":[[1,104]]"), "{}", plain.0);
+                assert_eq!(
+                    plain.0.contains("\"revives\":[[1,104]]"),
+                    revived,
+                    "{}",
+                    plain.0
+                );
                 assert_eq!(plain.1.len(), n + 1, "every node started and logged");
                 assert_eq!(plain, wrapped, "{variant:?}/{fix:?}/seed {seed}");
+                if !revived {
+                    let world = WorldConfig {
+                        variant,
+                        params: cfg.params,
+                        fix,
+                        n,
+                        loss_prob: 0.02,
+                        log_events: false,
+                    };
+                    let mut sim = World::new(world, seed);
+                    sim.schedule_start(2, start);
+                    sim.schedule_crash(1, 100);
+                    sim.run_until(600);
+                    assert_eq!(sim.into_report().final_status, plain.2, "sim vs live");
+                }
             }
         }
     }

@@ -10,6 +10,7 @@
 
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::mck::packed::{BitReader, BitWriter, StateCodec};
+use accelerated_heartbeat::mck::parallel::ParallelChecker;
 use accelerated_heartbeat::mck::symmetry::Symmetric;
 use accelerated_heartbeat::mck::{CheckOutcome, Checker, Model, ModelExt, Reduced};
 use accelerated_heartbeat::verify::por::HbAmpleOracle;
@@ -54,6 +55,16 @@ proptest! {
         let sym = Symmetric::new(&red, canon);
         let out = Checker::new(&sym).check_invariant(pred);
         let composed_holds = matches!(out, CheckOutcome::Holds(_));
+
+        // The parallel engine is the same search with each level fanned
+        // out, so it composes with the wrappers and matches to the counter.
+        let par = ParallelChecker::new(&sym).threads(2).check_invariant(pred);
+        prop_assert!(
+            par.holds() == composed_holds && par.stats() == out.stats(),
+            "parallel {:?} != sequential {:?} over sym+por",
+            par.stats(),
+            out.stats(),
+        );
 
         prop_assert!(
             full_holds == composed_holds,
