@@ -13,7 +13,9 @@
 //! protocol traffic.
 
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Release};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use hb_core::Pid;
@@ -78,21 +80,29 @@ struct Stored {
 /// then one uniform in-budget delay draw, in send order.
 pub struct LoopbackCore {
     queues: Vec<Vec<Stored>>,
+    /// Per destination, the earliest `deliver_at` in its queue ([`NEVER`]
+    /// when empty): a tick on which nothing is due costs one compare per
+    /// question asked, not a scan. Atomics only so that [`LoopbackNet`]
+    /// can read its clone of the `Arc` without the lock; every store
+    /// happens through `&mut self`.
+    due: Arc<[AtomicU64]>,
     loss: LossModel,
     ge_bad: bool,
     rng: StdRng,
     stats: NetStats,
 }
 
-// The `#[inline]`s below are load-bearing: the generic cluster harness and
-// the membership engine are instantiated in downstream crates, where a
-// non-inline `send`/`recv` is a cross-crate call handing a ~150-byte
-// `Recv` back through memory (measured: -15 % `live_loopback` work/s).
+// The `#[inline]`s in this file matter across crates only: the membership
+// engine is instantiated in `hb-member`, where a non-inline `send`/`recv`
+// is a call handing a ~150-byte `Recv` back through memory (measured
+// without them: -9 % `member_failover` work/s; `live_loopback`, whose
+// callers are in this crate, and `chaos_campaign` do not move).
 impl LoopbackCore {
     /// Queues for pids `0..endpoints` with seeded loss/delay randomness.
     pub fn new(endpoints: usize, loss: LossModel, seed: u64) -> Self {
         LoopbackCore {
             queues: (0..endpoints).map(|_| Vec::new()).collect(),
+            due: (0..endpoints).map(|_| AtomicU64::new(NEVER)).collect(),
             loss,
             ge_bad: false,
             rng: StdRng::seed_from_u64(seed),
@@ -129,11 +139,15 @@ impl LoopbackCore {
             let delay = self.rng.gen_range(0..=budget);
             (delay, budget - delay)
         };
+        let deliver_at = now + Time::from(delay);
         self.queues[dst].push(Stored {
-            deliver_at: now + Time::from(delay),
+            deliver_at,
             frame: *frame,
             budget_left,
         });
+        if deliver_at < self.due[dst].load(Acquire) {
+            self.due[dst].store(deliver_at, Release);
+        }
         true
     }
 
@@ -141,13 +155,17 @@ impl LoopbackCore {
     /// equal times, for a deterministic processing order).
     #[inline]
     pub fn recv(&mut self, now: Time, pid: Pid) -> Option<Recv> {
-        let i = self.queues[pid]
+        let earliest = due_at(&self.due[pid], now)?;
+        // The first frame at the queue's minimum time is the
+        // `min_by_key((deliver_at, index))` of the due ones.
+        let queue = &mut self.queues[pid];
+        let i = queue
             .iter()
-            .enumerate()
-            .filter(|(_, m)| m.deliver_at <= now)
-            .min_by_key(|(i, m)| (m.deliver_at, *i))
-            .map(|(i, _)| i)?;
-        let m = self.queues[pid].remove(i);
+            .position(|m| m.deliver_at == earliest)
+            .expect("the due index names a queued frame");
+        let m = queue.remove(i);
+        let next = queue.iter().map(|m| m.deliver_at).min();
+        self.due[pid].store(next.unwrap_or(NEVER), Release);
         if matches!(m.frame, Frame::Beat { .. }) {
             self.stats.delivered += 1;
         }
@@ -160,9 +178,7 @@ impl LoopbackCore {
     /// Whether any heartbeat or control frame is deliverable at `now`.
     #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
-        self.queues
-            .iter()
-            .any(|q| q.iter().any(|m| m.deliver_at <= now))
+        any_due(&self.due, now)
     }
 
     /// Message counters so far.
@@ -170,36 +186,81 @@ impl LoopbackCore {
         self.stats
     }
 
-    /// Discard everything queued for `pid` (counted as delivered into the
-    /// void).
+    /// Discard everything queued for `pid` (its beats counted as
+    /// delivered into the void; like `send` and `recv`, the counters see
+    /// beats only).
     pub fn purge(&mut self, pid: Pid) {
-        self.stats.delivered += self.queues[pid].len() as u64;
+        let beats = self.queues[pid]
+            .iter()
+            .filter(|m| matches!(m.frame, Frame::Beat { .. }))
+            .count();
+        self.stats.delivered += beats as u64;
         self.queues[pid].clear();
+        self.due[pid].store(NEVER, Release);
     }
 }
 
+/// The due index's "queue empty". No frame is ever due at this tick: a
+/// clock would have to count to `u64::MAX`, and `send`'s `now + delay`
+/// overflows first.
+const NEVER: Time = Time::MAX;
+
+/// One destination's earliest delivery time, if that is due at `now`. The
+/// `Acquire` pairs with the `Release` stores in [`LoopbackCore`], all made
+/// with the net's lock held; the frames themselves are only ever read
+/// under that lock, so a stale value costs a reader nothing but a poll
+/// that ran a moment too early.
+#[inline]
+fn due_at(slot: &AtomicU64, now: Time) -> Option<Time> {
+    let at = slot.load(Acquire);
+    (at <= now && at != NEVER).then_some(at)
+}
+
+#[inline]
+fn any_due(due: &[AtomicU64], now: Time) -> bool {
+    due.iter().any(|slot| due_at(slot, now).is_some())
+}
+
+/// What the net's mutex guards: the core, and how many endpoints are
+/// blocked in [`Transport::wait`].
+struct Shared {
+    core: LoopbackCore,
+    waiters: usize,
+}
+
 struct Inner {
-    state: Mutex<LoopbackCore>,
+    state: Mutex<Shared>,
     arrived: Condvar,
+    /// The core's due index, readable without `state`: a poll that finds
+    /// nothing due never takes the lock.
+    due: Arc<[AtomicU64]>,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.state
+            .lock()
+            .expect("a loopback user panicked while holding the lock")
+    }
 }
 
 /// A loopback network connecting a fixed set of endpoints.
 #[derive(Clone)]
 pub struct LoopbackNet {
     inner: Arc<Inner>,
-    endpoints: usize,
 }
 
 impl LoopbackNet {
     /// A network with `endpoints` addressable pids (`0..endpoints`),
     /// seeded fault randomness, and the given fault plan.
     pub fn new(endpoints: usize, faults: Faults, seed: u64) -> Self {
+        let core = LoopbackCore::new(endpoints, faults.loss, seed);
         LoopbackNet {
             inner: Arc::new(Inner {
-                state: Mutex::new(LoopbackCore::new(endpoints, faults.loss, seed)),
+                due: Arc::clone(&core.due),
+                state: Mutex::new(Shared { core, waiters: 0 }),
                 arrived: Condvar::new(),
             }),
-            endpoints,
         }
     }
 
@@ -209,7 +270,7 @@ impl LoopbackNet {
     ///
     /// Panics if `pid` is out of range.
     pub fn endpoint(&self, pid: Pid) -> LoopbackEndpoint {
-        assert!(pid < self.endpoints, "pid {pid} out of range");
+        assert!(pid < self.inner.due.len(), "pid {pid} out of range");
         LoopbackEndpoint {
             inner: Arc::clone(&self.inner),
             pid,
@@ -219,19 +280,19 @@ impl LoopbackNet {
     /// Whether any heartbeat or control frame is deliverable at `now`.
     #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
-        self.inner.state.lock().unwrap().any_deliverable(now)
+        any_due(&self.inner.due, now)
     }
 
     /// Message counters so far.
     pub fn stats(&self) -> NetStats {
-        self.inner.state.lock().unwrap().stats()
+        self.inner.lock().core.stats()
     }
 
     /// Discard everything queued for `pid` — used when a node starts late,
     /// mirroring the simulator's "messages to not-yet-started participants
     /// vanish" (they count as delivered-into-the-void).
     pub fn purge(&self, pid: Pid) {
-        self.inner.state.lock().unwrap().purge(pid);
+        self.inner.lock().core.purge(pid);
     }
 }
 
@@ -251,16 +312,19 @@ impl LoopbackEndpoint {
 impl Transport for LoopbackEndpoint {
     #[inline]
     fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
-        let mut st = self.inner.state.lock().unwrap();
-        if dst >= st.queues.len() {
+        if dst >= self.inner.due.len() {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("no endpoint {dst}"),
             ));
         }
-        let queued = st.send(now, dst, frame, budget);
+        let mut st = self.inner.lock();
+        let wake = st.core.send(now, dst, frame, budget) && st.waiters > 0;
         drop(st);
-        if queued {
+        // Only with someone blocked in `wait`: std's condvar makes the
+        // futex-wake syscall whether or not anyone sleeps on it, and the
+        // tick-stepped harnesses never do.
+        if wake {
             self.inner.arrived.notify_all();
         }
         Ok(())
@@ -268,19 +332,29 @@ impl Transport for LoopbackEndpoint {
 
     #[inline]
     fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
-        Ok(self.inner.state.lock().unwrap().recv(now, self.pid))
+        if due_at(&self.inner.due[self.pid], now).is_none() {
+            return Ok(None);
+        }
+        Ok(self.inner.lock().core.recv(now, self.pid))
     }
 
     fn wait(&mut self, timeout: Duration) -> io::Result<()> {
-        let st = self.inner.state.lock().unwrap();
-        if !st.queues[self.pid].is_empty() {
+        let mut st = self.inner.lock();
+        if !st.core.queues[self.pid].is_empty() {
             return Ok(());
         }
-        let _unused = self
+        // No lost wakeup: `waiters` is raised under the lock that
+        // `wait_timeout` then releases atomically with going to sleep. A
+        // send to us that held the lock first left a non-empty queue and we
+        // returned above; one that takes it after us reads `waiters > 0`
+        // and notifies.
+        st.waiters += 1;
+        let (mut st, _timed_out) = self
             .inner
             .arrived
             .wait_timeout(st, timeout)
             .map_err(|_| io::Error::other("loopback lock poisoned"))?;
+        st.waiters -= 1;
         Ok(())
     }
 }
@@ -352,15 +426,25 @@ mod tests {
     }
 
     #[test]
-    fn purge_vanishes_pending_frames() {
+    fn purge_vanishes_pending_frames_and_counts_the_beats() {
         let net = LoopbackNet::new(2, Faults::none(), 1);
         let mut a = net.endpoint(0);
         a.send(0, 1, &Frame::beat(0, Heartbeat::plain()), 0)
             .unwrap();
+        a.send(0, 1, &Frame::control(0, Command::Crash), 0).unwrap();
+        a.send(0, 1, &Frame::state_request(0, 0, 1), 0).unwrap();
         assert!(net.any_deliverable(0));
         net.purge(1);
         assert!(!net.any_deliverable(0));
-        assert_eq!(net.stats().delivered, 1);
+        // Like `send` and `recv`, the counters see beats only.
+        assert_eq!(
+            net.stats(),
+            NetStats {
+                sent: 1,
+                delivered: 1,
+                lost: 0
+            }
+        );
     }
 
     #[test]

@@ -6,11 +6,15 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --workspace --release
 
-echo "==> benchmark smoke (compiles benchmark/ against the façade; its correctness checks must count zero failures)"
+echo "==> benchmark smoke + layers step (compiles benchmark/ against the façade; its correctness checks must count zero failures)"
 # benchmark/ is its own cargo package, so no other step compiles it: this
 # is the gate that catches a refactor breaking the surface it imports.
+# --trace adds the layers step and the traced rounds, so the must-be-zero
+# layer counts (net.wire_reject_accepted, net.udp_*_errors,
+# monitor.violations, verify.stack_disagreements) and the
+# TracedTransport<LoopbackEndpoint> path gate too.
 # It shares target/ with the release build above.
-benchmark/run.sh --smoke >/dev/null
+benchmark/run.sh --smoke --trace >/dev/null
 
 echo "==> benchmark package tests (unit + contract; a separate workspace the root cargo test cannot see)"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
