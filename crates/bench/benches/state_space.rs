@@ -1,12 +1,12 @@
 //! State-space report: model sizes for every (variant, data set,
 //! requirement) cell of the verification campaign, plus the liveness
 //! check — the kind of table model-checking papers report alongside their
-//! verdicts.
+//! verdicts — and the §7 crash/leave → rejoin grid on the same machines.
 
 use hb_core::params::PAPER_DATASETS;
 use hb_core::{FixLevel, Params, Variant};
 use hb_verify::liveness::check_eventual_inactivation;
-use hb_verify::requirements::{verify, Requirement};
+use hb_verify::requirements::{rejoin_cell, verify, Requirement, REJOIN_CAP, REJOIN_GRID};
 use mck::liveness::LeadsToOutcome;
 use std::time::Instant;
 
@@ -73,5 +73,19 @@ fn main() {
          *timed* refinements (the 2*tmax bound) and race-freedom, not the\n\
          liveness core."
     );
+
+    println!("\n== §7 rejoin on the runtime machines (future work of GM98 / AM09) ==\n");
+    println!(
+        "(dynamic, n = 1, lossless, crashes + leaves, up to {REJOIN_CAP} rejoins; exhaustive)\n"
+    );
+    for (tmin, tmax) in REJOIN_GRID {
+        for fix in FixLevel::ALL {
+            let c = rejoin_cell(Params::new(tmin, tmax).unwrap(), fix);
+            println!("({tmin},{tmax}) {:<17} {c:?}", fix.name());
+            assert_eq!(c.deadlocks, 0);
+            assert_eq!(c.safe(), fix == FixLevel::Full, "{c:?}");
+        }
+    }
+    println!("\nonly the full fix (epoch bar, receive priority, any-phase join bound) is safe");
     println!("wall time: {:.1?}", t0.elapsed());
 }

@@ -14,9 +14,8 @@
 //! | `gm98_overhead` | overhead-vs-acceleration trade-off (GM98) |
 //! | `gm98_detection` | detection-delay distributions vs analytic bounds |
 //! | `gm98_reliability` | false-inactivation probability vs loss rate |
-//! | `state_space` | model sizes per cell + the GM98 liveness core |
+//! | `state_space` | model sizes per cell + the GM98 liveness core + the §7 rejoin grid |
 //! | `ablation_burst` | burst-loss and outage ablations (beyond the papers) |
-//! | `rejoin` | future-work extension: naive vs epoch-tagged rejoin |
 //! | `throughput` | bare vs monitored beats/s (the monitor tap's cost) and campaign cells/s |
 
 #![forbid(unsafe_code)]

@@ -13,9 +13,10 @@
 //!   sort-key quotient on the certificate — the report names the
 //!   counterexample transition for every refused machine.
 //!
-//! The analysis runs under the checker trigger set
-//! ([`CHECKER_TRIGGERS`]): `Internal` revive steps are out of scope for
-//! the model checker, which is exactly what pins the epoch variables to
+//! The analysis runs under the default checker trigger set
+//! ([`CHECKER_TRIGGERS`]): unless a model opts into §7 rejoins
+//! (`HbModel::rejoin_cap`), `Internal` revive steps never fire in the
+//! model checker, which is exactly what pins the epoch variables to
 //! zero-width fields.
 
 use hb_core::dataflow::{
@@ -217,8 +218,8 @@ mod tests {
 
     #[test]
     fn epochs_are_zero_width_under_checker_triggers() {
-        // The checker never revives, so every epoch-kinded variable is
-        // pinned at its initial point value — the packed encoding's
+        // By default the checker never revives, so every epoch-kinded
+        // variable is pinned at its initial point value — the packed encoding's
         // headline saving, asserted here at the report surface.
         let reports = dataflow_report();
         for r in reports

@@ -280,10 +280,9 @@ impl CoordSpec {
     /// superseded incarnations are *admitted* as if fresh (counted in
     /// `stale_admitted` — the naive-rejoin hazard). With
     /// [`epoch_rejoin`](Self::epoch_rejoin) the coordinator instead keeps
-    /// a per-participant epoch bar, mirroring
-    /// [`RejoinCoordSpec`](crate::rejoin::RejoinCoordSpec): stale beats
-    /// are dropped, a leave of epoch `e` raises the bar to `e + 1`, and a
-    /// later incarnation registers by beating with a higher epoch.
+    /// a per-participant epoch bar: stale beats are dropped, a leave of
+    /// epoch `e` raises the bar to `e + 1`, and a later incarnation
+    /// registers by beating with a higher epoch.
     ///
     /// # Panics
     ///
@@ -629,6 +628,9 @@ mod tests {
         sp.on_heartbeat(&mut s, 1, Heartbeat::plain().with_epoch(2));
         assert!(s.jnd[0]);
         assert_eq!(s.min_epoch, vec![2]);
+        // A straggling leave of the old incarnation must not un-enrol it.
+        sp.on_heartbeat(&mut s, 1, Heartbeat::leave().with_epoch(1));
+        assert!(s.jnd[0]);
     }
 
     #[test]

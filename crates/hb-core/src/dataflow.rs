@@ -17,12 +17,15 @@
 //!   [`UpdateKind`] / [`EpochEffect`] summaries as abstract
 //!   assignments, with widening to the span after repeated growth.
 //!
-//! The analysis is parameterized by the *active trigger set*: the
-//! checker's composed model exercises `Time`, `Receive` and `Fault`
-//! transitions but not the `Internal` restart path, so under that set
-//! the epoch variables are provably pinned to `[0, 0]` (or `[0, 1]`
-//! for the coordinator bar under §7 rejoin with leaves) and the packed
-//! state encoding in `hb-verify` spends zero or one bit on them.
+//! The analysis is parameterized by the *active trigger set*: by
+//! default the checker's composed model exercises `Time`, `Receive` and
+//! `Fault` transitions but not the `Internal` restart path
+//! ([`CHECKER_TRIGGERS`]), so under that set the epoch variables are
+//! provably pinned to `[0, 0]` (or `[0, 1]` for the coordinator bar
+//! under §7 rejoin with leaves) and the packed state encoding in
+//! `hb-verify` spends zero or one bit on them. A model whose
+//! participants may rejoin is analyzed under [`REJOIN_TRIGGERS`]
+//! instead, and pays the full epoch width.
 //!
 //! The second product is the **symmetry certificate**
 //! ([`symmetry_certificate`]): a static proof that responder sub-states
@@ -330,9 +333,20 @@ impl Concretization {
     }
 }
 
-/// The trigger set the composed checker model exercises: timeouts,
-/// deliveries and crash faults, but not the `Internal` restart path.
+/// The trigger set the composed checker model exercises by default:
+/// timeouts, deliveries and crash faults, but not the `Internal`
+/// restart path.
 pub const CHECKER_TRIGGERS: [Trigger; 3] = [Trigger::Time, Trigger::Receive, Trigger::Fault];
+
+/// The trigger set of a checker model whose participants may rejoin
+/// (`HbModel::rejoin_cap > 0`): [`CHECKER_TRIGGERS`] plus the `Internal`
+/// restart path the runtimes also take.
+pub const REJOIN_TRIGGERS: [Trigger; 4] = [
+    Trigger::Time,
+    Trigger::Receive,
+    Trigger::Fault,
+    Trigger::Internal,
+];
 
 /// Widen a state's environment after this many joins.
 const WIDEN_AFTER: usize = 6;
@@ -698,13 +712,11 @@ mod tests {
         assert_eq!(a.range("epoch"), Some(Interval::point(0)));
         // With the restart path active the incarnation is unbounded and
         // widening takes it to the full 8-bit span.
-        let all = [
-            Trigger::Time,
-            Trigger::Receive,
-            Trigger::Fault,
-            Trigger::Internal,
-        ];
-        let wide = analyze(&spec.describe(), &Concretization::responder(&spec), &all);
+        let wide = analyze(
+            &spec.describe(),
+            &Concretization::responder(&spec),
+            &REJOIN_TRIGGERS,
+        );
         assert_eq!(wide.range("epoch"), Some(Interval::new(0, 255)));
     }
 

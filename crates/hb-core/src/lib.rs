@@ -65,7 +65,6 @@ pub mod events;
 pub mod fixes;
 pub mod msg;
 pub mod params;
-pub mod rejoin;
 pub mod responder;
 pub mod serial;
 pub mod trace;

@@ -168,12 +168,23 @@ impl Params {
     /// * binary / revised / two-phase / static: `2·tmax` — a *tighter*
     ///   (earlier-detecting) bound that is still never reached without a
     ///   fault;
-    /// * expanding / dynamic: `2·tmax + tmin` — the original
-    ///   `3·tmax − tmin` is *incorrect* (too small) whenever
+    /// * expanding / dynamic: `max(2·tmax + tmin, tmax + 3·tmin)` — the
+    ///   original `3·tmax − tmin` is *incorrect* (too small) whenever
     ///   `2·tmin ≥ tmax` because of the join phase.
+    ///
+    /// AM09's `2·tmax + tmin` assumes every participant starts together
+    /// with the coordinator, phase-aligned with its first round. A late
+    /// start or a §7 rejoin can begin at any phase of the coordinator's
+    /// round, and the worst case grows: the first join beat goes out
+    /// `tmin` after the join starts, may ride the channel for `tmin`,
+    /// land just after a round timeout, wait up to `tmax` for the next
+    /// broadcast, which rides for another `tmin` — `tmax + 3·tmin` in
+    /// total, which exceeds `2·tmax + tmin` exactly when `2·tmin > tmax`.
+    /// Model checking confirms the maximum is both sufficient and
+    /// necessary (`hb-verify`'s `rejoin_cell` tests).
     pub fn responder_bound_corrected(&self, variant: Variant) -> u32 {
         if variant.has_join_phase() {
-            2 * self.tmax + self.tmin
+            (2 * self.tmax + self.tmin).max(self.tmax + 3 * self.tmin)
         } else {
             2 * self.tmax
         }
@@ -280,6 +291,12 @@ mod tests {
         assert_eq!(p.responder_bound_corrected(Variant::Binary), 20);
         assert_eq!(p.responder_bound_corrected(Variant::Expanding), 24);
         assert_eq!(p.responder_bound_corrected(Variant::Dynamic), 24);
+        // 2·tmin > tmax: the arbitrary-phase join term takes over.
+        let p = Params::new(2, 2).unwrap();
+        assert_eq!(p.responder_bound_corrected(Variant::Expanding), 8);
+        assert_eq!(p.responder_bound_corrected(Variant::Static), 4);
+        let p = Params::new(6, 10).unwrap();
+        assert_eq!(p.responder_bound_corrected(Variant::Dynamic), 28);
     }
 
     #[test]

@@ -79,7 +79,9 @@ impl RespSpec {
     /// The watchdog bound: time without a coordinator heartbeat after
     /// which the participant inactivates itself. `3·tmax − tmin` in the
     /// original protocols; the §6.2 corrected bounds under
-    /// [`FixLevel::corrected_bounds`].
+    /// [`FixLevel::corrected_bounds`], which for the join variants cover
+    /// a join at any phase of the coordinator's round (late start or §7
+    /// rejoin; see [`Params::responder_bound_corrected`]).
     pub fn watchdog_bound(&self) -> u32 {
         if self.fix.corrected_bounds() {
             self.params.responder_bound_corrected(self.variant)
@@ -225,13 +227,12 @@ impl RespSpec {
     ///
     /// Under the §7 rejoin, a join-phase participant additionally ignores
     /// coordinator beats whose epoch echo does not match its own
-    /// incarnation (mirroring
-    /// [`RejoinRespSpec::on_beat`](crate::rejoin::RejoinRespSpec::on_beat)):
-    /// after a restart the coordinator keeps echoing the superseded epoch
-    /// until the fresh join beat registers, and those echoes must neither
-    /// reset the watchdog nor confirm the join. Non-join variants have no
-    /// join to confirm, so they accept any epoch and let their reply
-    /// (stamped with the current incarnation) re-register them.
+    /// incarnation: after a restart the coordinator keeps echoing the
+    /// superseded epoch until the fresh join beat registers, and those
+    /// echoes must neither reset the watchdog nor confirm the join.
+    /// Non-join variants have no join to confirm, so they accept any
+    /// epoch and let their reply (stamped with the current incarnation)
+    /// re-register them.
     pub fn on_beat(
         &self,
         s: &mut RespState,

@@ -2,7 +2,7 @@
 //! runtime (`hb-net`).
 //!
 //! Both substrates drive the same `hb-core` state machines, so they emit
-//! the same record shapes: one flat JSON object per protocol [`Event`]
+//! the same record shapes: one flat JSON object per protocol [`Event`](hb_core::trace::Event)
 //! (see [`event_json`], re-exported from [`hb_core::events`] — the single
 //! home of the event schema) and one [`RunSummary`] object per run.
 //! Keeping the schema in one place lets a live run and a simulated run of

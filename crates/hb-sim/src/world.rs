@@ -33,7 +33,7 @@ pub struct WorldConfig {
     pub n: usize,
     /// Per-message loss probability.
     pub loss_prob: f64,
-    /// Record a full [`EventLog`] (costs memory on long runs).
+    /// Record a full [`EventLog`](hb_core::trace::EventLog) (costs memory on long runs).
     pub log_events: bool,
 }
 

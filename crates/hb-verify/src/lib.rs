@@ -23,7 +23,8 @@
 //! transition systems of Figures 1–2. Beyond the paper, [`liveness`]
 //! checks the original GM98 eventuality guarantee, [`symmetry`] provides
 //! participant-permutation reduction for multi-party models, and
-//! [`rejoin_model`] verifies the future-work rejoin extension.
+//! [`HbModel::rejoin_cap`] turns on the §7 crash/leave → rejoin lifecycle
+//! on the same machines the runtimes execute.
 //!
 //! # Example
 //!
@@ -48,7 +49,6 @@ pub mod model;
 pub mod monitor;
 pub mod packed;
 pub mod por;
-pub mod rejoin_model;
 pub mod render;
 pub mod requirements;
 pub mod solo;

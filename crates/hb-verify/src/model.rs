@@ -15,10 +15,17 @@
 //!   this is what makes the paper's Figure 11/12/13 races reachable. The
 //!   §6.1 *receive-priority* fix disables due timeouts while any message
 //!   is urgent (budget 0), forcing same-instant deliveries to win ties.
-//! * **Faults.** Active processes may crash at any time (monotone, no
-//!   recovery); the channel may lose any in-flight message, latching the
-//!   ghost `lost` flag. Both fault classes can be disabled to encode the
-//!   premises of requirements R2/R3.
+//! * **Faults.** Active processes may crash at any time; the channel may
+//!   lose any in-flight message, latching the ghost `lost` flag. Both
+//!   fault classes can be disabled to encode the premises of requirements
+//!   R2/R3.
+//! * **§7 rejoin.** Off by default (crashes and leaves are then final, as
+//!   in both papers). With [`HbModel::rejoin_cap`] above zero a crashed or
+//!   departed participant may restart at any instant as its next
+//!   incarnation ([`HbAction::Rejoin`], applying the runtimes' own
+//!   [`RespSpec::revive_state`]); whether the coordinator tells the
+//!   incarnations apart is decided by the [`FixLevel`], exactly as at
+//!   runtime (epoch filter under `Full`, naive admission below it).
 //! * **R1 monitor.** A ghost saturating counter per participant tracks the
 //!   time since `p[0]` last received a beat from that participant. It arms
 //!   on the first such delivery (participants of non-join variants arm at
@@ -27,7 +34,7 @@
 
 use hb_core::coordinator::{CoordReaction, CoordSpec, CoordState, TimeoutOutcome};
 use hb_core::responder::{LeaveDecision, RespSpec, RespState};
-use hb_core::{FixLevel, Heartbeat, Params, Pid, Variant};
+use hb_core::{FixLevel, Heartbeat, Params, Pid, Status, Variant};
 use mck::Model;
 
 /// An in-flight heartbeat message.
@@ -93,6 +100,9 @@ pub enum HbAction {
     Lose(Msg),
     /// Process `pid` crashes (voluntary inactivation).
     Crash(Pid),
+    /// Participant `pid`, crashed or departed, restarts as its next
+    /// incarnation (§7; enabled only under [`HbModel::rejoin_cap`]).
+    Rejoin(Pid),
 }
 
 /// The composed model. Construct with [`HbModel::new`] and configure fault
@@ -107,6 +117,7 @@ pub struct HbModel {
     allow_leave: bool,
     monitor_bound: Option<u32>,
     stagger: bool,
+    rejoin_cap: u8,
 }
 
 impl HbModel {
@@ -123,6 +134,7 @@ impl HbModel {
             allow_leave: variant.supports_leave(),
             monitor_bound: None,
             stagger: false,
+            rejoin_cap: 0,
         }
     }
 
@@ -170,6 +182,16 @@ impl HbModel {
         self
     }
 
+    /// Let every participant rejoin up to `cap` times (§7): while its
+    /// incarnation number is below `cap`, a crashed or departed
+    /// participant may take [`HbAction::Rejoin`]. The cap keeps the model
+    /// finite; the default 0 is the papers' model, where crashes and
+    /// leaves are final.
+    pub fn rejoin_cap(mut self, cap: u8) -> Self {
+        self.rejoin_cap = cap;
+        self
+    }
+
     /// The coordinator spec.
     pub fn coord_spec(&self) -> &CoordSpec {
         &self.coord
@@ -188,6 +210,11 @@ impl HbModel {
     /// The R1 monitor bound, if monitoring is on.
     pub fn monitor_bound_value(&self) -> Option<u32> {
         self.monitor_bound
+    }
+
+    /// How many times each participant may rejoin (0 = never).
+    pub fn rejoin_cap_value(&self) -> u8 {
+        self.rejoin_cap
     }
 
     /// Whether message loss is enabled.
@@ -236,6 +263,14 @@ impl HbModel {
 
     fn receive_priority(&self) -> bool {
         self.coord.fix().receive_priority()
+    }
+
+    /// Whether `r` may restart now: out of the protocol by crash or by
+    /// leave (never after a non-voluntary inactivation — that is the
+    /// protocol's verdict, not a fault), with incarnations to spare.
+    fn may_rejoin(&self, r: &RespState) -> bool {
+        r.epoch < self.rejoin_cap
+            && (r.status == Status::Crashed || (r.status.is_active() && r.left))
     }
 
     /// Whether time may pass in `s` (no urgent event anywhere).
@@ -332,6 +367,9 @@ impl Model for HbModel {
             if self.crashable[i + 1] && r.status.is_active() && !r.left {
                 out.push(HbAction::Crash(i + 1));
             }
+            if self.may_rejoin(r) {
+                out.push(HbAction::Rejoin(i + 1));
+            }
         }
         // Urgent process events (receive-priority may defer timeouts to
         // urgent deliveries).
@@ -415,7 +453,7 @@ impl Model for HbModel {
                                 Msg {
                                     src: 0,
                                     dst: pid,
-                                    hb: Heartbeat::plain(),
+                                    hb: self.coord.beat_for(&next.coord, pid),
                                     budget: self.params().tmin(),
                                 },
                             );
@@ -529,6 +567,13 @@ impl Model for HbModel {
                     self.resp.crash(r);
                 }
             }
+            HbAction::Rejoin(pid) => {
+                let r = &mut next.resps[pid - 1];
+                if !self.may_rejoin(r) {
+                    return None;
+                }
+                *r = self.resp.revive_state(r.epoch);
+            }
         }
         Some(next)
     }
@@ -548,6 +593,7 @@ impl Model for HbModel {
             }
             HbAction::Lose(msg) => format!("lose {} p[{}]->p[{}]", msg.hb, msg.src, msg.dst),
             HbAction::Crash(pid) => format!("crash p[{pid}]"),
+            HbAction::Rejoin(pid) => format!("p[{pid}] rejoins"),
         }
     }
 
@@ -574,14 +620,46 @@ impl Model for HbModel {
     }
 }
 
+/// The rejoin-enabled n = 2 cell the reduction stacks are cross-checked
+/// on: static (1,3), lossless, participants may crash and rejoin once.
+#[cfg(test)]
+pub(crate) fn rejoin_n2(fix: FixLevel) -> HbModel {
+    HbModel::new(Variant::Static, Params::new(1, 3).unwrap(), 2, fix)
+        .allow_loss(false)
+        .crashable(0, false)
+        .rejoin_cap(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_core::Status;
     use mck::Checker;
 
     fn binary(tmin: u32, tmax: u32, fix: FixLevel) -> HbModel {
         HbModel::new(Variant::Binary, Params::new(tmin, tmax).unwrap(), 1, fix)
+    }
+
+    /// A full coordinator round at `tmax = 4`, ending in its broadcast.
+    const ROUND_OF_4: [HbAction; 5] = {
+        use HbAction::{CoordTimeout, Tick};
+        [Tick, Tick, Tick, Tick, CoordTimeout]
+    };
+
+    /// Fire each action in turn.
+    fn run(m: &HbModel, mut s: HbState, actions: &[HbAction]) -> HbState {
+        for a in actions {
+            s = m
+                .next_state(&s, a)
+                .unwrap_or_else(|| panic!("{a:?} disabled"));
+        }
+        s
+    }
+
+    /// Deliver the only in-flight message.
+    fn deliver(m: &HbModel, s: HbState, leave: bool) -> HbState {
+        assert_eq!(s.channel.len(), 1, "{}", m.format_state(&s));
+        let msg = s.channel[0];
+        run(m, s, &[HbAction::Deliver { msg, leave }])
     }
 
     #[test]
@@ -629,32 +707,16 @@ mod tests {
         let m = binary(2, 4, FixLevel::Original)
             .allow_loss(false)
             .allow_crashes(false);
-        let mut s = m.initial_states().remove(0);
-        for _ in 0..4 {
-            s = m.next_state(&s, &HbAction::Tick).unwrap();
-        }
-        s = m.next_state(&s, &HbAction::CoordTimeout).unwrap();
-        assert_eq!(s.channel.len(), 1);
+        let mut s = run(&m, m.initial_states().remove(0), &ROUND_OF_4);
         let msg = s.channel[0];
         assert_eq!((msg.src, msg.dst, msg.budget), (0, 1, 2));
         // deliver immediately: p1 replies with the remaining budget
-        s = m
-            .next_state(&s, &HbAction::Deliver { msg, leave: false })
-            .unwrap();
-        assert_eq!(s.channel.len(), 1);
+        s = deliver(&m, s, false);
         let reply = s.channel[0];
         assert_eq!((reply.src, reply.dst, reply.budget), (1, 0, 2));
         assert_eq!(s.resps[0].waiting, 0);
         // deliver the reply: p0 records the receipt
-        s = m
-            .next_state(
-                &s,
-                &HbAction::Deliver {
-                    msg: reply,
-                    leave: false,
-                },
-            )
-            .unwrap();
+        s = deliver(&m, s, false);
         assert!(s.coord.rcvd[0]);
         assert!(s.channel.is_empty());
     }
@@ -664,13 +726,8 @@ mod tests {
         let m = binary(2, 4, FixLevel::Original)
             .allow_loss(false)
             .allow_crashes(false);
-        let mut s = m.initial_states().remove(0);
-        for _ in 0..4 {
-            s = m.next_state(&s, &HbAction::Tick).unwrap();
-        }
-        s = m.next_state(&s, &HbAction::CoordTimeout).unwrap();
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
+        let s = run(&m, m.initial_states().remove(0), &ROUND_OF_4);
+        let s = run(&m, s, &[HbAction::Tick, HbAction::Tick]);
         assert_eq!(s.channel[0].budget, 0);
         assert!(!m.may_tick(&s), "exhausted budget must force delivery");
     }
@@ -678,13 +735,9 @@ mod tests {
     #[test]
     fn lose_sets_ghost_flag() {
         let m = binary(2, 4, FixLevel::Original);
-        let mut s = m.initial_states().remove(0);
-        for _ in 0..4 {
-            s = m.next_state(&s, &HbAction::Tick).unwrap();
-        }
-        s = m.next_state(&s, &HbAction::CoordTimeout).unwrap();
+        let s = run(&m, m.initial_states().remove(0), &ROUND_OF_4);
         let msg = s.channel[0];
-        s = m.next_state(&s, &HbAction::Lose(msg)).unwrap();
+        let s = run(&m, s, &[HbAction::Lose(msg)]);
         assert!(s.lost);
         assert!(s.channel.is_empty());
     }
@@ -711,27 +764,13 @@ mod tests {
         // p[0] while p[0]'s timeout is due: in `orig` both actions are
         // enabled; in `fixed` only the delivery.
         for (m, expect_timeout) in [(&orig, true), (&fixed, false)] {
-            let mut s = m.initial_states().remove(0);
             // round 1: wait 2, beat out, deliver instantly, reply queued
-            for _ in 0..2 {
-                s = m.next_state(&s, &HbAction::Tick).unwrap();
-            }
-            s = m.next_state(&s, &HbAction::CoordTimeout).unwrap();
-            let beat = s.channel[0];
-            s = m
-                .next_state(
-                    &s,
-                    &HbAction::Deliver {
-                        msg: beat,
-                        leave: false,
-                    },
-                )
-                .unwrap();
+            let round = [HbAction::Tick, HbAction::Tick, HbAction::CoordTimeout];
+            let s = run(m, m.initial_states().remove(0), &round);
+            let s = deliver(m, s, false);
             // let the reply ride for its full budget: 2 ticks to the next
             // coordinator timeout
-            for _ in 0..2 {
-                s = m.next_state(&s, &HbAction::Tick).unwrap();
-            }
+            let s = run(m, s, &[HbAction::Tick, HbAction::Tick]);
             assert!(m.coord_spec().timeout_due(&s.coord));
             assert_eq!(s.channel[0].budget, 0);
             let mut acts = Vec::new();
@@ -754,90 +793,93 @@ mod tests {
         )
         .allow_loss(false)
         .allow_crashes(false);
-        let mut s = m.initial_states().remove(0);
         // First join send due at tmin = 2.
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
+        let mut s = run(
+            &m,
+            m.initial_states().remove(0),
+            &[HbAction::Tick, HbAction::Tick],
+        );
         let mut acts = Vec::new();
         m.actions(&s, &mut acts);
         assert!(acts.contains(&HbAction::JoinSend(1)));
         assert!(!acts.contains(&HbAction::Tick), "join send is urgent");
-        s = m.next_state(&s, &HbAction::JoinSend(1)).unwrap();
-        let join = s.channel[0];
-        assert_eq!((join.src, join.dst), (1, 0));
-        s = m
-            .next_state(
-                &s,
-                &HbAction::Deliver {
-                    msg: join,
-                    leave: false,
-                },
-            )
-            .unwrap();
+        s = run(&m, s, &[HbAction::JoinSend(1)]);
+        assert_eq!((s.channel[0].src, s.channel[0].dst), (1, 0));
+        s = deliver(&m, s, false);
         assert!(s.coord.jnd[0], "join beat must register at p[0]");
         assert!(s.coord.rcvd[0]);
     }
 
     #[test]
-    fn dynamic_leave_round_trip() {
-        let m = HbModel::new(
-            Variant::Dynamic,
-            Params::new(2, 4).unwrap(),
-            1,
-            FixLevel::Original,
-        )
-        .allow_loss(false)
-        .allow_crashes(false)
-        .monitor_bound(8);
+    fn dynamic_leave_round_trip_then_rejoin() {
+        use HbAction::{CoordTimeout, JoinSend, Rejoin, Tick};
+        for fix in [FixLevel::Original, FixLevel::Full] {
+            let m = HbModel::new(Variant::Dynamic, Params::new(2, 4).unwrap(), 1, fix)
+                .allow_loss(false)
+                .allow_crashes(false)
+                .monitor_bound(8)
+                .rejoin_cap(1);
+            let mut s = m.initial_states().remove(0);
+            assert!(!s.monitors[0].armed, "join variants arm on first delivery");
+            s = run(&m, s, &[Tick, Tick, JoinSend(1)]);
+            s = deliver(&m, s, false);
+            assert!(s.monitors[0].armed);
+            // p0 timeout broadcasts at t=4; participant replies with a leave
+            s = run(&m, s, &[Tick, Tick, CoordTimeout]);
+            s = deliver(&m, s, true);
+            assert!(s.resps[0].left);
+            assert!(!s.channel[0].hb.flag);
+            // p0 receives the leave: unjoins, acks, disarms the monitor
+            s = deliver(&m, s, false);
+            assert!(!s.coord.jnd[0]);
+            assert!(!s.monitors[0].armed);
+            assert_eq!(s.channel.len(), 1, "leave ack in flight");
+            assert!(!s.channel[0].hb.flag);
+            // The ack is absorbed. §7: the departed participant comes back
+            // as incarnation 1.
+            s = deliver(&m, s, false);
+            s = run(&m, s, &[Rejoin(1), Tick, Tick, JoinSend(1)]);
+            assert_eq!(s.channel[0].hb.epoch, 1, "join beats carry the incarnation");
+            s = deliver(&m, s, false);
+            // The leave of epoch 0 raised the epoch bar to 1, which the
+            // new incarnation clears; the original's latch is permanent.
+            assert_eq!(s.coord.jnd[0], fix == FixLevel::Full);
+            if fix == FixLevel::Full {
+                s = run(&m, s, &[Tick, Tick, CoordTimeout]);
+                assert_eq!(s.channel[0].hb.epoch, 1, "p[0] echoes the registered epoch");
+                s = deliver(&m, s, false);
+                assert!(s.resps[0].joined);
+                assert_eq!(s.coord.stale_filtered + s.coord.stale_admitted, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn rejoin_is_bounded_by_the_cap() {
+        use HbAction::{Crash, Rejoin};
+        // Default cap 0: a crash is final, as in both papers.
+        let base = binary(2, 4, FixLevel::Full);
+        let s = run(&base, base.initial_states().remove(0), &[Crash(1)]);
+        assert!(base.next_state(&s, &Rejoin(1)).is_none());
+        // Cap 2: two rejoins, each bumping the incarnation, then final.
+        let m = base.rejoin_cap(2);
         let mut s = m.initial_states().remove(0);
-        assert!(!s.monitors[0].armed, "join variants arm on first delivery");
-        // join
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
-        s = m.next_state(&s, &HbAction::JoinSend(1)).unwrap();
-        let join = s.channel[0];
-        s = m
-            .next_state(
-                &s,
-                &HbAction::Deliver {
-                    msg: join,
-                    leave: false,
-                },
-            )
-            .unwrap();
-        assert!(s.monitors[0].armed);
-        // p0 timeout broadcasts at t=4
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
-        s = m.next_state(&s, &HbAction::Tick).unwrap();
-        s = m.next_state(&s, &HbAction::CoordTimeout).unwrap();
-        let beat = s.channel[0];
-        // participant replies with a leave
-        s = m
-            .next_state(
-                &s,
-                &HbAction::Deliver {
-                    msg: beat,
-                    leave: true,
-                },
-            )
-            .unwrap();
-        assert!(s.resps[0].left);
-        let reply = s.channel[0];
-        assert!(!reply.hb.flag);
-        // p0 receives the leave: unjoins, acks, disarms the monitor
-        s = m
-            .next_state(
-                &s,
-                &HbAction::Deliver {
-                    msg: reply,
-                    leave: false,
-                },
-            )
-            .unwrap();
-        assert!(!s.coord.jnd[0]);
-        assert!(!s.monitors[0].armed);
-        assert_eq!(s.channel.len(), 1, "leave ack in flight");
-        assert!(!s.channel[0].hb.flag);
+        assert!(m.next_state(&s, &Rejoin(1)).is_none(), "p[1] is up");
+        for epoch in 1..=2 {
+            s = run(&m, s, &[Crash(1), Rejoin(1)]);
+            assert_eq!(
+                (s.resps[0].epoch, s.resps[0].status),
+                (epoch, Status::Active)
+            );
+        }
+        s = run(&m, s, &[Crash(1)]);
+        let mut acts = Vec::new();
+        m.actions(&s, &mut acts);
+        assert!(!acts.contains(&Rejoin(1)), "cap reached");
+        // A non-voluntary inactivation is the protocol's verdict: final.
+        s.resps[0] = m.resp_spec().init_state();
+        s.resps[0].status = Status::NvInactive;
+        assert!(m.next_state(&s, &Rejoin(1)).is_none());
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! [`HbCodec`] implements [`mck::packed::StateCodec`] for [`HbState`]:
 //! every numeric field is stored as `value - lo` in exactly
 //! [`Interval::bits`] bits of its *proven* reachable range, computed by
-//! [`hb_core::dataflow::system_ranges`] under the checker's trigger set
-//! (no revive, so epochs stay pinned near zero and the 8-bit epoch
-//! fields cost 0–1 bits instead of 8). Booleans cost one bit, statuses
-//! two.
+//! [`hb_core::dataflow::system_ranges`] under the model's trigger set.
+//! With the default `rejoin_cap` of 0 nothing restarts, so epochs stay
+//! pinned near zero and the 8-bit epoch fields cost 0–1 bits instead of
+//! 8; a model whose participants may rejoin is analyzed with the IR's
+//! `revive` transition active and pays the full epoch width. Booleans
+//! cost one bit, statuses two.
 //!
 //! The widths are a *contract*, not a heuristic: encoding a value
 //! outside its proven range panics (see [`mck::packed::BitWriter`]),
@@ -24,14 +26,16 @@
 //!   urgent leftover plus one fresh message in each direction is
 //!   already generous; the checker's own invariant tests keep the true
 //!   bound far lower);
-//! * `stale_filtered` — provably 0 unless the model both allows leaves
-//!   and runs the §7 epoch-rejoin fix (the only checker configuration
-//!   in which the bar can rise above a wire epoch), where it is capped
-//!   at `3n` stale leftovers. `stale_admitted` is provably 0 in every
-//!   checker configuration (wire epochs never exceed the bar) and costs
-//!   zero bits.
+//! * the stale-beat counters. Without rejoins, `stale_filtered` is
+//!   provably 0 unless the model both allows leaves and runs the §7
+//!   epoch-rejoin fix (the only such configuration in which the bar can
+//!   rise above a wire epoch), where it is capped at `3n` stale
+//!   leftovers, and `stale_admitted` is provably 0 (wire epochs never
+//!   exceed the bar) and costs zero bits. With rejoins every superseded
+//!   incarnation can leave a channel-full of stale beats behind, so both
+//!   counters are capped at `(rejoin_cap + 1)·(4n + 2)`.
 
-use hb_core::dataflow::{system_ranges, Interval, CHECKER_TRIGGERS};
+use hb_core::dataflow::{system_ranges, Interval, CHECKER_TRIGGERS, REJOIN_TRIGGERS};
 use hb_core::{CoordState, Heartbeat, RespState, Status};
 use mck::packed::{BitReader, BitWriter, StateCodec};
 
@@ -50,7 +54,11 @@ pub struct HbCodec {
     iv_tm: Interval,
     /// Per-participant epoch bars `min_epoch[i]`.
     iv_min_epoch: Interval,
-    /// Stale-beat counter (non-zero width only under rejoin + leaves).
+    /// Stale beats admitted (non-zero width only when participants may
+    /// rejoin).
+    iv_stale_admitted: Interval,
+    /// Stale beats filtered (non-zero width only under the epoch fix
+    /// with leaves or rejoins).
     iv_stale_filtered: Interval,
     /// Responder watchdogs `waiting`.
     iv_waiting: Interval,
@@ -73,7 +81,13 @@ pub struct HbCodec {
 impl HbCodec {
     /// Derive the width table for `model` from the IR dataflow ranges.
     pub fn for_model(model: &HbModel) -> Self {
-        let sr = system_ranges(model.coord_spec(), model.resp_spec(), &CHECKER_TRIGGERS);
+        let rejoins = u32::from(model.rejoin_cap_value());
+        let triggers: &[_] = if rejoins > 0 {
+            &REJOIN_TRIGGERS
+        } else {
+            &CHECKER_TRIGGERS
+        };
+        let sr = system_ranges(model.coord_spec(), model.resp_spec(), triggers);
         let n = model.n();
         // A variable a variant's IR never declares (e.g. `min_epoch` in
         // the binary protocol) is one that variant provably never
@@ -86,23 +100,30 @@ impl HbCodec {
              conc: &hb_core::dataflow::Concretization,
              var: &str| a.range(var).unwrap_or_else(|| conc.initial(var));
         let rejoin_leaves = model.coord_spec().fix().epoch_rejoin() && model.leave_allowed();
+        let iv_count = Interval::new(0, 4 * n as u32 + 2);
+        let stale = |possible: bool| match (possible, rejoins) {
+            (false, _) => Interval::point(0),
+            (true, 0) => Interval::new(0, 3 * n as u32),
+            (true, _) => Interval::new(0, (rejoins + 1) * iv_count.hi),
+        };
         Self {
             n,
             iv_t: range(&sr.coord, &cc, "t"),
             iv_elapsed: range(&sr.coord, &cc, "elapsed"),
             iv_tm: range(&sr.coord, &cc, "tm"),
-            iv_min_epoch: range(&sr.coord, &cc, "min_epoch"),
-            iv_stale_filtered: if rejoin_leaves {
-                Interval::new(0, 3 * n as u32)
-            } else {
-                Interval::point(0)
-            },
+            // The machine raises the bar to every fresher tag at *every*
+            // fix level (so a run can report what naive rejoin let
+            // through), but the IR declares it only where it is read —
+            // under the epoch fix. Below that it simply follows the wire.
+            iv_min_epoch: range(&sr.coord, &cc, "min_epoch").hull(sr.wire_epoch),
+            iv_stale_admitted: stale(rejoins > 0),
+            iv_stale_filtered: stale(rejoins > 0 || rejoin_leaves),
             iv_waiting: range(&sr.resp, &rc, "waiting"),
             iv_join_elapsed: range(&sr.resp, &rc, "join_elapsed"),
             iv_epoch: range(&sr.resp, &rc, "epoch"),
             iv_budget: Interval::new(0, model.params().tmin()),
             iv_wire: sr.wire_epoch,
-            iv_count: Interval::new(0, 4 * n as u32 + 2),
+            iv_count,
             iv_peer: Interval::new(0, n as u32 - 1),
             iv_since: model.monitor_bound_value().map(|b| Interval::new(0, b + 1)),
         }
@@ -172,7 +193,7 @@ impl StateCodec<HbState> for HbCodec {
         push_status(w, s.coord.status);
         push_iv(w, s.coord.t, self.iv_t);
         push_iv(w, s.coord.elapsed, self.iv_elapsed);
-        push_iv(w, s.coord.stale_admitted, Interval::point(0));
+        push_iv(w, s.coord.stale_admitted, self.iv_stale_admitted);
         push_iv(w, s.coord.stale_filtered, self.iv_stale_filtered);
         for i in 0..self.n {
             push_bool(w, s.coord.rcvd[i]);
@@ -212,7 +233,7 @@ impl StateCodec<HbState> for HbCodec {
         let status = read_status(r);
         let t = read_iv(r, self.iv_t);
         let elapsed = read_iv(r, self.iv_elapsed);
-        let stale_admitted = read_iv(r, Interval::point(0));
+        let stale_admitted = read_iv(r, self.iv_stale_admitted);
         let stale_filtered = read_iv(r, self.iv_stale_filtered);
         let mut coord = CoordState {
             status,
@@ -406,6 +427,28 @@ mod tests {
         let p_depth = plain.counterexample().unwrap().len();
         let q_depth = packed.outcome.counterexample().unwrap().len();
         assert_eq!(p_depth, q_depth);
+    }
+
+    #[test]
+    fn rejoin_cells_pay_for_epochs_and_agree_with_the_plain_checker() {
+        // With participants allowed to rejoin, the widths come from the
+        // IR with its `revive` transition active: epochs are no longer
+        // pinned, and below the full fix stale beats get admitted. An
+        // exhaustive packed run validates every width (overflow panics).
+        for fix in [FixLevel::CorrectedBounds, FixLevel::Full] {
+            let m = crate::model::rejoin_n2(fix);
+            let codec = HbCodec::for_model(&m);
+            assert_eq!(codec.iv_epoch.bits(), 8, "revive bumps the incarnation");
+            // Violated (a rejoiner starves once p[0] has given up), then
+            // the whole graph, state for state.
+            let r2 = |s: &HbState| !error_predicate(&m, Requirement::R2)(s);
+            for pred in [&r2 as &dyn Fn(&HbState) -> bool, &|_| true] {
+                let plain = Checker::new(&m).check_invariant(pred);
+                let packed = PackedChecker::new(&m, codec.clone()).check_invariant(pred);
+                assert_eq!(plain.holds(), packed.outcome.holds(), "{fix}");
+                assert_eq!(plain.stats(), packed.outcome.stats(), "{fix}");
+            }
+        }
     }
 
     #[test]

@@ -10,19 +10,23 @@
 //!
 //! # The ample-set rules
 //!
+//! Rules 0 and 1 lean on crashes and leaves being *final*, which holds
+//! exactly when the model's [`HbModel::rejoin_cap`] is 0 (the default).
+//! The oracle reads the cap and skips both rules when participants may
+//! rejoin; Rule 2's argument never mentions finality and stays on.
+//!
 //! **Rule 0 — absorbed-predicate chains.** Each requirement predicate
 //! has a *sticky-false* region: a set of states closed under all
 //! transitions in which the predicate is false and can never become
 //! true again. Under R1 that is any state whose coordinator is inactive
-//! (the checker model has no revive action, so `coord.status` never
-//! returns to `Active` and `monitor_error` — which conjoins
-//! coordinator liveness — is permanently false), and any state in which
-//! every ghost monitor is disarmed while its responder is dead and no
-//! re-arming beat (a `flag = true` message from that responder to
-//! `p[0]`) is in flight: dead responders never send, and arming happens
-//! only on such a delivery. Under R3 it is any state with an inactive
-//! responder, which permanently falsifies the "all participants still
-//! active" premise. No full-model path through a sticky-false region
+//! (`coord.status` never returns to `Active` and `monitor_error` — which
+//! conjoins coordinator liveness — is permanently false), and any state
+//! in which every ghost monitor is disarmed while its responder is dead
+//! and no re-arming beat (a `flag = true` message from that responder
+//! to `p[0]`) is in flight: dead responders never send, and arming
+//! happens only on such a delivery. Under R3 it is any state with an
+//! inactive responder, which permanently falsifies the "all participants
+//! still active" premise. No full-model path through a sticky-false region
 //! reaches a violation (the region is closed), so the standard
 //! ample-set construction never needs to preserve interleavings inside
 //! it: the oracle explores a single arbitrary successor per state,
@@ -35,8 +39,8 @@
 //! delivered to an inactive or departed responder, and a leave
 //! acknowledgement delivered to any responder, have an *empty write
 //! footprint*: `on_beat` refuses them all without touching local state,
-//! no reply is sent, and the checker model has no revive action, so a
-//! down responder never acts again. Resolving such a message — any of
+//! no reply is sent, and (crashes and leaves being final) a down
+//! responder never acts again. Resolving such a message — any of
 //! its deliveries, or its loss — therefore writes nothing but the
 //! channel itself and the ghost `lost` flag, neither of which any
 //! requirement predicate reads. The whole group commutes with every
@@ -90,6 +94,8 @@ pub struct HbAmpleOracle {
     /// R1 monitors observe deliveries to `p[0]`; when attached, those
     /// deliveries are visible and never form an ample set.
     observes_monitors: bool,
+    /// Crashes and leaves are final (`rejoin_cap == 0`): Rules 0–1 apply.
+    down_is_final: bool,
     coord: SendProfile,
     resp: SendProfile,
 }
@@ -101,6 +107,7 @@ impl HbAmpleOracle {
         Self {
             requirement,
             observes_monitors: model.monitor_bound_value().is_some(),
+            down_is_final: model.rejoin_cap_value() == 0,
             coord: model.coord_spec().describe().send_profile(),
             resp: model.resp_spec().describe().send_profile(),
         }
@@ -116,7 +123,7 @@ impl HbAmpleOracle {
                     return false;
                 }
                 if !state.coord.status.is_active() {
-                    return true; // no revive: coord liveness is sticky
+                    return true; // p[0] never restarts: its liveness is sticky
                 }
                 state.monitors.iter().enumerate().all(|(i, m)| {
                     !m.armed
@@ -147,7 +154,7 @@ impl HbAmpleOracle {
             // Runs on p[0]; and its broadcast targets every participant.
             HbAction::CoordTimeout => m.dst != 0 && !self.coord.time_sends,
             // Runs on p; sends nothing.
-            HbAction::RespWatchdog(p) | HbAction::Crash(p) => *p != m.dst,
+            HbAction::RespWatchdog(p) | HbAction::Crash(p) | HbAction::Rejoin(p) => *p != m.dst,
             // Runs on p; its join beat targets p[0].
             HbAction::JoinSend(p) => *p != m.dst && !(self.resp.time_sends && m.dst == 0),
             // Another message's delivery: disjoint destination, and its
@@ -171,10 +178,9 @@ impl HbAmpleOracle {
 }
 
 impl HbAmpleOracle {
-    /// Whether resolving `m` is statically a no-op on its recipient:
-    /// the destination responder is inactive (and the checker model has
-    /// no revive action) or has left (the `left` latch is sticky), or
-    /// the message is a leave acknowledgement (`flag == false`), which
+    /// Whether resolving `m` is statically a no-op on its recipient
+    /// (given `down_is_final`): the destination responder is inactive or
+    /// has left, or the message is a leave acknowledgement (`flag == false`), which
     /// `on_beat` discards unconditionally. In the IR these are exactly
     /// the receive transitions with an empty write footprint.
     fn dead_on_arrival(state: &HbState, m: &Msg) -> bool {
@@ -193,7 +199,7 @@ impl AmpleOracle<HbModel> for HbAmpleOracle {
         }
         // Rule 0: inside a sticky-false region any single successor
         // represents the subtree — explore it as a chain.
-        if self.predicate_absorbed(state) {
+        if self.down_is_final && self.predicate_absorbed(state) {
             return Some(vec![0]);
         }
         // Try each message as a candidate, in enabled order
@@ -216,7 +222,7 @@ impl AmpleOracle<HbModel> for HbAmpleOracle {
             }
             // Rule 1: a message bound for a dead recipient commutes with
             // everything, tick included — always ample.
-            if Self::dead_on_arrival(state, msg) {
+            if self.down_is_final && Self::dead_on_arrival(state, msg) {
                 return Some(group);
             }
             // Rule 2: an urgent message whose group every outside action
@@ -311,6 +317,25 @@ mod tests {
                 por.stats.states <= full.stats.states,
                 "reduction must not grow the graph"
             );
+        }
+    }
+
+    #[test]
+    fn rejoin_cells_are_reduced_without_the_finality_rules() {
+        // Crash → p[0] starves → rejoin puts every participant back up
+        // next to an NV-inactive coordinator: an R3 violation that lies
+        // *behind* a state with a down participant, i.e. inside what
+        // Rule 0 would collapse to a chain were crashes final. The
+        // oracle must notice they are not.
+        let model = crate::model::rejoin_n2(FixLevel::Full);
+        for req in [Requirement::R2, Requirement::R3] {
+            let pred = |s: &HbState| !error_predicate(&model, req)(s);
+            let full = Checker::new(&model).check_invariant(pred);
+            let reduced = mck::por::Reduced::new(&model, HbAmpleOracle::new(&model, req));
+            let por = Checker::new(&reduced).check_invariant(pred);
+            assert!(!full.holds(), "{req}: reachable only through a rejoin");
+            assert_eq!(full.holds(), por.holds(), "{req}");
+            assert!(por.stats().states <= full.stats().states, "{req}");
         }
     }
 

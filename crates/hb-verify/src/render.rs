@@ -59,7 +59,7 @@ pub fn path_to_log(path: &Path<HbModel>) -> EventLog {
                     at: now,
                     from: *pid,
                     to: 0,
-                    hb: hb_core::Heartbeat::plain(),
+                    hb: hb_core::Heartbeat::plain().with_epoch(state.resps[pid - 1].epoch),
                 });
             }
             HbAction::Deliver { msg, leave } => {
@@ -93,6 +93,9 @@ pub fn path_to_log(path: &Path<HbModel>) -> EventLog {
             }
             HbAction::Crash(pid) => {
                 log.push(Event::Crash { at: now, pid: *pid });
+            }
+            HbAction::Rejoin(pid) => {
+                log.push(Event::Revive { at: now, pid: *pid });
             }
         }
         prev = state;

@@ -131,6 +131,83 @@ pub fn error_predicate(model: &HbModel, req: Requirement) -> impl Fn(&HbState) -
     }
 }
 
+/// Rejoins per participant in the §7 lifecycle cells.
+pub const REJOIN_CAP: u8 = 2;
+
+/// The §7 grid's `(tmin, tmax)` points: `2·tmin` =, < and > `tmax`.
+pub const REJOIN_GRID: [(u32, u32); 3] = [(2, 4), (1, 4), (2, 2)];
+
+/// The composed model for the §7 lifecycle: the dynamic protocol, one
+/// participant, lossless, with crashes, leaves and up to [`REJOIN_CAP`]
+/// rejoins — both ways out of the protocol, each followed by a restart
+/// at every phase of the coordinator's round. The fix level decides what
+/// it decides at runtime: the epoch bar under [`FixLevel::Full`], naive
+/// admission and the permanent leave latch below it.
+pub fn build_lifecycle_model(params: Params, fix: FixLevel) -> HbModel {
+    HbModel::new(Variant::Dynamic, params, 1, fix)
+        .allow_loss(false)
+        .rejoin_cap(REJOIN_CAP)
+}
+
+/// What exhaustive exploration of [`build_lifecycle_model`] finds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RejoinCell {
+    /// `p[0]` counted a superseded incarnation's beat as liveness evidence.
+    pub stale_admitted: bool,
+    /// `p[0]` dropped such a beat.
+    pub stale_filtered: bool,
+    /// Some participant is non-voluntarily inactive next to a live `p[0]`.
+    pub participant_starved: bool,
+    /// … and it is a post-leave rejoiner behind `p[0]`'s leave latch.
+    pub rejoiner_latched_out: bool,
+    /// The longest a participant had waited when a beat from an active
+    /// `p[0]` confirmed its join; at `watchdog_bound − 1` the bound is
+    /// tight (one more tick and the watchdog would have fired first).
+    pub latest_join_confirm: u32,
+    /// The participant watchdog bound in effect.
+    pub watchdog_bound: u32,
+    /// Reachable states.
+    pub states: usize,
+    /// States without a successor.
+    pub deadlocks: usize,
+}
+
+impl RejoinCell {
+    /// The §7 safety verdict: no stale beat is ever admitted and no
+    /// participant starves next to a live coordinator.
+    pub fn safe(&self) -> bool {
+        !self.stale_admitted && !self.participant_starved
+    }
+}
+
+/// Explore [`build_lifecycle_model`] exhaustively and summarise it.
+pub fn rejoin_cell(params: Params, fix: FixLevel) -> RejoinCell {
+    let model = build_lifecycle_model(params, fix);
+    let graph = mck::graph::StateGraph::explore(&model, usize::MAX);
+    let any = |pred: &dyn Fn(&HbState) -> bool| graph.states.iter().any(pred);
+    let starved = |s: &HbState, latched: bool| {
+        let (p0, p1) = (&s.coord, &s.resps[0]);
+        p0.status.is_active()
+            && p1.status == Status::NvInactive
+            && (!latched || (p1.epoch > 0 && p0.left[0]))
+    };
+    let join_confirms = graph.transitions.iter().filter_map(|&(from, _, to)| {
+        let (from, to) = (&graph.states[from], &graph.states[to]);
+        (from.coord.status.is_active() && !from.resps[0].joined && to.resps[0].joined)
+            .then_some(from.resps[0].waiting)
+    });
+    RejoinCell {
+        stale_admitted: any(&|s| s.coord.stale_admitted > 0),
+        stale_filtered: any(&|s| s.coord.stale_filtered > 0),
+        participant_starved: any(&|s| starved(s, false)),
+        rejoiner_latched_out: any(&|s| starved(s, true)),
+        latest_join_confirm: join_confirms.max().unwrap_or(0),
+        watchdog_bound: model.resp_spec().watchdog_bound(),
+        states: graph.states.len(),
+        deadlocks: graph.stats().deadlocks,
+    }
+}
+
 /// Model-check one requirement on one protocol configuration with `n`
 /// participants. Exhaustive (no state or depth bound); BFS returns a
 /// shortest counterexample on failure.
@@ -259,6 +336,50 @@ mod tests {
             HbModel::new(Variant::Binary, params, 1, FixLevel::Full).monitor_bound(bound - 1);
         let out = Checker::new(&model).check_invariant(|s| !model.monitor_error(s));
         assert!(!out.holds(), "corrected bound should be tight");
+    }
+
+    #[test]
+    fn rejoin_is_safe_and_the_join_bound_tight_under_the_full_fix_only() {
+        for (tmin, tmax) in REJOIN_GRID {
+            for fix in FixLevel::ALL {
+                let cell = rejoin_cell(p(tmin, tmax), fix);
+                assert_eq!(cell.deadlocks, 0, "{cell:?}");
+                if fix != FixLevel::Full {
+                    // Naive: a stale beat counts as liveness evidence, and
+                    // a post-leave rejoiner starves behind the latch.
+                    assert!(cell.stale_admitted && !cell.stale_filtered, "{cell:?}");
+                    assert!(cell.rejoiner_latched_out && !cell.safe(), "{cell:?}");
+                    continue;
+                }
+                assert!(cell.safe() && !cell.rejoiner_latched_out, "{cell:?}");
+                assert!(cell.stale_filtered, "the filter must have work: {cell:?}");
+                // The arbitrary-phase term of the bound is exact: some join
+                // is confirmed tmax + 3·tmin − 1 ticks in. It *is* the
+                // bound — one tick to spare — once 2·tmin ≥ tmax; below
+                // that AM09's phase-aligned 2·tmax + tmin dominates, which
+                // receive priority never lets a join actually take.
+                assert_eq!(cell.latest_join_confirm + 1, tmax + 3 * tmin, "{cell:?}");
+                let tight = cell.latest_join_confirm + 1 == cell.watchdog_bound;
+                assert_eq!(tight, 2 * tmin >= tmax, "{cell:?}");
+                // At (2,2) that is 7 ticks: AM09's 6 would have fired
+                // first, next to a live coordinator, with no fault.
+                assert!(tmin < tmax || cell.latest_join_confirm >= 2 * tmax + tmin);
+            }
+        }
+    }
+
+    #[test]
+    fn full_fix_rejoin_without_crashes_satisfies_r2_and_r3() {
+        // The seed-era grid's premise: no faults at all, the only way
+        // out of the protocol is a leave, the only way back a rejoin.
+        for (tmin, tmax) in REJOIN_GRID {
+            let model = build_lifecycle_model(p(tmin, tmax), FixLevel::Full).allow_crashes(false);
+            for req in [Requirement::R2, Requirement::R3] {
+                let out =
+                    Checker::new(&model).check_invariant(|s| !error_predicate(&model, req)(s));
+                assert!(out.holds(), "({tmin},{tmax}) {req}: {:?}", out.stats());
+            }
+        }
     }
 
     #[test]

@@ -403,6 +403,28 @@ mod tests {
     }
 
     #[test]
+    fn uniform_rejoin_cap_keeps_the_certificate_and_the_verdicts() {
+        // The cap is one number for all participants, so renaming them
+        // still commutes with every action, `Rejoin` included.
+        let m = crate::model::rejoin_n2(FixLevel::Full);
+        let sym = Symmetric::new(&m, certified_canonical(&m).expect("uniform cap"));
+        // Violated (a rejoiner starves once p[0] has given up) …
+        let r2 = |s: &HbState| error_predicate(&m, Requirement::R2)(s);
+        let full = Checker::new(&m).find_state(r2).expect("reachable");
+        let red = Checker::new(&sym).find_state(r2).expect("reachable");
+        assert_eq!(full.len(), red.len(), "shortest violation depth must agree");
+        // … and holding (the epoch bar admits no stale beat) verdicts.
+        let no_stale = |s: &HbState| s.coord.stale_admitted == 0;
+        let full = Checker::new(&m).check_invariant(no_stale);
+        let red = Checker::new(&sym).check_invariant(no_stale);
+        assert!(full.holds() && red.holds());
+        let brute = Checker::new(&Symmetric::new(&m, canonical)).check_invariant(no_stale);
+        assert_eq!(red.stats().states, brute.stats().states, "orbit counts");
+        assert!(red.stats().states < full.stats().states);
+        assert!(sym.verify_symmetric(&mut StdRng::seed_from_u64(15), 8, 40));
+    }
+
+    #[test]
     fn symmetry_self_check_passes() {
         let m = model(2);
         let sym = Symmetric::new(&m, canonical);

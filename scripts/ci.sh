@@ -91,6 +91,9 @@ cargo run --release --example chaos_campaign -- --diff \
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (intra-doc links must resolve)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

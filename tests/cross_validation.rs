@@ -191,3 +191,29 @@ fn sim_and_model_agree_on_the_tmin_eq_tmax_race() {
         );
     }
 }
+
+/// A late start joins at an arbitrary phase of the coordinator's round.
+/// AM09's phase-aligned `2·tmax + tmin` watchdog then fires on a
+/// fault-free, lossless join whenever `2·tmin > tmax` (first hit: (2,2),
+/// seed 1, start 51 → p\[1\] at 57, p\[0\] at 58); the corrected bound's
+/// `tmax + 3·tmin` term must leave no start offset or seed that does.
+#[test]
+fn late_start_at_any_phase_never_inactivates_under_the_full_fix() {
+    for (tmin, tmax) in [(2, 2), (3, 4), (6, 10), (9, 10), (10, 10)] {
+        let params = Params::new(tmin, tmax).unwrap();
+        for variant in [Variant::Expanding, Variant::Dynamic] {
+            for start in 51..=50 + u64::from(tmax) {
+                let mut sc = Scenario::steady_state(variant, params, 200).with_fix(FixLevel::Full);
+                sc.starts = vec![(1, start)];
+                for seed in 0..500 {
+                    let report = run_scenario(&sc, seed);
+                    assert!(
+                        report.nv_inactivations.is_empty(),
+                        "({tmin},{tmax}) {variant} start {start} seed {seed}: {:?}",
+                        report.nv_inactivations
+                    );
+                }
+            }
+        }
+    }
+}

@@ -1,14 +1,16 @@
 //! Integration: the extension layers (liveness, symmetry reduction,
 //! rejoin) working together across crates.
 
-use accelerated_heartbeat::core::{FixLevel, Params, Variant};
+use accelerated_heartbeat::core::{FixLevel, Params, Status, Variant};
 use accelerated_heartbeat::verify::liveness::{
     check_eventual_inactivation, network_crash, network_down,
 };
-use accelerated_heartbeat::verify::rejoin_model::{rejoin_results, RejoinModel};
-use accelerated_heartbeat::verify::requirements::{build_model, error_predicate, Requirement};
+use accelerated_heartbeat::verify::requirements::{
+    build_lifecycle_model, build_model, error_predicate, rejoin_cell, Requirement, REJOIN_CAP,
+    REJOIN_GRID,
+};
 use accelerated_heartbeat::verify::symmetry::canonical;
-use accelerated_heartbeat::verify::HbModel;
+use accelerated_heartbeat::verify::{HbModel, HbState};
 use mck::liveness::check_leads_to;
 use mck::symmetry::Symmetric;
 use mck::Checker;
@@ -65,32 +67,38 @@ fn symmetry_preserves_r2_verdict_at_the_race_point() {
 
 #[test]
 fn rejoin_grid_is_stable_across_parameters() {
-    for (tmin, tmax) in [(2u32, 4u32), (1, 4), (2, 2)] {
-        let r = rejoin_results(Params::new(tmin, tmax).unwrap());
+    for (tmin, tmax) in REJOIN_GRID {
+        let params = Params::new(tmin, tmax).unwrap();
+        let naive = rejoin_cell(params, FixLevel::CorrectedBounds);
         assert!(
-            !r.naive_coordinator_safe,
-            "({tmin},{tmax}): naive rejoin must be racy"
+            naive.stale_admitted && naive.rejoiner_latched_out,
+            "({tmin},{tmax}): naive rejoin must be racy: {naive:?}"
         );
+        let epoch = rejoin_cell(params, FixLevel::Full);
         assert!(
-            r.epoch_participant_safe && r.epoch_coordinator_safe,
-            "({tmin},{tmax}): epochs must repair it"
+            epoch.safe() && epoch.stale_filtered,
+            "({tmin},{tmax}): epochs must repair it: {epoch:?}"
         );
+        assert_eq!((naive.deadlocks, epoch.deadlocks), (0, 0));
     }
 }
 
 #[test]
 fn epoch_rejoin_network_still_detects_crashes() {
-    // The epoch extension must not break the protocol's purpose: a crash
-    // of an enrolled participant still leads to full inactivation.
-    // (Fault-free rejoin model has no crash action, so check the liveness
-    // on the *base* dynamic protocol with leaves enabled — the rejoin
-    // coordinator's acceleration logic is the same code path — plus the
-    // rejoin model's own deadlock freedom.)
-    let params = Params::new(2, 4).unwrap();
-    let live = check_eventual_inactivation(Variant::Dynamic, params, FixLevel::Full, 1, 1 << 22);
-    assert!(live.holds());
-    let model = RejoinModel::new(params, 1, true, 2);
-    let graph = mck::graph::StateGraph::explore(&model, 1 << 21);
-    assert!(!graph.truncated);
-    assert_eq!(graph.stats().deadlocks, 0);
+    // The epoch extension must not break the protocol's purpose. With
+    // rejoins a participant crash is no longer final, so the trigger is
+    // a crash that *is*: the coordinator's (it never restarts), or an
+    // enrolled participant's once out of incarnations. Either still
+    // brings down the whole network of the safety grid's own model.
+    let final_crash = |s: &HbState| {
+        s.coord.status == Status::Crashed
+            || s.resps
+                .iter()
+                .any(|r| r.status == Status::Crashed && r.joined && r.epoch == REJOIN_CAP)
+    };
+    for (tmin, tmax) in REJOIN_GRID {
+        let model = build_lifecycle_model(Params::new(tmin, tmax).unwrap(), FixLevel::Full);
+        let live = check_leads_to(&model, final_crash, network_down, 1 << 22);
+        assert!(live.holds(), "({tmin},{tmax})");
+    }
 }
