@@ -55,7 +55,7 @@ pub use diff::{diff_reports, DiffReport, Divergence, Severity, Tolerances};
 pub use live::{run_plan_live, ChaosCluster, ChaosNet, ChaosSeam, ChaosTransport};
 pub use member::{
     failover_plan, member_config, run_failover_campaign, run_plan_member,
-    run_plan_member_monitored, FailoverCell, FailoverReport, MemberRun, SharedPipeline,
+    run_plan_member_monitored, FailoverCell, FailoverReport, MemberRun,
 };
 pub use pipeline::{burst_model, FaultPipeline, PipelineStats};
 pub use plan::{FaultPlan, FaultSpec, Link, PlanError, ProtoSpec, Window};

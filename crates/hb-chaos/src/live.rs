@@ -184,8 +184,9 @@ impl<T: Transport> Transport for ChaosTransport<T> {
 /// The [`Seam`] that turns [`VirtualCluster`] into the chaos harness:
 /// every endpoint is wrapped in a [`ChaosTransport`] over the run's
 /// shared [`ChaosNet`], each node is polled at its own (possibly drifted)
-/// local tick, and the pipeline's held-back frames and drop site take
-/// part in the tick.
+/// local tick, and the pipeline's drop site gets the cluster's tap.
+/// Held-back frames need no hook: every node's poll makes at least one
+/// transport call, and the first one of a tick releases all that are due.
 pub struct ChaosSeam {
     shared: Arc<Mutex<ChaosNet>>,
     /// Per-pid local clock (identity skew unless the plan drifts it);
@@ -212,10 +213,6 @@ impl Seam for ChaosSeam {
 
     fn begin_tick(&mut self, now: Time) {
         self.net().true_now = Some(now);
-    }
-
-    fn holds_due(&self, now: Time) -> bool {
-        self.net().held.iter().any(|h| h.due <= now)
     }
 
     fn attach_tap(&mut self, tap: &SharedTap) {

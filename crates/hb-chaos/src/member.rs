@@ -21,8 +21,6 @@
 //!
 //! [`reconv_stable`]: RunSummary::reconv_stable
 
-use std::sync::{Arc, Mutex};
-
 use hb_core::events::SharedTap;
 use hb_core::trace::Event;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
@@ -30,10 +28,10 @@ use hb_member::{
     run_live, run_sim, FaultKind, MemberConfig, MemberFault, MemberReport, MemberSpec, RoleKind,
 };
 use hb_monitor::MonitorSet;
-use hb_sim::channel::{FaultHook, LossModel, SendFate, Time};
+use hb_sim::channel::{FaultHook, LossModel, Time};
 use hb_sim::schema::RunSummary;
 
-use crate::pipeline::{FaultPipeline, PipelineStats};
+use crate::pipeline::FaultPipeline;
 use crate::plan::{FaultPlan, FaultSpec, Link, ProtoSpec, Window};
 use crate::Backend;
 
@@ -70,33 +68,6 @@ pub fn member_config(plan: &FaultPlan) -> MemberConfig {
         duration: plan.proto.duration,
         loss: LossModel::Bernoulli(0.0),
         faults,
-    }
-}
-
-/// A [`FaultPipeline`] behind a shared handle, so its decision counters
-/// stay readable after the pipeline is boxed into the engine as its
-/// [`FaultHook`].
-#[derive(Clone, Debug)]
-pub struct SharedPipeline(Arc<Mutex<FaultPipeline>>);
-
-impl SharedPipeline {
-    /// Compile `plan` into a shareable pipeline.
-    pub fn new(plan: &FaultPlan) -> Self {
-        SharedPipeline(Arc::new(Mutex::new(FaultPipeline::new(plan))))
-    }
-
-    /// Decision counters so far.
-    pub fn stats(&self) -> PipelineStats {
-        self.0.lock().expect("pipeline poisoned").stats()
-    }
-}
-
-impl FaultHook for SharedPipeline {
-    fn fate(&mut self, now: Time, src: Pid, dst: Pid) -> SendFate {
-        self.0
-            .lock()
-            .expect("pipeline poisoned")
-            .decide(now, src, dst)
     }
 }
 
@@ -180,7 +151,7 @@ fn summarize(backend: Backend, plan: &FaultPlan, report: &MemberReport) -> RunSu
 
 fn run_member(plan: &FaultPlan, backend: Backend, taps: Vec<SharedTap>) -> MemberRun {
     let cfg = member_config(plan);
-    let hook: Box<dyn FaultHook> = Box::new(SharedPipeline::new(plan));
+    let hook: Box<dyn FaultHook> = Box::new(FaultPipeline::new(plan));
     let report = match backend {
         Backend::Sim => run_sim(cfg, Some(hook), taps),
         Backend::Live => run_live(cfg, Some(hook), taps),

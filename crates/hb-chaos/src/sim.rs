@@ -7,7 +7,6 @@
 //! are skipped (the live backend applies them; see [`crate::live`]).
 
 use hb_core::events::{OwnedTap, SharedTap};
-use hb_sim::metrics::Report;
 use hb_sim::schema::RunSummary;
 use hb_sim::world::{World, WorldConfig};
 
@@ -18,7 +17,7 @@ use crate::plan::{FaultPlan, FaultSpec};
 /// (`source: "sim"`). Deterministic: the same plan (including its seed)
 /// yields a byte-identical `to_json()`.
 pub fn run_plan_sim(plan: &FaultPlan) -> RunSummary {
-    RunSummary::from_report(&run_plan_sim_report(plan))
+    run(plan, |_| {}).0
 }
 
 /// Like [`run_plan_sim`], but with a live event tap (e.g. a streaming
@@ -26,7 +25,7 @@ pub fn run_plan_sim(plan: &FaultPlan) -> RunSummary {
 /// event whether or not logging is enabled; the summary itself is
 /// unchanged — callers read their verdicts out of the tap.
 pub fn run_plan_sim_tapped(plan: &FaultPlan, tap: SharedTap) -> RunSummary {
-    RunSummary::from_report(&run_report(plan, Some(TapKind::Shared(tap))))
+    run(plan, |world| world.attach_tap(tap)).0
 }
 
 /// Like [`run_plan_sim_tapped`], but the world's sink *owns* the tap —
@@ -34,26 +33,15 @@ pub fn run_plan_sim_tapped(plan: &FaultPlan, tap: SharedTap) -> RunSummary {
 /// mutex. The tap is handed back alongside the summary for the caller
 /// to read its verdicts out of (e.g. via `MonitorSet::from_tap`).
 pub fn run_plan_sim_owned_tap(plan: &FaultPlan, tap: OwnedTap) -> (RunSummary, OwnedTap) {
-    let (report, mut taps) = run_report_taps(plan, Some(TapKind::Owned(tap)));
+    let (summary, mut taps) = run(plan, |world| world.attach_owned_tap(tap));
     let tap = taps.pop().expect("the attached owned tap comes back");
-    (RunSummary::from_report(&report), tap)
+    (summary, tap)
 }
 
-/// Like [`run_plan_sim`], but hands back the full simulator [`Report`].
-pub fn run_plan_sim_report(plan: &FaultPlan) -> Report {
-    run_report(plan, None)
-}
-
-enum TapKind {
-    Shared(SharedTap),
-    Owned(OwnedTap),
-}
-
-fn run_report(plan: &FaultPlan, tap: Option<TapKind>) -> Report {
-    run_report_taps(plan, tap).0
-}
-
-fn run_report_taps(plan: &FaultPlan, tap: Option<TapKind>) -> (Report, Vec<OwnedTap>) {
+/// The one runner: build the world for `plan`, let `attach` install a
+/// tap, run to the plan's horizon, hand back the summary and whatever
+/// owned taps the sink holds.
+fn run(plan: &FaultPlan, attach: impl FnOnce(&mut World)) -> (RunSummary, Vec<OwnedTap>) {
     let cfg = WorldConfig {
         variant: plan.proto.variant,
         params: plan.proto.params,
@@ -63,11 +51,7 @@ fn run_report_taps(plan: &FaultPlan, tap: Option<TapKind>) -> (Report, Vec<Owned
         log_events: false,
     };
     let mut world = World::new(cfg, plan.seed);
-    match tap {
-        Some(TapKind::Shared(tap)) => world.attach_tap(tap),
-        Some(TapKind::Owned(tap)) => world.attach_owned_tap(tap),
-        None => {}
-    }
+    attach(&mut world);
     world.set_fault_hook(Box::new(FaultPipeline::new(plan)));
     for fault in &plan.faults {
         match *fault {
@@ -80,7 +64,7 @@ fn run_report_taps(plan: &FaultPlan, tap: Option<TapKind>) -> (Report, Vec<Owned
     }
     world.run_until(plan.proto.duration);
     let taps = world.take_owned_taps();
-    (world.into_report(), taps)
+    (RunSummary::from_report(&world.into_report()), taps)
 }
 
 #[cfg(test)]

@@ -67,12 +67,6 @@ pub trait Seam {
     /// Called first thing every tick, with the true tick.
     fn begin_tick(&mut self, _now: Time) {}
 
-    /// Whether the decorator is holding a frame back that is due at
-    /// `now` (the tick is not settled until it is released).
-    fn holds_due(&self, _now: Time) -> bool {
-        false
-    }
-
     /// An event tap was attached to the cluster: install it wherever the
     /// decorator itself produces events.
     fn attach_tap(&mut self, _tap: &SharedTap) {}
@@ -260,7 +254,7 @@ impl<E: Seam> VirtualCluster<E> {
                         .expect("loopback polling cannot fail");
                 }
             }
-            if !self.net.any_deliverable(now) && !self.seam.holds_due(now) {
+            if !self.net.any_deliverable(now) {
                 break;
             }
             // Still due: a reply chain (next lap), or frames for a

@@ -8,7 +8,10 @@
 //! * **Time** advances in unit ticks. [`NodeRuntime::poll`] catches the
 //!   machine up to an externally supplied tick, firing every due event at
 //!   the tick where it became due — so event timestamps are exact even
-//!   when a thread wakes late.
+//!   when a thread wakes late. Each tick is drained exactly once, after
+//!   the clocks reach it: a message handed over at tick *t* is handled at
+//!   *t*, as in the simulator. Polling the current tick again only drains
+//!   (that is how same-tick reply chains and wake-ups are served).
 //! * **Ordering** within a tick honours the fix level: under the §6.1
 //!   receive-priority fix ([`FixLevel::receive_priority`]) every
 //!   deliverable message is drained before a simultaneous timeout may
@@ -17,7 +20,10 @@
 //! * **Sleeping**: [`NodeRuntime::next_deadline`] reports the next tick at
 //!   which the machine can possibly act ([`CoordSpec::next_timeout_in`] /
 //!   [`RespSpec::next_event_in`]), and [`NodeRuntime::run`] blocks on the
-//!   transport until that deadline or an arrival — no busy polling.
+//!   transport until that deadline or an arrival — no busy polling. A
+//!   frame that arrived while the node slept is stamped at the first tick
+//!   after the one it went to sleep in (or at that tick, if the clock has
+//!   not moved), never back-dated to a tick the node has already left.
 //!
 //! Fault injection and lifecycle are driven over the wire by control
 //! frames ([`crate::wire::Command`]): `Crash` voluntarily inactivates the
@@ -234,21 +240,23 @@ impl<T: Transport> NodeRuntime<T> {
         Some(self.local_now + Time::from(remaining))
     }
 
-    /// Catch the machine up to tick `now`: at each tick on the way, fire
-    /// everything due (messages and timeouts, ordered per the fix level),
-    /// then advance the machine's clocks by one.
+    /// Catch the machine up to tick `now`: advance its clocks one tick at
+    /// a time and, at each tick reached, fire everything due (messages
+    /// and timeouts, ordered per the fix level). Already at `now`, drain
+    /// it again — every tick is drained at its own time and no other.
     pub fn poll(&mut self, now: Time) -> io::Result<()> {
-        loop {
-            self.drain_instant()?;
-            if self.local_now >= now {
-                return Ok(());
-            }
+        if self.local_now >= now {
+            return self.drain_instant();
+        }
+        while self.local_now < now {
             match &mut self.role {
                 Role::Coordinator { spec, state } => spec.tick(state),
                 Role::Participant { spec, state, .. } => spec.tick(state),
             }
             self.local_now += 1;
+            self.drain_instant()?;
         }
+        Ok(())
     }
 
     /// Process every event due at the current tick until quiescent.
@@ -534,6 +542,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A socket-like transport: whatever is queued is handed over
+    /// whichever tick is asked about, and every `try_recv` is logged.
+    #[derive(Default)]
+    struct Counting {
+        inbox: std::collections::VecDeque<Frame>,
+        asked: Vec<Time>,
+    }
+
+    impl Transport for Counting {
+        fn send(&mut self, _: Time, _: Pid, _: &Frame, _: u32) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
+            self.asked.push(now);
+            Ok(self.inbox.pop_front().map(|frame| Recv {
+                frame,
+                reply_budget: 0,
+            }))
+        }
+
+        fn wait(&mut self, _: Duration) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn counting_participant(tmin: u32, tmax: u32) -> NodeRuntime<Counting> {
+        let spec = RespSpec::new(
+            Variant::Binary,
+            Params::new(tmin, tmax).unwrap(),
+            FixLevel::Full,
+        );
+        NodeRuntime::participant(1, spec, Counting::default()).with_sink(EventSink::memory())
+    }
+
+    #[test]
+    fn each_tick_is_drained_once_and_a_repeated_poll_drains_again() {
+        // Watchdog at 2·tmax = 120: nothing of the node's own is due.
+        let mut p = counting_participant(2, 60);
+        for t in 0..100 {
+            p.poll(t).unwrap();
+        }
+        let once: Vec<Time> = (0..100).collect();
+        assert_eq!(p.transport.asked, once, "one try_recv per idle tick");
+        // Polling the tick the node is already at drains it again: a frame
+        // that turned up meanwhile is handled there, not a tick later.
+        p.transport
+            .inbox
+            .push_back(Frame::beat(0, Heartbeat::plain()));
+        p.poll(99).unwrap();
+        assert_eq!(p.counters.beats_received, 1);
+        assert_eq!(p.counters.beats_sent, 1, "answered at once");
+        assert_eq!(p.now(), 99);
+        assert!(p.finish().log.events().iter().all(|e| e.at() == 99));
+    }
+
+    #[test]
+    fn catch_up_fires_each_event_at_the_tick_it_became_due() {
+        let mut p = counting_participant(2, 8);
+        p.poll(10).unwrap();
+        // Arrived while the node slept: stamped at the first tick after
+        // the stale one, and the watchdog counts from there.
+        p.transport
+            .inbox
+            .push_back(Frame::beat(0, Heartbeat::plain()));
+        p.poll(11 + 16 + 5).unwrap();
+        assert_eq!(p.status(), Status::NvInactive);
+        let stamps: Vec<(Time, bool)> = p
+            .finish()
+            .log
+            .events()
+            .iter()
+            .map(|e| (e.at(), matches!(e, Event::NvInactivate { .. })))
+            .collect();
+        // deliver + reply at 11, watchdog 2·tmax later — not at tick 32.
+        assert_eq!(stamps, [(11, false), (11, false), (27, true)]);
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! * [`lts`] — labelled transition systems: tau-hiding, weak-trace
 //!   determinization and strong-bisimulation minimization (used to
 //!   regenerate the reduced LTS figures of the paper).
-//! * [`timed`] — digital-clock helpers (saturating clocks, urgency), the
-//!   discrete-time encoding used by all heartbeat models.
 //!
 //! The engines ([`bfs`], [`dfs`], [`parallel`], [`packed`], [`props`],
 //! [`graph`]) are a few lines each over one crate-private search loop: a
@@ -74,7 +72,6 @@ pub mod props;
 mod search;
 pub mod sim;
 pub mod symmetry;
-pub mod timed;
 pub mod trace;
 
 pub use bfs::{CheckOutcome, Checker};

@@ -34,11 +34,16 @@ diff "$tmpdir/a.json" "$tmpdir/b.json" \
 echo "==> §7 crash/revive rejoin demo (seed-pinned, sim + live backends)"
 # Emits rejoin_{sim,live}.json twice; the emitter itself fails unless the
 # naive/epoch separation holds and in-process replay is byte-identical,
-# and the diff pins determinism across whole invocations.
+# and the diffs pin determinism across whole invocations and the
+# example's emission path against the checked-in goldens.
 cargo run --release --example chaos_campaign -- --rejoin "$tmpdir/rejoin_a" >/dev/null
 cargo run --release --example chaos_campaign -- --rejoin "$tmpdir/rejoin_b" >/dev/null
 diff -r "$tmpdir/rejoin_a" "$tmpdir/rejoin_b" \
   || { echo "crash/revive rejoin demo is not deterministic" >&2; exit 1; }
+diff "$tmpdir/rejoin_a/rejoin_sim.json" artifacts/rejoin_sim.json \
+  || { echo "rejoin sim artifact drifted from the checked-in golden" >&2; exit 1; }
+diff "$tmpdir/rejoin_a/rejoin_live.json" artifacts/rejoin_live.json \
+  || { echo "rejoin live artifact drifted from the checked-in golden" >&2; exit 1; }
 
 echo "==> monitor gate (streaming R1–R3 verdicts on the smoke grid)"
 # With --monitor every cell carries online verdicts; the gate inside the

@@ -7,8 +7,8 @@
 //!
 //! All six JSON artifacts are pinned, on both backends. `scripts/ci.sh`
 //! alone would not notice the live harness drifting: it diffs only the
-//! failover pair against the goldens, diffs the rejoin pair run against
-//! run, and never regenerates the live campaign.
+//! failover and rejoin pairs against the goldens and never regenerates
+//! the live campaign.
 
 use accelerated_heartbeat::chaos::{
     run_campaign, run_failover_campaign, run_rejoin_demo, Backend, CampaignSpec,

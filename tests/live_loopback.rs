@@ -8,6 +8,7 @@
 //! paper quantifies); such runs are counted, not asserted against the
 //! bound, and both substrates must keep them a minority.
 
+use accelerated_heartbeat::chaos::{run_plan, Backend, FaultPlan, FaultSpec, ProtoSpec};
 use accelerated_heartbeat::core::{FixLevel, Params, Pid, Status, Variant};
 use accelerated_heartbeat::net::{
     ClusterConfig, Faults, Frame, LoopbackEndpoint, Recv, Seam, Transport, VirtualCluster,
@@ -271,4 +272,67 @@ fn identity_seam_is_indistinguishable_from_the_plain_cluster() {
             }
         }
     }
+}
+
+/// With no message fault in the plan the chaos seam — decorated
+/// endpoints, pipeline consulted on every beat, true time substituted for
+/// the caller's tick — *is* the plain cluster: one drain per tick at one
+/// `now` leaves the decorator nothing to answer early.
+#[test]
+fn chaos_seam_without_message_faults_is_the_plain_cluster() {
+    const CRASH: u64 = 400;
+    const REVIVE: u64 = 420;
+    let params = Params::new(2, 8).unwrap();
+    let cell = |variant, fix, seed| {
+        let proto = ProtoSpec {
+            variant,
+            params,
+            fix,
+            n: 1,
+            duration: 900,
+            membership: false,
+        };
+        let plan = FaultPlan::new("crash-revive", seed, proto)
+            .with(FaultSpec::Crash { pid: 1, at: CRASH })
+            .with(FaultSpec::Revive { pid: 1, at: REVIVE });
+        let mut cl = VirtualCluster::new(ClusterConfig {
+            fix,
+            ..live_config(variant, params, 0.0, seed)
+        });
+        cl.schedule_crash(1, CRASH);
+        cl.schedule_revive(1, REVIVE);
+        cl.run_until(proto.duration);
+        (plan, cl.into_report().summary.to_json())
+    };
+    for variant in [
+        Variant::Binary,
+        Variant::Static,
+        Variant::Expanding,
+        Variant::Dynamic,
+    ] {
+        for fix in [
+            FixLevel::Original,
+            FixLevel::ReceivePriority,
+            FixLevel::Full,
+        ] {
+            for seed in 1..=5 {
+                let (plan, plain) = cell(variant, fix, seed);
+                assert_eq!(
+                    run_plan(&plan, Backend::Live).to_json(),
+                    plain,
+                    "{variant:?}/{fix:?}/seed {seed}"
+                );
+            }
+        }
+    }
+    // The equality is not the seam going inert: a coordinator on a 1 %
+    // fast clock, polled at its own reading of true time, parts ways.
+    let (plan, plain) = cell(Variant::Binary, FixLevel::Full, 1);
+    let drifted = plan.with(FaultSpec::Drift {
+        pid: 0,
+        offset: 0,
+        num: 101,
+        den: 100,
+    });
+    assert_ne!(run_plan(&drifted, Backend::Live).to_json(), plain);
 }
