@@ -95,47 +95,31 @@ impl DiffReport {
     }
 }
 
-/// Calibrated tolerances. The defaults are set against the checked-in
-/// `campaign_gm98_sim.json` / `campaign_gm98_live.json` pair: wide
-/// enough that two honest samples of the same protocol pass, tight
-/// enough that a protocol-level regression (a bound violated on one
-/// substrate only, detection lost wholesale) fails.
-#[derive(Clone, Copy, Debug)]
-pub struct Tolerances {
-    /// Fraction of `runs` two per-run counters (`detected`,
-    /// `reconverged`, `stabilised`, `down_before_crash`,
-    /// `violations_*`) may differ by.
-    pub run_frac: f64,
-    /// Fraction of `runs` two event counters (`false_suspicions`,
-    /// `stale_admitted` — several events can land in one run) may
-    /// differ by.
-    pub event_frac: f64,
-    /// Tick tolerance for delay statistics, as a multiple of the
-    /// report's `tmax`.
-    pub tick_frac_of_tmax: f64,
-    /// Absolute tolerance on `msg_per_tick`.
-    pub rate_abs: f64,
-    /// A qualitative flag flip is only a note when both sides are at
-    /// most this many runs' worth of events away from zero.
-    pub flip_slack: u64,
-}
+// Calibrated tolerances, set against the checked-in
+// `campaign_gm98_sim.json` / `campaign_gm98_live.json` pair: wide enough
+// that two honest samples of the same protocol pass, tight enough that a
+// protocol-level regression (a bound violated on one substrate only,
+// detection lost wholesale) fails.
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            run_frac: 0.35,
-            event_frac: 0.75,
-            tick_frac_of_tmax: 1.0,
-            rate_abs: 0.02,
-            flip_slack: 1,
-        }
-    }
-}
+/// Fraction of `runs` two per-run counters (`detected`, `reconverged`,
+/// `stabilised`, `down_before_crash`, `violations_*`) may differ by.
+const RUN_FRAC: f64 = 0.35;
+/// Fraction of `runs` two event counters (`false_suspicions`,
+/// `stale_admitted` — several events can land in one run) may differ by.
+const EVENT_FRAC: f64 = 0.75;
+/// Tick tolerance for delay statistics, as a multiple of the report's
+/// `tmax`.
+const TICK_FRAC_OF_TMAX: f64 = 1.0;
+/// Absolute tolerance on `msg_per_tick`.
+const RATE_ABS: f64 = 0.02;
+/// A qualitative flag flip is only a note when both sides are at most
+/// this many runs' worth of events away from zero.
+const FLIP_SLACK: f64 = 1.0;
 
 /// Parse both documents and diff them. Shape errors (missing fields,
 /// wrong types) surface as [`JsonError`]; protocol-story differences
 /// come back inside the [`DiffReport`].
-pub fn diff_reports(left: &str, right: &str, tol: &Tolerances) -> Result<DiffReport, JsonError> {
+pub fn diff_reports(left: &str, right: &str) -> Result<DiffReport, JsonError> {
     let a = Value::parse(left)?;
     let b = Value::parse(right)?;
     let mut report = DiffReport::default();
@@ -160,7 +144,7 @@ pub fn diff_reports(left: &str, right: &str, tol: &Tolerances) -> Result<DiffRep
         }
     }
     let tmax = a.field("tmax")?.as_f64()?;
-    let tick_tol = tol.tick_frac_of_tmax * tmax;
+    let tick_tol = TICK_FRAC_OF_TMAX * tmax;
 
     let cells_a = a.field("cells")?.as_arr()?;
     let cells_b = b.field("cells")?.as_arr()?;
@@ -187,7 +171,7 @@ pub fn diff_reports(left: &str, right: &str, tol: &Tolerances) -> Result<DiffRep
             });
             continue; // different grid points: values aren't comparable
         }
-        diff_cell(ca, cb, &label, tol, tick_tol, &mut report)?;
+        diff_cell(ca, cb, &label, tick_tol, &mut report)?;
     }
     Ok(report)
 }
@@ -196,7 +180,6 @@ fn diff_cell(
     ca: &Value,
     cb: &Value,
     label: &str,
-    tol: &Tolerances,
     tick_tol: f64,
     report: &mut DiffReport,
 ) -> Result<(), JsonError> {
@@ -220,7 +203,7 @@ fn diff_cell(
     }
 
     // Per-run counters: binomial over seeds.
-    let run_tol = (tol.run_frac * runs).ceil();
+    let run_tol = (RUN_FRAC * runs).ceil();
     for field in [
         "detected",
         "down_before_crash",
@@ -241,7 +224,7 @@ fn diff_cell(
     }
 
     // Event counters: several events can land in one run.
-    let event_tol = (tol.event_frac * runs).ceil();
+    let event_tol = (EVENT_FRAC * runs).ceil();
     for field in ["false_suspicions", "stale_admitted"] {
         let (l, r) = (ca.field(field)?.as_f64()?, cb.field(field)?.as_f64()?);
         if l != r {
@@ -272,7 +255,7 @@ fn diff_cell(
     ] {
         let (l, r) = (ca.field(field)?.as_f64()?, cb.field(field)?.as_f64()?);
         if (l > 0.0) != (r > 0.0) {
-            let sev = if l.max(r) <= tol.flip_slack as f64 {
+            let sev = if l.max(r) <= FLIP_SLACK {
                 Severity::Note
             } else {
                 Severity::Hard
@@ -318,7 +301,7 @@ fn diff_cell(
         cb.field("msg_per_tick")?.as_f64()?,
     );
     if l != r {
-        let sev = if (l - r).abs() <= tol.rate_abs {
+        let sev = if (l - r).abs() <= RATE_ABS {
             Severity::Note
         } else {
             Severity::Hard
@@ -354,7 +337,7 @@ fn diff_cell(
     for field in ["monitor_r1", "monitor_r2", "monitor_r3"] {
         let (l, r) = (opt_num(ca, field)?, opt_num(cb, field)?);
         if (l > 0.0) != (r > 0.0) {
-            let sev = if l.max(r) <= tol.flip_slack as f64 {
+            let sev = if l.max(r) <= FLIP_SLACK {
                 Severity::Note
             } else {
                 Severity::Hard
@@ -476,7 +459,7 @@ mod tests {
     fn identical_reports_diff_clean() {
         let doc = campaign("sim", &[cell(&[])]);
         let live = campaign("live", &[cell(&[])]);
-        let d = diff_reports(&doc, &live, &Tolerances::default()).unwrap();
+        let d = diff_reports(&doc, &live).unwrap();
         assert!(d.divergences.is_empty(), "{}", d.render());
     }
 
@@ -492,13 +475,13 @@ mod tests {
                 ("detect_mean", "15.1"),
             ])],
         );
-        let d = diff_reports(&sim, &noisy, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &noisy).unwrap();
         assert!(!d.divergences.is_empty());
         assert!(d.hard().is_empty(), "{}", d.render());
 
         // Detection collapsing on one substrate: hard.
         let broken = campaign("live", &[cell(&[("detected", "2"), ("detect_mean", "19")])]);
-        let d = diff_reports(&sim, &broken, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &broken).unwrap();
         assert!(!d.hard().is_empty(), "{}", d.render());
     }
 
@@ -507,12 +490,12 @@ mod tests {
         let sim = campaign("sim", &[cell(&[])]);
         // One unlucky seed claims a violation: borderline, a note.
         let one = campaign("live", &[cell(&[("violations_claimed", "1")])]);
-        let d = diff_reports(&sim, &one, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &one).unwrap();
         assert!(d.hard().is_empty(), "{}", d.render());
 
         // A systematic violation pattern on one side only: hard.
         let many = campaign("live", &[cell(&[("violations_claimed", "3")])]);
-        let d = diff_reports(&sim, &many, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &many).unwrap();
         assert!(!d.hard().is_empty(), "{}", d.render());
     }
 
@@ -520,15 +503,15 @@ mod tests {
     fn bounds_and_grid_must_match_exactly() {
         let sim = campaign("sim", &[cell(&[])]);
         let bound = campaign("live", &[cell(&[("corrected_bound", "23")])]);
-        let d = diff_reports(&sim, &bound, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &bound).unwrap();
         assert_eq!(d.hard().len(), 1, "{}", d.render());
 
         let grid = campaign("live", &[cell(&[("loss", "0.05")])]);
-        let d = diff_reports(&sim, &grid, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &grid).unwrap();
         assert!(!d.hard().is_empty(), "{}", d.render());
 
         let fewer = campaign("live", &[]);
-        let d = diff_reports(&sim, &fewer, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &fewer).unwrap();
         assert!(!d.hard().is_empty(), "{}", d.render());
     }
 
@@ -541,7 +524,7 @@ mod tests {
         let plain = campaign("sim", &[cell(&[])]);
         let monitored = campaign("live", &[cell(&[])])
             .replace("\"seeds\":10,", "\"seeds\":10,\"monitor\":true,");
-        let d = diff_reports(&plain, &monitored, &Tolerances::default()).unwrap();
+        let d = diff_reports(&plain, &monitored).unwrap();
         assert!(
             d.hard().iter().any(|x| x.field == "monitor"),
             "{}",
@@ -566,7 +549,7 @@ mod tests {
         };
         let firing = mon("10", "20", "1017");
         let quiet = mon("0", "30", "null");
-        let d = diff_reports(&firing, &quiet, &Tolerances::default()).unwrap();
+        let d = diff_reports(&firing, &quiet).unwrap();
         assert!(
             d.hard().iter().any(|x| x.field == "monitor_r1 (flag)"),
             "{}",
@@ -574,7 +557,7 @@ mod tests {
         );
         // Both firing, timestamps a few ticks apart: a note.
         let close = mon("10", "20", "1019");
-        let d = diff_reports(&firing, &close, &Tolerances::default()).unwrap();
+        let d = diff_reports(&firing, &close).unwrap();
         assert!(d.hard().is_empty(), "{}", d.render());
         assert!(
             d.divergences.iter().any(|x| x.field == "monitor_first"),
@@ -585,10 +568,10 @@ mod tests {
         // cells (min over two loss realizations) but hard on lossless
         // ones, whose runs are deterministic.
         let far = mon("10", "20", "1100");
-        let d = diff_reports(&firing, &far, &Tolerances::default()).unwrap();
+        let d = diff_reports(&firing, &far).unwrap();
         assert!(d.hard().is_empty(), "{}", d.render());
         let lossless = |s: &str| s.replace("\"loss\":0.02", "\"loss\":0");
-        let d = diff_reports(&lossless(&firing), &lossless(&far), &Tolerances::default()).unwrap();
+        let d = diff_reports(&lossless(&firing), &lossless(&far)).unwrap();
         assert!(
             d.hard().iter().any(|x| x.field == "monitor_first"),
             "{}",
@@ -609,7 +592,7 @@ mod tests {
             ])],
         );
         let live = campaign("live", &[cell(&[])]);
-        let d = diff_reports(&sim, &live, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &live).unwrap();
         assert!(d.divergences.iter().all(|x| x.field != "detect_mean"));
         assert!(
             d.divergences.iter().any(|x| x.field == "detected (flag)"),
@@ -628,7 +611,7 @@ mod tests {
         let (Ok(sim), Ok(live)) = (sim, live) else {
             return; // artifacts not present in this checkout
         };
-        let d = diff_reports(&sim, &live, &Tolerances::default()).unwrap();
+        let d = diff_reports(&sim, &live).unwrap();
         assert!(
             d.hard().is_empty(),
             "checked-in artifacts must pass: {}",

@@ -12,18 +12,16 @@
 //!   to/from a small JSON spec ([`json`] is the hand-rolled reader; the
 //!   offline build has no serde);
 //! * [`pipeline`] — [`FaultPipeline`], the compiled plan: one stateful
-//!   engine owning all fault randomness, installed as the simulator's
-//!   [`FaultHook`](hb_sim::FaultHook) and consulted by the live
-//!   transport decorator;
+//!   engine owning all fault randomness, installed as the
+//!   [`FaultHook`](hb_sim::FaultHook) of whichever queue carries the
+//!   run's messages;
 //! * [`sim`] / [`live`] — the two injection backends, neither with a
 //!   harness of its own. [`run_plan_sim`](sim::run_plan_sim) installs the
 //!   pipeline in `hb_sim::World`; [`run_plan_live`](live::run_plan_live)
 //!   runs [`ChaosCluster`](live::ChaosCluster), which is
-//!   `hb_net::VirtualCluster` instantiated with the
-//!   [`ChaosSeam`](live::ChaosSeam) — every endpoint decorated by
-//!   [`ChaosTransport`](live::ChaosTransport) (which equally wraps UDP),
-//!   every node polled at its drifted local tick. The same plan runs on
-//!   both, producing the shared
+//!   `hb_net::VirtualCluster` with the pipeline installed in its
+//!   loopback network and every node polled at its drifted local tick.
+//!   The same plan runs on both, producing the shared
 //!   [`RunSummary`](hb_sim::schema::RunSummary) schema (assembled by the
 //!   one `RunLedger`), byte-identical under replay;
 //! * [`campaign`] — a parallel campaign runner sweeping
@@ -51,8 +49,8 @@ use hb_monitor::MonitorSet;
 use hb_sim::schema::RunSummary;
 
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, Cell, CellStats, RunKind};
-pub use diff::{diff_reports, DiffReport, Divergence, Severity, Tolerances};
-pub use live::{run_plan_live, ChaosCluster, ChaosNet, ChaosSeam, ChaosTransport};
+pub use diff::{diff_reports, DiffReport, Divergence, Severity};
+pub use live::{run_plan_live, ChaosCluster};
 pub use member::{
     failover_plan, member_config, run_failover_campaign, run_plan_member,
     run_plan_member_monitored, FailoverCell, FailoverReport, MemberRun,

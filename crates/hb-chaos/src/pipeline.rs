@@ -1,11 +1,11 @@
 //! The fault pipeline: a compiled [`FaultPlan`] deciding the fate of
 //! every message.
 //!
-//! [`FaultPipeline`] is the single injection engine shared by both
-//! substrates: the simulator installs it as the world's
-//! [`FaultHook`](hb_sim::FaultHook), and the live runtime consults it
-//! from the [`ChaosTransport`](crate::live::ChaosTransport) decorator.
-//! All fault randomness lives in the pipeline's own RNG, seeded from the
+//! [`FaultPipeline`] is the single injection engine shared by every
+//! substrate, installed the same way on each: as the
+//! [`FaultHook`](hb_sim::FaultHook) asked where a message enters the
+//! queue — the simulator's world, the live loopback network, the
+//! membership engine. All fault randomness lives in the pipeline's own RNG, seeded from the
 //! plan — replaying a plan with the same seed reproduces the exact fault
 //! schedule, independently of the substrate's delay randomness.
 //!

@@ -198,19 +198,6 @@ impl MemberNode {
         !matches!(self.role, Role::Down)
     }
 
-    /// The §7 bar the coordinator has registered for `pid`, if this node
-    /// coordinates and `pid` occupies a slot.
-    pub fn registered_bar(&self, pid: Pid) -> Option<u8> {
-        match &self.role {
-            Role::Coordinator { cs } => self
-                .slots()
-                .iter()
-                .position(|&p| p == pid)
-                .map(|k| cs.min_epoch[k]),
-            _ => None,
-        }
-    }
-
     /// Announce the genesis view (emits the `view_no = 0` install event;
     /// call once at time zero).
     pub fn start(&mut self, sink: &mut EventSink) {

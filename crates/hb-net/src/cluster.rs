@@ -11,12 +11,13 @@
 use hb_core::coordinator::CoordSpec;
 use hb_core::responder::RespSpec;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
-use hb_sim::schema::{NetStats, RunLedger, RunSummary};
+use hb_sim::channel::FaultHook;
+use hb_sim::schema::{RunLedger, RunSummary};
 
 use crate::events::{EventSink, SharedTap};
 use crate::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
 use crate::node::{NodeReport, NodeRuntime};
-use crate::time::Time;
+use crate::time::{SkewedClock, Time, VirtualClock};
 use crate::transport::Transport;
 use crate::wire::{Command, Frame};
 
@@ -49,58 +50,20 @@ pub struct LiveReport {
     pub nodes: Vec<NodeReport>,
 }
 
-/// What a [`VirtualCluster`] puts between its nodes and their loopback
-/// endpoints. The defaults are the plain cluster — every hook a no-op the
-/// optimiser removes — so a decorator only states where it differs.
-pub trait Seam {
-    /// The transport each node runs over.
-    type Transport: Transport;
-
-    /// Wrap `pid`'s loopback endpoint.
-    fn wrap(&self, pid: Pid, endpoint: LoopbackEndpoint) -> Self::Transport;
-
-    /// The local tick `pid` is polled at when the true tick is `now`.
-    fn local_tick(&self, _pid: Pid, now: Time) -> Time {
-        now
-    }
-
-    /// Called first thing every tick, with the true tick.
-    fn begin_tick(&mut self, _now: Time) {}
-
-    /// An event tap was attached to the cluster: install it wherever the
-    /// decorator itself produces events.
-    fn attach_tap(&mut self, _tap: &SharedTap) {}
-
-    /// The run's message counters, given the loopback network's.
-    fn traffic(&self, net: NetStats) -> NetStats {
-        net
-    }
-}
-
-/// The undecorated seam: nodes run directly over their loopback endpoints.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Plain;
-
-impl Seam for Plain {
-    type Transport = LoopbackEndpoint;
-
-    fn wrap(&self, _pid: Pid, endpoint: LoopbackEndpoint) -> LoopbackEndpoint {
-        endpoint
-    }
-}
-
 /// A stepping live cluster under virtual time.
-pub struct VirtualCluster<E: Seam = Plain> {
+pub struct VirtualCluster {
     cfg: ClusterConfig,
-    seam: E,
     net: LoopbackNet,
     /// `nodes[0]` is the coordinator; `nodes[i]` participant `i` (absent
     /// until its start time).
-    nodes: Vec<Option<NodeRuntime<E::Transport>>>,
+    nodes: Vec<Option<NodeRuntime<LoopbackEndpoint>>>,
     injector: LoopbackEndpoint,
     start_at: Vec<Time>,
     injections: Vec<(Time, Pid, Command)>,
     now: Time,
+    /// Per pid, the drifted clock it is polled at (`None`: true time).
+    /// Only [`SkewedClock::map`] is used — the cluster supplies the tick.
+    local: Vec<Option<SkewedClock<VirtualClock>>>,
     statuses: Vec<Option<(Status, bool)>>,
     ledger: RunLedger,
     /// A live event tap (e.g. a streaming monitor) attached to every
@@ -108,21 +71,18 @@ pub struct VirtualCluster<E: Seam = Plain> {
     tap: Option<SharedTap>,
 }
 
+/// The local tick `pid` is polled at when the true tick is `now`.
+fn local_tick(local: &[Option<SkewedClock<VirtualClock>>], pid: Pid, now: Time) -> Time {
+    local[pid].as_ref().map_or(now, |clock| clock.map(now))
+}
+
 impl VirtualCluster {
     /// Build a cluster; nothing runs until [`step`](Self::step).
     pub fn new(cfg: ClusterConfig) -> Self {
-        Self::with_seam(cfg, Plain)
-    }
-}
-
-impl<E: Seam> VirtualCluster<E> {
-    /// Build a cluster whose endpoints are decorated by `seam`; nothing
-    /// runs until [`step`](Self::step).
-    pub fn with_seam(cfg: ClusterConfig, seam: E) -> Self {
         // endpoints: 0..=n for the nodes, n+1 for the out-of-band injector
         let net = LoopbackNet::new(cfg.n + 2, cfg.faults, cfg.seed);
         let coord_spec = CoordSpec::new(cfg.variant, cfg.params, cfg.n, cfg.fix);
-        let mut coord = NodeRuntime::coordinator(coord_spec, seam.wrap(0, net.endpoint(0)));
+        let mut coord = NodeRuntime::coordinator(coord_spec, net.endpoint(0));
         if cfg.record_events {
             coord = coord.with_sink(EventSink::memory());
         }
@@ -130,13 +90,13 @@ impl<E: Seam> VirtualCluster<E> {
         nodes.extend((0..cfg.n).map(|_| None));
         let injector = net.endpoint(cfg.n + 1);
         VirtualCluster {
-            seam,
             net,
             nodes,
             injector,
             start_at: vec![0; cfg.n],
             injections: Vec::new(),
             now: 0,
+            local: vec![None; cfg.n + 1],
             statuses: vec![None; cfg.n + 1],
             ledger: RunLedger::default(),
             tap: None,
@@ -144,16 +104,37 @@ impl<E: Seam> VirtualCluster<E> {
         }
     }
 
+    /// Install an external fault engine that decides the fate of every
+    /// heartbeat (drop / duplicate / extra delay) as it enters the
+    /// network, ahead of the loopback's own [`Faults`]; call before
+    /// running. The live counterpart of `hb_sim::World::set_fault_hook`.
+    pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
+        self.net.set_fault_hook(hook);
+    }
+
+    /// Poll `pid` at local tick `offset + t·num/den` when the true tick
+    /// is `t`: a fast clock (`num > den`) fires its deadlines early, a
+    /// slow one late. The network, the schedule and the observer stay on
+    /// true time. Call before running.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range or `num` or `den` is zero.
+    pub fn skew_clock(&mut self, pid: Pid, offset: Time, num: u64, den: u64) {
+        assert!(pid <= self.cfg.n, "pid {pid} out of range");
+        self.local[pid] = Some(SkewedClock::new(VirtualClock::new(), offset, num, den));
+    }
+
     /// Attach a live [`EventTap`](crate::events::EventTap) — e.g. a
     /// streaming requirement monitor — to every node in the cluster,
-    /// including participants that start later, and to the seam. Each
-    /// node feeds the tap its own events; taps see the merged stream in
-    /// polling order.
+    /// including participants that start later, and to the network. Each
+    /// node feeds the tap its own events and the network the beats it
+    /// drops; taps see the merged stream in polling order.
     pub fn attach_tap(&mut self, tap: SharedTap) {
         for node in self.nodes.iter_mut().flatten() {
             node.attach_tap(tap.clone());
         }
-        self.seam.attach_tap(&tap);
+        self.net.attach_tap(tap.clone());
         self.tap = Some(tap);
     }
 
@@ -216,15 +197,14 @@ impl<E: Seam> VirtualCluster<E> {
     /// at its local reading of the current tick, then move time forward.
     pub fn step(&mut self) {
         let now = self.now;
-        self.seam.begin_tick(now);
+        self.net.set_clock(now);
         for pid in 1..=self.cfg.n {
             if self.nodes[pid].is_none() && self.start_at[pid - 1] == now {
                 // Frames sent before a node exists vanish, as in the sim.
                 self.net.purge(pid);
                 let spec = RespSpec::new(self.cfg.variant, self.cfg.params, self.cfg.fix);
-                let transport = self.seam.wrap(pid, self.net.endpoint(pid));
-                let mut node = NodeRuntime::participant(pid, spec, transport)
-                    .started_at(self.seam.local_tick(pid, now));
+                let mut node = NodeRuntime::participant(pid, spec, self.net.endpoint(pid))
+                    .started_at(local_tick(&self.local, pid, now));
                 if self.cfg.record_events {
                     node = node.with_sink(EventSink::memory());
                 }
@@ -250,7 +230,7 @@ impl<E: Seam> VirtualCluster<E> {
         loop {
             for (pid, node) in self.nodes.iter_mut().enumerate() {
                 if let Some(node) = node {
-                    node.poll(self.seam.local_tick(pid, now))
+                    node.poll(local_tick(&self.local, pid, now))
                         .expect("loopback polling cannot fail");
                 }
             }
@@ -330,10 +310,9 @@ impl<E: Seam> VirtualCluster<E> {
             .map(|n| n.as_ref().map_or(Status::Active, |n| n.status()))
             .collect();
         let stale = self.nodes[0].as_ref().map_or((0, 0), |c| c.stale_beats());
-        let traffic = self.seam.traffic(self.net.stats());
-        let summary = self
-            .ledger
-            .into_summary("live", self.now, traffic, stale, final_status);
+        let summary =
+            self.ledger
+                .into_summary("live", self.now, self.net.stats(), stale, final_status);
         let nodes = self
             .nodes
             .into_iter()

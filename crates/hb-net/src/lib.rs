@@ -39,7 +39,7 @@ pub mod transport;
 pub mod udp;
 pub mod wire;
 
-pub use cluster::{ClusterConfig, LiveReport, Plain, Seam, VirtualCluster};
+pub use cluster::{ClusterConfig, LiveReport, VirtualCluster};
 pub use events::{Counters, EventSink, EventTap, SharedTap};
 pub use loopback::{Faults, LoopbackCore, LoopbackEndpoint, LoopbackNet, NetStats};
 pub use node::{NodeReport, NodeRuntime};

@@ -11,6 +11,10 @@
 //! Control frames bypass the fault pipeline (instant, lossless delivery)
 //! and the message counters: they are the test harness's hand, not
 //! protocol traffic.
+//!
+//! An external adversary plugs in where it does on the other two queues
+//! ([`hb_sim::World`], `hb_member::Engine`): one [`FaultHook`] consulted
+//! as a message enters the queue, ahead of the network's own loss model.
 
 use std::io;
 use std::sync::atomic::AtomicU64;
@@ -18,8 +22,10 @@ use std::sync::atomic::Ordering::{Acquire, Release};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+use hb_core::events::{EventSink, SharedTap};
+use hb_core::trace::Event;
 use hb_core::Pid;
-use hb_sim::channel::LossModel;
+use hb_sim::channel::{FaultHook, LossModel, SendFate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,6 +77,16 @@ struct Stored {
     budget_left: u32,
 }
 
+/// A frame the fault hook delayed beyond the round-trip budget: it enters
+/// its queue — drawing loss and in-budget delay then — at tick `due`.
+#[derive(Clone, Copy, Debug)]
+struct Held {
+    due: Time,
+    dst: Pid,
+    frame: Frame,
+    budget: u32,
+}
+
 /// The loopback queue itself, without any locking: per-destination
 /// queues, the loss model with its burst state, the seeded loss/delay
 /// randomness and the beat counters. [`LoopbackNet`] is this core behind
@@ -82,14 +98,27 @@ pub struct LoopbackCore {
     queues: Vec<Vec<Stored>>,
     /// Per destination, the earliest `deliver_at` in its queue ([`NEVER`]
     /// when empty): a tick on which nothing is due costs one compare per
-    /// question asked, not a scan. Atomics only so that [`LoopbackNet`]
-    /// can read its clone of the `Arc` without the lock; every store
-    /// happens through `&mut self`.
+    /// question asked, not a scan. One more slot after the last
+    /// destination holds the earliest `due` among `held`. Atomics only so
+    /// that [`LoopbackNet`] can read its clone of the `Arc` without the
+    /// lock; every store happens through `&mut self`.
     due: Arc<[AtomicU64]>,
     loss: LossModel,
     ge_bad: bool,
     rng: StdRng,
     stats: NetStats,
+    /// The external adversary, asked once per in-band send before the
+    /// loss model above sees the frame (or each copy the hook made of it).
+    hook: Option<Box<dyn FaultHook>>,
+    /// Released, in sweep order, by the first `send` or `recv` of the tick
+    /// they are due; always empty without a hook. A release wakes nobody:
+    /// hooks are installed by the tick-stepped cluster alone, whose nodes
+    /// poll every tick and never block in [`Transport::wait`].
+    held: Vec<Held>,
+    /// Hears a `lose` record for every beat dropped here. Nodes see only
+    /// their own sends and deliveries; the drop is known to the network
+    /// alone, and a streaming monitor's fault-free premise depends on it.
+    tap: EventSink,
 }
 
 // The `#[inline]`s in this file matter across crates only: the membership
@@ -102,20 +131,24 @@ impl LoopbackCore {
     pub fn new(endpoints: usize, loss: LossModel, seed: u64) -> Self {
         LoopbackCore {
             queues: (0..endpoints).map(|_| Vec::new()).collect(),
-            due: (0..endpoints).map(|_| AtomicU64::new(NEVER)).collect(),
+            due: (0..=endpoints).map(|_| AtomicU64::new(NEVER)).collect(),
             loss,
             ge_bad: false,
             rng: StdRng::seed_from_u64(seed),
             stats: NetStats::default(),
+            hook: None,
+            held: Vec::new(),
+            tap: EventSink::disabled(),
         }
     }
 
-    /// Queue `frame` for `dst`; returns whether it was queued (not lost).
-    /// Control frames are out-of-band: instant, lossless, uncounted.
-    /// Membership traffic rides the same in-band channel as beats
-    /// (delayed, droppable) but stays out of the beat stats — overhead
-    /// comparisons against the paper's message counts must not be skewed
-    /// by the member layer.
+    /// Queue `frame` for `dst`; returns whether it was queued (not lost,
+    /// nor — under a fault hook — held for later). Control frames are
+    /// out-of-band: instant, lossless, uncounted, and never shown to the
+    /// fault hook. Membership traffic rides the same in-band channel as
+    /// beats (delayed, droppable) but stays out of the beat stats —
+    /// overhead comparisons against the paper's message counts must not
+    /// be skewed by the member layer.
     ///
     /// # Panics
     ///
@@ -123,23 +156,94 @@ impl LoopbackCore {
     #[inline]
     pub fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> bool {
         assert!(dst < self.queues.len(), "no endpoint {dst}");
-        let (delay, budget_left) = if matches!(frame, Frame::Control { .. }) {
-            (0, 0)
-        } else {
-            let counted = matches!(frame, Frame::Beat { .. });
-            if counted {
-                self.stats.sent += 1;
-            }
-            if self.loss.drops(&mut self.ge_bad, &mut self.rng) {
-                if counted {
-                    self.stats.lost += 1;
-                }
-                return false;
-            }
-            let delay = self.rng.gen_range(0..=budget);
-            (delay, budget - delay)
+        if matches!(frame, Frame::Control { .. }) {
+            self.push(now, dst, frame, 0);
+            return true;
+        }
+        if self.hook.is_some() {
+            return self.send_hooked(now, dst, frame, budget);
+        }
+        if matches!(frame, Frame::Beat { .. }) {
+            self.stats.sent += 1;
+        }
+        self.enqueue(now, dst, frame, budget)
+    }
+
+    /// One logical send under the hook: dropped, or each copy on through
+    /// the loss model — now, or held `extra_delay` ticks first with that
+    /// much less budget for the reply.
+    #[cold]
+    fn send_hooked(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> bool {
+        self.release_held(now);
+        if matches!(frame, Frame::Beat { .. }) {
+            self.stats.sent += 1;
+        }
+        let fate = match &mut self.hook {
+            Some(hook) => hook.fate(now, frame.src(), dst),
+            None => SendFate::clean(),
         };
-        let deliver_at = now + Time::from(delay);
+        let SendFate::Deliver {
+            copies,
+            extra_delay,
+        } = fate
+        else {
+            self.lose(now, dst, frame);
+            return false;
+        };
+        let mut queued = false;
+        for _ in 0..copies {
+            if extra_delay == 0 {
+                queued |= self.enqueue(now, dst, frame, budget);
+                continue;
+            }
+            let due = now + Time::from(extra_delay);
+            self.held.push(Held {
+                due,
+                dst,
+                frame: *frame,
+                budget: budget.saturating_sub(extra_delay),
+            });
+            let slot = &self.due[self.queues.len()];
+            slot.store(due.min(slot.load(Acquire)), Release);
+        }
+        queued
+    }
+
+    /// Move every held frame due at `now` into its queue.
+    #[cold]
+    fn release_held(&mut self, now: Time) {
+        let slot = self.queues.len();
+        if due_at(&self.due[slot], now).is_none() {
+            return;
+        }
+        let mut i = 0;
+        while i < self.held.len() {
+            if self.held[i].due <= now {
+                let h = self.held.swap_remove(i);
+                self.enqueue(now, h.dst, &h.frame, h.budget);
+            } else {
+                i += 1;
+            }
+        }
+        let next = self.held.iter().map(|h| h.due).min();
+        self.due[slot].store(next.unwrap_or(NEVER), Release);
+    }
+
+    /// One frame through the network's own faults: a loss draw, then a
+    /// uniform in-budget delay draw. Returns whether it was queued.
+    #[inline(always)]
+    fn enqueue(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> bool {
+        if self.loss.drops(&mut self.ge_bad, &mut self.rng) {
+            self.lose(now, dst, frame);
+            return false;
+        }
+        let delay = self.rng.gen_range(0..=budget);
+        self.push(now + Time::from(delay), dst, frame, budget - delay);
+        true
+    }
+
+    #[inline(always)]
+    fn push(&mut self, deliver_at: Time, dst: Pid, frame: &Frame, budget_left: u32) {
         self.queues[dst].push(Stored {
             deliver_at,
             frame: *frame,
@@ -148,13 +252,28 @@ impl LoopbackCore {
         if deliver_at < self.due[dst].load(Acquire) {
             self.due[dst].store(deliver_at, Release);
         }
-        true
+    }
+
+    /// The one drop site, for the hook's verdicts and the loss model's.
+    #[cold]
+    fn lose(&mut self, now: Time, dst: Pid, frame: &Frame) {
+        if let Frame::Beat { src, .. } = *frame {
+            self.stats.lost += 1;
+            self.tap.emit(&Event::Lose {
+                at: now,
+                from: src,
+                to: dst,
+            });
+        }
     }
 
     /// Take the earliest frame deliverable to `pid` at `now` (FIFO among
     /// equal times, for a deterministic processing order).
     #[inline]
     pub fn recv(&mut self, now: Time, pid: Pid) -> Option<Recv> {
+        if !self.held.is_empty() {
+            self.release_held(now);
+        }
         let earliest = due_at(&self.due[pid], now)?;
         // The first frame at the queue's minimum time is the
         // `min_by_key((deliver_at, index))` of the due ones.
@@ -175,7 +294,8 @@ impl LoopbackCore {
         })
     }
 
-    /// Whether any heartbeat or control frame is deliverable at `now`.
+    /// Whether any frame is deliverable — or due for release into its
+    /// queue — at `now`.
     #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
         any_due(&self.due, now)
@@ -200,9 +320,9 @@ impl LoopbackCore {
     }
 }
 
-/// The due index's "queue empty". No frame is ever due at this tick: a
-/// clock would have to count to `u64::MAX`, and `send`'s `now + delay`
-/// overflows first.
+/// The due index's "queue empty", and the cluster clock's "not set". No
+/// frame is ever due at this tick: a clock would have to count to
+/// `u64::MAX`, and `send`'s `now + delay` overflows first.
 const NEVER: Time = Time::MAX;
 
 /// One destination's earliest delivery time, if that is due at `now`. The
@@ -234,6 +354,11 @@ struct Inner {
     /// The core's due index, readable without `state`: a poll that finds
     /// nothing due never takes the lock.
     due: Arc<[AtomicU64]>,
+    /// The tick every endpoint sends and receives at, whatever tick its
+    /// caller names ([`NEVER`]: the caller's). A harness that polls nodes
+    /// on skewed local clocks sets it, so the network stays on true time.
+    /// It publishes nothing but itself; `Release`/`Acquire` as for `due`.
+    clock: AtomicU64,
 }
 
 impl Inner {
@@ -241,6 +366,19 @@ impl Inner {
         self.state
             .lock()
             .expect("a loopback user panicked while holding the lock")
+    }
+
+    /// Addressable pids; the due index has one more slot, for held frames.
+    fn endpoints(&self) -> usize {
+        self.due.len() - 1
+    }
+
+    #[inline]
+    fn now(&self, caller: Time) -> Time {
+        match self.clock.load(Acquire) {
+            NEVER => caller,
+            cluster => cluster,
+        }
     }
 }
 
@@ -260,8 +398,25 @@ impl LoopbackNet {
                 due: Arc::clone(&core.due),
                 state: Mutex::new(Shared { core, waiters: 0 }),
                 arrived: Condvar::new(),
+                clock: AtomicU64::new(NEVER),
             }),
         }
+    }
+
+    /// Ask `hook` the fate of every in-band frame from now on, ahead of
+    /// the network's own loss model.
+    pub(crate) fn set_fault_hook(&self, hook: Box<dyn FaultHook>) {
+        self.inner.lock().core.hook = Some(hook);
+    }
+
+    /// Tell `tap` about every beat the network drops.
+    pub(crate) fn attach_tap(&self, tap: SharedTap) {
+        self.inner.lock().core.tap.attach_tap(tap);
+    }
+
+    /// Put every endpoint on the cluster's tick `now`.
+    pub(crate) fn set_clock(&self, now: Time) {
+        self.inner.clock.store(now, Release);
     }
 
     /// The endpoint for `pid`.
@@ -270,14 +425,15 @@ impl LoopbackNet {
     ///
     /// Panics if `pid` is out of range.
     pub fn endpoint(&self, pid: Pid) -> LoopbackEndpoint {
-        assert!(pid < self.inner.due.len(), "pid {pid} out of range");
+        assert!(pid < self.inner.endpoints(), "pid {pid} out of range");
         LoopbackEndpoint {
             inner: Arc::clone(&self.inner),
             pid,
         }
     }
 
-    /// Whether any heartbeat or control frame is deliverable at `now`.
+    /// Whether any frame is deliverable — or due for release into its
+    /// queue — at `now`.
     #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
         any_due(&self.inner.due, now)
@@ -312,12 +468,13 @@ impl LoopbackEndpoint {
 impl Transport for LoopbackEndpoint {
     #[inline]
     fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
-        if dst >= self.inner.due.len() {
+        if dst >= self.inner.endpoints() {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("no endpoint {dst}"),
             ));
         }
+        let now = self.inner.now(now);
         let mut st = self.inner.lock();
         let wake = st.core.send(now, dst, frame, budget) && st.waiters > 0;
         drop(st);
@@ -332,7 +489,13 @@ impl Transport for LoopbackEndpoint {
 
     #[inline]
     fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
-        if due_at(&self.inner.due[self.pid], now).is_none() {
+        let now = self.inner.now(now);
+        // The miss: nothing queued for us is due, and no held frame is due
+        // for release (to us or anyone: the first call of its tick moves
+        // it). [`NEVER`] is later than any `now`.
+        let due = &self.inner.due;
+        let held = &due[self.inner.endpoints()];
+        if due[self.pid].load(Acquire).min(held.load(Acquire)) > now {
             return Ok(None);
         }
         Ok(self.inner.lock().core.recv(now, self.pid))
@@ -470,5 +633,127 @@ mod tests {
         b.wait(Duration::from_secs(5)).unwrap();
         assert!(t0.elapsed() < Duration::from_secs(4), "woken by arrival");
         t.join().unwrap();
+    }
+
+    /// A hook with one answer for everything.
+    #[derive(Debug)]
+    struct Always(SendFate);
+
+    impl FaultHook for Always {
+        fn fate(&mut self, _now: Time, _src: Pid, _dst: Pid) -> SendFate {
+            self.0
+        }
+    }
+
+    fn hooked(endpoints: usize, faults: Faults, fate: SendFate) -> LoopbackNet {
+        let net = LoopbackNet::new(endpoints, faults, 11);
+        net.set_fault_hook(Box::new(Always(fate)));
+        net
+    }
+
+    fn beat() -> Frame {
+        Frame::beat(0, Heartbeat::plain())
+    }
+
+    #[test]
+    fn a_hook_that_shapes_nothing_leaves_the_randomness_alone() {
+        // 1 000 seeded sends under loss, drained as they fall due.
+        let run = |net: LoopbackNet| {
+            let (mut a, mut b) = (net.endpoint(0), net.endpoint(1));
+            let mut got = Vec::new();
+            for i in 0..1_000 {
+                let now = i / 3;
+                a.send(now, 1, &beat(), 4).unwrap();
+                while let Some(r) = b.try_recv(now).unwrap() {
+                    got.push((now, r));
+                }
+            }
+            (got, net.stats())
+        };
+        let faults = Faults::bernoulli(0.2);
+        let plain = run(LoopbackNet::new(2, faults, 11));
+        assert!(
+            plain.1.lost > 100 && plain.1.delivered > 700,
+            "{:?}",
+            plain.1
+        );
+        assert_eq!(run(hooked(2, faults, SendFate::clean())), plain);
+    }
+
+    #[test]
+    fn a_dropped_beat_is_one_sent_one_lost_and_control_frames_skip_the_hook() {
+        let net = hooked(2, Faults::none(), SendFate::Drop);
+        let (mut a, mut b) = (net.endpoint(0), net.endpoint(1));
+        a.send(5, 1, &beat(), 4).unwrap();
+        a.send(5, 1, &Frame::control(0, Command::Crash), 4).unwrap();
+        let r = b.try_recv(5).unwrap().expect("the hook never saw it");
+        assert_eq!(r.frame, Frame::control(0, Command::Crash));
+        assert_eq!(b.try_recv(9).unwrap(), None);
+        assert_eq!(
+            net.stats(),
+            NetStats {
+                sent: 1,
+                delivered: 0,
+                lost: 1
+            }
+        );
+    }
+
+    #[test]
+    fn a_duplicated_beat_is_one_sent_two_delivered() {
+        let fate = SendFate::Deliver {
+            copies: 2,
+            extra_delay: 0,
+        };
+        let net = hooked(2, Faults::none(), fate);
+        let (mut a, mut b) = (net.endpoint(0), net.endpoint(1));
+        a.send(0, 1, &beat(), 0).unwrap();
+        assert!(b.try_recv(0).unwrap().is_some());
+        assert!(b.try_recv(0).unwrap().is_some());
+        assert_eq!(b.try_recv(0).unwrap(), None);
+        assert_eq!(
+            net.stats(),
+            NetStats {
+                sent: 1,
+                delivered: 2,
+                lost: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_held_beat_is_released_by_the_first_call_of_its_tick() {
+        let fate = SendFate::Deliver {
+            copies: 1,
+            extra_delay: 3,
+        };
+        let net = hooked(3, Faults::none(), fate);
+        let (mut a, mut b, mut c) = (net.endpoint(0), net.endpoint(1), net.endpoint(2));
+        a.send(10, 1, &beat(), 5).unwrap();
+        for early in 10..13 {
+            assert!(!net.any_deliverable(early));
+            assert_eq!(b.try_recv(early).unwrap(), None);
+        }
+        // Nothing is ever queued for `c`: without the held slot in the
+        // due index its poll would return before taking the lock.
+        assert!(net.any_deliverable(13), "the release is due");
+        assert_eq!(c.try_recv(13).unwrap(), None);
+        assert!(net.inner.lock().core.held.is_empty(), "released by c");
+        // In its queue from 13 on, with what is left of the budget.
+        let r = (13..=15)
+            .find_map(|t| b.try_recv(t).unwrap())
+            .expect("delivered within the remaining budget");
+        assert!(r.reply_budget <= 5 - 3, "{r:?}");
+    }
+
+    #[test]
+    fn the_cluster_clock_overrides_the_tick_an_endpoint_is_handed() {
+        let net = LoopbackNet::new(2, Faults::none(), 1);
+        let (mut a, mut b) = (net.endpoint(0), net.endpoint(1));
+        net.set_clock(20);
+        // A fast node sends at its reading, a slow one receives at its
+        // own: the frame is queued for 20 and taken at 20.
+        a.send(20 + 7, 1, &beat(), 0).unwrap();
+        assert!(b.try_recv(20 - 7).unwrap().is_some());
     }
 }

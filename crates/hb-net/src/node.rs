@@ -362,8 +362,9 @@ impl<T: Transport> NodeRuntime<T> {
                             match spec.on_heartbeat(state, src, hb) {
                                 CoordReaction::None => {}
                                 CoordReaction::LeaveAck(pid, ack) => {
+                                    // Counted here, recorded once: the
+                                    // `leave` event is the leaver's own.
                                     self.counters.leaves += 1;
-                                    self.sink.emit(&Event::Leave { at: now, pid });
                                     // Fresh budget, as in the simulator: the
                                     // ack is a new message, not a reply
                                     // completing a round trip.

@@ -313,11 +313,6 @@ impl Channel {
     pub fn pending(&self) -> usize {
         self.in_flight.len()
     }
-
-    /// The earliest scheduled delivery time, if any.
-    pub fn next_delivery(&self) -> Option<Time> {
-        self.in_flight.iter().map(|m| m.deliver_at).min()
-    }
 }
 
 #[cfg(test)]
@@ -387,7 +382,7 @@ mod tests {
         assert_eq!(ch.due(0).len(), 1);
         assert_eq!(ch.due(4).len(), 0);
         assert_eq!(ch.due(5).len(), 1);
-        assert_eq!(ch.next_delivery(), None);
+        assert_eq!(ch.pending(), 0);
     }
 
     #[test]

@@ -217,11 +217,6 @@ impl HbModel {
         self.rejoin_cap
     }
 
-    /// Whether message loss is enabled.
-    pub fn loss_allowed(&self) -> bool {
-        self.allow_loss
-    }
-
     /// Whether voluntary leaves are enabled.
     pub fn leave_allowed(&self) -> bool {
         self.allow_leave

@@ -128,24 +128,6 @@ impl HbCodec {
             iv_since: model.monitor_bound_value().map(|b| Interval::new(0, b + 1)),
         }
     }
-
-    /// Bits per participant in a channel-empty state — handy for
-    /// back-of-envelope memory estimates in reports.
-    pub fn bits_per_participant(&self) -> u32 {
-        // resp: status + waiting + join_elapsed + joined + left + epoch
-        // coord slots: rcvd + tm + jnd + left + min_epoch
-        2 + self.iv_waiting.bits()
-            + self.iv_join_elapsed.bits()
-            + 1
-            + 1
-            + self.iv_epoch.bits()
-            + 1
-            + self.iv_tm.bits()
-            + 1
-            + 1
-            + self.iv_min_epoch.bits()
-            + self.iv_since.map(|iv| 1 + iv.bits()).unwrap_or(0)
-    }
 }
 
 fn push_iv(w: &mut BitWriter, v: u32, iv: Interval) {

@@ -103,14 +103,6 @@ pub fn path_to_log(path: &Path<HbModel>) -> EventLog {
     log
 }
 
-/// Total duration (in time units) of a path: the number of `Tick`s.
-pub fn path_duration(path: &Path<HbModel>) -> u64 {
-    path.actions()
-        .iter()
-        .filter(|a| matches!(a, HbAction::Tick))
-        .count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +152,8 @@ mod tests {
             .expect("violated");
         let log = path_to_log(&path);
         let last_at = log.events().last().unwrap().at();
-        assert_eq!(last_at, path_duration(&path));
+        let ticks = path.actions().into_iter().filter(|a| *a == HbAction::Tick);
+        assert_eq!(last_at, ticks.count() as u64);
         // Events are time-ordered.
         assert!(log.events().windows(2).all(|w| w[0].at() <= w[1].at()));
     }

@@ -48,7 +48,7 @@ use std::io::Write as _;
 
 use accelerated_heartbeat::chaos::{
     diff_reports, run_campaign, run_failover_campaign, run_rejoin_demo, Backend, CampaignReport,
-    CampaignSpec, Tolerances,
+    CampaignSpec,
 };
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 
@@ -276,8 +276,7 @@ fn emit_failover_artifacts(dir: &str) -> Result<(), Box<dyn std::error::Error>> 
 fn diff_reports_main(left: &str, right: &str) -> Result<(), Box<dyn std::error::Error>> {
     let l = std::fs::read_to_string(left)?;
     let r = std::fs::read_to_string(right)?;
-    let report = diff_reports(&l, &r, &Tolerances::default())
-        .map_err(|e| format!("malformed campaign report: {e:?}"))?;
+    let report = diff_reports(&l, &r).map_err(|e| format!("malformed campaign report: {e:?}"))?;
     print!("{}", report.render());
     let hard = report.hard().len();
     if hard > 0 {

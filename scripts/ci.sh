@@ -102,4 +102,7 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> line count (reported, never gated)"
+scripts/loc.sh
+
 echo "CI green."

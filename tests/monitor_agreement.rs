@@ -6,7 +6,8 @@
 use std::sync::{Arc, Mutex};
 
 use accelerated_heartbeat::chaos::{
-    run_plan_monitored, run_plan_sim_tapped, Backend, FaultPlan, FaultSpec, Link, ProtoSpec, Window,
+    run_plan_monitored, run_plan_sim_tapped, Backend, ChaosCluster, FaultPlan, FaultSpec, Link,
+    ProtoSpec, Window,
 };
 use accelerated_heartbeat::core::events::{event_json, EventTap, SharedTap};
 use accelerated_heartbeat::core::trace::Event;
@@ -128,6 +129,53 @@ fn golden_naive_crash_verdicts_pin_the_r1_breach() {
         let fixed = run_plan_monitored(&plan(FixLevel::Full), backend);
         let v = fixed.monitor.unwrap();
         assert!(v.clean(), "{backend:?} full-fix verdicts: {}", v.to_json());
+    }
+}
+
+/// A graceful leave is one `leave` record on either substrate: the
+/// leaver's own, at the tick the run summary reports. (The coordinator
+/// learns of it from the `flag = false` beat, which is a `deliver`.)
+#[test]
+fn a_leave_is_recorded_once_by_the_leaver_on_both_substrates() {
+    for (fix, seed) in [
+        (FixLevel::Original, 1),
+        (FixLevel::Original, 7),
+        (FixLevel::Full, 1),
+        (FixLevel::Full, 7),
+    ] {
+        let proto = ProtoSpec {
+            variant: Variant::Dynamic,
+            params: Params::new(2, 8).unwrap(),
+            fix,
+            n: 1,
+            duration: 400,
+            membership: false,
+        };
+        let plan = FaultPlan::new("leave", seed, proto).with(FaultSpec::Leave { pid: 1, at: 100 });
+        for backend in [Backend::Sim, Backend::Live] {
+            let rec = Arc::new(Mutex::new(Recorder::default()));
+            let summary = match backend {
+                Backend::Sim => run_plan_sim_tapped(&plan, rec.clone()),
+                Backend::Live => {
+                    let mut cluster = ChaosCluster::new(plan.clone());
+                    cluster.attach_monitor(rec.clone());
+                    cluster.run_until(proto.duration);
+                    cluster.into_summary()
+                }
+            };
+            let leaves: Vec<_> = rec
+                .lock()
+                .expect("recorder poisoned")
+                .0
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Leave { at, pid } => Some((pid, at)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(leaves.len(), 1, "{backend:?}/{fix:?}/seed {seed}");
+            assert_eq!(leaves, summary.leaves, "{backend:?}/{fix:?}/seed {seed}");
+        }
     }
 }
 
@@ -259,4 +307,43 @@ fn rejoin_demo_traces_agree_three_ways() {
         let plan = accelerated_heartbeat::chaos::rejoin_demo_plan(fix, 1);
         assert_three_way_agree(&plan);
     }
+}
+
+/// The drop is known to the network alone, so the network tells the tap:
+/// a monitored *plain* cluster on a lossy loopback streams one `lose`
+/// record per beat lost, and the R2/R3 fault-free premise goes off with
+/// the first of them instead of blaming the protocol for the channel.
+#[test]
+fn a_lossy_plain_cluster_tells_the_tap_about_every_beat_it_drops() {
+    let params = Params::new(2, 8).unwrap();
+    let rec = Arc::new(Mutex::new(Recorder::default()));
+    let mut cl = VirtualCluster::new(ClusterConfig {
+        variant: Variant::Binary,
+        params,
+        fix: FixLevel::Full,
+        n: 1,
+        faults: Faults::bernoulli(0.2),
+        seed: 2,
+        record_events: false,
+    });
+    cl.attach_tap(rec.clone());
+    cl.run_until(4_000);
+    let summary = cl.into_report().summary;
+    let events = std::mem::take(&mut rec.lock().expect("recorder poisoned").0);
+    let lose = events
+        .iter()
+        .filter(|e| matches!(e, Event::Lose { .. }))
+        .count() as u64;
+    assert!(summary.messages_lost > 10, "{}", summary.to_json());
+    assert_eq!(lose, summary.messages_lost);
+    assert!(summary.false_inactivations > 0, "{}", summary.to_json());
+    let v = monitor::replay(
+        Variant::Binary,
+        params,
+        FixLevel::Full,
+        1,
+        &events,
+        summary.duration,
+    );
+    assert_eq!((v.r2, v.r3), (None, None), "{}", v.to_json());
 }
