@@ -722,28 +722,61 @@ mod tests {
     }
 
     #[test]
-    fn a_held_beat_is_released_by_the_first_call_of_its_tick() {
+    fn a_delayed_beat_is_queued_when_sent_for_a_later_tick() {
         let fate = SendFate::Deliver {
             copies: 1,
             extra_delay: 3,
         };
-        let net = hooked(3, Faults::none(), fate);
-        let (mut a, mut b, mut c) = (net.endpoint(0), net.endpoint(1), net.endpoint(2));
+        let net = hooked(2, Faults::none(), fate);
+        let (mut a, mut b) = (net.endpoint(0), net.endpoint(1));
         a.send(10, 1, &beat(), 5).unwrap();
         for early in 10..13 {
             assert!(!net.any_deliverable(early));
             assert_eq!(b.try_recv(early).unwrap(), None);
         }
-        // Nothing is ever queued for `c`: without the held slot in the
-        // due index its poll would return before taking the lock.
-        assert!(net.any_deliverable(13), "the release is due");
-        assert_eq!(c.try_recv(13).unwrap(), None);
-        assert!(net.inner.lock().core.held.is_empty(), "released by c");
-        // In its queue from 13 on, with what is left of the budget.
-        let r = (13..=15)
+        // The extra delay, then at most the whole budget on top of it.
+        let r = (13..=18)
             .find_map(|t| b.try_recv(t).unwrap())
-            .expect("delivered within the remaining budget");
+            .expect("delivered by send + extra + budget");
         assert!(r.reply_budget <= 5 - 3, "{r:?}");
+    }
+
+    /// One delay rule on both substrates: over a `(budget, extra)` grid a
+    /// hooked core and the simulator's channel reach the same set of
+    /// `(ticks in flight, reply budget left)` outcomes.
+    #[test]
+    fn a_hooked_core_delays_a_frame_exactly_as_the_simulators_channel_does() {
+        use hb_sim::channel::Channel;
+        use std::collections::BTreeSet;
+        const NOW: Time = 10;
+        for budget in 0..=3u32 {
+            for extra in 0..=4u32 {
+                let fate = SendFate::Deliver {
+                    copies: 1,
+                    extra_delay: extra,
+                };
+                let mut rng = StdRng::seed_from_u64(3);
+                let mut channel = Channel::new(0.0);
+                let mut core = LoopbackCore::new(2, LossModel::Bernoulli(0.0), 3);
+                core.hook = Some(Box::new(Always(fate)));
+                for _ in 0..200 {
+                    channel.send_shaped(&mut rng, NOW, (0, 1), Heartbeat::plain(), budget, fate);
+                    core.send(NOW, 1, &beat(), budget);
+                }
+                let (mut sim, mut live) = (BTreeSet::new(), BTreeSet::new());
+                for t in NOW..=NOW + Time::from(budget + extra) {
+                    for m in channel.due(t) {
+                        sim.insert((m.deliver_at - NOW, m.budget_left));
+                    }
+                    while let Some(r) = core.recv(t, 1) {
+                        live.insert((t - NOW, r.reply_budget));
+                    }
+                }
+                assert_eq!(channel.pending(), 0);
+                assert_eq!(sim.len(), budget as usize + 1, "every delay drawn");
+                assert_eq!(live, sim, "budget {budget}, extra {extra}");
+            }
+        }
     }
 
     #[test]

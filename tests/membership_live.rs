@@ -7,9 +7,13 @@
 //! rejoins mid-view-change, state transfer to a late joiner) hold on the
 //! live substrate, not just in the simulator.
 
-use accelerated_heartbeat::chaos::{failover_plan, run_plan_member, Backend};
+use std::collections::BTreeMap;
+
+use accelerated_heartbeat::chaos::{
+    failover_plan, run_plan_member, Backend, FaultPlan, FaultSpec, Link, ProtoSpec, Window,
+};
 use accelerated_heartbeat::core::trace::Event;
-use accelerated_heartbeat::core::Params;
+use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::member::{
     run_live, FaultKind, MemberConfig, MemberFault, MemberReport, MemberSpec, RoleKind,
 };
@@ -162,4 +166,75 @@ fn sim_and_live_view_change_streams_are_byte_identical() {
     let mut s = sim.summary.clone();
     s.source = live.summary.source;
     assert_eq!(s, live.summary);
+}
+
+/// Every message of a membership run delayed by the adversary — each one
+/// reordered by 1..=4 ticks, and 6 more inside a spike window — on both
+/// substrates: the streams stay byte-identical, no beat arrives before
+/// the delay the plan dictates for its send tick has passed, and the
+/// group (one participant crashed and revived along the way) ends on one
+/// view.
+#[test]
+fn hook_delayed_membership_traffic_is_late_and_identical_on_both_substrates() {
+    let spike = Window::between(300, 340);
+    let proto = ProtoSpec {
+        variant: Variant::Dynamic,
+        params: Params::new(10, 40).unwrap(),
+        fix: FixLevel::Full,
+        n: 3,
+        duration: 1_500,
+        membership: true,
+    };
+    let plan = FaultPlan::new("member/reorder+spike", 5, proto)
+        .with(FaultSpec::Reorder {
+            window: Window::always(),
+            link: Link::any(),
+            p: 1.0,
+            max_extra: 4,
+        })
+        .with(FaultSpec::DelaySpike {
+            window: spike,
+            extra: 6,
+        })
+        .with(FaultSpec::Crash { pid: 2, at: 200 })
+        .with(FaultSpec::Revive { pid: 2, at: 700 });
+    plan.validate().unwrap();
+    let sim = run_plan_member(&plan, Backend::Sim);
+    let live = run_plan_member(&plan, Backend::Live);
+    assert_eq!(
+        sim.report.events.to_string(),
+        live.report.events.to_string(),
+        "substrates diverged"
+    );
+
+    // Per link and payload, the k-th delivery cannot precede the k-th
+    // earliest tick a send's dictated delay has run out.
+    let mut ready: BTreeMap<_, Vec<u64>> = BTreeMap::new();
+    let mut delivered: BTreeMap<_, Vec<u64>> = BTreeMap::new();
+    for e in sim.report.events.events() {
+        match *e {
+            Event::Send { at, from, to, hb } => {
+                let extra = 1 + if spike.contains(at) { 6 } else { 0 };
+                ready.entry((from, to, hb)).or_default().push(at + extra);
+            }
+            Event::Deliver { at, from, to, hb } => {
+                delivered.entry((from, to, hb)).or_default().push(at);
+            }
+            _ => {}
+        }
+    }
+    assert!(delivered.values().map(Vec::len).sum::<usize>() > 100);
+    for (key, at) in &mut delivered {
+        let ready = ready.get_mut(key).expect("a delivery of something sent");
+        ready.sort_unstable();
+        at.sort_unstable();
+        assert!(at.len() <= ready.len(), "{key:?}: more delivered than sent");
+        for (d, r) in at.iter().zip(ready.iter()) {
+            assert!(d >= r, "{key:?}: delivered at {d}, not ready before {r}");
+        }
+    }
+
+    assert!(sim.report.agreed(), "views: {:?}", sim.report.views);
+    assert!(sim.report.views[0].contains(2), "the revived pid is back");
+    assert!(sim.summary.nv_inactivations.is_empty());
 }
