@@ -176,6 +176,69 @@ pub fn diff_reports(left: &str, right: &str) -> Result<DiffReport, JsonError> {
     Ok(report)
 }
 
+/// How one per-cell field is compared.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// Samples nothing (run counts, analytic bounds): any gap is hard.
+    Exact,
+    /// A counter over seeds — a binomial sample: tolerated up to this
+    /// fraction of `runs`.
+    Runs(f64),
+    /// The protocol story, reported as `<field> (flag)`: for the success
+    /// counters "ever succeeds" (a partial shortfall is sampling noise the
+    /// `Runs` rule already covers), for the trouble counters "ever
+    /// troubles". A flip is hard unless both sides sit within the slack of
+    /// zero, where one unlucky seed can flip it.
+    Flag,
+    /// A tick-grid delay statistic, comparable only when both sides have
+    /// the named population — otherwise one side's 0 is "no sample", not
+    /// "zero delay", and the population's `Flag` already covers the story.
+    Ticks(&'static str),
+    /// Steady-state overhead: tight, the protocols send the same traffic.
+    Rate,
+}
+
+/// Every compared field of a cell, in report order. `monitor_*` fields
+/// are absent in pre-monitor reports and read as 0: the run count is
+/// structural, the per-requirement firing counts are per-run samples, and
+/// whether a requirement fired *at all* in a cell is protocol story.
+const CELL_RULES: &[(&str, Rule)] = &[
+    ("runs", Rule::Exact),
+    ("claimed_bound", Rule::Exact),
+    ("corrected_bound", Rule::Exact),
+    ("detected", Rule::Runs(RUN_FRAC)),
+    ("down_before_crash", Rule::Runs(RUN_FRAC)),
+    ("reconverged", Rule::Runs(RUN_FRAC)),
+    ("stabilised", Rule::Runs(RUN_FRAC)),
+    ("violations_claimed", Rule::Runs(RUN_FRAC)),
+    ("violations_corrected", Rule::Runs(RUN_FRAC)),
+    ("false_suspicions", Rule::Runs(EVENT_FRAC)),
+    ("stale_admitted", Rule::Runs(EVENT_FRAC)),
+    ("detected", Rule::Flag),
+    ("reconverged", Rule::Flag),
+    ("stabilised", Rule::Flag),
+    ("down_before_crash", Rule::Flag),
+    ("violations_claimed", Rule::Flag),
+    ("violations_corrected", Rule::Flag),
+    ("false_suspicions", Rule::Flag),
+    ("stale_admitted", Rule::Flag),
+    ("detect_mean", Rule::Ticks("detected")),
+    ("detect_max", Rule::Ticks("detected")),
+    ("reconv_detect_mean", Rule::Ticks("reconverged")),
+    ("reconv_detect_max", Rule::Ticks("reconverged")),
+    ("reconv_stable_mean", Rule::Ticks("stabilised")),
+    ("reconv_stable_max", Rule::Ticks("stabilised")),
+    ("msg_per_tick", Rule::Rate),
+    ("monitor_runs", Rule::Exact),
+    ("monitor_clean", Rule::Runs(RUN_FRAC)),
+    ("monitor_r1", Rule::Runs(RUN_FRAC)),
+    ("monitor_r2", Rule::Runs(RUN_FRAC)),
+    ("monitor_r3", Rule::Runs(RUN_FRAC)),
+    ("monitor_r1", Rule::Flag),
+    ("monitor_r2", Rule::Flag),
+    ("monitor_r3", Rule::Flag),
+];
+
 fn diff_cell(
     ca: &Value,
     cb: &Value,
@@ -184,187 +247,55 @@ fn diff_cell(
     report: &mut DiffReport,
 ) -> Result<(), JsonError> {
     let runs = ca.field("runs")?.as_f64()?;
-    let mut push = |field: &str, l: f64, r: f64, severity: Severity| {
+    let mut push = |field: &str, l: f64, r: f64, tolerated: bool| {
         report.divergences.push(Divergence {
             cell: label.to_string(),
             field: field.into(),
             left: trim_num(l),
             right: trim_num(r),
-            severity,
+            severity: if tolerated {
+                Severity::Note
+            } else {
+                Severity::Hard
+            },
         });
     };
-
-    // Exact: the run count and the analytic bounds don't sample anything.
-    for field in ["runs", "claimed_bound", "corrected_bound"] {
-        let (l, r) = (ca.field(field)?.as_f64()?, cb.field(field)?.as_f64()?);
-        if l != r {
-            push(field, l, r, Severity::Hard);
-        }
-    }
-
-    // Per-run counters: binomial over seeds.
-    let run_tol = (RUN_FRAC * runs).ceil();
-    for field in [
-        "detected",
-        "down_before_crash",
-        "reconverged",
-        "stabilised",
-        "violations_claimed",
-        "violations_corrected",
-    ] {
-        let (l, r) = (ca.field(field)?.as_f64()?, cb.field(field)?.as_f64()?);
-        if l != r {
-            let sev = if (l - r).abs() <= run_tol {
-                Severity::Note
-            } else {
-                Severity::Hard
-            };
-            push(field, l, r, sev);
-        }
-    }
-
-    // Event counters: several events can land in one run.
-    let event_tol = (EVENT_FRAC * runs).ceil();
-    for field in ["false_suspicions", "stale_admitted"] {
-        let (l, r) = (ca.field(field)?.as_f64()?, cb.field(field)?.as_f64()?);
-        if l != r {
-            let sev = if (l - r).abs() <= event_tol {
-                Severity::Note
-            } else {
-                Severity::Hard
-            };
-            push(field, l, r, sev);
-        }
-    }
-
-    // Qualitative flags: the protocol story. For the success counters
-    // (`detected`, `reconverged`) the flag is "ever succeeds" — a
-    // partial shortfall is sampling noise and already covered by the
-    // run tolerance above; for the trouble counters it is "ever
-    // troubles". A flip is hard unless both sides sit within the slack
-    // of zero, where one unlucky seed can flip it.
-    for field in [
-        "detected",
-        "reconverged",
-        "stabilised",
-        "down_before_crash",
-        "violations_claimed",
-        "violations_corrected",
-        "false_suspicions",
-        "stale_admitted",
-    ] {
-        let (l, r) = (ca.field(field)?.as_f64()?, cb.field(field)?.as_f64()?);
-        if (l > 0.0) != (r > 0.0) {
-            let sev = if l.max(r) <= FLIP_SLACK {
-                Severity::Note
-            } else {
-                Severity::Hard
-            };
-            push(&format!("{field} (flag)"), l, r, sev);
-        }
-    }
-
-    // Delay statistics: tick-grid quantities. Means and maxima are only
-    // comparable when both sides have the underlying population —
-    // otherwise one side's 0 is "no sample", not "zero delay", and the
-    // flag comparison above already covers the story.
-    let pairs = [
-        ("detect_mean", "detected"),
-        ("detect_max", "detected"),
-        ("reconv_detect_mean", "reconverged"),
-        ("reconv_detect_max", "reconverged"),
-        ("reconv_stable_mean", "stabilised"),
-        ("reconv_stable_max", "stabilised"),
-    ];
-    for (field, population) in pairs {
-        let (pl, pr) = (
-            ca.field(population)?.as_f64()?,
-            cb.field(population)?.as_f64()?,
-        );
-        if pl == 0.0 || pr == 0.0 {
-            continue;
-        }
-        let (l, r) = (ca.field(field)?.as_f64()?, cb.field(field)?.as_f64()?);
-        if l != r {
-            let sev = if (l - r).abs() <= tick_tol {
-                Severity::Note
-            } else {
-                Severity::Hard
-            };
-            push(field, l, r, sev);
-        }
-    }
-
-    // Steady-state overhead: tight, the protocols send the same traffic.
-    let (l, r) = (
-        ca.field("msg_per_tick")?.as_f64()?,
-        cb.field("msg_per_tick")?.as_f64()?,
-    );
-    if l != r {
-        let sev = if (l - r).abs() <= RATE_ABS {
-            Severity::Note
-        } else {
-            Severity::Hard
-        };
-        push("msg_per_tick", l, r, sev);
-    }
-
-    // Streaming monitor verdicts (absent in pre-monitor reports → 0).
-    // The run count is structural; the per-requirement firing counts are
-    // per-run samples; whether a requirement fired *at all* in a cell is
-    // protocol story and follows the qualitative-flag rule.
-    let opt_num = |c: &Value, name: &str| -> Result<f64, JsonError> {
-        match c.opt_field(name)? {
-            Some(v) => v.as_f64(),
-            None => Ok(0.0),
-        }
+    let num = |c: &Value, field: &str| match c.opt_field(field)? {
+        None if field.starts_with("monitor_") => Ok(0.0),
+        _ => c.field(field)?.as_f64(),
     };
-    let (l, r) = (opt_num(ca, "monitor_runs")?, opt_num(cb, "monitor_runs")?);
-    if l != r {
-        push("monitor_runs", l, r, Severity::Hard);
-    }
-    for field in ["monitor_clean", "monitor_r1", "monitor_r2", "monitor_r3"] {
-        let (l, r) = (opt_num(ca, field)?, opt_num(cb, field)?);
-        if l != r {
-            let sev = if (l - r).abs() <= run_tol {
-                Severity::Note
-            } else {
-                Severity::Hard
-            };
-            push(field, l, r, sev);
+
+    for &(field, rule) in CELL_RULES {
+        let (l, r) = (num(ca, field)?, num(cb, field)?);
+        let gap = (l - r).abs();
+        match rule {
+            Rule::Flag if (l > 0.0) != (r > 0.0) => {
+                push(&format!("{field} (flag)"), l, r, l.max(r) <= FLIP_SLACK);
+            }
+            Rule::Flag => {}
+            Rule::Ticks(population)
+                if num(ca, population)? == 0.0 || num(cb, population)? == 0.0 => {}
+            _ if l == r => {}
+            Rule::Exact => push(field, l, r, false),
+            Rule::Runs(frac) => push(field, l, r, gap <= (frac * runs).ceil()),
+            Rule::Ticks(_) => push(field, l, r, gap <= tick_tol),
+            Rule::Rate => push(field, l, r, gap <= RATE_ABS),
         }
     }
-    for field in ["monitor_r1", "monitor_r2", "monitor_r3"] {
-        let (l, r) = (opt_num(ca, field)?, opt_num(cb, field)?);
-        if (l > 0.0) != (r > 0.0) {
-            let sev = if l.max(r) <= FLIP_SLACK {
-                Severity::Note
-            } else {
-                Severity::Hard
-            };
-            push(&format!("{field} (flag)"), l, r, sev);
-        }
-    }
+
     // First-violation tick: a tick-grid quantity, comparable only when
     // both sides saw a violation at all. On lossy cells it is the
     // *earliest* firing across all seeds — an extreme order statistic
     // over two independent loss realizations, so a wide gap there is
     // sampling, not a determinism break.
     let lossy = ca.field("loss")?.as_f64()? > 0.0 || cb.field("loss")?.as_f64()? > 0.0;
-    let first = |c: &Value| -> Result<Option<f64>, JsonError> {
-        match c.opt_field("monitor_first")? {
-            Some(v) => Ok(Some(v.as_f64()?)),
-            None => Ok(None),
-        }
-    };
-    if let (Some(l), Some(r)) = (first(ca)?, first(cb)?) {
+    if let (Some(l), Some(r)) = (
+        ca.opt_field("monitor_first")?,
+        cb.opt_field("monitor_first")?,
+    ) {
+        let (l, r) = (l.as_f64()?, r.as_f64()?);
         if l != r {
-            let sev = if lossy || (l - r).abs() <= tick_tol {
-                Severity::Note
-            } else {
-                Severity::Hard
-            };
-            push("monitor_first", l, r, sev);
+            push("monitor_first", l, r, lossy || (l - r).abs() <= tick_tol);
         }
     }
     Ok(())
@@ -386,6 +317,7 @@ fn render(v: &Value) -> String {
     match v {
         Value::Str(s) => s.clone(),
         Value::Num(n) => trim_num(*n),
+        Value::Int(n) => n.to_string(),
         other => format!("{other:?}"),
     }
 }

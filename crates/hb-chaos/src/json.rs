@@ -15,9 +15,11 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (held as `f64`; plans only use small integers and
-    /// probabilities, both exact in a double).
+    /// A JSON number with a sign, a fraction or an exponent.
     Num(f64),
+    /// A plain digit string that fits a `u64`, kept exact: a plan's seed
+    /// uses all 64 bits, and an `f64` would round anything past 2^53.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -47,6 +49,10 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
 /// recurses once per level, so unbounded nesting is a stack overflow a
 /// plan file could trigger; plans nest only a handful of levels.
 const MAX_DEPTH: usize = 64;
+
+/// Every integer below this is exact in an `f64`, and none at or above it
+/// is known to be: 2^53 + 1 reads as 2^53.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -137,6 +143,9 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        if let Ok(n) = text.parse() {
+            return Ok(Value::Int(n));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| JsonError(format!("bad number '{text}' at byte {start}")))
@@ -261,17 +270,27 @@ impl Value {
     pub fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
             Value::Num(n) => Ok(*n),
+            Value::Int(n) => Ok(*n as f64),
             other => err(format!("expected number, found {other:?}")),
         }
     }
 
-    /// This value as a non-negative integer (rejects fractions).
+    /// This value as a non-negative integer. Rejects fractions, and
+    /// whatever an `f64` may have rounded on the way in (`1e300`, a digit
+    /// string past `u64::MAX`) instead of passing the rounded value on.
     pub fn as_u64(&self) -> Result<u64, JsonError> {
-        let n = self.as_f64()?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-            return err(format!("expected unsigned integer, found {n}"));
+        match *self {
+            Value::Int(n) => Ok(n),
+            Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n < MAX_EXACT => Ok(n as u64),
+            _ => err(format!("expected unsigned integer, found {self:?}")),
         }
-        Ok(n as u64)
+    }
+
+    /// This value as a non-negative integer that fits `T` — a `u32`
+    /// parameter, a `usize` pid or count — never a truncated one.
+    pub fn as_uint<T: TryFrom<u64>>(&self) -> Result<T, JsonError> {
+        let n = self.as_u64()?;
+        T::try_from(n).or_else(|_| err(format!("{n} is out of range")))
     }
 
     /// Fetch a required field of an object.
@@ -358,6 +377,21 @@ mod tests {
         assert!(v.field("s").unwrap().as_f64().is_err());
         assert!(v.field("missing").is_err());
         assert!(v.as_arr().is_err());
+    }
+
+    #[test]
+    fn integers_arrive_exact_or_not_at_all() {
+        let v = Value::parse("[4294967296,18446744073709551615,18446744073709551616,1e300,3.0]")
+            .unwrap();
+        let [wide, max, over, exp, whole] = v.as_arr().unwrap() else {
+            panic!("five items");
+        };
+        assert_eq!(wide.as_u64(), Ok(1 << 32));
+        assert!(wide.as_uint::<u32>().is_err(), "not truncated to 0");
+        assert_eq!(max.as_u64(), Ok(u64::MAX), "not rounded to 2^64");
+        assert!(over.as_u64().is_err() && exp.as_u64().is_err());
+        assert_eq!(whole.as_uint::<u32>(), Ok(3));
+        assert_eq!(max.as_f64(), Ok(u64::MAX as f64));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! live harness — set up from a [`FaultPlan`]: the plan's
 //! [`FaultPipeline`] installed as the network's fault hook (the same
 //! engine, at the same place, as in the simulator: every heartbeat is
-//! dropped, duplicated or held back as it enters the queue, and control
+//! dropped, duplicated or delayed as it enters the queue, and control
 //! frames — the harness's hand, not protocol traffic — never see it),
 //! its crash / start / leave / revive schedule, and the one fault class
 //! only a live runtime can express, **per-node clock drift**. Each

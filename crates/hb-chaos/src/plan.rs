@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use hb_core::{FixLevel, Params, Pid, Variant};
+use hb_core::{FixLevel, Params, Pid, Variant, MAX_VIEW_MEMBERS};
 use hb_sim::channel::Time;
 use hb_sim::LossModel;
 
@@ -241,20 +241,6 @@ impl From<JsonError> for PlanError {
     }
 }
 
-fn variant_from_name(s: &str) -> Result<Variant, PlanError> {
-    Variant::ALL
-        .into_iter()
-        .find(|v| v.name() == s)
-        .ok_or_else(|| PlanError(format!("unknown variant \"{s}\"")))
-}
-
-fn fix_from_name(s: &str) -> Result<FixLevel, PlanError> {
-    FixLevel::ALL
-        .into_iter()
-        .find(|f| f.name() == s)
-        .ok_or_else(|| PlanError(format!("unknown fix level \"{s}\"")))
-}
-
 fn window_json(w: &Window) -> String {
     match w.to {
         Some(to) => format!("\"from\":{},\"to\":{}", w.from, to),
@@ -304,10 +290,7 @@ fn window_from(v: &Value) -> Result<Window, PlanError> {
 
 fn link_from(v: &Value) -> Result<Link, PlanError> {
     let pid = |name| -> Result<Option<Pid>, PlanError> {
-        Ok(v.opt_field(name)?
-            .map(Value::as_u64)
-            .transpose()?
-            .map(|p| p as Pid))
+        Ok(v.opt_field(name)?.map(Value::as_uint).transpose()?)
     };
     Ok(Link {
         src: pid("src")?,
@@ -316,7 +299,7 @@ fn link_from(v: &Value) -> Result<Link, PlanError> {
 }
 
 fn pids_from(v: &Value) -> Result<Vec<Pid>, PlanError> {
-    v.as_arr()?.iter().map(|p| Ok(p.as_u64()? as Pid)).collect()
+    v.as_arr()?.iter().map(|p| Ok(p.as_uint()?)).collect()
 }
 
 fn prob_from(v: &Value, name: &str) -> Result<f64, PlanError> {
@@ -411,7 +394,7 @@ impl FaultSpec {
 
     fn from_value(v: &Value) -> Result<FaultSpec, PlanError> {
         let pid_at = || -> Result<(Pid, Time), PlanError> {
-            Ok((v.field("pid")?.as_u64()? as Pid, v.field("at")?.as_u64()?))
+            Ok((v.field("pid")?.as_uint()?, v.field("at")?.as_u64()?))
         };
         match v.field("kind")?.as_str()? {
             "loss" => Ok(FaultSpec::Loss {
@@ -442,11 +425,11 @@ impl FaultSpec {
                 window: window_from(v)?,
                 link: link_from(v)?,
                 p: prob_from(v, "p")?,
-                max_extra: v.field("max_extra")?.as_u64()? as u32,
+                max_extra: v.field("max_extra")?.as_uint()?,
             }),
             "delay-spike" => Ok(FaultSpec::DelaySpike {
                 window: window_from(v)?,
-                extra: v.field("extra")?.as_u64()? as u32,
+                extra: v.field("extra")?.as_uint()?,
             }),
             "drift" => {
                 let num = v.field("num")?.as_u64()?;
@@ -455,7 +438,7 @@ impl FaultSpec {
                     return Err(PlanError("drift rate must be positive".into()));
                 }
                 Ok(FaultSpec::Drift {
-                    pid: v.field("pid")?.as_u64()? as Pid,
+                    pid: v.field("pid")?.as_uint()?,
                     offset: v
                         .opt_field("offset")?
                         .map(Value::as_u64)
@@ -490,18 +473,18 @@ impl ProtoSpec {
     }
 
     fn from_value(v: &Value) -> Result<ProtoSpec, PlanError> {
-        let tmin = v.field("tmin")?.as_u64()? as u32;
-        let tmax = v.field("tmax")?.as_u64()? as u32;
+        let tmin = v.field("tmin")?.as_uint()?;
+        let tmax = v.field("tmax")?.as_uint()?;
         // Absent in pre-membership plans: default to the plain detector.
         let membership = match v.opt_field("membership")? {
             Some(b) => b.as_bool()?,
             None => false,
         };
         Ok(ProtoSpec {
-            variant: variant_from_name(v.field("variant")?.as_str()?)?,
+            variant: Variant::from_name(v.field("variant")?.as_str()?).map_err(PlanError)?,
             params: Params::new(tmin, tmax).map_err(|e| PlanError(e.to_string()))?,
-            fix: fix_from_name(v.field("fix")?.as_str()?)?,
-            n: v.field("n")?.as_u64()? as usize,
+            fix: FixLevel::from_name(v.field("fix")?.as_str()?).map_err(PlanError)?,
+            n: v.field("n")?.as_uint()?,
             duration: v.field("duration")?.as_u64()?,
             membership,
         })
@@ -542,16 +525,26 @@ impl FaultPlan {
         self.crashes().iter().map(|&(_, t)| t).min()
     }
 
-    /// Validate topology references and per-pid lifecycle ordering: every
-    /// pid a fault names must exist (`0..=n`), start/leave only name
-    /// participants, leave needs the dynamic variant, a pid crashes at
-    /// most once, a revive needs a strictly earlier crash of the same
-    /// pid, and a late start must precede that pid's crash. Reviving the
+    /// Validate the group size (at least one participant, exactly one for
+    /// the two-process variants; a membership group fits a view), topology
+    /// references and per-pid lifecycle
+    /// ordering: every pid a fault names must exist (`0..=n`), start/leave
+    /// only name participants, leave needs the dynamic variant, a pid
+    /// crashes at most once, a revive needs a strictly earlier crash of the
+    /// same pid, and a late start must precede that pid's crash. Reviving the
     /// coordinator (pid 0) additionally requires a membership plan —
     /// without the failover layer a revived coordinator has no story —
     /// and follows the same lifecycle ordering as participant pids.
     pub fn validate(&self) -> Result<(), PlanError> {
         let n = self.proto.n;
+        if n == 0 {
+            return Err(PlanError("n = 0: a plan needs a participant".into()));
+        }
+        if self.proto.membership && n >= MAX_VIEW_MEMBERS {
+            return Err(PlanError(format!(
+                "a membership group of {n} + 1 exceeds the view's {MAX_VIEW_MEMBERS} members"
+            )));
+        }
         let check = |pid: Pid, what: &str| {
             if pid > n {
                 Err(PlanError(format!("{what} names pid {pid}, but n = {n}")))
@@ -663,6 +656,13 @@ impl FaultPlan {
                 }
                 _ => {}
             }
+        }
+        // Last, so that a fault the variant cannot express is named first.
+        if self.proto.variant.is_two_process() && n != 1 {
+            return Err(PlanError(format!(
+                "{} is a two-process protocol, got n = {n}",
+                self.proto.variant
+            )));
         }
         Ok(())
     }
@@ -923,6 +923,7 @@ mod tests {
                 "crashes twice",
             ),
             (r#"[{"kind":"revive","pid":1,"at":9}]"#, "no matching crash"),
+            (r#"[{"kind":"crash","pid":4294967297,"at":5}]"#, "names pid"),
             (
                 r#"[{"kind":"crash","pid":1,"at":9},{"kind":"revive","pid":1,"at":4}]"#,
                 "must follow its crash",
@@ -943,9 +944,21 @@ mod tests {
             r#"{"name":"x","seed":1,"proto":{"variant":"binary","tmin":0,"tmax":2,"fix":"full-fix","n":1,"duration":10},"faults":[]}"#,
             r#"{"name":"x","seed":1,"proto":{"variant":"binary","tmin":1,"tmax":2,"fix":"full-fix","n":1,"duration":10},"faults":[{"kind":"loss","model":{"law":"bernoulli","p":1.5}}]}"#,
             r#"{"name":"x","seed":1,"proto":{"variant":"binary","tmin":1,"tmax":2,"fix":"full-fix","n":1,"duration":10},"faults":[{"kind":"wat"}]}"#,
+            // Out of range for the field, not truncated into it.
+            r#"{"name":"x","seed":1,"proto":{"variant":"binary","tmin":4294967298,"tmax":4294967304,"fix":"full-fix","n":1,"duration":10},"faults":[]}"#,
+            r#"{"name":"x","seed":1,"proto":{"variant":"static","tmin":1,"tmax":2,"fix":"full-fix","n":1,"duration":10},"faults":[{"kind":"delay-spike","extra":4294967296}]}"#,
+            r#"{"name":"x","seed":1e300,"proto":{"variant":"static","tmin":1,"tmax":2,"fix":"full-fix","n":1,"duration":10},"faults":[]}"#,
+            r#"{"name":"x","seed":1,"proto":{"variant":"static","tmin":1,"tmax":2,"fix":"full-fix","n":1,"duration":18446744073709551616},"faults":[]}"#,
+            // Group sizes the runtimes would panic on.
+            r#"{"name":"x","seed":1,"proto":{"variant":"static","tmin":1,"tmax":2,"fix":"full-fix","n":0,"duration":10},"faults":[]}"#,
+            r#"{"name":"x","seed":1,"proto":{"variant":"binary","tmin":1,"tmax":2,"fix":"full-fix","n":2,"duration":10},"faults":[]}"#,
+            r#"{"name":"x","seed":1,"proto":{"variant":"dynamic","tmin":1,"tmax":2,"fix":"full-fix","n":64,"duration":10,"membership":true},"faults":[]}"#,
         ] {
             assert!(FaultPlan::from_json(bad).is_err(), "{bad} must fail");
         }
+        // A seed is 64 bits and arrives as written.
+        let max = r#"{"name":"x","seed":18446744073709551615,"proto":{"variant":"dynamic","tmin":1,"tmax":2,"fix":"full-fix","n":15,"duration":10,"membership":true},"faults":[]}"#;
+        assert_eq!(FaultPlan::from_json(max).unwrap().seed, u64::MAX);
     }
 
     #[test]

@@ -74,6 +74,18 @@ impl FixLevel {
             FixLevel::Full => "full-fix",
         }
     }
+
+    /// The fix level with this [`name`](Self::name); the error lists the
+    /// names there are.
+    pub fn from_name(s: &str) -> Result<FixLevel, String> {
+        Self::ALL
+            .into_iter()
+            .find(|f| f.name() == s)
+            .ok_or_else(|| {
+                let known = Self::ALL.map(Self::name).join(", ");
+                format!("unknown fix level \"{s}\" (one of: {known})")
+            })
+    }
 }
 
 impl fmt::Display for FixLevel {
@@ -110,5 +122,17 @@ mod tests {
     fn all_levels_distinct_names() {
         let names: std::collections::HashSet<_> = FixLevel::ALL.iter().map(|f| f.name()).collect();
         assert_eq!(names.len(), 4);
+    }
+
+    #[test]
+    fn names_parse_back_and_unknown_ones_list_the_table() {
+        for f in FixLevel::ALL {
+            assert_eq!(FixLevel::from_name(f.name()), Ok(f));
+        }
+        let e = FixLevel::from_name("full").unwrap_err();
+        assert!(
+            e.contains("fix level \"full\"") && e.contains("full-fix"),
+            "{e}"
+        );
     }
 }

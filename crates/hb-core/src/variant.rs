@@ -97,6 +97,18 @@ impl Variant {
             Variant::Dynamic => "dynamic",
         }
     }
+
+    /// The variant with this [`name`](Self::name); the error lists the
+    /// names there are.
+    pub fn from_name(s: &str) -> Result<Variant, String> {
+        Self::ALL
+            .into_iter()
+            .find(|v| v.name() == s)
+            .ok_or_else(|| {
+                let known = Self::ALL.map(Self::name).join(", ");
+                format!("unknown variant \"{s}\" (one of: {known})")
+            })
+    }
 }
 
 impl fmt::Display for Variant {
@@ -136,6 +148,18 @@ mod tests {
     fn names_unique() {
         let names: std::collections::HashSet<_> = Variant::ALL.iter().map(|v| v.name()).collect();
         assert_eq!(names.len(), Variant::ALL.len());
+    }
+
+    #[test]
+    fn names_parse_back_and_unknown_ones_list_the_table() {
+        for v in Variant::ALL {
+            assert_eq!(Variant::from_name(v.name()), Ok(v));
+        }
+        let e = Variant::from_name("bin").unwrap_err();
+        assert!(
+            e.contains("variant \"bin\"") && e.contains("revised-binary"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! produce byte-identical event streams by construction (pinned by
 //! `tests/membership_live.rs`).
 //!
-//! Per tick the engine (1) applies due schedule faults, (2) releases
-//! fault-delayed frames, (3) runs delivery and machine firings to a
-//! fixpoint, (4) resolves pending re-convergence samples, and (5) ticks
-//! every node.
+//! Per tick the engine (1) applies due schedule faults, (2) runs delivery
+//! and machine firings to a fixpoint, (3) resolves pending re-convergence
+//! samples, and (4) ticks every node.
 
 use hb_core::events::{EventSink, SharedTap};
 use hb_core::trace::{Event, EventLog};
@@ -32,7 +31,9 @@ use crate::node::{MemberNode, MemberSpec, Outbound, RoleKind};
 /// Both shipped meshes are `hb_net::loopback::LoopbackCore`, bare or
 /// behind the loopback net's lock, so they do by construction.
 pub trait Mesh {
-    /// Queue `frame` (whose source is `frame.src()`) for `dst`.
+    /// Queue `frame` (whose source is `frame.src()`) for `dst`. `now` is
+    /// the tick it enters the network: ahead of the engine's own when a
+    /// fault hook delayed it.
     fn send(&mut self, now: u64, dst: Pid, frame: &Frame, budget: u32);
 
     /// Take the earliest frame deliverable to `dst` at `now`, with the
@@ -170,9 +171,6 @@ pub struct Engine<M: Mesh> {
     mesh: M,
     sink: EventSink,
     hook: Option<Box<dyn FaultHook>>,
-    /// Frames a fault hook delayed beyond the mesh: `(release_at, dst,
-    /// frame, budget)`, released in push order.
-    holdback: Vec<(u64, Pid, Frame, u32)>,
     pending: Vec<PendingSample>,
     next_fault: usize,
     now: u64,
@@ -201,7 +199,6 @@ impl<M: Mesh> Engine<M> {
             mesh,
             sink,
             hook,
-            holdback: Vec::new(),
             pending: Vec::new(),
             next_fault: 0,
             now: 0,
@@ -227,7 +224,6 @@ impl<M: Mesh> Engine<M> {
 
     fn step(&mut self) {
         self.apply_faults();
-        self.release_holdbacks();
         self.fixpoint();
         self.resolve_reconv();
         for node in &mut self.nodes {
@@ -243,57 +239,32 @@ impl<M: Mesh> Engine<M> {
         {
             let f = self.cfg.faults[self.next_fault];
             self.next_fault += 1;
-            match f.kind {
+            // The evidence its sample resolves against: each node's view
+            // number as a crash strikes, a revival's fresh epoch.
+            let (view_nos, epoch) = match f.kind {
                 FaultKind::Crash => {
                     self.nodes[f.pid].crash(self.now, &mut self.sink);
                     let view_nos = self.nodes.iter().map(|n| n.view().view_no).collect();
-                    self.pending.push(PendingSample {
-                        sample: ReconvSample {
-                            kind: f.kind,
-                            pid: f.pid,
-                            at: self.now,
-                            detect: None,
-                            stable: None,
-                        },
-                        view_nos,
-                        epoch: 0,
-                    });
+                    (view_nos, 0)
                 }
                 FaultKind::Revive => {
                     let mut out = Vec::new();
                     self.nodes[f.pid].revive(self.now, &mut self.sink, &mut out);
-                    let epoch = self.nodes[f.pid].epoch();
                     self.route(out);
-                    self.pending.push(PendingSample {
-                        sample: ReconvSample {
-                            kind: f.kind,
-                            pid: f.pid,
-                            at: self.now,
-                            detect: None,
-                            stable: None,
-                        },
-                        view_nos: Vec::new(),
-                        epoch,
-                    });
+                    (Vec::new(), self.nodes[f.pid].epoch())
                 }
-            }
-        }
-    }
-
-    /// Release hook-delayed frames whose time has come, in push order.
-    fn release_holdbacks(&mut self) {
-        let now = self.now;
-        let mut due = Vec::new();
-        self.holdback.retain(|&(at, dst, frame, budget)| {
-            if at <= now {
-                due.push((dst, frame, budget));
-                false
-            } else {
-                true
-            }
-        });
-        for (dst, frame, budget) in due {
-            self.mesh.send(now, dst, &frame, budget);
+            };
+            self.pending.push(PendingSample {
+                sample: ReconvSample {
+                    kind: f.kind,
+                    pid: f.pid,
+                    at: self.now,
+                    detect: None,
+                    stable: None,
+                },
+                view_nos,
+                epoch,
+            });
         }
     }
 
@@ -335,7 +306,9 @@ impl<M: Mesh> Engine<M> {
     }
 
     /// Pass outbound frames through the fault hook and into the mesh,
-    /// emitting the transport events for beats.
+    /// emitting the transport events for beats. A copy the hook delays is
+    /// a send the mesh hears about `extra_delay` ticks late: it draws its
+    /// own delay on top, so the frame is due no earlier than that.
     fn route(&mut self, out: Vec<Outbound>) {
         for (dst, frame, budget) in out {
             let src = frame.src();
@@ -365,17 +338,9 @@ impl<M: Mesh> Engine<M> {
                     copies,
                     extra_delay,
                 } => {
+                    let at = self.now + u64::from(extra_delay);
                     for _ in 0..copies {
-                        if extra_delay == 0 {
-                            self.mesh.send(self.now, dst, &frame, budget);
-                        } else {
-                            self.holdback.push((
-                                self.now + u64::from(extra_delay),
-                                dst,
-                                frame,
-                                budget,
-                            ));
-                        }
+                        self.mesh.send(at, dst, &frame, budget);
                     }
                 }
             }

@@ -17,7 +17,7 @@ use hb_sim::schema::{RunLedger, RunSummary};
 use crate::events::{EventSink, SharedTap};
 use crate::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
 use crate::node::{NodeReport, NodeRuntime};
-use crate::time::{SkewedClock, Time, VirtualClock};
+use crate::time::{SkewedClock, Time};
 use crate::transport::Transport;
 use crate::wire::{Command, Frame};
 
@@ -62,8 +62,7 @@ pub struct VirtualCluster {
     injections: Vec<(Time, Pid, Command)>,
     now: Time,
     /// Per pid, the drifted clock it is polled at (`None`: true time).
-    /// Only [`SkewedClock::map`] is used — the cluster supplies the tick.
-    local: Vec<Option<SkewedClock<VirtualClock>>>,
+    local: Vec<Option<SkewedClock>>,
     statuses: Vec<Option<(Status, bool)>>,
     ledger: RunLedger,
     /// A live event tap (e.g. a streaming monitor) attached to every
@@ -72,8 +71,8 @@ pub struct VirtualCluster {
 }
 
 /// The local tick `pid` is polled at when the true tick is `now`.
-fn local_tick(local: &[Option<SkewedClock<VirtualClock>>], pid: Pid, now: Time) -> Time {
-    local[pid].as_ref().map_or(now, |clock| clock.map(now))
+fn local_tick(local: &[Option<SkewedClock>], pid: Pid, now: Time) -> Time {
+    local[pid].map_or(now, |clock| clock.map(now))
 }
 
 impl VirtualCluster {
@@ -122,7 +121,7 @@ impl VirtualCluster {
     /// Panics if `pid` is out of range or `num` or `den` is zero.
     pub fn skew_clock(&mut self, pid: Pid, offset: Time, num: u64, den: u64) {
         assert!(pid <= self.cfg.n, "pid {pid} out of range");
-        self.local[pid] = Some(SkewedClock::new(VirtualClock::new(), offset, num, den));
+        self.local[pid] = Some(SkewedClock::new(offset, num, den));
     }
 
     /// Attach a live [`EventTap`](crate::events::EventTap) — e.g. a

@@ -13,8 +13,8 @@
 //!   channel) and [`udp`] (one `std::net::UdpSocket` per node, no async
 //!   runtime);
 //! * [`time`] — the [`TimeSource`](time::TimeSource) abstraction: a
-//!   wall-clock mapping protocol ticks onto a real tick duration, and a
-//!   manually-advanced virtual clock for deterministic tests;
+//!   wall-clock mapping protocol ticks onto a real tick duration, and the
+//!   per-node clock skew the deterministic cluster polls drifted nodes at;
 //! * [`node`] — [`NodeRuntime`](node::NodeRuntime), the deadline-driven
 //!   event loop that polls a machine forward tick by tick, honouring
 //!   `FixLevel::ReceivePriority` (drain deliverable messages before firing
@@ -43,7 +43,7 @@ pub use cluster::{ClusterConfig, LiveReport, VirtualCluster};
 pub use events::{Counters, EventSink, EventTap, SharedTap};
 pub use loopback::{Faults, LoopbackCore, LoopbackEndpoint, LoopbackNet, NetStats};
 pub use node::{NodeReport, NodeRuntime};
-pub use time::{SkewedClock, Time, TimeSource, VirtualClock, WallClock};
+pub use time::{SkewedClock, Time, TimeSource, WallClock};
 pub use transport::{Recv, Transport};
 pub use udp::UdpTransport;
 pub use wire::{Command, DecodeError, Frame, WIRE_VERSION};

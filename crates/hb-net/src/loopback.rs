@@ -25,9 +25,9 @@ use std::time::Duration;
 use hb_core::events::{EventSink, SharedTap};
 use hb_core::trace::Event;
 use hb_core::Pid;
-use hb_sim::channel::{FaultHook, LossModel, SendFate};
+use hb_sim::channel::{draw_delivery, FaultHook, LossModel, SendFate};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::time::Time;
 use crate::transport::{Recv, Transport};
@@ -77,16 +77,6 @@ struct Stored {
     budget_left: u32,
 }
 
-/// A frame the fault hook delayed beyond the round-trip budget: it enters
-/// its queue — drawing loss and in-budget delay then — at tick `due`.
-#[derive(Clone, Copy, Debug)]
-struct Held {
-    due: Time,
-    dst: Pid,
-    frame: Frame,
-    budget: u32,
-}
-
 /// The loopback queue itself, without any locking: per-destination
 /// queues, the loss model with its burst state, the seeded loss/delay
 /// randomness and the beat counters. [`LoopbackNet`] is this core behind
@@ -98,10 +88,9 @@ pub struct LoopbackCore {
     queues: Vec<Vec<Stored>>,
     /// Per destination, the earliest `deliver_at` in its queue ([`NEVER`]
     /// when empty): a tick on which nothing is due costs one compare per
-    /// question asked, not a scan. One more slot after the last
-    /// destination holds the earliest `due` among `held`. Atomics only so
-    /// that [`LoopbackNet`] can read its clone of the `Arc` without the
-    /// lock; every store happens through `&mut self`.
+    /// question asked, not a scan. Atomics only so that [`LoopbackNet`]
+    /// can read its clone of the `Arc` without the lock; every store
+    /// happens through `&mut self`.
     due: Arc<[AtomicU64]>,
     loss: LossModel,
     ge_bad: bool,
@@ -110,11 +99,6 @@ pub struct LoopbackCore {
     /// The external adversary, asked once per in-band send before the
     /// loss model above sees the frame (or each copy the hook made of it).
     hook: Option<Box<dyn FaultHook>>,
-    /// Released, in sweep order, by the first `send` or `recv` of the tick
-    /// they are due; always empty without a hook. A release wakes nobody:
-    /// hooks are installed by the tick-stepped cluster alone, whose nodes
-    /// poll every tick and never block in [`Transport::wait`].
-    held: Vec<Held>,
     /// Hears a `lose` record for every beat dropped here. Nodes see only
     /// their own sends and deliveries; the drop is known to the network
     /// alone, and a streaming monitor's fault-free premise depends on it.
@@ -131,24 +115,26 @@ impl LoopbackCore {
     pub fn new(endpoints: usize, loss: LossModel, seed: u64) -> Self {
         LoopbackCore {
             queues: (0..endpoints).map(|_| Vec::new()).collect(),
-            due: (0..=endpoints).map(|_| AtomicU64::new(NEVER)).collect(),
+            due: (0..endpoints).map(|_| AtomicU64::new(NEVER)).collect(),
             loss,
             ge_bad: false,
             rng: StdRng::seed_from_u64(seed),
             stats: NetStats::default(),
             hook: None,
-            held: Vec::new(),
             tap: EventSink::disabled(),
         }
     }
 
-    /// Queue `frame` for `dst`; returns whether it was queued (not lost,
-    /// nor — under a fault hook — held for later). Control frames are
-    /// out-of-band: instant, lossless, uncounted, and never shown to the
-    /// fault hook. Membership traffic rides the same in-band channel as
-    /// beats (delayed, droppable) but stays out of the beat stats —
-    /// overhead comparisons against the paper's message counts must not
-    /// be skewed by the member layer.
+    /// Queue `frame` for `dst`; returns whether it was queued (not lost).
+    /// Control frames are out-of-band: instant, lossless, uncounted, and
+    /// never shown to the fault hook. Membership traffic rides the same
+    /// in-band channel as beats (delayed, droppable) but stays out of the
+    /// beat stats — overhead comparisons against the paper's message
+    /// counts must not be skewed by the member layer.
+    ///
+    /// Under a fault hook one logical send is dropped, or each copy goes
+    /// on through the loss model with the hook's extra delay on top of
+    /// its own in-budget draw.
     ///
     /// # Panics
     ///
@@ -160,21 +146,6 @@ impl LoopbackCore {
             self.push(now, dst, frame, 0);
             return true;
         }
-        if self.hook.is_some() {
-            return self.send_hooked(now, dst, frame, budget);
-        }
-        if matches!(frame, Frame::Beat { .. }) {
-            self.stats.sent += 1;
-        }
-        self.enqueue(now, dst, frame, budget)
-    }
-
-    /// One logical send under the hook: dropped, or each copy on through
-    /// the loss model — now, or held `extra_delay` ticks first with that
-    /// much less budget for the reply.
-    #[cold]
-    fn send_hooked(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> bool {
-        self.release_held(now);
         if matches!(frame, Frame::Beat { .. }) {
             self.stats.sent += 1;
         }
@@ -192,53 +163,21 @@ impl LoopbackCore {
         };
         let mut queued = false;
         for _ in 0..copies {
-            if extra_delay == 0 {
-                queued |= self.enqueue(now, dst, frame, budget);
-                continue;
-            }
-            let due = now + Time::from(extra_delay);
-            self.held.push(Held {
-                due,
-                dst,
-                frame: *frame,
-                budget: budget.saturating_sub(extra_delay),
-            });
-            let slot = &self.due[self.queues.len()];
-            slot.store(due.min(slot.load(Acquire)), Release);
+            queued |= self.enqueue(now, dst, frame, budget, extra_delay);
         }
         queued
     }
 
-    /// Move every held frame due at `now` into its queue.
-    #[cold]
-    fn release_held(&mut self, now: Time) {
-        let slot = self.queues.len();
-        if due_at(&self.due[slot], now).is_none() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].due <= now {
-                let h = self.held.swap_remove(i);
-                self.enqueue(now, h.dst, &h.frame, h.budget);
-            } else {
-                i += 1;
-            }
-        }
-        let next = self.held.iter().map(|h| h.due).min();
-        self.due[slot].store(next.unwrap_or(NEVER), Release);
-    }
-
-    /// One frame through the network's own faults: a loss draw, then a
-    /// uniform in-budget delay draw. Returns whether it was queued.
+    /// One frame through the network's own faults: a loss draw, then the
+    /// delay draw every queue shares. Returns whether it was queued.
     #[inline(always)]
-    fn enqueue(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> bool {
+    fn enqueue(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32, extra: u32) -> bool {
         if self.loss.drops(&mut self.ge_bad, &mut self.rng) {
             self.lose(now, dst, frame);
             return false;
         }
-        let delay = self.rng.gen_range(0..=budget);
-        self.push(now + Time::from(delay), dst, frame, budget - delay);
+        let (deliver_at, budget_left) = draw_delivery(&mut self.rng, now, budget, extra);
+        self.push(deliver_at, dst, frame, budget_left);
         true
     }
 
@@ -271,9 +210,6 @@ impl LoopbackCore {
     /// equal times, for a deterministic processing order).
     #[inline]
     pub fn recv(&mut self, now: Time, pid: Pid) -> Option<Recv> {
-        if !self.held.is_empty() {
-            self.release_held(now);
-        }
         let earliest = due_at(&self.due[pid], now)?;
         // The first frame at the queue's minimum time is the
         // `min_by_key((deliver_at, index))` of the due ones.
@@ -294,8 +230,7 @@ impl LoopbackCore {
         })
     }
 
-    /// Whether any frame is deliverable — or due for release into its
-    /// queue — at `now`.
+    /// Whether any frame is deliverable at `now`.
     #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
         any_due(&self.due, now)
@@ -368,11 +303,6 @@ impl Inner {
             .expect("a loopback user panicked while holding the lock")
     }
 
-    /// Addressable pids; the due index has one more slot, for held frames.
-    fn endpoints(&self) -> usize {
-        self.due.len() - 1
-    }
-
     #[inline]
     fn now(&self, caller: Time) -> Time {
         match self.clock.load(Acquire) {
@@ -425,15 +355,14 @@ impl LoopbackNet {
     ///
     /// Panics if `pid` is out of range.
     pub fn endpoint(&self, pid: Pid) -> LoopbackEndpoint {
-        assert!(pid < self.inner.endpoints(), "pid {pid} out of range");
+        assert!(pid < self.inner.due.len(), "pid {pid} out of range");
         LoopbackEndpoint {
             inner: Arc::clone(&self.inner),
             pid,
         }
     }
 
-    /// Whether any frame is deliverable — or due for release into its
-    /// queue — at `now`.
+    /// Whether any frame is deliverable at `now`.
     #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
         any_due(&self.inner.due, now)
@@ -458,17 +387,10 @@ pub struct LoopbackEndpoint {
     pid: Pid,
 }
 
-impl LoopbackEndpoint {
-    /// The pid this endpoint receives for.
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-}
-
 impl Transport for LoopbackEndpoint {
     #[inline]
     fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
-        if dst >= self.inner.endpoints() {
+        if dst >= self.inner.due.len() {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("no endpoint {dst}"),
@@ -490,12 +412,9 @@ impl Transport for LoopbackEndpoint {
     #[inline]
     fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
         let now = self.inner.now(now);
-        // The miss: nothing queued for us is due, and no held frame is due
-        // for release (to us or anyone: the first call of its tick moves
-        // it). [`NEVER`] is later than any `now`.
-        let due = &self.inner.due;
-        let held = &due[self.inner.endpoints()];
-        if due[self.pid].load(Acquire).min(held.load(Acquire)) > now {
+        // The miss: nothing queued for us is due ([`NEVER`] is later than
+        // any `now`), and the lock stays untaken.
+        if self.inner.due[self.pid].load(Acquire) > now {
             return Ok(None);
         }
         Ok(self.inner.lock().core.recv(now, self.pid))

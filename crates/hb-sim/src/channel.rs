@@ -66,6 +66,16 @@ pub trait FaultHook: Send + std::fmt::Debug {
     fn fate(&mut self, now: Time, src: Pid, dst: Pid) -> SendFate;
 }
 
+/// The one delay rule, for every queue a message can sit in (this
+/// channel, the loopback core and through it both membership meshes): a
+/// uniform in-budget draw plus whatever a [`FaultHook`] added, decided
+/// when the message is sent. Returns the delivery tick and the round-trip
+/// budget left at delivery — none once the total delay has used it up.
+pub fn draw_delivery<R: Rng>(rng: &mut R, now: Time, budget: u32, extra_delay: u32) -> (Time, u32) {
+    let delay = rng.gen_range(0..=budget) + extra_delay;
+    (now + Time::from(delay), budget.saturating_sub(delay))
+}
+
 /// How the channel decides to drop messages.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LossModel {
@@ -226,13 +236,13 @@ impl Channel {
             self.lost += 1;
             return false;
         }
-        let delay = rng.gen_range(0..=budget);
+        let (deliver_at, budget_left) = draw_delivery(rng, now, budget, 0);
         self.in_flight.push(InFlight {
-            deliver_at: now + Time::from(delay),
+            deliver_at,
             src,
             dst,
             hb,
-            budget_left: budget - delay,
+            budget_left,
         });
         true
     }
@@ -253,25 +263,21 @@ impl Channel {
     ) -> bool {
         self.sent += 1;
         let SendFate::Deliver {
-            copies,
+            copies: copies @ 1..,
             extra_delay,
         } = fate
         else {
             self.lost += 1;
             return false;
         };
-        if copies == 0 {
-            self.lost += 1;
-            return false;
-        }
         for _ in 0..copies {
-            let delay = rng.gen_range(0..=budget) + extra_delay;
+            let (deliver_at, budget_left) = draw_delivery(rng, now, budget, extra_delay);
             self.in_flight.push(InFlight {
-                deliver_at: now + Time::from(delay),
+                deliver_at,
                 src,
                 dst,
                 hb,
-                budget_left: budget.saturating_sub(delay),
+                budget_left,
             });
         }
         true

@@ -6,12 +6,19 @@
 //! environment (heartbeats may arrive at any time) and internal clock
 //! bookkeeping hidden, reduced modulo weak-trace equivalence.
 //!
-//! This module rebuilds those systems from our coordinator/responder
-//! semantics and exposes them as [`mck::lts::Lts`] values so the reduction
+//! This module rebuilds those systems from the machines every runtime
+//! executes — [`CoordSpec`] and [`RespSpec`] at `Binary`, `Original`,
+//! `n = 1` — and exposes them as [`mck::lts::Lts`] values so the reduction
 //! pipeline (`hide → determinize_weak → minimize_traces`) regenerates the
-//! figures' shapes.
+//! figures' shapes. The figures show as separate committed steps what the
+//! machines do atomically (`timeout`, then the beat or the inactivation;
+//! `from p0`, then the reply, then the stopwatch reset): each model takes
+//! the machine's step at once and holds the result as `pending` until
+//! the figure's last action for it has been shown.
 
-use hb_core::Params;
+use hb_core::coordinator::{CoordSpec, CoordState};
+use hb_core::responder::{LeaveDecision, RespSpec, RespState};
+use hb_core::{FixLevel, Heartbeat, Params, Variant};
 use mck::graph::StateGraph;
 use mck::lts::Lts;
 use mck::Model;
@@ -47,36 +54,28 @@ impl P0Label {
     }
 }
 
-/// What the isolated `p[0]` has committed to after its timeout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum P0Pending {
-    /// Send the next beat and start a round of this length.
-    Send(u32),
-    /// Become non-voluntarily inactive.
-    Inactivate,
-}
-
-/// State of the isolated `p[0]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// State of the isolated `p[0]`: the coordinator machine's, plus — in the
+/// committed location between a timeout and the action that shows its
+/// outcome — the state `on_timeout` has already produced.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct P0SoloState {
-    active: bool,
-    t: u32,
-    elapsed: u32,
-    rcvd: bool,
-    pending: Option<P0Pending>,
+    now: CoordState,
+    pending: Option<CoordState>,
 }
 
 /// The isolated coordinator of the binary protocol with a free
-/// environment, mirroring the mCRL2 process `P0` of the paper §3.2.
+/// environment: the mCRL2 process `P0` of the paper §3.2.
 #[derive(Clone, Copy, Debug)]
 pub struct P0Solo {
-    params: Params,
+    spec: CoordSpec,
 }
 
 impl P0Solo {
     /// Isolated `p[0]` with the given timing parameters.
     pub fn new(params: Params) -> Self {
-        Self { params }
+        Self {
+            spec: CoordSpec::new(Variant::Binary, params, 1, FixLevel::Original),
+        }
     }
 }
 
@@ -86,29 +85,27 @@ impl Model for P0Solo {
 
     fn initial_states(&self) -> Vec<P0SoloState> {
         vec![P0SoloState {
-            active: true,
-            t: self.params.tmax(),
-            elapsed: 0,
-            rcvd: true,
+            now: self.spec.init_state(),
             pending: None,
         }]
     }
 
     fn actions(&self, s: &P0SoloState, out: &mut Vec<P0Label>) {
-        if let Some(p) = s.pending {
+        if let Some(p) = &s.pending {
             // Committed location: resolve the timeout outcome first.
-            out.push(match p {
-                P0Pending::Send(_) => P0Label::ForP1,
-                P0Pending::Inactivate => P0Label::InactivateNv,
+            out.push(if p.status.is_active() {
+                P0Label::ForP1
+            } else {
+                P0Label::InactivateNv
             });
             return;
         }
-        let timeout_due = s.active && s.elapsed >= s.t;
+        let timeout_due = self.spec.timeout_due(&s.now);
         if !timeout_due {
             out.push(P0Label::Tick);
         }
         out.push(P0Label::FromP1);
-        if s.active {
+        if s.now.status.is_active() {
             out.push(P0Label::InactivateV);
             if timeout_due {
                 out.push(P0Label::Timeout);
@@ -117,58 +114,25 @@ impl Model for P0Solo {
     }
 
     fn next_state(&self, s: &P0SoloState, a: &P0Label) -> Option<P0SoloState> {
-        let mut n = *s;
-        match a {
-            P0Label::Tick => {
-                if s.active {
-                    if s.elapsed >= s.t {
-                        return None;
-                    }
-                    n.elapsed += 1;
-                }
+        let mut n = s.clone();
+        match (a, n.pending.take()) {
+            (P0Label::ForP1, Some(p)) if p.status.is_active() => n.now = p,
+            (P0Label::InactivateNv, Some(p)) if !p.status.is_active() => n.now = p,
+            (_, Some(_)) => return None,
+            (P0Label::Tick, None) if self.spec.may_tick(&n.now) => self.spec.tick(&mut n.now),
+            (P0Label::FromP1, None) => {
+                // Inactive: the message is consumed, with no effect.
+                self.spec.on_heartbeat(&mut n.now, 1, Heartbeat::plain());
             }
-            P0Label::FromP1 => {
-                if s.active && s.pending.is_none() {
-                    n.rcvd = true;
-                } // inactive / committed: message consumed, no effect
+            (P0Label::InactivateV, None) if n.now.status.is_active() => {
+                self.spec.crash(&mut n.now);
             }
-            P0Label::InactivateV => {
-                if !s.active || s.pending.is_some() {
-                    return None;
-                }
-                n.active = false;
+            (P0Label::Timeout, None) if self.spec.timeout_due(&n.now) => {
+                let mut p = n.now.clone();
+                self.spec.on_timeout(&mut p);
+                n.pending = Some(p);
             }
-            P0Label::Timeout => {
-                if !s.active || s.pending.is_some() || s.elapsed < s.t {
-                    return None;
-                }
-                n.pending = Some(if s.rcvd {
-                    P0Pending::Send(self.params.tmax())
-                } else {
-                    let half = Params::halve(s.t);
-                    if half >= self.params.tmin() {
-                        P0Pending::Send(half)
-                    } else {
-                        P0Pending::Inactivate
-                    }
-                });
-            }
-            P0Label::ForP1 => match s.pending {
-                Some(P0Pending::Send(nt)) => {
-                    n.t = nt;
-                    n.elapsed = 0;
-                    n.rcvd = false;
-                    n.pending = None;
-                }
-                _ => return None,
-            },
-            P0Label::InactivateNv => match s.pending {
-                Some(P0Pending::Inactivate) => {
-                    n.active = false;
-                    n.pending = None;
-                }
-                _ => return None,
-            },
+            _ => return None,
         }
         Some(n)
     }
@@ -212,39 +176,30 @@ impl P1Label {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum P1Pending {
-    /// Received a beat; must reply.
-    Reply,
-    /// Replied; must reset the stopwatch.
-    Reset,
-    /// Timeout fired; must inactivate.
-    Inactivate,
-}
-
-/// State of the isolated `p[1]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// State of the isolated `p[1]`: the responder machine's, plus — in the
+/// committed locations after a beat or a timeout — the state `on_beat` /
+/// `on_watchdog` has already produced, and whether the reply the beat
+/// owes has gone out (the stopwatch reset is then what is left).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct P1SoloState {
-    active: bool,
-    waiting: u32,
-    pending: Option<P1Pending>,
+    now: RespState,
+    pending: Option<RespState>,
+    replied: bool,
 }
 
-/// The isolated responder of the binary protocol with a free environment,
-/// mirroring the mCRL2 process `P1` of the paper §3.2.
+/// The isolated responder of the binary protocol with a free environment:
+/// the mCRL2 process `P1` of the paper §3.2.
 #[derive(Clone, Copy, Debug)]
 pub struct P1Solo {
-    params: Params,
+    spec: RespSpec,
 }
 
 impl P1Solo {
     /// Isolated `p[1]` with the given timing parameters.
     pub fn new(params: Params) -> Self {
-        Self { params }
-    }
-
-    fn bound(&self) -> u32 {
-        self.params.responder_bound_original()
+        Self {
+            spec: RespSpec::new(Variant::Binary, params, FixLevel::Original),
+        }
     }
 }
 
@@ -254,27 +209,29 @@ impl Model for P1Solo {
 
     fn initial_states(&self) -> Vec<P1SoloState> {
         vec![P1SoloState {
-            active: true,
-            waiting: 0,
+            now: self.spec.init_state(),
             pending: None,
+            replied: false,
         }]
     }
 
     fn actions(&self, s: &P1SoloState, out: &mut Vec<P1Label>) {
-        if let Some(p) = s.pending {
-            out.push(match p {
-                P1Pending::Reply => P1Label::ForP0,
-                P1Pending::Reset => P1Label::SndResetSw,
-                P1Pending::Inactivate => P1Label::InactivateNv,
+        if let Some(p) = &s.pending {
+            out.push(if !p.status.is_active() {
+                P1Label::InactivateNv
+            } else if s.replied {
+                P1Label::SndResetSw
+            } else {
+                P1Label::ForP0
             });
             return;
         }
-        let timeout_due = s.active && s.waiting >= self.bound();
+        let timeout_due = self.spec.watchdog_due(&s.now);
         if !timeout_due {
             out.push(P1Label::Tick);
         }
         out.push(P1Label::FromP0);
-        if s.active {
+        if s.now.status.is_active() {
             out.push(P1Label::InactivateV);
             if timeout_due {
                 out.push(P1Label::Timeout);
@@ -283,51 +240,40 @@ impl Model for P1Solo {
     }
 
     fn next_state(&self, s: &P1SoloState, a: &P1Label) -> Option<P1SoloState> {
-        let mut n = *s;
-        match a {
-            P1Label::Tick => {
-                if s.active {
-                    if s.waiting >= self.bound() {
-                        return None;
-                    }
-                    n.waiting += 1;
+        let mut n = s.clone();
+        match (a, n.pending.take()) {
+            (P1Label::ForP0, Some(p)) if p.status.is_active() && !s.replied => {
+                n.pending = Some(p);
+                n.replied = true;
+            }
+            (P1Label::SndResetSw, Some(p)) if s.replied => {
+                n.now = p;
+                n.replied = false;
+            }
+            (P1Label::InactivateNv, Some(p)) if !p.status.is_active() => n.now = p,
+            (_, Some(_)) => return None,
+            (P1Label::Tick, None) if self.spec.may_tick(&n.now) => self.spec.tick(&mut n.now),
+            (P1Label::FromP0, None) => {
+                // Inactive: the message is consumed, with no effect.
+                let mut p = n.now.clone();
+                let beat = Heartbeat::plain();
+                if self
+                    .spec
+                    .on_beat(&mut p, beat, LeaveDecision::Stay)
+                    .is_some()
+                {
+                    n.pending = Some(p);
                 }
             }
-            P1Label::FromP0 => {
-                if s.active && s.pending.is_none() {
-                    n.pending = Some(P1Pending::Reply);
-                }
+            (P1Label::InactivateV, None) if n.now.status.is_active() => {
+                self.spec.crash(&mut n.now);
             }
-            P1Label::ForP0 => match s.pending {
-                Some(P1Pending::Reply) => n.pending = Some(P1Pending::Reset),
-                _ => return None,
-            },
-            P1Label::SndResetSw => match s.pending {
-                Some(P1Pending::Reset) => {
-                    n.pending = None;
-                    n.waiting = 0;
-                }
-                _ => return None,
-            },
-            P1Label::InactivateV => {
-                if !s.active || s.pending.is_some() {
-                    return None;
-                }
-                n.active = false;
+            (P1Label::Timeout, None) if self.spec.watchdog_due(&n.now) => {
+                let mut p = n.now.clone();
+                self.spec.on_watchdog(&mut p);
+                n.pending = Some(p);
             }
-            P1Label::Timeout => {
-                if !s.active || s.pending.is_some() || s.waiting < self.bound() {
-                    return None;
-                }
-                n.pending = Some(P1Pending::Inactivate);
-            }
-            P1Label::InactivateNv => match s.pending {
-                Some(P1Pending::Inactivate) => {
-                    n.active = false;
-                    n.pending = None;
-                }
-                _ => return None,
-            },
+            _ => return None,
         }
         Some(n)
     }
@@ -337,40 +283,32 @@ impl Model for P1Solo {
     }
 }
 
+/// The raw (unreduced) LTS of the isolated `p[0]`.
+pub fn p0_raw_lts(params: Params) -> Lts {
+    let graph = StateGraph::explore(&P0Solo::new(params), 1 << 20);
+    Lts::from_graph(&graph, |a| a.name().to_string())
+}
+
+/// The raw (unreduced) LTS of the isolated `p[1]`.
+pub fn p1_raw_lts(params: Params) -> Lts {
+    let graph = StateGraph::explore(&P1Solo::new(params), 1 << 20);
+    Lts::from_graph(&graph, |a| a.name().to_string())
+}
+
 /// Build the reduced LTS of the isolated `p[0]` as in Figure 1: explore,
 /// hide ticks (the paper hides the internal `send ticking time`; ticks are
 /// the equivalent clock bookkeeping here), determinize modulo weak traces
 /// and minimize.
 pub fn p0_reduced_lts(params: Params) -> Lts {
-    let model = P0Solo::new(params);
-    let graph = StateGraph::explore(&model, 1 << 20);
-    let lts = Lts::from_graph(&graph, |a| a.name().to_string());
-    lts.hide(&["tick p0"]).determinize_weak().minimize_traces()
-}
-
-/// The raw (unreduced) LTS of the isolated `p[0]`.
-pub fn p0_raw_lts(params: Params) -> Lts {
-    let model = P0Solo::new(params);
-    let graph = StateGraph::explore(&model, 1 << 20);
-    Lts::from_graph(&graph, |a| a.name().to_string())
+    let lts = p0_raw_lts(params).hide(&["tick p0"]);
+    lts.determinize_weak().minimize_traces()
 }
 
 /// Build the reduced LTS of the isolated `p[1]` as in Figure 2 (the
 /// stopwatch-reset message and ticks are hidden).
 pub fn p1_reduced_lts(params: Params) -> Lts {
-    let model = P1Solo::new(params);
-    let graph = StateGraph::explore(&model, 1 << 20);
-    let lts = Lts::from_graph(&graph, |a| a.name().to_string());
-    lts.hide(&["tick p1", "snd reset sw p1"])
-        .determinize_weak()
-        .minimize_traces()
-}
-
-/// The raw (unreduced) LTS of the isolated `p[1]`.
-pub fn p1_raw_lts(params: Params) -> Lts {
-    let model = P1Solo::new(params);
-    let graph = StateGraph::explore(&model, 1 << 20);
-    Lts::from_graph(&graph, |a| a.name().to_string())
+    let lts = p1_raw_lts(params).hide(&["tick p1", "snd reset sw p1"]);
+    lts.determinize_weak().minimize_traces()
 }
 
 /// The figure-faithful reduction of `p[0]`: the paper's Figure 1 keeps

@@ -70,32 +70,6 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn parse_variant(name: &str) -> Result<Variant, String> {
-    [
-        Variant::Binary,
-        Variant::RevisedBinary,
-        Variant::TwoPhase,
-        Variant::Static,
-        Variant::Expanding,
-        Variant::Dynamic,
-    ]
-    .into_iter()
-    .find(|v| v.name() == name)
-    .ok_or_else(|| format!("unknown variant {name:?}"))
-}
-
-fn parse_fix(name: &str) -> Result<FixLevel, String> {
-    [
-        FixLevel::Original,
-        FixLevel::ReceivePriority,
-        FixLevel::CorrectedBounds,
-        FixLevel::Full,
-    ]
-    .into_iter()
-    .find(|f| f.name() == name)
-    .ok_or_else(|| format!("unknown fix level {name:?}"))
-}
-
 /// Print any verdict that fired since the previous poll; returns the
 /// verdicts seen, to carry into the next poll.
 fn announce_new(seen: MonitorVerdicts, now: MonitorVerdicts) -> MonitorVerdicts {
@@ -148,8 +122,9 @@ fn run_emit(args: &[String], path: &str) -> Result<(), Box<dyn std::error::Error
     use accelerated_heartbeat::core::events::event_json;
     use accelerated_heartbeat::sim::{run_scenario, Scenario};
 
-    let variant = parse_variant(&arg_value(args, "--variant").unwrap_or_else(|| "binary".into()))?;
-    let fix = parse_fix(&arg_value(args, "--fix").unwrap_or_else(|| "original".into()))?;
+    let variant =
+        Variant::from_name(&arg_value(args, "--variant").unwrap_or_else(|| "binary".into()))?;
+    let fix = FixLevel::from_name(&arg_value(args, "--fix").unwrap_or_else(|| "original".into()))?;
     let tmin: u32 = arg_value(args, "--tmin")
         .unwrap_or_else(|| "2".into())
         .parse()?;
@@ -189,8 +164,9 @@ fn run_emit(args: &[String], path: &str) -> Result<(), Box<dyn std::error::Error
 
 /// Replay mode: parse a JSON-lines event log and monitor it offline.
 fn run_replay(args: &[String], log: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let variant = parse_variant(&arg_value(args, "--variant").unwrap_or_else(|| "binary".into()))?;
-    let fix = parse_fix(&arg_value(args, "--fix").unwrap_or_else(|| "full-fix".into()))?;
+    let variant =
+        Variant::from_name(&arg_value(args, "--variant").unwrap_or_else(|| "binary".into()))?;
+    let fix = FixLevel::from_name(&arg_value(args, "--fix").unwrap_or_else(|| "full-fix".into()))?;
     let tmin: u32 = arg_value(args, "--tmin")
         .unwrap_or_else(|| "2".into())
         .parse()?;

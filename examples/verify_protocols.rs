@@ -5,35 +5,29 @@
 //! cells — the shortest counterexample as a sequence chart.
 //!
 //! ```text
-//! cargo run --release --example verify_protocols -- [variant] [original|full]
+//! cargo run --release --example verify_protocols -- [variant] [fix level]
 //! # e.g.
 //! cargo run --release --example verify_protocols -- binary original
-//! cargo run --release --example verify_protocols -- expanding full
+//! cargo run --release --example verify_protocols -- expanding full-fix
 //! ```
+//!
+//! Both default to the first of their kind (`binary`, `original`); a name
+//! that is neither a variant nor a fix level is an error listing those
+//! that are.
 
 use accelerated_heartbeat::core::params::PAPER_DATASETS;
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::verify::render::path_to_log;
 use accelerated_heartbeat::verify::{verify, Requirement};
 
-fn parse_variant(name: &str) -> Option<Variant> {
-    Variant::ALL
-        .into_iter()
-        .find(|v| v.name().starts_with(name))
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let variant = args
         .get(1)
-        .and_then(|s| parse_variant(s))
-        .unwrap_or(Variant::Binary);
-    let fix = match args.get(2).map(String::as_str) {
-        Some("full") => FixLevel::Full,
-        Some("receive-priority") => FixLevel::ReceivePriority,
-        Some("corrected-bounds") => FixLevel::CorrectedBounds,
-        _ => FixLevel::Original,
-    };
+        .map_or(Ok(Variant::Binary), |s| Variant::from_name(s))?;
+    let fix = args
+        .get(2)
+        .map_or(Ok(FixLevel::Original), |s| FixLevel::from_name(s))?;
 
     println!("== model checking {variant} at fix level {fix} ==\n");
     let mut first_ce_shown = false;

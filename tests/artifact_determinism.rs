@@ -8,12 +8,15 @@
 //! All six JSON artifacts are pinned, on both backends. `scripts/ci.sh`
 //! alone would not notice the live harness drifting: it diffs only the
 //! failover and rejoin pairs against the goldens and never regenerates
-//! the live campaign.
+//! the live campaign. The Figure 1–2 `.dot` files are pinned too: they
+//! are what says the isolated-process models in `hb_verify::solo` still
+//! reduce to the paper's diagrams.
 
 use accelerated_heartbeat::chaos::{
     run_campaign, run_failover_campaign, run_rejoin_demo, Backend, CampaignSpec,
 };
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
+use accelerated_heartbeat::verify::solo::{p0_figure_lts, p1_figure_lts};
 
 /// The seed behind the checked-in rejoin artifacts (mirrors the
 /// `chaos_campaign` example's `REJOIN_SEED`).
@@ -108,4 +111,16 @@ fn campaign_sim_artifact_is_byte_identical() {
 #[test]
 fn campaign_live_artifact_is_byte_identical() {
     assert_campaign_pinned(Backend::Live);
+}
+
+/// `examples/export_artifacts.rs` writes these two at `tmax = 2, tmin = 1`.
+#[test]
+fn figure_dot_artifacts_are_byte_identical() {
+    let params = Params::new(1, 2).expect("valid");
+    for (name, lts) in [
+        ("figure1_p0.dot", p0_figure_lts(params)),
+        ("figure2_p1.dot", p1_figure_lts(params)),
+    ] {
+        assert_eq!(lts.to_dot(), checked_in(name), "{name} drifted");
+    }
 }

@@ -238,8 +238,7 @@ fn late_start_crash_and_revive_drive_every_harness_path() {
 }
 
 /// With no message fault in the plan the chaos cluster — pipeline
-/// consulted on every beat, held frames checked on every receive — *is*
-/// the plain cluster: a hook that shapes nothing leaves the network's
+/// consulted on every beat — *is* the plain cluster: a hook that shapes nothing leaves the network's
 /// loss and delay draws, and so the run, exactly as they were.
 #[test]
 fn chaos_seam_without_message_faults_is_the_plain_cluster() {
