@@ -261,8 +261,9 @@ fn diff_cell(
         });
     };
     let num = |c: &Value, field: &str| match c.opt_field(field)? {
+        Some(v) => v.as_f64(),
         None if field.starts_with("monitor_") => Ok(0.0),
-        _ => c.field(field)?.as_f64(),
+        None => c.field(field)?.as_f64(),
     };
 
     for &(field, rule) in CELL_RULES {

@@ -527,14 +527,14 @@ impl FaultPlan {
 
     /// Validate the group size (at least one participant, exactly one for
     /// the two-process variants; a membership group fits a view), topology
-    /// references and per-pid lifecycle
-    /// ordering: every pid a fault names must exist (`0..=n`), start/leave
-    /// only name participants, leave needs the dynamic variant, a pid
-    /// crashes at most once, a revive needs a strictly earlier crash of the
-    /// same pid, and a late start must precede that pid's crash. Reviving the
-    /// coordinator (pid 0) additionally requires a membership plan —
-    /// without the failover layer a revived coordinator has no story —
-    /// and follows the same lifecycle ordering as participant pids.
+    /// references and per-pid lifecycle ordering: every pid a fault names
+    /// must exist (`0..=n`), start/leave only name participants, leave
+    /// needs the dynamic variant, a pid crashes at most once, a revive
+    /// needs a strictly earlier crash of the same pid, and a late start
+    /// must precede that pid's crash. Reviving the coordinator (pid 0)
+    /// additionally requires a membership plan — without the failover
+    /// layer a revived coordinator has no story — and follows the same
+    /// lifecycle ordering as participant pids.
     pub fn validate(&self) -> Result<(), PlanError> {
         let n = self.proto.n;
         if n == 0 {

@@ -72,7 +72,7 @@ pub trait FaultHook: Send + std::fmt::Debug {
 /// when the message is sent. Returns the delivery tick and the round-trip
 /// budget left at delivery — none once the total delay has used it up.
 pub fn draw_delivery<R: Rng>(rng: &mut R, now: Time, budget: u32, extra_delay: u32) -> (Time, u32) {
-    let delay = rng.gen_range(0..=budget) + extra_delay;
+    let delay = rng.gen_range(0..=budget).saturating_add(extra_delay);
     (now + Time::from(delay), budget.saturating_sub(delay))
 }
 
