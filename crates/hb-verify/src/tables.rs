@@ -625,6 +625,63 @@ mod tests {
         assert!(rendered.contains("all finished stacks agree"));
     }
 
+    /// The `(2, 6)` full-fix R2 cells `benchmark/`'s smoke round runs, with
+    /// the numbers `BENCH_mck.json` records for them. The counts move if
+    /// the canonical representative or the ample order does (a different
+    /// member of an orbit has its enabled actions in a different order, so
+    /// POR picks a different subset); `peak_bytes` moves with the packed
+    /// record layout or the index geometry.
+    #[test]
+    fn scale_cell_counts_are_pinned() {
+        let p = Params::new(2, 6).unwrap();
+        type Row = (Reduction, usize, usize, Option<usize>);
+        let pinned: [(Variant, usize, [Row; 4]); 2] = [
+            (
+                Variant::Static,
+                4,
+                [
+                    (Reduction::Full, 11_169, 33_504, None),
+                    (Reduction::Sym, 1_337, 4_074, None),
+                    (Reduction::SymPor, 1_099, 2_570, None),
+                    (Reduction::SymPorPacked, 1_099, 2_570, Some(59_129)),
+                ],
+            ),
+            (
+                Variant::Expanding,
+                2,
+                [
+                    (Reduction::Full, 2_687, 5_621, None),
+                    (Reduction::Sym, 1_877, 4_190, None),
+                    (Reduction::SymPor, 1_767, 3_628, None),
+                    (Reduction::SymPorPacked, 1_767, 3_628, Some(68_011)),
+                ],
+            ),
+        ];
+        for (variant, n, rows) in pinned {
+            for (reduction, states, transitions, peak_bytes) in rows {
+                let c = scale_cell(
+                    variant,
+                    p,
+                    FixLevel::Full,
+                    Requirement::R2,
+                    n,
+                    reduction,
+                    ScaleLimits::default(),
+                );
+                assert_eq!(
+                    c.outcome,
+                    ScaleOutcome::Holds,
+                    "{variant} n={n} {reduction}"
+                );
+                assert_eq!(
+                    (c.states, c.transitions, c.peak_bytes),
+                    (states, transitions, peak_bytes),
+                    "{variant} n={n} {reduction}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn scale_cell_reports_exhaustion_within_budget() {
         let p = Params::new(2, 8).unwrap();
