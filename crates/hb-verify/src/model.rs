@@ -57,7 +57,11 @@ pub struct HbState {
     pub coord: CoordState,
     /// Participant states (index `i` is pid `i + 1`).
     pub resps: Vec<RespState>,
-    /// In-flight messages, kept sorted (canonical form for hashing).
+    /// In-flight messages, kept sorted: the canonical form for hashing,
+    /// and [`crate::symmetry::canonical_sorted`] reads each participant's
+    /// messages off it as two sorted runs without re-sorting. Every
+    /// producer ([`HbModel`]'s `push_msg`, the symmetry `permute`, the
+    /// packed codec's decode of a sorted encode) keeps it so.
     pub channel: Vec<Msg>,
     /// Ghost: has any message ever been lost?
     pub lost: bool,

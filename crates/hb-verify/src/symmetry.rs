@@ -46,9 +46,11 @@
 //! liveness goal all qualify; "participant **2** specifically fails" does
 //! not.
 
+use std::cmp::Ordering;
+
 use hb_core::dataflow::{symmetry_certificate, SymmetryVerdict};
 use hb_core::describe::{DescribeMachine, Role};
-use hb_core::{Heartbeat, Pid};
+use hb_core::Pid;
 
 use crate::model::{HbModel, HbState, Msg};
 
@@ -124,59 +126,42 @@ pub fn canonical(s: &HbState) -> HbState {
         .expect("at least the identity permutation exists")
 }
 
-/// The sort key of participant `i` (0-based) in `s`: everything the
-/// global state knows about that participant. Since every in-flight
-/// message has `p[0]` as one endpoint, the per-message entry
-/// `(to_coord, hb, budget)` loses no information, and two participants
-/// with equal keys have identical slices of the global state — swapping
-/// them is the identity.
-type ParticipantKey = (
-    hb_core::RespState,
-    bool,
-    u32,
-    bool,
-    bool,
-    u8,
-    Option<crate::model::MonitorState>,
-    Vec<(bool, Heartbeat, u32)>,
-);
-
-fn participant_key(s: &HbState, i: usize) -> ParticipantKey {
-    let pid = i + 1;
-    let mut msgs: Vec<(bool, Heartbeat, u32)> = s
-        .channel
-        .iter()
-        .filter(|m| m.src == pid || m.dst == pid)
-        .map(|m| (m.dst == 0, m.hb, m.budget))
-        .collect();
-    msgs.sort_unstable();
-    (
-        s.resps[i].clone(),
-        s.coord.rcvd[i],
-        s.coord.tm[i],
-        s.coord.jnd[i],
-        s.coord.left[i],
-        s.coord.min_epoch[i],
-        s.monitors.get(i).copied(),
-        msgs,
-    )
+/// Order participants `i` and `j` (0-based) of `s` by everything the
+/// global state knows about each: its responder state, the coordinator's
+/// slots for it, its ghost monitor, then its in-flight messages as
+/// `(to_coord, hb, budget)`. Every message has `p[0]` as one endpoint, so
+/// that entry loses nothing, and the sorted channel already yields a
+/// participant's messages in that order (its inbound run, then its
+/// outbound run). Two participants that compare equal have identical
+/// slices of the global state — swapping them is the identity.
+fn cmp_participants(s: &HbState, i: usize, j: usize) -> Ordering {
+    let slots = |i: usize| {
+        let c = &s.coord;
+        let of_coord = (c.rcvd[i], c.tm[i], c.jnd[i], c.left[i], c.min_epoch[i]);
+        (&s.resps[i], of_coord, s.monitors.get(i))
+    };
+    let msgs = |i: usize| {
+        let touches = move |m: &&Msg| m.src == i + 1 || m.dst == i + 1;
+        let entry = |m: &Msg| (m.dst == 0, m.hb, m.budget);
+        s.channel.iter().filter(touches).map(entry)
+    };
+    slots(i).cmp(&slots(j)).then_with(|| msgs(i).cmp(msgs(j)))
 }
 
 /// The canonical representative of `s` in `O(n log n)`: participants
-/// permuted into sorted-key order (see the module docs for why the key
-/// determines the orbit). Picks a (possibly) different representative
-/// than [`canonical`], but the same *function* on each orbit — which is
-/// all [`mck::symmetry::Symmetric`] needs.
+/// permuted into [`cmp_participants`] order (see the module docs for why
+/// that order determines the orbit). Picks a (possibly) different
+/// representative than [`canonical`], but the same *function* on each
+/// orbit — which is all [`mck::symmetry::Symmetric`] needs. Nothing is
+/// allocated beyond the returned state unless participants must move.
 pub fn canonical_sorted(s: &HbState) -> HbState {
+    debug_assert!(s.channel.is_sorted(), "HbState::channel is kept sorted");
     let n = s.resps.len();
-    if n <= 1 {
-        return s.clone();
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_cached_key(|&i| participant_key(s, i));
-    if order.windows(2).all(|w| w[0] < w[1]) {
+    if (1..n).all(|i| cmp_participants(s, i - 1, i).is_le()) {
         return s.clone(); // already canonical
     }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| cmp_participants(s, i, j));
     permute(s, &order)
 }
 
@@ -261,7 +246,90 @@ mod tests {
     use mck::symmetry::Symmetric;
     use mck::Checker;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
+
+    /// Everything the global state knows about one participant, owned:
+    /// the sort key [`canonical_sorted`] built per participant before it
+    /// compared in place, kept as the oracle for [`cmp_participants`].
+    type ParticipantKey = (
+        hb_core::RespState,
+        bool,
+        u32,
+        bool,
+        bool,
+        u8,
+        Option<crate::model::MonitorState>,
+        Vec<(bool, hb_core::Heartbeat, u32)>,
+    );
+
+    fn participant_key(s: &HbState, i: usize) -> ParticipantKey {
+        let pid = i + 1;
+        let mut msgs: Vec<(bool, hb_core::Heartbeat, u32)> = s
+            .channel
+            .iter()
+            .filter(|m| m.src == pid || m.dst == pid)
+            .map(|m| (m.dst == 0, m.hb, m.budget))
+            .collect();
+        msgs.sort_unstable();
+        (
+            s.resps[i].clone(),
+            s.coord.rcvd[i],
+            s.coord.tm[i],
+            s.coord.jnd[i],
+            s.coord.left[i],
+            s.coord.min_epoch[i],
+            s.monitors.get(i).copied(),
+            msgs,
+        )
+    }
+
+    fn canonical_by_key(s: &HbState) -> HbState {
+        let mut order: Vec<usize> = (0..s.resps.len()).collect();
+        order.sort_by_cached_key(|&i| participant_key(s, i));
+        permute(s, &order)
+    }
+
+    #[test]
+    fn the_comparator_picks_the_key_sorts_representative() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let (mut moved, mut epochs, mut leaves) = (0, false, false);
+        let grid = [Variant::Static, Variant::Expanding, Variant::Dynamic]
+            .into_iter()
+            .flat_map(|v| [2, 3, 4, 8].map(|n| (v, n)));
+        for (variant, n) in grid {
+            // R1: monitors attached and loss on. One rejoin each, so epochs
+            // and the epoch bar leave zero. With participant crashes on, a
+            // random walk is mostly crashes and rejoins; with them off it
+            // gets as far as joins, rounds and (dynamic) leaves.
+            for crashes in [true, false] {
+                let p = Params::new(2, 4).unwrap();
+                let m = build_model(variant, p, FixLevel::Full, n, Requirement::R1)
+                    .stagger_starts(true)
+                    .allow_crashes(crashes)
+                    .crashable(0, false)
+                    .rejoin_cap(1);
+                for _ in 0..2 {
+                    for s in mck::sim::random_walk(&m, &mut rng, 150).states() {
+                        let mut perm: Vec<usize> = (0..n).collect();
+                        perm.shuffle(&mut rng);
+                        for s in [permute(&s, &perm), s] {
+                            let c = canonical_sorted(&s);
+                            assert_eq!(c, canonical_by_key(&s), "{variant} n={n}");
+                            moved += usize::from(c != s);
+                            epochs |= s.coord.min_epoch.iter().any(|&e| e > 0);
+                            leaves |= s.channel.iter().any(|m| !m.hb.flag);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(moved > 1_000, "the walks must exercise the sort: {moved}");
+        assert!(
+            epochs && leaves,
+            "epoch bars {epochs}, leave beats {leaves}"
+        );
+    }
 
     fn model(n: usize) -> crate::model::HbModel {
         build_model(

@@ -1,20 +1,20 @@
 //! Bit-packed explicit-state exploration: the frontier and the
 //! visited-state set hold *encoded* states, at widths a static range
-//! analysis has proven sufficient, instead of hash-map keys of the full
-//! `State` value.
+//! analysis has proven sufficient, instead of full `State` values.
 //!
-//! The plain [`crate::bfs::Checker`] stores every distinct state twice
-//! (once in the intern vector, once as a `HashMap` key) — dozens of heap
-//! allocations per state for a model like the heartbeat composition
-//! whose states own vectors. [`PackedChecker`] runs the same search over
-//! three flat buffers, beside the search's own parent links:
+//! The plain [`crate::bfs::Checker`] keeps every distinct state as a full
+//! value — for a model like the heartbeat composition, whose states own
+//! vectors, that is several heap blocks and hundreds of bytes per state.
+//! [`PackedChecker`] runs the same search, through the same id index
+//! (`search::IdIndex`: an id and a 16-bit fingerprint per slot, no stored
+//! keys, byte-compare on candidate hits), over two flat buffers:
 //!
 //! * an **arena** of concatenated bit-packed records (one per state,
 //!   variable length, written by a [`StateCodec`]),
-//! * an **offset** vector locating each record,
-//! * an open-addressing **hash index** over the records (no stored
-//!   keys: a 16-bit fingerprint per slot, byte-compare on candidate
-//!   hits).
+//! * an **offset** vector locating each record.
+//!
+//! What packing buys is bytes, not time: encoding a successor bit by bit
+//! costs more than hashing and comparing its full value.
 //!
 //! The codec owns the soundness of the widths: encoding a value outside
 //! its proven range panics (never silently truncates), and in debug
@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use crate::bfs::CheckOutcome;
 use crate::model::Model;
-use crate::search::{self, find, Limits, Order};
+use crate::search::{self, find, hash_of, IdIndex, Limits, Order};
 
 /// LSB-first bit writer over a reusable byte buffer.
 #[derive(Clone, Debug, Default)]
@@ -149,105 +149,38 @@ pub struct PackedRun<M: Model> {
     pub mem: PackedMem,
 }
 
-/// Packed-state store: arena + offsets + open-addressing index.
-struct Store {
-    arena: Vec<u8>,
+/// Concatenated packed records and where each one starts.
+#[derive(Default)]
+struct Arena {
+    bytes: Vec<u8>,
     offsets: Vec<u32>,
-    /// `0` = empty; otherwise `((id + 1) << 16) | fingerprint`.
-    slots: Vec<u64>,
-    mask: usize,
 }
 
-const FP_MASK: u64 = 0xFFFF;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-impl Store {
-    fn new() -> Self {
-        let cap = 1 << 12;
-        Self {
-            arena: Vec::new(),
-            offsets: Vec::new(),
-            slots: vec![0; cap],
-            mask: cap - 1,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
+impl Arena {
     fn record(&self, id: usize) -> &[u8] {
-        let start = self.offsets[id] as usize;
         let end = self
             .offsets
             .get(id + 1)
-            .map(|&o| o as usize)
-            .unwrap_or(self.arena.len());
-        &self.arena[start..end]
+            .map_or(self.bytes.len(), |&o| o as usize);
+        &self.bytes[self.offsets[id] as usize..end]
     }
 
-    fn grow(&mut self) {
-        let cap = self.slots.len() * 2;
-        self.mask = cap - 1;
-        self.slots = vec![0; cap];
-        for id in 0..self.len() {
-            let h = fnv1a(self.record(id));
-            let mut i = h as usize & self.mask;
-            while self.slots[i] != 0 {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = ((id as u64 + 1) << 16) | (h & FP_MASK);
-        }
-    }
-
-    /// Intern a packed record; returns `(id, freshly inserted)`.
-    fn intern(&mut self, bytes: &[u8]) -> (usize, bool) {
-        // Keep the load factor at or below 0.7.
-        if self.len() * 10 >= self.slots.len() * 7 {
-            self.grow();
-        }
-        let h = fnv1a(bytes);
-        let mut i = h as usize & self.mask;
-        loop {
-            let slot = self.slots[i];
-            if slot == 0 {
-                let id = self.offsets.len();
-                assert!(
-                    self.arena.len() + bytes.len() <= u32::MAX as usize,
-                    "packed arena exceeded 4 GiB"
-                );
-                self.offsets.push(self.arena.len() as u32);
-                self.arena.extend_from_slice(bytes);
-                self.slots[i] = ((id as u64 + 1) << 16) | (h & FP_MASK);
-                return (id, true);
-            }
-            if slot & FP_MASK == h & FP_MASK {
-                let id = ((slot >> 16) - 1) as usize;
-                if self.record(id) == bytes {
-                    return (id, false);
-                }
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn index_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<u64>()
+    fn push(&mut self, record: &[u8]) {
+        assert!(
+            self.bytes.len() + record.len() <= u32::MAX as usize,
+            "packed arena exceeded 4 GiB"
+        );
+        self.offsets.push(self.bytes.len() as u32);
+        self.bytes.extend_from_slice(record);
     }
 }
 
 /// The packed arena as a [`search::Store`]: states go in through the
-/// codec and come back out by decoding.
+/// codec and come back out by decoding; the shared [`IdIndex`] finds a
+/// record again by the hash and the bytes of its encoding.
 struct Packed<'c, C> {
-    arena: Store,
+    arena: Arena,
+    index: IdIndex,
     codec: &'c C,
     scratch: BitWriter,
 }
@@ -264,8 +197,14 @@ impl<S: PartialEq + std::fmt::Debug, C: StateCodec<S>> search::Store<S> for Pack
                 "packed codec round-trip mismatch:\n  in:  {state:?}\n  out: {back:?}"
             );
         }
-        let (id, is_fresh) = self.arena.intern(self.scratch.bytes());
-        (id, is_fresh.then(|| fresh(&state)))
+        let (bytes, arena, id) = (self.scratch.bytes(), &self.arena, self.arena.offsets.len());
+        let same = |known: usize| arena.record(known) == bytes;
+        let rehash = |known: usize| hash_of(arena.record(known));
+        if let Some(known) = self.index.intern(id, hash_of(bytes), same, rehash) {
+            return (known, None);
+        }
+        self.arena.push(bytes);
+        (id, Some(fresh(&state)))
     }
 
     fn get(&self, id: usize) -> S {
@@ -312,18 +251,18 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
         F: Fn(&M::State) -> bool,
     {
         let store = Packed {
-            arena: Store::new(),
+            arena: Arena::default(),
+            index: IdIndex::new(),
             codec: &self.codec,
             scratch: BitWriter::new(),
         };
         let out = find(self.model, store, Order::Fifo, self.limits, |s| {
             !invariant(s)
         });
-        let arena = &out.store.arena;
         let mem = PackedMem {
-            arena_bytes: arena.arena.len(),
-            index_bytes: arena.index_bytes(),
-            links_bytes: out.links_bytes() + arena.offsets.len() * 4,
+            arena_bytes: out.store.arena.bytes.len(),
+            index_bytes: out.store.index.bytes(),
+            links_bytes: out.links_bytes() + out.store.arena.offsets.len() * 4,
             frontier_bytes: out.peak_frontier * std::mem::size_of::<(u32, u32)>(),
         };
         PackedRun {
@@ -425,6 +364,74 @@ mod tests {
             .max_states(3)
             .check_invariant(|s| *s != (3, 3));
         assert!(matches!(run.outcome, CheckOutcome::Incomplete(_)));
+    }
+
+    /// A state whose `Hash` is a constant when `collide` is set — every
+    /// key then shares one probe sequence in [`Hashed`]. (The packed store
+    /// hashes the encoding, so there the flag is just one more bit.)
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Key {
+        v: u32,
+        collide: bool,
+    }
+    impl std::hash::Hash for Key {
+        fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+            h.write_u32(if self.collide { 0 } else { self.v });
+        }
+    }
+    struct KeyCodec;
+    impl StateCodec<Key> for KeyCodec {
+        fn encode(&self, k: &Key, w: &mut BitWriter) {
+            w.push(k.v, 32);
+            w.push(k.collide.into(), 1);
+        }
+        fn decode(&self, r: &mut BitReader) -> Key {
+            Key {
+                v: r.read(32),
+                collide: r.read(1) == 1,
+            }
+        }
+    }
+
+    /// The [`search::Store`] contract, across the index's first two
+    /// doublings (4 096 slots at load 0.7: ids 2 868 and 5 735).
+    fn drive(mut store: impl search::Store<Key>, collide: bool) {
+        const N: usize = 6_000;
+        let key = |i: usize| Key {
+            v: i as u32 * 3 + 1,
+            collide,
+        };
+        let mut shown = 0;
+        for i in 0..N {
+            // Ids are dense in first-seen order; a fresh state is shown to
+            // the callback, once, and the callback's answer comes back.
+            let (id, answer) = store.intern(key(i), |k| {
+                shown += 1;
+                k.v
+            });
+            assert_eq!((id, answer), (i, Some(key(i).v)));
+            // An equal state gets the same id and is not shown again.
+            let again = store.intern(key(i / 2), |_| -> u32 { unreachable!("known") });
+            assert_eq!(again, (i / 2, None));
+        }
+        assert_eq!(shown, N);
+        for i in 0..N {
+            assert_eq!(store.get(i), key(i), "id {i}");
+        }
+    }
+
+    #[test]
+    fn both_stores_keep_the_intern_contract_across_growth() {
+        for collide in [true, false] {
+            drive(search::Hashed::new(), collide);
+            let packed = Packed {
+                arena: Arena::default(),
+                index: IdIndex::new(),
+                codec: &KeyCodec,
+                scratch: BitWriter::new(),
+            };
+            drive(packed, collide);
+        }
     }
 
     #[test]

@@ -33,9 +33,9 @@ use crate::model::Model;
 ///
 /// `enabled` is the full enabled-action list in the order the model
 /// produced it. Return `Some(indices)` (non-empty, strictly fewer than
-/// `enabled.len()`, indices into `enabled`) to reduce, or `None` to
-/// expand the state fully. Implementations carry the C0–C3 soundness
-/// burden described at the module level.
+/// `enabled.len()`, indices into `enabled`, strictly ascending) to
+/// reduce, or `None` to expand the state fully. Implementations carry
+/// the C0–C3 soundness burden described at the module level.
 pub trait AmpleOracle<M: Model> {
     /// The ample subset of `enabled` at `state`, or `None` for full
     /// expansion.
@@ -68,24 +68,21 @@ impl<M: Model, O: AmpleOracle<M>> Model for Reduced<'_, M, O> {
     }
 
     fn actions(&self, state: &Self::State, out: &mut Vec<Self::Action>) {
-        let mut raw = Vec::new();
-        self.inner.actions(state, &mut raw);
-        match self.oracle.ample(state, &raw) {
-            Some(idx) => {
-                debug_assert!(!idx.is_empty(), "ample set must not be empty (C0)");
-                debug_assert!(idx.len() < raw.len(), "ample set must be a proper subset");
-                let mut keep = vec![false; raw.len()];
-                for i in idx {
-                    keep[i] = true;
-                }
-                out.extend(
-                    raw.into_iter()
-                        .zip(keep)
-                        .filter_map(|(a, k)| k.then_some(a)),
-                );
-            }
-            None => out.extend(raw),
+        let from = out.len();
+        self.inner.actions(state, out);
+        let enabled = &mut out[from..];
+        let Some(idx) = self.oracle.ample(state, enabled) else {
+            return;
+        };
+        debug_assert!(!idx.is_empty(), "ample set must not be empty (C0)");
+        debug_assert!(idx.len() < enabled.len(), "ample set must be proper");
+        debug_assert!(idx.is_sorted_by(|a, b| a < b), "indices must ascend");
+        // The k-th chosen index is at least k, so swapping its action
+        // forward never displaces a later choice; enabled order is kept.
+        for (k, &i) in idx.iter().enumerate() {
+            enabled.swap(k, i);
         }
+        out.truncate(from + idx.len());
     }
 
     fn next_state(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State> {
@@ -151,6 +148,42 @@ mod tests {
         assert!(red.stats().states < full.stats().states);
         assert_eq!(red.stats().states, 7);
         assert_eq!(full.stats().states, 16);
+    }
+
+    #[test]
+    fn chosen_actions_are_compacted_in_enabled_order_behind_what_out_held() {
+        /// Five enabled actions `10..15` everywhere.
+        struct Five;
+        impl Model for Five {
+            type State = ();
+            type Action = u8;
+            fn initial_states(&self) -> Vec<()> {
+                vec![()]
+            }
+            fn actions(&self, _: &(), out: &mut Vec<u8>) {
+                out.extend(10..15);
+            }
+            fn next_state(&self, _: &(), _: &u8) -> Option<()> {
+                None
+            }
+        }
+        struct Pick(&'static [usize]);
+        impl AmpleOracle<Five> for Pick {
+            fn ample(&self, _: &(), enabled: &[u8]) -> Option<Vec<usize>> {
+                assert_eq!(enabled, [10, 11, 12, 13, 14], "only the model's own");
+                Some(self.0.to_vec())
+            }
+        }
+        for (pick, kept) in [
+            (&[0][..], &[10][..]),
+            (&[1, 2], &[11, 12]),
+            (&[0, 2, 4], &[10, 12, 14]),
+            (&[1, 2, 3, 4], &[11, 12, 13, 14]),
+        ] {
+            let mut out = vec![7, 8];
+            Reduced::new(&Five, Pick(pick)).actions(&(), &mut out);
+            assert_eq!(out, [&[7, 8], kept].concat(), "picked {pick:?}");
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! stop the search) and one per expanded state with its out-edges. What
 //! varies between the engines is only
 //!
-//! * the **store** — [`Hashed`] full values, or the bit-packed arena of
-//!   [`crate::packed`];
+//! * the **store** — one [`IdIndex`] (id + fingerprint slots, fed by the
+//!   crate's one hash function) under two record layouts: [`Hashed`], a
+//!   vector of full values, or the bit-packed arena of [`crate::packed`];
+//!   either way each state is kept once;
 //! * the **order** — FIFO, which needs no queue because ids *are* BFS
 //!   order (a cursor and a level boundary suffice), or a LIFO stack;
 //!   [`Order::Levels`] is FIFO with each level's successors computed up
@@ -20,8 +22,7 @@
 //! not the action: [`Explored::path`] re-derives it on trace-back, so
 //! nothing is cloned per state beyond what the store itself keeps.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -41,18 +42,134 @@ pub(crate) trait Store<S> {
     fn get(&self, id: usize) -> S;
 }
 
-/// The plain store: every state kept in full, deduplicated by hash and
-/// equality.
+/// The crate's one hash function: word-at-a-time multiply-rotate, unseeded
+/// (a search probes the same slots on every run). States come from the
+/// model, never from outside the program, so nobody crafts collisions.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    // One multiply per field: the provided methods would go through `write`.
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v.into());
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    /// A product's high bits are its best mixed: fold them onto the low
+    /// half, where [`IdIndex`] takes the fingerprint and the home slot.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+pub(crate) fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+    BuildHasherDefault::<WordHasher>::default().hash_one(value)
+}
+
+/// The id index under both stores: open addressing, linear probing, no
+/// stored keys — a slot is `0` when vacant, else `(id + 1) << 16 |
+/// fingerprint`. The store keeps the records, in whatever layout it likes,
+/// and lends the index its length and two closures over ids: "equals the
+/// probe" and "hash it again" (for when the table doubles).
+pub(crate) struct IdIndex(Vec<u64>);
+
+const FINGERPRINT_BITS: u32 = 16;
+
+/// What a slot holds for `id` under `hash`: the low hash bits as fingerprint.
+fn entry(hash: u64, id: usize) -> u64 {
+    (id as u64 + 1) << FINGERPRINT_BITS | hash & ((1 << FINGERPRINT_BITS) - 1)
+}
+
+impl IdIndex {
+    pub(crate) fn new() -> Self {
+        IdIndex(vec![0; 1 << 12])
+    }
+
+    /// Bytes held by the slot table.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.0.as_slice())
+    }
+
+    /// Walk `hash`'s probe sequence: `Ok(id)` of the first entry carrying
+    /// its fingerprint that satisfies `same`, else `Err(slot)`, the vacant
+    /// slot ending the sequence. The home slot is taken from the hash bits
+    /// *above* the fingerprint, so entries sharing a home still differ in
+    /// what their slots remember of them, however large the table.
+    fn probe(&self, hash: u64, same: impl Fn(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.0.len() - 1;
+        let mut i = (hash >> FINGERPRINT_BITS) as usize & mask;
+        loop {
+            let slot = self.0[i];
+            if slot == 0 {
+                return Err(i);
+            }
+            let id = (slot >> FINGERPRINT_BITS) as usize - 1;
+            if slot == entry(hash, id) && same(id) {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The id of the indexed record that hashes to `hash` and satisfies
+    /// `same`; or `None`, having indexed `len` — the store's record count,
+    /// hence its next id — under `hash`. Load factor at most 0.7.
+    pub(crate) fn intern(
+        &mut self,
+        len: usize,
+        hash: u64,
+        same: impl Fn(usize) -> bool,
+        hash_of_id: impl Fn(usize) -> u64,
+    ) -> Option<usize> {
+        if len * 10 >= self.0.len() * 7 {
+            self.0 = vec![0; self.0.len() * 2];
+            for id in 0..len {
+                let hash = hash_of_id(id);
+                let slot = self.probe(hash, |_| false).expect_err("nothing matches");
+                self.0[slot] = entry(hash, id);
+            }
+        }
+        match self.probe(hash, same) {
+            Ok(id) => Some(id),
+            Err(slot) => {
+                self.0[slot] = entry(hash, len);
+                None
+            }
+        }
+    }
+}
+
+/// The plain store: every state kept in full, once, found again through
+/// the [`IdIndex`] by hash and equality.
 pub(crate) struct Hashed<S> {
     states: Vec<S>,
-    index: HashMap<S, u32>,
+    index: IdIndex,
 }
 
 impl<S> Hashed<S> {
     pub(crate) fn new() -> Self {
         Hashed {
             states: Vec::new(),
-            index: HashMap::new(),
+            index: IdIndex::new(),
         }
     }
 
@@ -64,16 +181,15 @@ impl<S> Hashed<S> {
 
 impl<S: Clone + Eq + Hash> Store<S> for Hashed<S> {
     fn intern<R>(&mut self, state: S, fresh: impl FnOnce(&S) -> R) -> (usize, Option<R>) {
-        match self.index.entry(state) {
-            Entry::Occupied(known) => (*known.get() as usize, None),
-            Entry::Vacant(slot) => {
-                let id = self.states.len();
-                let answer = fresh(slot.key());
-                self.states.push(slot.key().clone());
-                slot.insert(id as u32);
-                (id, Some(answer))
-            }
+        let (states, id) = (&self.states, self.states.len());
+        let same = |known: usize| states[known] == state;
+        let rehash = |known: usize| hash_of(&states[known]);
+        if let Some(known) = self.index.intern(id, hash_of(&state), same, rehash) {
+            return (known, None);
         }
+        let answer = fresh(&state);
+        self.states.push(state);
+        (id, Some(answer))
     }
 
     fn get(&self, id: usize) -> S {
@@ -376,4 +492,49 @@ pub(crate) fn find<M: Model, St: Store<M::State>>(
     goal: impl Fn(&M::State) -> bool,
 ) -> Explored<St> {
     explore(model, store, order, limits, |_, s| !goal(s), |_, _| {})
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_index_starts_at_4096_slots_and_doubles_at_load_seven_tenths() {
+        let mut index = IdIndex::new();
+        let distinct = |index: &mut IdIndex, id: usize| {
+            let known = index.intern(id, hash_of(&id), |_| false, |known| hash_of(&known));
+            assert_eq!(known, None);
+        };
+        (0..2_868).for_each(|id| distinct(&mut index, id));
+        assert_eq!(index.bytes(), 4_096 * 8, "2 867 * 10 < 4 096 * 7");
+        distinct(&mut index, 2_868);
+        assert_eq!(index.bytes(), 8_192 * 8, "2 868 * 10 >= 4 096 * 7");
+        for id in 0..=2_868 {
+            let known = index.intern(
+                2_869,
+                hash_of(&id),
+                |known| known == id,
+                |_| unreachable!("no doubling at 2 869 of 8 192"),
+            );
+            assert_eq!(known, Some(id), "found again after the doubling");
+        }
+    }
+
+    #[test]
+    fn entries_sharing_a_home_slot_keep_distinct_fingerprints() {
+        // Equal above the fingerprint bits, different below.
+        let (a, b) = (0xABCD_0000_1234u64, 0xABCD_0000_4321u64);
+        let mut index = IdIndex::new();
+        let home = index.probe(a, |_| unreachable!());
+        assert_eq!(index.probe(b, |_| unreachable!()), home, "same home slot");
+        assert_ne!(entry(a, 0), entry(b, 0));
+        let none = |_| -> u64 { unreachable!("no doubling") };
+        assert_eq!(index.intern(0, a, |_| unreachable!(), none), None);
+        // The probe for `b` starts on `a`'s slot and passes it on the
+        // fingerprint alone, without asking the store to compare records.
+        let asked = |_| -> bool { panic!("the fingerprint filters this entry") };
+        assert_eq!(index.intern(1, b, asked, none), None);
+        assert_eq!(index.intern(2, a, |id| id == 0, none), Some(0));
+        assert_eq!(index.intern(2, b, |id| id == 1, none), Some(1));
+    }
 }
