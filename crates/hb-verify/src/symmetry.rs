@@ -9,17 +9,16 @@
 //! * [`canonical`] — brute force over all `n!` permutations, the least
 //!   permuted state in the derived `Ord`. Exact but exponential; kept as
 //!   the cross-check oracle.
-//! * [`canonical_sorted`] — `O(n log n)`: every per-participant datum
-//!   (responder state, the coordinator's `rcvd`/`tm`/`jnd`/`left`/
-//!   `min_epoch` slots, the ghost monitor, and the multiset of in-flight
-//!   messages touching that participant) is gathered into one sort key,
-//!   and the participants are permuted into sorted-key order. Because
-//!   every message has the coordinator as one endpoint, the key captures
-//!   the participant's *entire* slice of the global state, so key-equal
-//!   participants are literally interchangeable and the result is
-//!   orbit-unique.
+//! * [`canonical_sorted`] — `O(n log n)`: the participants are permuted
+//!   into the order of their per-participant data (responder state, the
+//!   coordinator's `rcvd`/`tm`/`jnd`/`left`/`min_epoch` slots, the ghost
+//!   monitor, and the multiset of in-flight messages touching that
+//!   participant), compared in place on the state. Because every message
+//!   has the coordinator as one endpoint, that is the participant's
+//!   *entire* slice of the global state, so participants that compare
+//!   equal are literally interchangeable and the result is orbit-unique.
 //!
-//! The sort-key shortcut is only sound when participants really are
+//! The sorting shortcut is only sound when participants really are
 //! interchangeable; that used to be a hand-waved obligation. It is now
 //! discharged statically: [`certified_canonical`] consults
 //! [`hb_core::dataflow::symmetry_certificate`] on both machines' IR and
