@@ -151,6 +151,82 @@ mod tests {
         assert_eq!(s.false_inactivations, 0, "bounded shaping is harmless");
     }
 
+    /// `run_until` against its liveness condition around `step()` with the
+    /// real pipeline as the hook: a delay spike past the round-trip
+    /// budget, duplication, reordering and burst loss over a crash and a
+    /// revive. The merged event stream every node and the network feed a
+    /// tap is the comparison, next to the summary.
+    #[test]
+    fn run_until_equals_stepping_every_tick_under_the_pipeline() {
+        struct Recorder(Vec<hb_core::trace::Event>);
+        impl hb_core::events::EventTap for Recorder {
+            fn on_event(&mut self, e: &hb_core::trace::Event) {
+                self.0.push(*e);
+            }
+        }
+        for (variant, n) in [(Variant::Static, 3), (Variant::Dynamic, 3)] {
+            for seed in 0..4u64 {
+                // Back before the group notices, or long after it went down.
+                let revive_at = if seed.is_multiple_of(2) { 306 } else { 380 };
+                let plan = FaultPlan::new(
+                    "jump",
+                    seed,
+                    ProtoSpec {
+                        variant,
+                        n,
+                        duration: 1_200,
+                        ..proto(FixLevel::Full)
+                    },
+                )
+                .with(FaultSpec::DelaySpike {
+                    window: Window::between(100, 106),
+                    extra: 5,
+                })
+                .with(FaultSpec::Duplicate {
+                    window: Window::always(),
+                    link: Link::any(),
+                    p: 0.3,
+                })
+                .with(FaultSpec::Reorder {
+                    window: Window::always(),
+                    link: Link::any(),
+                    p: 0.5,
+                    max_extra: 3,
+                })
+                .with(FaultSpec::Loss {
+                    window: Window::between(500, 900),
+                    link: Link::any(),
+                    model: crate::pipeline::burst_model(0.1, 3.0),
+                })
+                .with(FaultSpec::Crash { pid: 2, at: 300 })
+                .with(FaultSpec::Revive {
+                    pid: 2,
+                    at: revive_at,
+                });
+                let run = |stepwise: bool| {
+                    let mut cl = ChaosCluster::new(plan.clone());
+                    let tap = std::sync::Arc::new(std::sync::Mutex::new(Recorder(Vec::new())));
+                    cl.attach_monitor(tap.clone());
+                    for leg in [333, plan.proto.duration] {
+                        if stepwise {
+                            while cl.now() < leg && (!cl.all_inactive() || cl.now() <= revive_at) {
+                                cl.step();
+                            }
+                        } else {
+                            cl.run_until(leg);
+                        }
+                    }
+                    let now = cl.now();
+                    let events = std::mem::take(&mut tap.lock().unwrap().0);
+                    (now, cl.into_summary().to_json(), events)
+                };
+                let (stepped, ran) = (run(true), run(false));
+                assert!(stepped.2.len() > 200, "{variant} seed {seed}: a real run");
+                assert_eq!(stepped, ran, "{variant} seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn fast_clock_drift_fires_watchdogs_early() {
         // The participant's clock runs 25% fast with no compensating

@@ -207,12 +207,20 @@ impl<M: Mesh> Engine<M> {
 
     /// Run to the configured duration and report.
     pub fn run(mut self) -> MemberReport {
+        self.run_to_end();
+        self.into_report()
+    }
+
+    fn run_to_end(&mut self) {
         for node in &mut self.nodes {
             node.start(&mut self.sink);
         }
         while self.now < self.cfg.duration {
             self.step();
         }
+    }
+
+    fn into_report(mut self) -> MemberReport {
         MemberReport {
             events: self.sink.take_log(),
             views: self.nodes.iter().map(MemberNode::view).collect(),
@@ -398,5 +406,127 @@ impl<M: Mesh> Engine<M> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::live::LiveMesh;
+    use crate::node::MemberSpec;
+    use crate::sim::SimMesh;
+    use hb_core::Params;
+    use hb_net::loopback::Faults;
+
+    /// The adversary of `tests/membership_live.rs`: every message
+    /// reordered by 1..=4 ticks, 6 more inside a spike window, and now and
+    /// then a copy.
+    #[derive(Debug)]
+    struct Delayer(u64);
+    impl FaultHook for Delayer {
+        fn fate(&mut self, now: u64, _src: Pid, _dst: Pid) -> SendFate {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = (self.0 >> 33) as u32;
+            SendFate::Deliver {
+                copies: 1 + u32::from(draw.is_multiple_of(7)),
+                extra_delay: 1 + draw % 4 + if (300..340).contains(&now) { 6 } else { 0 },
+            }
+        }
+    }
+
+    /// What `run` must stay equal to: `step()` on every tick of the run.
+    fn run_stepwise<M: Mesh>(mut e: Engine<M>) -> (MemberReport, u64) {
+        for node in &mut e.nodes {
+            node.start(&mut e.sink);
+        }
+        while e.now < e.cfg.duration {
+            e.step();
+        }
+        let now = e.now;
+        (e.into_report(), now)
+    }
+
+    fn run<M: Mesh>(mut e: Engine<M>) -> (MemberReport, u64) {
+        e.run_to_end();
+        let now = e.now;
+        (e.into_report(), now)
+    }
+
+    fn assert_same(cell: &str, stepped: (MemberReport, u64), ran: (MemberReport, u64)) -> usize {
+        assert_eq!(stepped.1, ran.1, "{cell}: final now");
+        let (stepped, ran) = (stepped.0, ran.0);
+        assert_eq!(stepped.events.events(), ran.events.events(), "{cell}");
+        assert_eq!(stepped.views, ran.views, "{cell}");
+        assert_eq!(stepped.roles, ran.roles, "{cell}");
+        assert_eq!(stepped.stats, ran.stats, "{cell}");
+        assert_eq!(stepped.reconv, ran.reconv, "{cell}");
+        ran.events.len()
+    }
+
+    #[test]
+    fn run_equals_stepping_every_tick_on_both_meshes() {
+        let fault = |at, kind, pid| MemberFault { at, kind, pid };
+        // The `--failover` plan; the benchmark's group of 8 with a
+        // participant crash on top; the hook-delayed plan of
+        // `tests/membership_live.rs` at the timing it needs.
+        let failover = vec![
+            fault(300, FaultKind::Crash, 0),
+            fault(600, FaultKind::Revive, 0),
+        ];
+        let mut group8 = failover.clone();
+        group8.insert(1, fault(450, FaultKind::Crash, 5));
+        let delayed = vec![
+            fault(200, FaultKind::Crash, 2),
+            fault(700, FaultKind::Revive, 2),
+        ];
+        let cells = [
+            ("failover", (2, 8), 4, 900, failover, false),
+            ("group of 8", (2, 8), 8, 900, group8, false),
+            ("hook-delayed", (10, 40), 4, 1_500, delayed, true),
+        ];
+        let losses = [
+            LossModel::Bernoulli(0.0),
+            LossModel::Bernoulli(0.05),
+            LossModel::GilbertElliott {
+                to_bad: 0.05,
+                to_good: 0.3,
+                good_loss: 0.01,
+                bad_loss: 0.9,
+            },
+        ];
+        let mut events = 0;
+        for (name, (tmin, tmax), group, duration, faults, hooked) in cells {
+            for loss in losses {
+                for seed in 1..=3 {
+                    let cfg = MemberConfig {
+                        loss,
+                        faults: faults.clone(),
+                        ..MemberConfig::clean(
+                            MemberSpec::dynamic_full(Params::new(tmin, tmax).unwrap()),
+                            group,
+                            seed,
+                            duration,
+                        )
+                    };
+                    let hook = || hooked.then(|| Box::new(Delayer(seed)) as Box<dyn FaultHook>);
+                    let sim = || {
+                        let mesh = SimMesh::new(group, loss, seed);
+                        Engine::new(cfg.clone(), mesh, hook(), Vec::new())
+                    };
+                    let live = || {
+                        let mesh = LiveMesh::new(group, Faults { loss }, seed);
+                        Engine::new(cfg.clone(), mesh, hook(), Vec::new())
+                    };
+                    let cell = format!("{name}, {loss:?}, seed {seed}");
+                    events += assert_same(&format!("{cell}, sim"), run_stepwise(sim()), run(sim()));
+                    events +=
+                        assert_same(&format!("{cell}, live"), run_stepwise(live()), run(live()));
+                }
+            }
+        }
+        assert!(events > 50_000, "the grid must actually run: {events}");
     }
 }

@@ -414,6 +414,132 @@ mod tests {
         assert_eq!(r.nodes[1].counters.revives, 1);
     }
 
+    /// What `run_until` must stay equal to: its liveness condition around
+    /// `step()`, every tick executed.
+    fn run_stepwise(cl: &mut VirtualCluster, t: Time) {
+        while cl.now < t && (!cl.all_inactive() || cl.revives_pending()) {
+            cl.step();
+        }
+    }
+
+    /// An adversary with every shape a hook can give a frame: an outage
+    /// window, a delay spike far past the round-trip budget, and every
+    /// third frame doubled.
+    #[derive(Debug, Default)]
+    struct Shaper(u32);
+    impl FaultHook for Shaper {
+        fn fate(&mut self, now: Time, _src: Pid, _dst: Pid) -> hb_sim::channel::SendFate {
+            self.0 += 1;
+            if (200..212).contains(&now) {
+                return hb_sim::channel::SendFate::Drop;
+            }
+            hb_sim::channel::SendFate::Deliver {
+                copies: 1 + u32::from(self.0.is_multiple_of(3)),
+                extra_delay: if (60..90).contains(&now) { 11 } else { 0 },
+            }
+        }
+    }
+
+    #[test]
+    fn run_until_equals_stepping_every_tick() {
+        const NETS: [&str; 5] = ["lossless", "bernoulli", "burst", "hook", "skew"];
+        const PLANS: [&str; 7] = [
+            "none",
+            "crash",
+            "crash+revive",
+            "late start",
+            "leave",
+            "stray revive",
+            "mid-round horizon",
+        ];
+        let build = |variant: Variant, fix, seed: u64, net, plan| {
+            let n = if variant == Variant::Binary { 1 } else { 3 };
+            let mut cl = VirtualCluster::new(ClusterConfig {
+                fix,
+                faults: match net {
+                    "bernoulli" => Faults::bernoulli(0.2),
+                    "burst" => Faults::burst(0.1, 0.3, 0.01, 0.9),
+                    _ => Faults::none(),
+                },
+                seed,
+                record_events: true,
+                ..cfg(variant, 2, 8, n)
+            });
+            match net {
+                "hook" => cl.set_fault_hook(Box::new(Shaper::default())),
+                // One fast participant, or a slow coordinator.
+                "skew" if seed.is_multiple_of(2) => cl.skew_clock(n, 3, 5, 4),
+                "skew" => cl.skew_clock(0, 0, 7, 8),
+                _ => {}
+            }
+            // The victim alternates between a participant and p[0].
+            let victim = if seed.is_multiple_of(2) { n } else { 0 };
+            match plan {
+                "crash" => cl.schedule_crash(victim, 100 + seed),
+                "crash+revive" => {
+                    cl.schedule_crash(1, 100);
+                    // Before, around and long after the group has noticed.
+                    cl.schedule_revive(1, 104 + 40 * seed);
+                }
+                "late start" => cl.schedule_start(n, 43 + seed),
+                "leave" => cl.schedule_leave(1, 90),
+                "stray revive" => cl.schedule_revive(1, 77),
+                "mid-round horizon" => cl.schedule_crash(victim, 150),
+                _ => {}
+            }
+            cl
+        };
+        let mut events = 0;
+        for variant in [
+            Variant::Static,
+            Variant::Expanding,
+            Variant::Dynamic,
+            Variant::Binary,
+        ] {
+            for fix in [
+                FixLevel::Original,
+                FixLevel::ReceivePriority,
+                FixLevel::Full,
+            ] {
+                for seed in 0..3 {
+                    for net in NETS {
+                        for plan in PLANS {
+                            let cell = format!("{variant} {fix} seed {seed} {net} {plan}");
+                            let mut stepped = build(variant, fix, seed, net, plan);
+                            let mut ran = build(variant, fix, seed, net, plan);
+                            // Two legs, as the benchmark's prime + run.
+                            let legs = if plan == "mid-round horizon" {
+                                [37, 301]
+                            } else {
+                                [120, 600]
+                            };
+                            for t in legs {
+                                run_stepwise(&mut stepped, t);
+                                ran.run_until(t);
+                                assert_eq!(stepped.now(), ran.now(), "{cell}: now at leg {t}");
+                            }
+                            let (stepped, ran) = (stepped.into_report(), ran.into_report());
+                            assert_eq!(stepped.summary.to_json(), ran.summary.to_json(), "{cell}");
+                            assert_eq!(stepped.nodes.len(), ran.nodes.len(), "{cell}");
+                            for (s, r) in stepped.nodes.iter().zip(&ran.nodes) {
+                                let cell = format!("{cell}, p[{}]", s.pid);
+                                assert_eq!(
+                                    (s.pid, s.status, s.left, s.now),
+                                    (r.pid, r.status, r.left, r.now),
+                                    "{cell}"
+                                );
+                                assert_eq!(s.counters, r.counters, "{cell}");
+                                assert_eq!(s.log.events(), r.log.events(), "{cell}");
+                                events += r.log.len();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(events > 250_000, "the grid must actually run: {events}");
+    }
+
     #[test]
     fn identical_seeds_are_bit_identical() {
         let run = |seed| {

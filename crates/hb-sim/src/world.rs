@@ -718,6 +718,130 @@ mod tests {
         assert!(r.messages_lost > 0);
     }
 
+    /// What `run_until` must stay equal to: its liveness condition around
+    /// `step()`, every tick executed.
+    fn run_stepwise(w: &mut World, t: Time) {
+        while w.now < t && (!w.all_inactive() || w.revives_pending()) {
+            w.step();
+        }
+    }
+
+    /// An adversary with every shape a hook can give a message: an outage
+    /// window, a delay spike far past the round-trip budget, and every
+    /// third message doubled.
+    #[derive(Debug, Default)]
+    struct Shaper(u32);
+    impl FaultHook for Shaper {
+        fn fate(&mut self, now: Time, _src: Pid, _dst: Pid) -> crate::channel::SendFate {
+            self.0 += 1;
+            if (200..212).contains(&now) {
+                return crate::channel::SendFate::Drop;
+            }
+            crate::channel::SendFate::Deliver {
+                copies: 1 + u32::from(self.0.is_multiple_of(3)),
+                extra_delay: if (60..90).contains(&now) { 11 } else { 0 },
+            }
+        }
+    }
+
+    #[test]
+    fn run_until_equals_stepping_every_tick() {
+        const NETS: [&str; 5] = ["lossless", "bernoulli", "burst", "outage", "hook"];
+        const PLANS: [&str; 7] = [
+            "none",
+            "crash",
+            "crash+revive",
+            "late start",
+            "leave",
+            "stray revive",
+            "mid-round horizon",
+        ];
+        let build = |variant: Variant, fix, seed: u64, net, plan| {
+            let n = if variant == Variant::Binary { 1 } else { 3 };
+            let mut w = World::new(
+                WorldConfig {
+                    fix,
+                    n,
+                    loss_prob: if net == "bernoulli" { 0.2 } else { 0.0 },
+                    log_events: true,
+                    ..cfg(variant, 2, 8)
+                },
+                seed,
+            );
+            match net {
+                "burst" => w.set_loss_model(LossModel::GilbertElliott {
+                    to_bad: 0.1,
+                    to_good: 0.3,
+                    good_loss: 0.01,
+                    bad_loss: 0.9,
+                }),
+                // Survivable, marginal and fatal, by seed.
+                "outage" => w.set_outage(60, 66 + 12 * seed),
+                "hook" => w.set_fault_hook(Box::new(Shaper::default())),
+                _ => {}
+            }
+            // The victim alternates between a participant and p[0].
+            let victim = if seed.is_multiple_of(2) { n } else { 0 };
+            match plan {
+                "crash" => w.schedule_crash(victim, 100 + seed),
+                "crash+revive" => {
+                    w.schedule_crash(1, 100);
+                    // Before, around and long after the group has noticed.
+                    w.schedule_revive(1, 104 + 40 * seed);
+                }
+                "late start" => w.schedule_start(n, 43 + seed),
+                "leave" => w.schedule_leave(1, 90),
+                "stray revive" => w.schedule_revive(1, 77),
+                "mid-round horizon" => w.schedule_crash(victim, 150),
+                _ => {}
+            }
+            w
+        };
+        let mut events = 0;
+        for variant in [
+            Variant::Static,
+            Variant::Expanding,
+            Variant::Dynamic,
+            Variant::Binary,
+        ] {
+            for fix in [
+                FixLevel::Original,
+                FixLevel::ReceivePriority,
+                FixLevel::Full,
+            ] {
+                for seed in 0..3 {
+                    for net in NETS {
+                        for plan in PLANS {
+                            let cell = format!("{variant} {fix} seed {seed} {net} {plan}");
+                            let mut stepped = build(variant, fix, seed, net, plan);
+                            let mut ran = build(variant, fix, seed, net, plan);
+                            // Two legs, as the benchmark's prime + run.
+                            let legs = if plan == "mid-round horizon" {
+                                [37, 301]
+                            } else {
+                                [120, 600]
+                            };
+                            for t in legs {
+                                run_stepwise(&mut stepped, t);
+                                ran.run_until(t);
+                                assert_eq!(stepped.now(), ran.now(), "{cell}: now at leg {t}");
+                            }
+                            let (stepped, ran) = (stepped.into_report(), ran.into_report());
+                            assert_eq!(
+                                crate::schema::RunSummary::from_report(&stepped).to_json(),
+                                crate::schema::RunSummary::from_report(&ran).to_json(),
+                                "{cell}"
+                            );
+                            assert_eq!(stepped.log.events(), ran.log.events(), "{cell}");
+                            events += ran.log.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(events > 250_000, "the grid must actually run: {events}");
+    }
+
     #[test]
     fn static_world_with_three_participants() {
         let mut w = World::new(
