@@ -191,8 +191,10 @@ fn epoch_monotonicity(ir: &MachineIr, out: &mut Vec<Finding>) {
 /// Advisory: transitions whose behaviour depends on a participant's
 /// concrete rank ([`PidScope::Rank`]). These are the symmetry
 /// certificate's counterexamples — `hb_verify::symmetry` refuses the
-/// sort-key quotient for any machine with one, falling back to the n!
-/// brute-force canonicalizer. Surfaced so the forfeited speed-up is a
+/// sort-key quotient for any machine with one, and there is no fallback:
+/// the n! brute-force canonicalizer would pick a representative just as
+/// unsoundly when participants are genuinely distinguishable, so a
+/// refused model runs unreduced. Surfaced so the forfeited speed-up is a
 /// conscious design cost, never a silent one.
 fn pid_concrete_guard(ir: &MachineIr, out: &mut Vec<Finding>) {
     for t in &ir.transitions {

@@ -175,15 +175,28 @@ impl CoordSpec {
         !self.timeout_due(s)
     }
 
-    /// Advance one time unit. Clocks freeze once inactive.
+    /// Advance one time unit: [`advance`](Self::advance) by 1.
+    #[inline]
+    pub fn tick(&self, s: &mut CoordState) {
+        self.advance(s, 1);
+    }
+
+    /// Advance `k` time units at once — `tick` `k` times. Clocks freeze
+    /// once inactive.
     ///
     /// # Panics
     ///
-    /// Debug-panics if called while the timeout is due (urgency violation).
-    pub fn tick(&self, s: &mut CoordState) {
-        debug_assert!(self.may_tick(s), "tick while coordinator timeout is due");
+    /// Debug-panics if the timeout falls due before the last of the `k`
+    /// units (urgency violation): jump by at most
+    /// [`next_timeout_in`](Self::next_timeout_in).
+    #[inline]
+    pub fn advance(&self, s: &mut CoordState, k: u32) {
+        debug_assert!(
+            k == 0 || self.next_timeout_in(s).is_none_or(|due_in| k <= due_in),
+            "time passes while coordinator timeout is due"
+        );
         if s.status.is_active() {
-            s.elapsed += 1;
+            s.elapsed += k;
         }
     }
 

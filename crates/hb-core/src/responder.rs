@@ -153,17 +153,29 @@ impl RespSpec {
         !self.watchdog_due(s) && !self.join_send_due(s)
     }
 
-    /// Advance one time unit. Clocks freeze once inactive or left.
+    /// Advance one time unit: [`advance`](Self::advance) by 1.
+    #[inline]
+    pub fn tick(&self, s: &mut RespState) {
+        self.advance(s, 1);
+    }
+
+    /// Advance `k` time units at once — `tick` `k` times. Clocks freeze
+    /// once inactive or left.
     ///
     /// # Panics
     ///
-    /// Debug-panics if an urgent event is pending.
-    pub fn tick(&self, s: &mut RespState) {
-        debug_assert!(self.may_tick(s), "tick while a participant event is due");
+    /// Debug-panics if an urgent event falls due before the last of the
+    /// `k` units: jump by at most [`next_event_in`](Self::next_event_in).
+    #[inline]
+    pub fn advance(&self, s: &mut RespState, k: u32) {
+        debug_assert!(
+            k == 0 || self.next_event_in(s).is_none_or(|due_in| k <= due_in),
+            "time passes while a participant event is due"
+        );
         if self.clocks_running(s) {
-            s.waiting += 1;
+            s.waiting += k;
             if !s.joined {
-                s.join_elapsed += 1;
+                s.join_elapsed += k;
             }
         }
     }

@@ -9,9 +9,13 @@
 //! produce byte-identical event streams by construction (pinned by
 //! `tests/membership_live.rs`).
 //!
-//! Per tick the engine (1) applies due schedule faults, (2) runs delivery
-//! and machine firings to a fixpoint, (3) resolves pending re-convergence
-//! samples, and (4) ticks every node.
+//! On a tick it steps, the engine (1) applies due schedule faults, (2)
+//! runs delivery and machine firings to a fixpoint, (3) resolves pending
+//! re-convergence samples, and (4) ticks every node. Ticks with nothing
+//! due it jumps over ([`Engine::run`]): they change no state but the
+//! clocks — the hook and the mesh's loss act on sends, re-convergence
+//! reads views and roles — so both substrates keep producing the streams
+//! they produced tick by tick.
 
 use hb_core::events::{EventSink, SharedTap};
 use hb_core::trace::{Event, EventLog};
@@ -40,7 +44,9 @@ pub trait Mesh {
     /// round-trip budget it has left.
     fn recv_due(&mut self, now: u64, dst: Pid) -> Option<(Frame, u32)>;
 
-    /// Whether anything is deliverable anywhere at `now`.
+    /// Whether anything is deliverable anywhere at `now`: a frame due at
+    /// or before it is still queued. The engine jumps its clocks to tick
+    /// `now + 1` only on `false`; a wrong `false` delivers a frame late.
     fn any_due(&self, now: u64) -> bool;
 
     /// Beat counters so far.
@@ -174,6 +180,9 @@ pub struct Engine<M: Mesh> {
     pending: Vec<PendingSample>,
     next_fault: usize,
     now: u64,
+    /// Filled by a node call, emptied by [`route`](Self::route), kept for
+    /// its allocation.
+    out: Vec<Outbound>,
 }
 
 impl<M: Mesh> Engine<M> {
@@ -202,6 +211,7 @@ impl<M: Mesh> Engine<M> {
             pending: Vec::new(),
             next_fault: 0,
             now: 0,
+            out: Vec::new(),
         }
     }
 
@@ -216,8 +226,37 @@ impl<M: Mesh> Engine<M> {
             node.start(&mut self.sink);
         }
         while self.now < self.cfg.duration {
-            self.step();
+            self.skip_idle();
+            if self.now < self.cfg.duration {
+                self.step();
+            }
         }
+    }
+
+    /// Jump every clock to the next tick on which [`step`](Self::step)
+    /// finds anything to do — the next scheduled fault, a node's next
+    /// urgent event, the end of the run — unless the mesh holds a frame due
+    /// before that: [`Mesh::any_due`] can say that one is, not when.
+    fn skip_idle(&mut self) {
+        let mut next = self.cfg.duration;
+        if let Some(fault) = self.cfg.faults.get(self.next_fault) {
+            next = next.min(fault.at);
+        }
+        for node in &self.nodes {
+            if let Some(due_in) = node.next_event_in() {
+                next = next.min(self.now + u64::from(due_in));
+            }
+        }
+        if next <= self.now || self.mesh.any_due(next - 1) {
+            return;
+        }
+        // The clocks count in `u32`: a jump cut short lands on an idle
+        // tick, which `step` passes over as it always did.
+        let idle = u32::try_from(next - self.now).unwrap_or(u32::MAX);
+        for node in &mut self.nodes {
+            node.advance(idle);
+        }
+        self.now += u64::from(idle);
     }
 
     fn into_report(mut self) -> MemberReport {
@@ -256,9 +295,8 @@ impl<M: Mesh> Engine<M> {
                     (view_nos, 0)
                 }
                 FaultKind::Revive => {
-                    let mut out = Vec::new();
-                    self.nodes[f.pid].revive(self.now, &mut self.sink, &mut out);
-                    self.route(out);
+                    self.nodes[f.pid].revive(self.now, &mut self.sink, &mut self.out);
+                    self.route();
                     (Vec::new(), self.nodes[f.pid].epoch())
                 }
             };
@@ -294,17 +332,21 @@ impl<M: Mesh> Engine<M> {
                             hb,
                         });
                     }
-                    let mut out = Vec::new();
-                    self.nodes[pid].on_frame(self.now, frame, budget, &mut self.sink, &mut out);
-                    self.route(out);
+                    self.nodes[pid].on_frame(
+                        self.now,
+                        frame,
+                        budget,
+                        &mut self.sink,
+                        &mut self.out,
+                    );
+                    self.route();
                 }
             }
             for pid in 0..self.cfg.group {
                 while self.nodes[pid].urgent() {
                     progress = true;
-                    let mut out = Vec::new();
-                    self.nodes[pid].fire(self.now, &mut self.sink, &mut out);
-                    self.route(out);
+                    self.nodes[pid].fire(self.now, &mut self.sink, &mut self.out);
+                    self.route();
                 }
             }
             if !progress {
@@ -313,12 +355,14 @@ impl<M: Mesh> Engine<M> {
         }
     }
 
-    /// Pass outbound frames through the fault hook and into the mesh,
-    /// emitting the transport events for beats. A copy the hook delays is
-    /// a send the mesh hears about `extra_delay` ticks late: it draws its
-    /// own delay on top, so the frame is due no earlier than that.
-    fn route(&mut self, out: Vec<Outbound>) {
-        for (dst, frame, budget) in out {
+    /// Pass the outbound frames in `out` through the fault hook and into
+    /// the mesh, emitting the transport events for beats. A copy the hook
+    /// delays is a send the mesh hears about `extra_delay` ticks late: it
+    /// draws its own delay on top, so the frame is due no earlier than
+    /// that.
+    fn route(&mut self) {
+        let mut out = std::mem::take(&mut self.out);
+        for (dst, frame, budget) in out.drain(..) {
             let src = frame.src();
             if let Frame::Beat { hb, .. } = frame {
                 self.sink.emit(&Event::Send {
@@ -353,6 +397,7 @@ impl<M: Mesh> Engine<M> {
                 }
             }
         }
+        self.out = out;
     }
 
     /// Check every unresolved sample against the nodes' current views.
@@ -464,6 +509,45 @@ mod tests {
         assert_eq!(stepped.stats, ran.stats, "{cell}");
         assert_eq!(stepped.reconv, ran.reconv, "{cell}");
         ran.events.len()
+    }
+
+    /// Where the time goes on the benchmark's `member_failover` cell
+    /// (group of 8 at `(2, 8)`, 2 % loss, the coordinator crashed and
+    /// revived and a participant crashed over 100 000 ticks): the run's
+    /// own loop, counting the ticks it steps and the ticks it jumps over.
+    /// Exact counts: the run is seeded. EXPERIMENTS §D.2 quotes them.
+    #[test]
+    fn most_ticks_of_a_failover_run_are_jumped_over() {
+        let fault = |at, kind, pid| MemberFault { at, kind, pid };
+        let group = 8;
+        let loss = LossModel::Bernoulli(0.02);
+        let cfg = MemberConfig {
+            loss,
+            faults: vec![
+                fault(22_000, FaultKind::Crash, 0),
+                fault(47_000, FaultKind::Revive, 0),
+                fault(77_000, FaultKind::Crash, 5),
+            ],
+            ..MemberConfig::clean(
+                MemberSpec::dynamic_full(Params::new(2, 8).unwrap()),
+                group,
+                2001,
+                100_000,
+            )
+        };
+        let mesh = SimMesh::new(group, loss, cfg.seed);
+        let mut e = Engine::new(cfg, mesh, None, Vec::new());
+        let (mut stepped, mut jumped) = (0, 0);
+        while e.now < e.cfg.duration {
+            let from = e.now;
+            e.skip_idle();
+            jumped += e.now - from;
+            if e.now < e.cfg.duration {
+                e.step();
+                stepped += 1;
+            }
+        }
+        assert_eq!((stepped, jumped), (42_570, 57_430)); // 42.6 % stepped
     }
 
     #[test]

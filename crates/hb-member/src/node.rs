@@ -109,6 +109,21 @@ pub enum RoleKind {
     Down,
 }
 
+/// The non-coordinator members of a view, inline: read as a `[Pid]`.
+struct Slots {
+    pids: [Pid; MAX_VIEW_MEMBERS],
+    len: usize,
+}
+
+impl std::ops::Deref for Slots {
+    type Target = [Pid];
+
+    fn deref(&self) -> &[Pid] {
+        &self.pids[..self.len]
+    }
+}
+
+#[cfg_attr(test, derive(Clone, Debug, PartialEq))]
 enum Role {
     Coordinator { cs: CoordState },
     Participant { rs: RespState, fires: u32 },
@@ -118,6 +133,7 @@ enum Role {
 }
 
 /// One process of a membership group.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq))]
 pub struct MemberNode {
     spec: MemberSpec,
     pid: Pid,
@@ -211,11 +227,16 @@ impl MemberNode {
 
     /// The non-coordinator members of the current view, ascending: slot
     /// `k` (1-based) of the wrapped coordinator machine is `slots()[k-1]`.
-    fn slots(&self) -> Vec<Pid> {
-        self.view
-            .members()
-            .filter(|&p| p != self.view.coordinator)
-            .collect()
+    fn slots(&self) -> Slots {
+        let mut slots = Slots {
+            pids: [0; MAX_VIEW_MEMBERS],
+            len: 0,
+        };
+        for p in self.view.members().filter(|&p| p != self.view.coordinator) {
+            slots.pids[slots.len] = p;
+            slots.len += 1;
+        }
+        slots
     }
 
     /// Whether an urgent machine event is due (the harness must call
@@ -455,12 +476,31 @@ impl MemberNode {
 
     /// Advance one time unit.
     pub fn tick(&mut self) {
+        self.advance(1);
+    }
+
+    /// Time until [`urgent`](Self::urgent) turns true by the clock alone
+    /// (`Some(0)`: it is now); `None` while crashed.
+    pub(crate) fn next_event_in(&self) -> Option<u32> {
+        let spec = self.spec;
+        match &self.role {
+            Role::Coordinator { cs } => spec.coord_spec(self.view.len() - 1).next_timeout_in(cs),
+            Role::Participant { rs, .. } => spec.resp_spec().next_event_in(rs),
+            Role::Joiner { elapsed } => Some(spec.params.tmin().saturating_sub(*elapsed)),
+            Role::Solo { elapsed } => Some(spec.params.tmax().saturating_sub(*elapsed)),
+            Role::Down => None,
+        }
+    }
+
+    /// Advance `k` time units at once, none of them past
+    /// [`next_event_in`](Self::next_event_in).
+    pub(crate) fn advance(&mut self, k: u32) {
         match &mut self.role {
             Role::Coordinator { cs } => {
-                self.spec.coord_spec(self.view.len() - 1).tick(cs);
+                self.spec.coord_spec(self.view.len() - 1).advance(cs, k);
             }
-            Role::Participant { rs, .. } => self.spec.resp_spec().tick(rs),
-            Role::Joiner { elapsed } | Role::Solo { elapsed } => *elapsed += 1,
+            Role::Participant { rs, .. } => self.spec.resp_spec().advance(rs, k),
+            Role::Joiner { elapsed } | Role::Solo { elapsed } => *elapsed += k,
             Role::Down => {}
         }
     }
@@ -775,6 +815,76 @@ mod tests {
         }
         assert_eq!(p1.role_kind(), RoleKind::Solo);
         assert_eq!(p1.view().members().collect::<Vec<_>>(), vec![1]);
+    }
+
+    proptest::proptest! {
+        /// `advance(k)` is `tick` k times and `next_event_in` is exact —
+        /// `urgent` turns true on that tick and no sooner, `None` means
+        /// time changes nothing — from each of the five roles and
+        /// wherever random ticks, firings, frames, crashes and revivals
+        /// take the node from there.
+        #[test]
+        fn advance_is_tick_k_times_in_every_role(
+            role in 0usize..5,
+            stims in proptest::prop::collection::vec((0u8..5, 0u8..24), 0..30),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut s = sink();
+            let mut out = Vec::new();
+            let mut node = MemberNode::new(spec(), if role == 0 { 0 } else { 2 }, 4);
+            let evicted = View::genesis(3).evict(2, 0);
+            match role {
+                0 => prop_assert_eq!(node.role_kind(), RoleKind::Coordinator),
+                1 => prop_assert_eq!(node.role_kind(), RoleKind::Participant),
+                2 => {
+                    node.on_frame(5, Frame::view_change(0, evicted), 0, &mut s, &mut out);
+                    prop_assert_eq!(node.role_kind(), RoleKind::Joiner);
+                }
+                3 => {
+                    let alone = View::new(1, 2, &[(2, 0)]);
+                    node.on_frame(5, Frame::view_change(2, alone), 0, &mut s, &mut out);
+                    prop_assert_eq!(node.role_kind(), RoleKind::Solo);
+                }
+                _ => node.crash(5, &mut s),
+            }
+            for (kind, arg) in stims {
+                match kind {
+                    0 => {
+                        for _ in 0..arg {
+                            while node.urgent() {
+                                node.fire(9, &mut s, &mut out);
+                            }
+                            node.tick();
+                        }
+                    }
+                    1 => {
+                        let src = usize::from(arg) % 4;
+                        node.on_frame(9, Frame::beat(src, Heartbeat::plain()), 2, &mut s, &mut out);
+                    }
+                    2 => node.on_frame(9, Frame::view_change(0, evicted), 0, &mut s, &mut out),
+                    3 => node.crash(9, &mut s),
+                    _ => node.revive(9, &mut s, &mut out),
+                }
+                out.clear();
+                let Some(due_in) = node.next_event_in() else {
+                    let mut later = node.clone();
+                    later.advance(1_000);
+                    prop_assert_eq!(&later, &node);
+                    prop_assert!(!node.urgent());
+                    continue;
+                };
+                let mut ticked = node.clone();
+                for k in 0..=due_in {
+                    let mut jumped = node.clone();
+                    jumped.advance(k);
+                    prop_assert_eq!(&jumped, &ticked);
+                    prop_assert_eq!(ticked.urgent(), k == due_in);
+                    if k < due_in {
+                        ticked.tick();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

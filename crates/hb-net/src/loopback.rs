@@ -368,6 +368,13 @@ impl LoopbackNet {
         any_due(&self.inner.due, now)
     }
 
+    /// The earliest delivery time queued for `pid` (`Time::MAX`: none),
+    /// read off the due index without the lock.
+    #[inline]
+    pub(crate) fn next_due(&self, pid: Pid) -> Time {
+        self.inner.due[pid].load(Acquire)
+    }
+
     /// Message counters so far.
     pub fn stats(&self) -> NetStats {
         self.inner.lock().core.stats()

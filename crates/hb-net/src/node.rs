@@ -24,6 +24,9 @@
 //!   frame that arrived while the node slept is stamped at the first tick
 //!   after the one it went to sleep in (or at that tick, if the clock has
 //!   not moved), never back-dated to a tick the node has already left.
+//!   [`VirtualCluster`](crate::cluster::VirtualCluster) sleeps the same
+//!   way under virtual time: it knows every queue, so it jumps a node's
+//!   clock over ticks with no deadline and no arrival (`skip_to`).
 //!
 //! Fault injection and lifecycle are driven over the wire by control
 //! frames ([`crate::wire::Command`]): `Crash` voluntarily inactivates the
@@ -257,6 +260,21 @@ impl<T: Transport> NodeRuntime<T> {
             self.drain_instant()?;
         }
         Ok(())
+    }
+
+    /// Move the clocks straight to tick `t` (no-op at or past it),
+    /// draining nothing: all [`poll`](Self::poll) comes to when, as the
+    /// caller vouches, [`next_deadline`](Self::next_deadline) is later
+    /// than `t` and no frame for this node falls due in `(now, t]`.
+    pub(crate) fn skip_to(&mut self, t: Time) {
+        // Further than a `u32` only a frozen machine can be asked to go,
+        // and it ignores the amount.
+        let idle = u32::try_from(t.saturating_sub(self.local_now)).unwrap_or(u32::MAX);
+        match &mut self.role {
+            Role::Coordinator { spec, state } => spec.advance(state, idle),
+            Role::Participant { spec, state, .. } => spec.advance(state, idle),
+        }
+        self.local_now = self.local_now.max(t);
     }
 
     /// Process every event due at the current tick until quiescent.

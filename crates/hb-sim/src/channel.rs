@@ -306,6 +306,11 @@ impl Channel {
         }
     }
 
+    /// The earliest delivery time in flight (a scan of ≤ 2n frames).
+    pub(crate) fn next_due(&self) -> Option<Time> {
+        self.in_flight.iter().map(|m| m.deliver_at).min()
+    }
+
     /// The message counters so far.
     pub fn stats(&self) -> NetStats {
         NetStats {

@@ -37,8 +37,127 @@ fn arb_stims() -> impl Strategy<Value = Vec<Stim>> {
     )
 }
 
+/// From `s`, whose next urgent event is `due_in` ticks away: `advance(k)`
+/// equals `k` × `tick()` field for field for every `k` up to it, `due`
+/// turns true on exactly that tick, and every tick on the way changes the
+/// state. `None` claims the clocks are frozen: then time passing changes
+/// nothing, by one tick or by many.
+fn check_jump<S: Clone + PartialEq + std::fmt::Debug>(
+    s: &S,
+    due_in: Option<u32>,
+    tick: impl Fn(&mut S),
+    advance: impl Fn(&mut S, u32),
+    due: impl Fn(&S) -> bool,
+) -> Result<(), proptest::TestCaseError> {
+    let Some(due_in) = due_in else {
+        let (mut ticked, mut jumped) = (s.clone(), s.clone());
+        tick(&mut ticked);
+        advance(&mut jumped, 1_000);
+        prop_assert_eq!(&ticked, s);
+        prop_assert_eq!(&jumped, s);
+        prop_assert!(!due(s), "due with no deadline: {s:?}");
+        return Ok(());
+    };
+    let mut ticked = s.clone();
+    for k in 0..=due_in {
+        let mut jumped = s.clone();
+        advance(&mut jumped, k);
+        prop_assert_eq!(&jumped, &ticked);
+        prop_assert_eq!(due(&ticked), k == due_in);
+        if k < due_in {
+            let before = ticked.clone();
+            tick(&mut ticked);
+            prop_assert!(ticked != before, "a running clock stood still: {before:?}");
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `CoordSpec::advance(k)` is `tick` k times and `next_timeout_in` is
+    /// exact, at every state a random environment reaches: all six
+    /// variants, mid-round and due, after halvings, with participants
+    /// joined, un-joined and left, and crashed.
+    #[test]
+    fn coordinator_advance_is_tick_k_times(
+        params in arb_params(),
+        variant in arb_variant(),
+        fix in prop::sample::select(FixLevel::ALL.to_vec()),
+        stims in arb_stims(),
+    ) {
+        let n = if matches!(variant, Variant::Static | Variant::Expanding | Variant::Dynamic) { 3 } else { 1 };
+        let spec = CoordSpec::new(variant, params, n, fix);
+        let mut s = spec.init_state();
+        for stim in stims {
+            match stim {
+                Stim::Ticks(k) => {
+                    for _ in 0..k {
+                        if spec.may_tick(&s) { spec.tick(&mut s); }
+                    }
+                }
+                Stim::Beat { from_offset, flag } => {
+                    let hb = if flag { Heartbeat::plain() } else { Heartbeat::leave() };
+                    spec.on_heartbeat(&mut s, 1 + usize::from(from_offset) % n, hb);
+                }
+                Stim::Timeout => {
+                    if spec.timeout_due(&s) { let _ = spec.on_timeout(&mut s); }
+                }
+                Stim::Crash => spec.crash(&mut s),
+            }
+            check_jump(
+                &s,
+                spec.next_timeout_in(&s),
+                |s| spec.tick(s),
+                |s, k| spec.advance(s, k),
+                |s| spec.timeout_due(s),
+            )?;
+        }
+    }
+
+    /// `RespSpec::advance(k)` is `tick` k times and `next_event_in` is
+    /// exact, at every state a random environment reaches: all six
+    /// variants, in the join phase and joined, left, crashed, revived.
+    #[test]
+    fn responder_advance_is_tick_k_times(
+        params in arb_params(),
+        variant in arb_variant(),
+        fix in prop::sample::select(FixLevel::ALL.to_vec()),
+        stims in arb_stims(),
+    ) {
+        let spec = RespSpec::new(variant, params, fix);
+        let mut s = spec.init_state();
+        for stim in stims {
+            match stim {
+                Stim::Ticks(k) => {
+                    for _ in 0..k {
+                        if spec.may_tick(&s) { spec.tick(&mut s); }
+                        else if spec.join_send_due(&s) { let _ = spec.on_join_send(&mut s); }
+                    }
+                }
+                Stim::Beat { flag, from_offset } => {
+                    let dec = if from_offset % 4 == 0 { LeaveDecision::Leave } else { LeaveDecision::Stay };
+                    let hb = if flag { Heartbeat::plain() } else { Heartbeat::leave() };
+                    let hb = hb.with_epoch(s.epoch);
+                    let _ = spec.on_beat(&mut s, hb, dec);
+                }
+                Stim::Timeout => {
+                    if spec.watchdog_due(&s) { spec.on_watchdog(&mut s); }
+                }
+                // A crash, and at the next one the restart.
+                Stim::Crash if s.status == Status::Crashed => s = spec.revive_state(s.epoch),
+                Stim::Crash => spec.crash(&mut s),
+            }
+            check_jump(
+                &s,
+                spec.next_event_in(&s),
+                |s| spec.tick(s),
+                |s, k| spec.advance(s, k),
+                |s| spec.watchdog_due(s) || spec.join_send_due(s),
+            )?;
+        }
+    }
 
     /// The halving chain: duration equals the sum of a strictly
     /// decreasing geometric-ish sequence bounded by the closed form
