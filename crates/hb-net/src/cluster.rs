@@ -329,23 +329,19 @@ impl VirtualCluster {
     fn next_event_at(&self) -> Time {
         let now = self.now;
         let due = (0..self.cfg.n + 2).map(|pid| self.net.next_due(pid));
-        let mut next = due.min().unwrap_or(Time::MAX);
+        let next = due.min().unwrap_or(Time::MAX);
         if next <= now || self.skewed {
             return now;
         }
-        let deadline = |node: &NodeRuntime<_>| node.next_deadline().unwrap_or(Time::MAX);
-        next = next.min(self.nodes[0].as_ref().map_or(Time::MAX, deadline));
-        for (node, &start_at) in self.nodes[1..].iter().zip(&self.start_at) {
-            next = next.min(match node {
-                Some(node) => deadline(node),
-                None if start_at >= now => start_at,
-                None => Time::MAX,
-            });
-        }
-        let injections = self.injections.iter().filter(|&&(at, ..)| at >= now);
-        injections
-            .fold(next, |next, &(at, ..)| next.min(at))
-            .max(now)
+        let deadlines = self.nodes.iter().flatten();
+        let deadlines = deadlines.filter_map(NodeRuntime::next_deadline);
+        let unstarted = self.nodes[1..].iter().zip(&self.start_at);
+        let starts = unstarted
+            .filter(|(node, _)| node.is_none())
+            .map(|(_, &at)| at);
+        let scheduled = starts.chain(self.injections.iter().map(|&(at, ..)| at));
+        let scheduled = scheduled.filter(|&at| at >= now);
+        deadlines.chain(scheduled).fold(next, Time::min)
     }
 
     /// Jump over the ticks with nothing due: to
