@@ -1,12 +1,16 @@
-//! End-to-end smoke test over real UDP sockets and the wall clock: a
-//! coordinator and a participant on localhost, a crash injected over the
-//! control channel, detection within the corrected §6.2 coordinator bound.
+//! End-to-end tests over real UDP sockets on localhost, a crash injected
+//! over the control channel, detection within the corrected §6.2
+//! coordinator bound:
 //!
-//! Event timestamps are protocol ticks derived from the shared wall
-//! clock, so the bound is asserted exactly; only the overall watchdog
-//! deadline is wall time.
+//! * on the wall clock — a coordinator and a participant as threads in
+//!   `NodeRuntime::run`. Event timestamps are protocol ticks derived from
+//!   the shared wall clock, so the bound is asserted exactly; only the
+//!   overall watchdog deadline is wall time;
+//! * under injected ticks — the benchmark's `live_udp` shape, every node
+//!   polled from one thread, no clock and no sleep.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -14,10 +18,10 @@ use std::time::{Duration, Instant};
 use accelerated_heartbeat::core::coordinator::CoordSpec;
 use accelerated_heartbeat::core::responder::RespSpec;
 use accelerated_heartbeat::core::trace::Event;
-use accelerated_heartbeat::core::{FixLevel, Params, Status, Variant};
+use accelerated_heartbeat::core::{FixLevel, Params, Pid, Status, Variant};
 use accelerated_heartbeat::net::wire::{Command, Frame};
 use accelerated_heartbeat::net::{
-    EventSink, NodeRuntime, TimeSource, Transport, UdpTransport, WallClock,
+    EventSink, NodeRuntime, Recv, Time, TimeSource, Transport, UdpTransport, WallClock,
 };
 
 #[test]
@@ -113,5 +117,112 @@ fn udp_cluster_detects_injected_crash_within_corrected_bound() {
     assert!(
         coord_report.counters.halvings >= 1,
         "acceleration kicked in"
+    );
+}
+
+/// A `UdpTransport` that publishes its decode- and soft-error counts,
+/// which are out of reach once a `NodeRuntime` owns the transport.
+struct Counted {
+    inner: UdpTransport,
+    errors: Arc<AtomicU64>,
+}
+
+impl Counted {
+    fn publish(&self) {
+        let errors = self.inner.decode_errors() + self.inner.soft_errors();
+        self.errors.store(errors, Ordering::Relaxed);
+    }
+}
+
+impl Transport for Counted {
+    fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
+        let sent = self.inner.send(now, dst, frame, budget);
+        self.publish();
+        sent
+    }
+
+    fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
+        let got = self.inner.try_recv(now);
+        self.publish();
+        got
+    }
+
+    fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+        let woke = self.inner.wait(timeout);
+        self.publish();
+        woke
+    }
+}
+
+#[test]
+fn udp_cell_under_injected_ticks_detects_a_crash_within_corrected_bound() {
+    // `live_udp`'s cell: static n = 4, (2, 8), full fix.
+    let (n, variant, fix) = (4, Variant::Static, FixLevel::Full);
+    let params = Params::new(2, 8).unwrap();
+    let bound = u64::from(params.p0_bound_corrected(variant));
+    let (crash_pid, crash_at) = (3, 203);
+
+    let mut sockets: Vec<UdpTransport> = (0..=n)
+        .map(|_| UdpTransport::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<_> = sockets.iter().map(|t| t.local_addr().unwrap()).collect();
+    let mut injector = UdpTransport::bind("127.0.0.1:0").unwrap();
+    for pid in 1..=n {
+        sockets[0].add_peer(pid, addrs[pid]);
+        sockets[pid].add_peer(0, addrs[0]);
+    }
+    injector.add_peer(crash_pid, addrs[crash_pid]);
+    let errors: Vec<Arc<AtomicU64>> = (0..=n).map(|_| Arc::default()).collect();
+    let mut transports = sockets
+        .into_iter()
+        .zip(&errors)
+        .map(|(inner, errors)| Counted {
+            inner,
+            errors: Arc::clone(errors),
+        });
+    let mut coord = NodeRuntime::coordinator(
+        CoordSpec::new(variant, params, n, fix),
+        transports.next().unwrap(),
+    );
+    let mut parts: Vec<_> = transports
+        .enumerate()
+        .map(|(i, t)| NodeRuntime::participant(i + 1, RespSpec::new(variant, params, fix), t))
+        .collect();
+
+    let mut detected = None;
+    for now in 0..crash_at + 4 * bound {
+        if now == crash_at {
+            assert!(
+                coord.status().is_active(),
+                "no inactivation before the crash"
+            );
+            assert!(parts.iter().all(|p| p.status().is_active()));
+            injector
+                .send(now, crash_pid, &Frame::control(n + 1, Command::Crash), 0)
+                .unwrap();
+        }
+        // Coordinator, participants, coordinator again for the replies.
+        coord.poll(now).unwrap();
+        for p in &mut parts {
+            p.poll(now).unwrap();
+        }
+        coord.poll(now).unwrap();
+        if coord.status() == Status::NvInactive {
+            detected = Some(now);
+            break;
+        }
+    }
+
+    assert_eq!(parts[crash_pid - 1].status(), Status::Crashed);
+    let delay = detected.expect("the coordinator detects the crash") - crash_at;
+    assert!(
+        delay <= bound,
+        "detected after {delay} ticks > bound {bound}"
+    );
+    assert!(coord.counters.halvings >= 1, "acceleration kicked in");
+    let errors: u64 = errors.iter().map(|e| e.load(Ordering::Relaxed)).sum();
+    assert_eq!(
+        errors, 0,
+        "no decode or soft errors on a healthy localhost cell"
     );
 }
