@@ -241,6 +241,10 @@ impl VirtualCluster {
             if t != now {
                 return true;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a loopback send fails only for a pid past the net, and the schedule_* asserts keep pid <= n"
+            )]
             self.injector
                 .send(now, pid, &Frame::control(src, cmd), 0)
                 .expect("loopback send cannot fail");
@@ -256,6 +260,10 @@ impl VirtualCluster {
                 let has_work = self.net.next_due(pid) <= now
                     || node.next_deadline().is_some_and(|due| due <= now);
                 if has_work || self.skewed {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a node sends only to pids <= n, all on the net, and a loopback receive cannot fail"
+                    )]
                     node.poll(local_tick(&self.local, pid, now))
                         .expect("loopback polling cannot fail");
                 } else {
@@ -271,6 +279,7 @@ impl VirtualCluster {
             for pid in 1..=self.cfg.n {
                 if self.nodes[pid].is_none() {
                     let mut void = self.net.endpoint(pid);
+                    #[expect(clippy::expect_used, reason = "a loopback receive cannot fail")]
                     while void
                         .try_recv(now)
                         .expect("loopback polling cannot fail")

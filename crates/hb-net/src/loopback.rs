@@ -214,6 +214,10 @@ impl LoopbackCore {
         // The first frame at the queue's minimum time is the
         // `min_by_key((deliver_at, index))` of the due ones.
         let queue = &mut self.queues[pid];
+        #[expect(
+            clippy::expect_used,
+            reason = "due[pid] is the minimum deliver_at of queues[pid], kept so by send, recv and purge"
+        )]
         let i = queue
             .iter()
             .position(|m| m.deliver_at == earliest)
@@ -297,6 +301,10 @@ struct Inner {
 }
 
 impl Inner {
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned only if a thread panicked mid-operation; the queues may then be torn, so fail loudly"
+    )]
     fn lock(&self) -> MutexGuard<'_, Shared> {
         self.state
             .lock()
