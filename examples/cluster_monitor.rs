@@ -11,26 +11,34 @@
 //! control channel (`hb-net`). The original discrete-event simulation of
 //! the same scenario is kept behind `--sim`.
 //!
+//! `--measure [R]` is a different, smaller cell measured rather than
+//! narrated: a static group of 4 on a 1 ms wall-clock tick (or
+//! `--tick-ms`) over UDP, one participant crashed by control frame, R
+//! repetitions (default 20).
+//!
 //! ```text
 //! cargo run --example cluster_monitor             # live UDP cluster
 //! cargo run --example cluster_monitor -- --sim    # discrete-event sim
 //! cargo run --example cluster_monitor -- --tick-ms 2
+//! cargo run --release --example cluster_monitor -- --measure 20
+//! cargo run --release --example cluster_monitor -- --measure 10 --tick-ms 20
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use accelerated_heartbeat::core::coordinator::CoordSpec;
 use accelerated_heartbeat::core::events::SharedTap;
 use accelerated_heartbeat::core::responder::RespSpec;
 use accelerated_heartbeat::core::trace::Event;
-use accelerated_heartbeat::core::{FixLevel, Params, Variant};
+use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
 use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::wire::{Command, Frame};
 use accelerated_heartbeat::net::{
-    EventSink, NodeReport, NodeRuntime, TimeSource, Transport, UdpTransport, WallClock,
+    EventSink, NodeReport, NodeRuntime, Recv, Time, TimeSource, Transport, UdpTransport, WallClock,
 };
 use accelerated_heartbeat::sim::schema::{MonitorVerdicts, RunSummary};
 
@@ -45,12 +53,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return run_sim();
     }
     let tick_ms = match args.iter().position(|a| a == "--tick-ms") {
-        Some(i) => args
-            .get(i + 1)
-            .ok_or("--tick-ms needs a value")?
-            .parse::<u64>()?,
-        None => 5,
+        Some(i) => Some(
+            args.get(i + 1)
+                .ok_or("--tick-ms needs a value")?
+                .parse::<u64>()?,
+        ),
+        None => None,
     };
+    if let Some(i) = args.iter().position(|a| a == "--measure") {
+        let reps = match args.get(i + 1) {
+            Some(r) if !r.starts_with("--") => r.parse::<usize>()?,
+            _ => 20,
+        };
+        let tick = Duration::from_millis(tick_ms.unwrap_or(1).max(1));
+        return run_measure(reps.max(1), tick);
+    }
+    let tick_ms = tick_ms.unwrap_or(5);
     run_live(Duration::from_millis(tick_ms.max(1)))
 }
 
@@ -361,5 +379,286 @@ fn run_sim() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(report.leaves.len(), 1, "worker 1 left gracefully");
     println!("\nworker 1 left without causing any inactivation; worker 3's crash");
     println!("was detected and propagated to the whole network.");
+    Ok(())
+}
+
+/// `--measure`'s cell: `live_udp`'s protocol (static, (2, 8), full fix,
+/// n = 4), but on the wall clock through `NodeRuntime::run`, the loop a
+/// deployment executes.
+const MEASURE_N: usize = 4;
+/// The crash tick, far enough in for the group to be in steady state.
+const MEASURE_CRASH_AT: Time = 200;
+
+/// What one node's transport saw, read by the driver after the run.
+#[derive(Default)]
+struct Probe {
+    try_recvs: AtomicU64,
+    waits: AtomicU64,
+    /// Wake-up lateness at each coordinator beat tick.
+    lateness: Mutex<Vec<Duration>>,
+}
+
+/// A [`UdpTransport`] that counts its calls and, at the first coordinator
+/// beat sent at each tick `at`, records how long after tick `at` began
+/// (in real time) that send happens: `(now − at) × tick` whole ticks late,
+/// plus how far into tick `now` the clock is.
+struct Probed {
+    inner: UdpTransport,
+    probe: Arc<Probe>,
+    clock: WallClock,
+    last_beat: Option<Time>,
+}
+
+impl Transport for Probed {
+    fn send(&mut self, at: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
+        if matches!(frame, Frame::Beat { src: 0, .. }) && self.last_beat != Some(at) {
+            self.last_beat = Some(at);
+            let (now, tick) = (self.clock.now(), self.clock.tick());
+            let whole = tick * u32::try_from(now.saturating_sub(at)).unwrap_or(u32::MAX);
+            let into = tick.saturating_sub(self.clock.until(now + 1));
+            self.probe
+                .lateness
+                .lock()
+                .expect("probe lock")
+                .push(whole + into);
+        }
+        self.inner.send(at, dst, frame, budget)
+    }
+
+    fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
+        self.probe.try_recvs.fetch_add(1, Ordering::Relaxed);
+        self.inner.try_recv(now)
+    }
+
+    fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+        self.probe.waits.fetch_add(1, Ordering::Relaxed);
+        self.inner.wait(timeout)
+    }
+}
+
+/// One repetition's figures.
+struct Sample {
+    /// `(ticks, injection → the coordinator's run returning)`, or `None`
+    /// if the group inactivated itself before the crash tick.
+    detect: Option<(u64, Duration)>,
+    /// The coordinator's inactivation tick when that happened first.
+    collapsed_at: Option<Time>,
+    lateness: Vec<Duration>,
+    /// `(try_recv, wait)` calls per tick, coordinator first.
+    calls_per_tick: Vec<(f64, f64)>,
+}
+
+/// Run the cell once on ticks of `tick`, crashing `crash_pid`.
+fn measure_once(params: Params, tick: Duration, crash_pid: Pid) -> io::Result<Sample> {
+    let (variant, fix) = (Variant::Static, FixLevel::Full);
+    let clock = WallClock::new(tick);
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut sockets = (0..=MEASURE_N)
+        .map(|_| UdpTransport::bind("127.0.0.1:0"))
+        .collect::<io::Result<Vec<_>>>()?;
+    let addrs = sockets
+        .iter()
+        .map(UdpTransport::local_addr)
+        .collect::<io::Result<Vec<_>>>()?;
+    for pid in 1..=MEASURE_N {
+        sockets[0].add_peer(pid, addrs[pid]);
+        sockets[pid].add_peer(0, addrs[0]);
+    }
+    let mut injector = UdpTransport::bind("127.0.0.1:0")?;
+    injector.add_peer(crash_pid, addrs[crash_pid]);
+
+    let probes: Vec<Arc<Probe>> = (0..=MEASURE_N).map(|_| Arc::default()).collect();
+    let threads: Vec<_> = sockets
+        .into_iter()
+        .enumerate()
+        .map(|(pid, inner)| {
+            let transport = Probed {
+                inner,
+                probe: Arc::clone(&probes[pid]),
+                clock,
+                last_beat: None,
+            };
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || -> io::Result<(NodeReport, Instant)> {
+                let node = if pid == 0 {
+                    let spec = CoordSpec::new(variant, params, MEASURE_N, fix);
+                    NodeRuntime::coordinator(spec, transport)
+                } else {
+                    NodeRuntime::participant(pid, RespSpec::new(variant, params, fix), transport)
+                };
+                let mut node = node.with_sink(EventSink::memory());
+                node.run(&clock, &stop)?;
+                Ok((node.finish(), Instant::now()))
+            })
+        })
+        .collect();
+
+    // The coordinator's run returns when it inactivates: on the injected
+    // crash, or earlier if the group collapses on its own.
+    let coordinator_done = |threads: &[thread::JoinHandle<_>]| threads[0].is_finished();
+    while clock.now() < MEASURE_CRASH_AT && !coordinator_done(&threads) {
+        thread::sleep(tick.min(Duration::from_millis(1)));
+    }
+    let injected = (!coordinator_done(&threads)).then(Instant::now);
+    if injected.is_some() {
+        let crash = Frame::control(MEASURE_N + 1, Command::Crash);
+        injector.send(clock.now(), crash_pid, &crash, 0)?;
+        let deadline = Instant::now() + tick * 100;
+        while !coordinator_done(&threads) && Instant::now() < deadline {
+            thread::sleep(tick.min(Duration::from_millis(1)));
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    let mut ended = Vec::new();
+    for t in threads {
+        ended.push(t.join().expect("node thread panicked")?);
+    }
+
+    let first = |pid: Pid, event: fn(&Event) -> bool| {
+        let events = ended[pid].0.log.events();
+        events.iter().find(|e| event(e)).map(Event::at)
+    };
+    let crashed = first(crash_pid, |e| matches!(e, Event::Crash { .. }));
+    let detected = first(0, |e| matches!(e, Event::NvInactivate { .. }));
+    let detect = match (injected, crashed, detected) {
+        (Some(injected), Some(crashed), Some(detected)) if detected >= crashed => Some((
+            detected - crashed,
+            ended[0].1.saturating_duration_since(injected),
+        )),
+        _ => None,
+    };
+    let calls_per_tick = ended
+        .iter()
+        .zip(&probes)
+        .map(|((report, _), probe)| {
+            let ticks = report.now.max(1) as f64;
+            (
+                probe.try_recvs.load(Ordering::Relaxed) as f64 / ticks,
+                probe.waits.load(Ordering::Relaxed) as f64 / ticks,
+            )
+        })
+        .collect();
+    let lateness = std::mem::take(&mut *probes[0].lateness.lock().expect("probe lock"));
+    Ok(Sample {
+        detect,
+        collapsed_at: detected.filter(|_| injected.is_none()),
+        lateness,
+        calls_per_tick,
+    })
+}
+
+/// The value at quantile `q` of sorted `v` (nearest rank); 0 if empty.
+fn quantile(v: &[f64], q: f64) -> f64 {
+    let rank = (v.len() as f64 * q).ceil() as usize;
+    v.get(rank.clamp(1, v.len().max(1)) - 1)
+        .copied()
+        .unwrap_or(0.0)
+}
+
+/// Sorted copy of `xs`.
+fn sorted(xs: impl Iterator<Item = f64>) -> Vec<f64> {
+    let mut v: Vec<f64> = xs.collect();
+    v.sort_by(f64::total_cmp);
+    v
+}
+
+/// The mean of `xs`; 0 if empty.
+fn mean(xs: impl Iterator<Item = f64>) -> f64 {
+    let (sum, k) = xs.fold((0.0, 0u32), |(s, k), x| (s + x, k + 1));
+    sum / f64::from(k.max(1))
+}
+
+/// `--measure`: detection latency, wake-up lateness and calls per tick of
+/// the wall-clock cell over `reps` repetitions, as text and one JSON line.
+fn run_measure(reps: usize, tick: Duration) -> Result<(), Box<dyn std::error::Error>> {
+    let params = Params::new(2, 8)?;
+    let bound = params.p0_bound_corrected(Variant::Static);
+    let tick_ms = tick.as_millis();
+    println!(
+        "== wall-clock cell: static n = {MEASURE_N}, {params}, full fix, UDP on 127.0.0.1, \
+         1 tick = {tick_ms} ms, crash at tick {MEASURE_CRASH_AT}, {reps} repetitions =="
+    );
+    let mut samples = Vec::new();
+    for rep in 0..reps {
+        let sample = measure_once(params, tick, 1 + rep % MEASURE_N)?;
+        if let Some(t) = sample.collapsed_at {
+            println!("rep {rep}: the group inactivated itself at tick {t}, before the crash");
+        }
+        samples.push(sample);
+    }
+
+    let detected: Vec<(u64, Duration)> = samples.iter().filter_map(|s| s.detect).collect();
+    let ticks = sorted(detected.iter().map(|&(t, _)| t as f64));
+    let wall_ms = sorted(detected.iter().map(|&(_, d)| d.as_secs_f64() * 1e3));
+    let late_us = sorted(
+        samples
+            .iter()
+            .flat_map(|s| &s.lateness)
+            .map(|d| d.as_secs_f64() * 1e6),
+    );
+    let collapsed = sorted(
+        samples
+            .iter()
+            .filter_map(|s| s.collapsed_at)
+            .map(|t| t as f64),
+    );
+    let coord = |f: fn(&(f64, f64)) -> f64| mean(samples.iter().map(|s| f(&s.calls_per_tick[0])));
+    let parts = |f: fn(&(f64, f64)) -> f64| {
+        mean(
+            samples
+                .iter()
+                .flat_map(|s| s.calls_per_tick[1..].iter().map(f)),
+        )
+    };
+    let (coord_recv, coord_wait) = (coord(|c| c.0), coord(|c| c.1));
+    let (part_recv, part_wait) = (parts(|c| c.0), parts(|c| c.1));
+    let ticks_mean = mean(ticks.iter().copied());
+
+    println!(
+        "detection, {} of {reps} repetitions reached the crash: {ticks_mean:.1} ticks mean, \
+         {} max (bound {bound}); injection -> coordinator run returns: p50 {:.1} ms, max {:.1} ms",
+        detected.len(),
+        quantile(&ticks, 1.0),
+        quantile(&wall_ms, 0.5),
+        quantile(&wall_ms, 1.0),
+    );
+    if !collapsed.is_empty() {
+        println!(
+            "self-inactivated before the crash: {} repetitions, coordinator at tick p50 {} (min {})",
+            collapsed.len(),
+            quantile(&collapsed, 0.5),
+            quantile(&collapsed, 0.0),
+        );
+    }
+    println!(
+        "wake-up lateness at coordinator beat sends, {} samples: p50 {:.0} us, p99 {:.0} us, \
+         max {:.0} us",
+        late_us.len(),
+        quantile(&late_us, 0.5),
+        quantile(&late_us, 0.99),
+        quantile(&late_us, 1.0),
+    );
+    println!(
+        "calls per tick per node: coordinator try_recv {coord_recv:.2} wait {coord_wait:.2}; \
+         participants try_recv {part_recv:.2} wait {part_wait:.2}"
+    );
+    println!(
+        "{{\"record\":\"wall_clock_cell\",\"n\":{MEASURE_N},\"tick_ms\":{tick_ms},\
+         \"reps\":{reps},\"detected\":{},\"collapsed\":{},\"detect_ticks_mean\":{ticks_mean:.2},\
+         \"detect_ticks_max\":{},\"bound\":{bound},\"detect_wall_ms_p50\":{:.3},\
+         \"detect_wall_ms_max\":{:.3},\"lateness_samples\":{},\"lateness_us_p50\":{:.1},\
+         \"lateness_us_p99\":{:.1},\"lateness_us_max\":{:.1},\
+         \"coord_try_recv_per_tick\":{coord_recv:.3},\"coord_wait_per_tick\":{coord_wait:.3},\
+         \"part_try_recv_per_tick\":{part_recv:.3},\"part_wait_per_tick\":{part_wait:.3}}}",
+        detected.len(),
+        collapsed.len(),
+        quantile(&ticks, 1.0),
+        quantile(&wall_ms, 0.5),
+        quantile(&wall_ms, 1.0),
+        late_us.len(),
+        quantile(&late_us, 0.5),
+        quantile(&late_us, 0.99),
+        quantile(&late_us, 1.0),
+    );
     Ok(())
 }
