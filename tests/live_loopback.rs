@@ -9,9 +9,11 @@
 //! bound, and both substrates must keep them a minority.
 
 use accelerated_heartbeat::chaos::{run_plan, Backend, FaultPlan, FaultSpec, ProtoSpec};
-use accelerated_heartbeat::core::{FixLevel, Params, Variant};
+use accelerated_heartbeat::core::events::event_json;
+use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
+use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::{ClusterConfig, Faults, VirtualCluster};
-use accelerated_heartbeat::sim::channel::LossModel;
+use accelerated_heartbeat::sim::channel::{FaultHook, LossModel, SendFate};
 use accelerated_heartbeat::sim::world::WorldConfig;
 use accelerated_heartbeat::sim::{run_scenario, Scenario, World};
 
@@ -297,4 +299,114 @@ fn chaos_seam_without_message_faults_is_the_plain_cluster() {
         den: 100,
     });
     assert_ne!(run_plan(&drifted, Backend::Live).to_json(), plain);
+}
+
+/// An adversary with every shape a hook can give a frame: an outage
+/// window, a delay spike past the round-trip budget, every third frame
+/// doubled.
+#[derive(Debug, Default)]
+struct Shaper(u32);
+
+impl FaultHook for Shaper {
+    fn fate(&mut self, now: u64, _src: Pid, _dst: Pid) -> SendFate {
+        self.0 += 1;
+        if (200..212).contains(&now) {
+            return SendFate::Drop;
+        }
+        SendFate::Deliver {
+            copies: 1 + u32::from(self.0.is_multiple_of(3)),
+            extra_delay: if (60..90).contains(&now) { 11 } else { 0 },
+        }
+    }
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Every byte a cluster run reports, pinned: per cell one FNV-1a-64
+/// digest over the summary JSON, every `NodeReport`'s counters and event
+/// log and a streaming monitor's verdicts, folded into one constant over
+/// 4 variants × 3 fix levels × 5 networks × 4 fault plans at one seed.
+/// The network stays on true time whatever clock a node is polled at,
+/// so the skewed cells (a fast participant and a slow coordinator) pin
+/// that too.
+#[test]
+fn cluster_runs_are_pinned() {
+    const NETS: [&str; 5] = ["lossless", "bernoulli", "burst", "hook", "skew"];
+    const PLANS: [&str; 4] = ["crash", "crash+revive", "late start", "leave"];
+    let params = Params::new(2, 8).unwrap();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut events = 0;
+    for variant in [
+        Variant::Static,
+        Variant::Expanding,
+        Variant::Dynamic,
+        Variant::Binary,
+    ] {
+        for fix in [
+            FixLevel::Original,
+            FixLevel::ReceivePriority,
+            FixLevel::Full,
+        ] {
+            for net in NETS {
+                for plan in PLANS {
+                    let n = if variant == Variant::Binary { 1 } else { 3 };
+                    let mut cl = VirtualCluster::new(ClusterConfig {
+                        variant,
+                        params,
+                        fix,
+                        n,
+                        faults: match net {
+                            "bernoulli" => Faults::bernoulli(0.2),
+                            "burst" => Faults::burst(0.1, 0.3, 0.01, 0.9),
+                            _ => Faults::none(),
+                        },
+                        seed: 7,
+                        record_events: true,
+                    });
+                    match net {
+                        "hook" => cl.set_fault_hook(Box::new(Shaper::default())),
+                        "skew" => {
+                            cl.skew_clock(n, 3, 5, 4);
+                            cl.skew_clock(0, 0, 7, 8);
+                        }
+                        _ => {}
+                    }
+                    match plan {
+                        "crash" => cl.schedule_crash(n, 130),
+                        "crash+revive" => {
+                            cl.schedule_crash(1, 100);
+                            cl.schedule_revive(1, 144);
+                        }
+                        "late start" => cl.schedule_start(n, 43),
+                        _ => cl.schedule_leave(1, 90),
+                    }
+                    let monitor = MonitorSet::shared(variant, params, fix, n);
+                    cl.attach_tap(monitor.clone());
+                    cl.run_until(600);
+                    let report = cl.into_report();
+                    let mut cell = fnv1a(digest, report.summary.to_json().as_bytes());
+                    for node in &report.nodes {
+                        let head = format!("{} {:?} {:?}", node.pid, node.status, node.counters);
+                        cell = fnv1a(cell, head.as_bytes());
+                        for e in node.log.events() {
+                            cell = fnv1a(cell, event_json(e).as_bytes());
+                        }
+                        events += node.log.len();
+                    }
+                    let mut monitor = monitor.lock().unwrap();
+                    monitor.finish(report.summary.duration);
+                    digest = fnv1a(cell, format!("{:?}", monitor.verdicts()).as_bytes());
+                }
+            }
+        }
+    }
+    assert!(events > 50_000, "the grid must actually run: {events}");
+    assert_eq!(digest, 0x6220_07ef_fc31_3c86, "{digest:#018x}");
 }
