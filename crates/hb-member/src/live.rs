@@ -35,6 +35,10 @@ impl LiveMesh {
 }
 
 impl Mesh for LiveMesh {
+    #[expect(
+        clippy::expect_used,
+        reason = "a loopback send fails only for a pid past the net, and the engine addresses 0..group"
+    )]
     fn send(&mut self, now: u64, dst: Pid, frame: &Frame, budget: u32) {
         let src = frame.src();
         self.endpoints[src]
@@ -42,6 +46,7 @@ impl Mesh for LiveMesh {
             .expect("loopback send to a known endpoint");
     }
 
+    #[expect(clippy::expect_used, reason = "a loopback receive cannot fail")]
     fn recv_due(&mut self, now: u64, dst: Pid) -> Option<(Frame, u32)> {
         self.endpoints[dst]
             .try_recv(now)

@@ -311,6 +311,10 @@ impl MemberNode {
                     // the seat.
                     *fires += 1;
                     rs.waiting = 0;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "install seats a participant only in a view that lists it and another coordinator"
+                    )]
                     let rank = rank.expect("a participant is a ranked member");
                     if *fires as usize > rank {
                         act = Act::Takeover;
@@ -587,7 +591,9 @@ impl MemberNode {
         let mut cs = cspec.init_state();
         let join_variant = self.spec.variant.has_join_phase();
         for (k, &p) in slots.iter().enumerate() {
-            cs.min_epoch[k] = self.view.bar_of(p).expect("slot is a member");
+            #[expect(clippy::expect_used, reason = "slots() lists members of the view")]
+            let bar = self.view.bar_of(p).expect("slot is a member");
+            cs.min_epoch[k] = bar;
             cs.jnd[k] = !join_variant || Some(p) != joiner;
         }
         cs.elapsed = cs.t; // first beat goes out now

@@ -2,11 +2,12 @@
 //! over loopback, under virtual time.
 //!
 //! [`VirtualCluster`] wires [`NodeRuntime`]s together over a
-//! [`LoopbackNet`] and advances them tick by tick, with scheduled crash /
+//! [`LoopbackCore`] and advances them tick by tick, with scheduled crash /
 //! leave injection delivered over the control channel — the live
 //! counterpart of [`hb_sim::World`], producing the same
 //! [`RunSummary`](hb_sim::schema::RunSummary) schema so runs from the two
-//! substrates can be compared directly.
+//! substrates can be compared directly. One thread steps it all, so the
+//! core has no lock: a node borrows it for the length of one poll.
 //!
 //! Nothing due, nothing done, at both scales. Within a tick
 //! ([`VirtualCluster::step`]) a node is polled only if the loopback's due
@@ -18,6 +19,8 @@
 //! loss model and taps act on sends; the ledger reads node state). Not
 //! under a skewed clock: see [`VirtualCluster::skew_clock`].
 
+use std::io::{self, ErrorKind};
+
 use hb_core::coordinator::CoordSpec;
 use hb_core::responder::RespSpec;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
@@ -25,10 +28,10 @@ use hb_sim::channel::FaultHook;
 use hb_sim::schema::{RunLedger, RunSummary};
 
 use crate::events::{EventSink, SharedTap};
-use crate::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
+use crate::loopback::{Faults, LoopbackCore};
 use crate::node::{NodeReport, NodeRuntime};
 use crate::time::{SkewedClock, Time};
-use crate::transport::Transport;
+use crate::transport::{Recv, Transport};
 use crate::wire::{Command, Frame};
 
 /// Static configuration of a virtual cluster.
@@ -60,14 +63,41 @@ pub struct LiveReport {
     pub nodes: Vec<NodeReport>,
 }
 
+/// A node's transport: the cluster's core (`Some` for the length of one
+/// poll) at the true tick `now`, whatever tick the node's own clock reads.
+pub(crate) struct Lent {
+    core: Option<Box<LoopbackCore>>,
+    pid: Pid,
+    now: Time,
+}
+
+impl Transport for Lent {
+    #[inline]
+    fn send(&mut self, _local: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
+        let core = self.core.as_deref_mut().ok_or(ErrorKind::NotConnected)?;
+        core.send(self.now, dst, frame, budget);
+        Ok(())
+    }
+
+    #[inline]
+    fn try_recv(&mut self, _local: Time) -> io::Result<Option<Recv>> {
+        let core = self.core.as_deref_mut().ok_or(ErrorKind::NotConnected)?;
+        Ok(core.recv(self.now, self.pid))
+    }
+
+    fn wait(&mut self, _: std::time::Duration) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// A stepping live cluster under virtual time.
 pub struct VirtualCluster {
     cfg: ClusterConfig,
-    net: LoopbackNet,
+    /// The network: `None` only while lent to a node.
+    core: Option<Box<LoopbackCore>>,
     /// `nodes[0]` is the coordinator; `nodes[i]` participant `i` (absent
     /// until its start time).
-    nodes: Vec<Option<NodeRuntime<LoopbackEndpoint>>>,
-    injector: LoopbackEndpoint,
+    nodes: Vec<Option<NodeRuntime<Lent>>>,
     start_at: Vec<Time>,
     injections: Vec<(Time, Pid, Command)>,
     now: Time,
@@ -87,23 +117,29 @@ fn local_tick(local: &[Option<SkewedClock>], pid: Pid, now: Time) -> Time {
     local[pid].map_or(now, |clock| clock.map(now))
 }
 
+/// The transport a node of the cluster starts with: no core yet.
+fn lent(pid: Pid) -> Lent {
+    Lent {
+        core: None,
+        pid,
+        now: 0,
+    }
+}
+
 impl VirtualCluster {
     /// Build a cluster; nothing runs until [`step`](Self::step).
     pub fn new(cfg: ClusterConfig) -> Self {
-        // endpoints: 0..=n for the nodes, n+1 for the out-of-band injector
-        let net = LoopbackNet::new(cfg.n + 2, cfg.faults, cfg.seed);
+        let core = LoopbackCore::new(cfg.n + 1, cfg.faults.loss, cfg.seed);
         let coord_spec = CoordSpec::new(cfg.variant, cfg.params, cfg.n, cfg.fix);
-        let mut coord = NodeRuntime::coordinator(coord_spec, net.endpoint(0));
+        let mut coord = NodeRuntime::coordinator(coord_spec, lent(0));
         if cfg.record_events {
             coord = coord.with_sink(EventSink::memory());
         }
         let mut nodes = vec![Some(coord)];
         nodes.extend((0..cfg.n).map(|_| None));
-        let injector = net.endpoint(cfg.n + 1);
         VirtualCluster {
-            net,
+            core: Some(Box::new(core)),
             nodes,
-            injector,
             start_at: vec![0; cfg.n],
             injections: Vec::new(),
             now: 0,
@@ -121,7 +157,12 @@ impl VirtualCluster {
     /// network, ahead of the loopback's own [`Faults`]; call before
     /// running. The live counterpart of `hb_sim::World::set_fault_hook`.
     pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
-        self.net.set_fault_hook(hook);
+        self.core().hook = Some(hook);
+    }
+
+    #[expect(clippy::expect_used, reason = "step takes it back after a poll")]
+    fn core(&mut self) -> &mut LoopbackCore {
+        self.core.as_deref_mut().expect("the core is home")
     }
 
     /// Poll `pid` at local tick `offset + t·num/den` when the true tick
@@ -151,7 +192,7 @@ impl VirtualCluster {
         for node in self.nodes.iter_mut().flatten() {
             node.attach_tap(tap.clone());
         }
-        self.net.attach_tap(tap.clone());
+        self.core().tap.attach_tap(tap.clone());
         self.tap = Some(tap);
     }
 
@@ -218,13 +259,12 @@ impl VirtualCluster {
     /// to. (Under a skewed clock every node is polled on every lap.)
     pub fn step(&mut self) {
         let now = self.now;
-        self.net.set_clock(now);
         for pid in 1..=self.cfg.n {
             if self.nodes[pid].is_none() && self.start_at[pid - 1] == now {
                 // Frames sent before a node exists vanish, as in the sim.
-                self.net.purge(pid);
+                self.core().purge(pid);
                 let spec = RespSpec::new(self.cfg.variant, self.cfg.params, self.cfg.fix);
-                let mut node = NodeRuntime::participant(pid, spec, self.net.endpoint(pid))
+                let mut node = NodeRuntime::participant(pid, spec, lent(pid))
                     .started_at(local_tick(&self.local, pid, now));
                 if self.cfg.record_events {
                     node = node.with_sink(EventSink::memory());
@@ -235,42 +275,39 @@ impl VirtualCluster {
                 self.nodes[pid] = Some(node);
             }
         }
-        let src = self.cfg.n + 1;
+        let injector = self.cfg.n + 1;
         let mut pending = std::mem::take(&mut self.injections);
         pending.retain(|&(t, pid, cmd)| {
             if t != now {
                 return true;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "a loopback send fails only for a pid past the net, and the schedule_* asserts keep pid <= n"
-            )]
-            self.injector
-                .send(now, pid, &Frame::control(src, cmd), 0)
-                .expect("loopback send cannot fail");
+            self.core()
+                .send(now, pid, &Frame::control(injector, cmd), 0);
             false
         });
         self.injections = pending;
 
         loop {
-            for (pid, node) in self.nodes.iter_mut().enumerate() {
-                let Some(node) = node else { continue };
+            for pid in 0..self.nodes.len() {
                 // Asked at the node's turn, not at the top of the lap: a
                 // lower pid's zero-delay frame is served in the same lap.
-                let has_work = self.net.next_due(pid) <= now
-                    || node.next_deadline().is_some_and(|due| due <= now);
+                let due = self.core().next_due(pid);
+                let Some(node) = &mut self.nodes[pid] else {
+                    continue;
+                };
+                let has_work = due <= now || node.next_deadline().is_some_and(|d| d <= now);
                 if has_work || self.skewed {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "a node sends only to pids <= n, all on the net, and a loopback receive cannot fail"
-                    )]
-                    node.poll(local_tick(&self.local, pid, now))
-                        .expect("loopback polling cannot fail");
+                    node.transport.now = now;
+                    std::mem::swap(&mut node.transport.core, &mut self.core);
+                    let polled = node.poll(local_tick(&self.local, pid, now));
+                    std::mem::swap(&mut node.transport.core, &mut self.core);
+                    #[expect(clippy::expect_used, reason = "a core send or receive cannot fail")]
+                    polled.expect("the core was lent for the poll");
                 } else {
                     node.skip_to(now);
                 }
             }
-            if !self.net.any_deliverable(now) {
+            if !self.core().any_deliverable(now) {
                 break;
             }
             // Still due: a reply chain (next lap), or frames for a
@@ -278,13 +315,7 @@ impl VirtualCluster {
             // sim, instead of holding the tick open for good.
             for pid in 1..=self.cfg.n {
                 if self.nodes[pid].is_none() {
-                    let mut void = self.net.endpoint(pid);
-                    #[expect(clippy::expect_used, reason = "a loopback receive cannot fail")]
-                    while void
-                        .try_recv(now)
-                        .expect("loopback polling cannot fail")
-                        .is_some()
-                    {}
+                    while self.core().recv(now, pid).is_some() {}
                 }
             }
         }
@@ -335,9 +366,9 @@ impl VirtualCluster {
     /// finds anything to do: a frame due (for a node or, to be voided, for
     /// a pid not started yet), a node's own deadline, a start, an
     /// injection. `Time::MAX` if nothing ever will; `now` under skew.
-    fn next_event_at(&self) -> Time {
-        let now = self.now;
-        let due = (0..self.cfg.n + 2).map(|pid| self.net.next_due(pid));
+    fn next_event_at(&mut self) -> Time {
+        let (now, n, core) = (self.now, self.cfg.n, self.core());
+        let due = (0..=n).map(|pid| core.next_due(pid));
         let next = due.min().unwrap_or(Time::MAX);
         if next <= now || self.skewed {
             return now;
@@ -380,16 +411,17 @@ impl VirtualCluster {
     }
 
     /// Finish the run and produce the report.
-    pub fn into_report(self) -> LiveReport {
+    pub fn into_report(mut self) -> LiveReport {
         let final_status = self
             .nodes
             .iter()
             .map(|n| n.as_ref().map_or(Status::Active, |n| n.status()))
             .collect();
         let stale = self.nodes[0].as_ref().map_or((0, 0), |c| c.stale_beats());
-        let summary =
-            self.ledger
-                .into_summary("live", self.now, self.net.stats(), stale, final_status);
+        let stats = self.core().stats();
+        let summary = self
+            .ledger
+            .into_summary("live", self.now, stats, stale, final_status);
         let nodes = self
             .nodes
             .into_iter()

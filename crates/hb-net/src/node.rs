@@ -84,7 +84,7 @@ pub struct NodeReport {
 pub struct NodeRuntime<T: Transport> {
     pid: Pid,
     role: Role,
-    transport: T,
+    pub(crate) transport: T,
     fix: FixLevel,
     /// Fresh-send round-trip budget (`tmin`, the paper's assumption).
     budget: u32,
