@@ -102,11 +102,14 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> perf trajectory (every BENCH_history.jsonl line parses)"
+echo "==> perf trajectory (every BENCH_history.jsonl line parses; no measured line failed)"
 # scripts/history.sh appends the lines; a line is one JSON object on its own.
-jq -enR '[inputs | fromjson | (.commit | type == "string") and (.source | type == "string")] | all' \
+# A measured line must say it failed nothing: a run with failed operations
+# is not a point on the trajectory.
+jq -enR '[inputs | fromjson | (.commit | type == "string") and (.source | type == "string")
+          and (.source != "measured" or .failed == 0)] | all' \
   BENCH_history.jsonl >/dev/null \
-  || { echo "BENCH_history.jsonl has a line that is not a history record" >&2; exit 1; }
+  || { echo "BENCH_history.jsonl has a line that is not a history record, or a measured one with failures" >&2; exit 1; }
 # A squash or rebase merge rewrites the measured commit away, and an
 # exported checkout has no history: say so, never fail on it.
 last=$(tail -n 1 BENCH_history.jsonl | jq -r .commit)

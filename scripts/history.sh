@@ -11,6 +11,10 @@
 # unless --commit names the one an existing results.json was measured on
 # (e.g. an exported checkout). A smoke run, or one without the layers
 # step, is refused; so is measuring a tree with uncommitted changes.
+# Lines marked "source":"prose" were written by hand from the tables in
+# EXPERIMENTS.md ("label" and "quoted" say which): same keys, but a figure
+# the table gave as min-max carries min/max instead of q1/q3, and one it
+# did not give is absent.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
