@@ -625,8 +625,9 @@ mod tests {
         assert!(rendered.contains("all finished stacks agree"));
     }
 
-    /// The `(2, 6)` full-fix R2 cells `benchmark/`'s smoke round runs, with
-    /// the numbers `BENCH_mck.json` records for them. The counts move if
+    /// The `(2, 6)` full-fix R2 cells `benchmark/`'s smoke round runs, plus
+    /// static n = 2, the cell CI smoke-checked before the counts were
+    /// pinned here: all four stacks finish and agree. The counts move if
     /// the canonical representative or the ample order does (a different
     /// member of an orbit has its enabled actions in a different order, so
     /// POR picks a different subset); `peak_bytes` moves with the packed
@@ -635,7 +636,17 @@ mod tests {
     fn scale_cell_counts_are_pinned() {
         let p = Params::new(2, 6).unwrap();
         type Row = (Reduction, usize, usize, Option<usize>);
-        let pinned: [(Variant, usize, [Row; 4]); 2] = [
+        let pinned: [(Variant, usize, [Row; 4]); 3] = [
+            (
+                Variant::Static,
+                2,
+                [
+                    (Reduction::Full, 213, 376, None),
+                    (Reduction::Sym, 134, 236, None),
+                    (Reduction::SymPor, 130, 213, None),
+                    (Reduction::SymPorPacked, 130, 213, Some(35_291)),
+                ],
+            ),
             (
                 Variant::Static,
                 4,

@@ -16,7 +16,8 @@ use accelerated_heartbeat::monitor;
 use accelerated_heartbeat::net::{ClusterConfig, Faults, VirtualCluster};
 use accelerated_heartbeat::sim::channel::LossModel;
 use accelerated_heartbeat::sim::schema::{FirstViolation, MonitorVerdicts};
-use accelerated_heartbeat::sim::{run_scenario, Scenario};
+use accelerated_heartbeat::sim::world::WorldConfig;
+use accelerated_heartbeat::sim::{run_scenario, Scenario, World};
 use accelerated_heartbeat::verify::reference_verdicts;
 use proptest::prelude::*;
 
@@ -129,6 +130,42 @@ fn golden_naive_crash_verdicts_pin_the_r1_breach() {
         let fixed = run_plan_monitored(&plan(FixLevel::Full), backend);
         let v = fixed.monitor.unwrap();
         assert!(v.clean(), "{backend:?} full-fix verdicts: {}", v.to_json());
+    }
+
+    // No crash at all: an owned MonitorSet tap changes no delivered count
+    // and stays clean at steady state.
+    for (variant, n) in [(Variant::Binary, 1), (Variant::Static, 8)] {
+        let params = Params::new(2, 8).unwrap();
+        let run = |tapped: bool| {
+            let cfg = WorldConfig {
+                variant,
+                params,
+                fix: FixLevel::Full,
+                n,
+                loss_prob: 0.0,
+                log_events: false,
+            };
+            let mut world = World::new(cfg, 1);
+            if tapped {
+                let mon = monitor::MonitorSet::new(variant, params, FixLevel::Full, n);
+                world.attach_owned_tap(Box::new(mon));
+            }
+            world.run_until(4_000);
+            let taps = world.take_owned_taps();
+            let report = world.into_report();
+            let verdicts = taps.into_iter().next().map(|tap| {
+                let mut mon = monitor::MonitorSet::from_tap(tap).expect("the monitor");
+                mon.finish(report.duration);
+                mon.verdicts()
+            });
+            (report.messages_delivered, verdicts)
+        };
+        let (bare, none) = run(false);
+        let (delivered, verdicts) = run(true);
+        assert!(bare > 0 && none.is_none());
+        assert_eq!(delivered, bare, "{variant} n={n}: the tap changed the run");
+        let v = verdicts.expect("the tap comes back");
+        assert!(v.clean(), "{variant} n={n} steady state: {}", v.to_json());
     }
 }
 
