@@ -16,7 +16,6 @@
 //! | `gm98_reliability` | false-inactivation probability vs loss rate |
 //! | `state_space` | model sizes per cell + the GM98 liveness core + the §7 rejoin grid |
 //! | `ablation_burst` | burst-loss and outage ablations (beyond the papers) |
-//! | `throughput` | bare vs monitored beats/s (the monitor tap's cost) and campaign cells/s |
 
 #![forbid(unsafe_code)]
 

@@ -1,5 +1,7 @@
 //! Lint findings: machine-readable JSON and the human report.
 
+use hb_core::json::{self, ToJson};
+
 /// The lint that produced a finding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Lint {
@@ -76,15 +78,19 @@ pub struct Finding {
 impl Finding {
     /// The finding as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.items.iter().map(|i| format!("\"{i}\"")).collect();
-        format!(
-            "{{\"machine\":\"{}\",\"lint\":\"{}\",\"severity\":\"{}\",\"items\":[{}],\"detail\":\"{}\"}}",
-            self.machine,
-            self.lint.name(),
-            self.lint.severity(),
-            items.join(","),
-            self.detail.replace('\\', "\\\\").replace('"', "\\\""),
-        )
+        json::render(self)
+    }
+}
+
+impl ToJson for Finding {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("machine", &self.machine)
+                .field("lint", self.lint.name())
+                .field("severity", self.lint.severity())
+                .field("items", &self.items)
+                .field("detail", &self.detail);
+        });
     }
 }
 

@@ -12,13 +12,11 @@
 //! emitted report is deterministic and a campaign re-run diffs clean
 //! (the CI smoke campaign relies on this).
 
-use std::fmt::Write as _;
-
 use hb_core::{FixLevel, Params, Pid, Variant};
 use hb_sim::channel::Time;
 use hb_sim::schema::RunSummary;
 
-use crate::json::escape;
+use crate::json::{self, ToJson};
 use crate::pipeline::burst_model;
 use crate::plan::{FaultPlan, FaultSpec, Link, ProtoSpec, Window};
 use crate::{run_plan, run_plan_monitored, Backend};
@@ -471,7 +469,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
         }
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("campaign worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
     indexed.sort_by_key(|&(i, _)| i);
@@ -484,78 +482,70 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
 impl CellStats {
     /// This cell as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let monitor_first = match self.monitor_first {
-            Some(t) => t.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            s,
-            "{{\"fix\":\"{}\",\"loss\":{},\"burst\":{},\"drift\":\"{}/{}\",\"partition\":{},\
-             \"runs\":{},\"detected\":{},\"down_before_crash\":{},\
-             \"detect_mean\":{:.3},\"detect_max\":{},\
-             \"claimed_bound\":{},\"corrected_bound\":{},\
-             \"violations_claimed\":{},\"violations_corrected\":{},\
-             \"false_suspicions\":{},\"msg_per_tick\":{:.4},\
-             \"reconverged\":{},\"reconv_detect_mean\":{:.3},\"reconv_detect_max\":{},\
-             \"stabilised\":{},\"reconv_stable_mean\":{:.3},\"reconv_stable_max\":{},\
-             \"stale_admitted\":{},\
-             \"monitor_runs\":{},\"monitor_clean\":{},\"monitor_r1\":{},\
-             \"monitor_r2\":{},\"monitor_r3\":{},\"monitor_first\":{}}}",
-            self.cell.fix.name(),
-            self.cell.loss,
-            self.cell.burst,
-            self.cell.drift.0,
-            self.cell.drift.1,
-            self.cell.partition,
-            self.runs,
-            self.detected,
-            self.down_before_crash,
-            self.detect_mean,
-            self.detect_max,
-            self.claimed_bound,
-            self.corrected_bound,
-            self.violations_claimed,
-            self.violations_corrected,
-            self.false_suspicions,
-            self.msg_per_tick,
-            self.reconverged,
-            self.reconv_detect_mean,
-            self.reconv_detect_max,
-            self.stabilised,
-            self.reconv_stable_mean,
-            self.reconv_stable_max,
-            self.stale_admitted,
-            self.monitor_runs,
-            self.monitor_clean,
-            self.monitor_r1,
-            self.monitor_r2,
-            self.monitor_r3,
-            monitor_first,
-        );
-        s
+        json::render(self)
+    }
+}
+
+impl ToJson for CellStats {
+    fn write_json(&self, out: &mut String) {
+        let (cell, (num, den)) = (&self.cell, self.cell.drift);
+        json::object(out, |o| {
+            o.field("fix", cell.fix.name())
+                .field("loss", cell.loss)
+                .field("burst", cell.burst)
+                .field("drift", format!("{num}/{den}"))
+                .field("partition", cell.partition)
+                .field("runs", self.runs)
+                .field("detected", self.detected)
+                .field("down_before_crash", self.down_before_crash)
+                .fixed("detect_mean", self.detect_mean, 3)
+                .field("detect_max", self.detect_max)
+                .field("claimed_bound", self.claimed_bound)
+                .field("corrected_bound", self.corrected_bound)
+                .field("violations_claimed", self.violations_claimed)
+                .field("violations_corrected", self.violations_corrected)
+                .field("false_suspicions", self.false_suspicions)
+                .fixed("msg_per_tick", self.msg_per_tick, 4)
+                .field("reconverged", self.reconverged)
+                .fixed("reconv_detect_mean", self.reconv_detect_mean, 3)
+                .field("reconv_detect_max", self.reconv_detect_max)
+                .field("stabilised", self.stabilised)
+                .fixed("reconv_stable_mean", self.reconv_stable_mean, 3)
+                .field("reconv_stable_max", self.reconv_stable_max)
+                .field("stale_admitted", self.stale_admitted)
+                .field("monitor_runs", self.monitor_runs)
+                .field("monitor_clean", self.monitor_clean)
+                .field("monitor_r1", self.monitor_r1)
+                .field("monitor_r2", self.monitor_r2)
+                .field("monitor_r3", self.monitor_r3)
+                .field("monitor_first", self.monitor_first);
+        });
+    }
+}
+
+impl ToJson for CampaignReport {
+    fn write_json(&self, out: &mut String) {
+        let spec = &self.spec;
+        json::object(out, |o| {
+            o.field("record", "campaign")
+                .field("name", &spec.name)
+                .field("backend", spec.backend.name())
+                .field("variant", spec.variant.name())
+                .field("tmin", spec.params.tmin())
+                .field("tmax", spec.params.tmax())
+                .field("n", spec.n)
+                .field("duration", spec.duration)
+                .field("seeds", spec.seeds.len())
+                .field("monitor", spec.monitor)
+                .field("cells", &self.cells);
+        });
     }
 }
 
 impl CampaignReport {
     /// The whole campaign as a single-line JSON report.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(CellStats::to_json).collect();
-        format!(
-            "{{\"record\":\"campaign\",\"name\":\"{}\",\"backend\":\"{}\",\
-             \"variant\":\"{}\",\"tmin\":{},\"tmax\":{},\"n\":{},\"duration\":{},\
-             \"seeds\":{},\"monitor\":{},\"cells\":[{}]}}",
-            escape(&self.spec.name),
-            self.spec.backend.name(),
-            self.spec.variant.name(),
-            self.spec.params.tmin(),
-            self.spec.params.tmax(),
-            self.spec.n,
-            self.spec.duration,
-            self.spec.seeds.len(),
-            self.spec.monitor,
-            cells.join(",")
-        )
+        json::render(self)
     }
 
     /// Total runs executed (three per cell per seed: crash, crash+revive,

@@ -251,8 +251,8 @@ fn diff_cell(
         report.divergences.push(Divergence {
             cell: label.to_string(),
             field: field.into(),
-            left: trim_num(l),
-            right: trim_num(r),
+            left: l.to_string(),
+            right: r.to_string(),
             severity: if tolerated {
                 Severity::Note
             } else {
@@ -307,28 +307,19 @@ fn cell_label(cell: &Value) -> Result<String, JsonError> {
     Ok(format!(
         "{}/loss{}x{}/drift{}/part{}",
         cell.field("fix")?.as_str()?,
-        trim_num(cell.field("loss")?.as_f64()?),
-        trim_num(cell.field("burst")?.as_f64()?),
+        cell.field("loss")?.as_f64()?,
+        cell.field("burst")?.as_f64()?,
         cell.field("drift")?.as_str()?,
-        trim_num(cell.field("partition")?.as_f64()?),
+        cell.field("partition")?.as_f64()?,
     ))
 }
 
 fn render(v: &Value) -> String {
     match v {
         Value::Str(s) => s.clone(),
-        Value::Num(n) => trim_num(*n),
+        Value::Num(n) => n.to_string(),
         Value::Int(n) => n.to_string(),
         other => format!("{other:?}"),
-    }
-}
-
-/// Render a float without a trailing `.0` when it is integral.
-fn trim_num(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
     }
 }
 

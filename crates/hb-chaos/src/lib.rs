@@ -9,8 +9,8 @@
 //!   partitions (symmetric and one-way), Bernoulli / Gilbert–Elliott
 //!   loss, duplication, bounded reordering, delay spikes, per-node clock
 //!   drift, and crash / late-start / leave schedules — serializable
-//!   to/from a small JSON spec ([`json`] is the hand-rolled reader; the
-//!   offline build has no serde);
+//!   to/from a small JSON spec through [`json`], a re-export of
+//!   `hb_core::json`;
 //! * [`pipeline`] — [`FaultPipeline`], the compiled plan: one stateful
 //!   engine owning all fault randomness, installed as the
 //!   [`FaultHook`](hb_sim::FaultHook) of whichever queue carries the
@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod campaign;
 pub mod diff;
@@ -129,6 +130,7 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
                 plan.proto.n,
             );
             let (mut summary, tap) = sim::run_plan_sim_owned_tap(plan, Box::new(monitor));
+            #[expect(clippy::expect_used, reason = "the tap handed back is ours")]
             let mut mon = MonitorSet::from_tap(tap).expect("the tap is the monitor");
             mon.finish(summary.duration);
             summary.monitor = Some(mon.verdicts());
@@ -146,6 +148,7 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
             cluster.attach_monitor(tap);
             cluster.run_until(plan.proto.duration);
             let mut summary = cluster.into_summary();
+            #[expect(clippy::expect_used, reason = "poisoned only if the run panicked")]
             let mut mon = monitor.lock().expect("monitor poisoned");
             mon.finish(summary.duration);
             summary.monitor = Some(mon.verdicts());

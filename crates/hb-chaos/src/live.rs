@@ -31,6 +31,7 @@ impl ChaosCluster {
     /// # Panics
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
+    #[expect(clippy::expect_used, reason = "new's contract is a valid plan")]
     pub fn new(plan: FaultPlan) -> Self {
         plan.validate().expect("invalid fault plan");
         let proto = plan.proto;

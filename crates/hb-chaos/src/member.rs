@@ -31,6 +31,7 @@ use hb_monitor::MonitorSet;
 use hb_sim::channel::{FaultHook, LossModel, Time};
 use hb_sim::schema::RunSummary;
 
+use crate::json::{self, ToJson};
 use crate::pipeline::FaultPipeline;
 use crate::plan::{FaultPlan, FaultSpec, Link, ProtoSpec, Window};
 use crate::Backend;
@@ -184,6 +185,7 @@ pub fn run_plan_member_monitored(plan: &FaultPlan, backend: Backend) -> MemberRu
     );
     let tap: SharedTap = monitor.clone();
     let mut run = run_member(plan, backend, vec![tap]);
+    #[expect(clippy::expect_used, reason = "poisoned only if the run panicked")]
     let mut mon = monitor.lock().expect("monitor poisoned");
     mon.finish(run.summary.duration);
     run.summary.monitor = Some(mon.verdicts());
@@ -211,6 +213,7 @@ pub const FAILOVER_LOSSES: [f64; 2] = [0.0, 0.05];
 /// coordinator crashed mid-run and revived after the successor's view
 /// has settled, under an optional Bernoulli loss pipeline.
 pub fn failover_plan(loss: f64, seed: u64) -> FaultPlan {
+    #[expect(clippy::unwrap_used, reason = "tmin = 2 <= tmax = 8 is valid")]
     let proto = ProtoSpec {
         variant: Variant::Dynamic,
         params: Params::new(2, 8).unwrap(),
@@ -275,21 +278,24 @@ impl FailoverCell {
 
     /// The cell as a single-line JSON object (embedding its plan).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"loss\":{:.3},\"seed\":{},\"coordinator\":{},\"demoted\":{},\
-             \"agreed\":{},\"converged\":{},\"replay_identical\":{},\"healthy\":{},\
-             \"plan\":{},\"summary\":{}}}",
-            self.loss,
-            self.seed,
-            self.coordinator,
-            self.demoted,
-            self.agreed,
-            self.converged,
-            self.replay_identical,
-            self.healthy(),
-            failover_plan(self.loss, self.seed).to_json(),
-            self.summary.to_json(),
-        )
+        json::render(self)
+    }
+}
+
+impl ToJson for FailoverCell {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.fixed("loss", self.loss, 3)
+                .field("seed", self.seed)
+                .field("coordinator", self.coordinator)
+                .field("demoted", self.demoted)
+                .field("agreed", self.agreed)
+                .field("converged", self.converged)
+                .field("replay_identical", self.replay_identical)
+                .field("healthy", self.healthy())
+                .field("plan", failover_plan(self.loss, self.seed))
+                .field("summary", &self.summary);
+        });
     }
 }
 
@@ -311,15 +317,20 @@ impl FailoverReport {
 
     /// The campaign as a single-line JSON artifact.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(FailoverCell::to_json).collect();
-        format!(
-            "{{\"record\":\"failover_campaign\",\"backend\":\"{}\",\
-             \"crash_at\":{FAILOVER_CRASH_AT},\"revive_at\":{FAILOVER_REVIVE_AT},\
-             \"passes\":{},\"cells\":[{}]}}",
-            self.backend.name(),
-            self.passes(),
-            cells.join(","),
-        )
+        json::render(self)
+    }
+}
+
+impl ToJson for FailoverReport {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("record", "failover_campaign")
+                .field("backend", self.backend.name())
+                .field("crash_at", FAILOVER_CRASH_AT)
+                .field("revive_at", FAILOVER_REVIVE_AT)
+                .field("passes", self.passes())
+                .field("cells", &self.cells);
+        });
     }
 }
 

@@ -14,7 +14,7 @@ use hb_core::{FixLevel, Params, Pid, Variant, MAX_VIEW_MEMBERS};
 use hb_sim::channel::Time;
 use hb_sim::LossModel;
 
-use crate::json::{escape, JsonError, Value};
+use crate::json::{self, JsonError, Object, ToJson, Value};
 
 /// A half-open activity window `[from, to)`; `to = None` means "until
 /// the end of the run".
@@ -40,6 +40,10 @@ impl Window {
     /// Whether `t` falls inside the window.
     pub fn contains(&self, t: Time) -> bool {
         t >= self.from && self.to.is_none_or(|to| t < to)
+    }
+
+    fn write_fields(&self, o: &mut Object<'_>) {
+        o.field("from", self.from).field("to", self.to);
     }
 }
 
@@ -74,6 +78,10 @@ impl Link {
     /// Whether a message `src -> dst` matches.
     pub fn matches(&self, src: Pid, dst: Pid) -> bool {
         self.src.is_none_or(|s| s == src) && self.dst.is_none_or(|d| d == dst)
+    }
+
+    fn write_fields(&self, o: &mut Object<'_>) {
+        o.field("src", self.src).field("dst", self.dst);
     }
 }
 
@@ -241,38 +249,6 @@ impl From<JsonError> for PlanError {
     }
 }
 
-fn window_json(w: &Window) -> String {
-    match w.to {
-        Some(to) => format!("\"from\":{},\"to\":{}", w.from, to),
-        None => format!("\"from\":{},\"to\":null", w.from),
-    }
-}
-
-fn link_json(l: &Link) -> String {
-    let part = |v: Option<Pid>| v.map_or("null".to_string(), |p| p.to_string());
-    format!("\"src\":{},\"dst\":{}", part(l.src), part(l.dst))
-}
-
-fn pids_json(pids: &[Pid]) -> String {
-    let items: Vec<String> = pids.iter().map(|p| p.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn loss_model_json(m: &LossModel) -> String {
-    match *m {
-        LossModel::Bernoulli(p) => format!("{{\"law\":\"bernoulli\",\"p\":{p}}}"),
-        LossModel::GilbertElliott {
-            to_bad,
-            to_good,
-            good_loss,
-            bad_loss,
-        } => format!(
-            "{{\"law\":\"gilbert-elliott\",\"to_bad\":{to_bad},\"to_good\":{to_good},\
-             \"good_loss\":{good_loss},\"bad_loss\":{bad_loss}}}"
-        ),
-    }
-}
-
 fn window_from(v: &Value) -> Result<Window, PlanError> {
     let from = v
         .opt_field("from")?
@@ -324,71 +300,20 @@ fn loss_model_from(v: &Value) -> Result<LossModel, PlanError> {
 }
 
 impl FaultSpec {
-    fn to_json(&self) -> String {
+    /// The plan file's `kind` of this fault.
+    fn kind(&self) -> &'static str {
         match self {
-            FaultSpec::Loss {
-                window,
-                link,
-                model,
-            } => format!(
-                "{{\"kind\":\"loss\",{},{},\"model\":{}}}",
-                window_json(window),
-                link_json(link),
-                loss_model_json(model)
-            ),
-            FaultSpec::Partition { window, groups } => {
-                let gs: Vec<String> = groups.iter().map(|g| pids_json(g)).collect();
-                format!(
-                    "{{\"kind\":\"partition\",{},\"groups\":[{}]}}",
-                    window_json(window),
-                    gs.join(",")
-                )
-            }
-            FaultSpec::OneWay { window, src, dst } => format!(
-                "{{\"kind\":\"one-way\",{},\"src\":{},\"dst\":{}}}",
-                window_json(window),
-                pids_json(src),
-                pids_json(dst)
-            ),
-            FaultSpec::Duplicate { window, link, p } => format!(
-                "{{\"kind\":\"duplicate\",{},{},\"p\":{p}}}",
-                window_json(window),
-                link_json(link)
-            ),
-            FaultSpec::Reorder {
-                window,
-                link,
-                p,
-                max_extra,
-            } => format!(
-                "{{\"kind\":\"reorder\",{},{},\"p\":{p},\"max_extra\":{max_extra}}}",
-                window_json(window),
-                link_json(link)
-            ),
-            FaultSpec::DelaySpike { window, extra } => format!(
-                "{{\"kind\":\"delay-spike\",{},\"extra\":{extra}}}",
-                window_json(window)
-            ),
-            FaultSpec::Drift {
-                pid,
-                offset,
-                num,
-                den,
-            } => format!(
-                "{{\"kind\":\"drift\",\"pid\":{pid},\"offset\":{offset},\"num\":{num},\"den\":{den}}}"
-            ),
-            FaultSpec::Crash { pid, at } => {
-                format!("{{\"kind\":\"crash\",\"pid\":{pid},\"at\":{at}}}")
-            }
-            FaultSpec::Start { pid, at } => {
-                format!("{{\"kind\":\"start\",\"pid\":{pid},\"at\":{at}}}")
-            }
-            FaultSpec::Leave { pid, at } => {
-                format!("{{\"kind\":\"leave\",\"pid\":{pid},\"at\":{at}}}")
-            }
-            FaultSpec::Revive { pid, at } => {
-                format!("{{\"kind\":\"revive\",\"pid\":{pid},\"at\":{at}}}")
-            }
+            FaultSpec::Loss { .. } => "loss",
+            FaultSpec::Partition { .. } => "partition",
+            FaultSpec::OneWay { .. } => "one-way",
+            FaultSpec::Duplicate { .. } => "duplicate",
+            FaultSpec::Reorder { .. } => "reorder",
+            FaultSpec::DelaySpike { .. } => "delay-spike",
+            FaultSpec::Drift { .. } => "drift",
+            FaultSpec::Crash { .. } => "crash",
+            FaultSpec::Start { .. } => "start",
+            FaultSpec::Leave { .. } => "leave",
+            FaultSpec::Revive { .. } => "revive",
         }
     }
 
@@ -457,21 +382,81 @@ impl FaultSpec {
     }
 }
 
-impl ProtoSpec {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"variant\":\"{}\",\"tmin\":{},\"tmax\":{},\"fix\":\"{}\",\"n\":{},\
-             \"duration\":{},\"membership\":{}}}",
-            self.variant.name(),
-            self.params.tmin(),
-            self.params.tmax(),
-            self.fix.name(),
-            self.n,
-            self.duration,
-            self.membership
-        )
+impl ToJson for FaultSpec {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("kind", self.kind());
+            match self {
+                FaultSpec::Loss { window, link, .. }
+                | FaultSpec::Duplicate { window, link, .. }
+                | FaultSpec::Reorder { window, link, .. } => {
+                    window.write_fields(o);
+                    link.write_fields(o);
+                }
+                FaultSpec::Partition { window, .. }
+                | FaultSpec::OneWay { window, .. }
+                | FaultSpec::DelaySpike { window, .. } => window.write_fields(o),
+                _ => {}
+            }
+            match self {
+                FaultSpec::Loss { model, .. } => o.object("model", |o| match model {
+                    LossModel::Bernoulli(p) => {
+                        o.field("law", "bernoulli").field("p", p);
+                    }
+                    LossModel::GilbertElliott {
+                        to_bad,
+                        to_good,
+                        good_loss,
+                        bad_loss,
+                    } => {
+                        o.field("law", "gilbert-elliott")
+                            .field("to_bad", to_bad)
+                            .field("to_good", to_good)
+                            .field("good_loss", good_loss)
+                            .field("bad_loss", bad_loss);
+                    }
+                }),
+                FaultSpec::Partition { groups, .. } => o.field("groups", groups),
+                FaultSpec::OneWay { src, dst, .. } => o.field("src", src).field("dst", dst),
+                FaultSpec::Duplicate { p, .. } => o.field("p", p),
+                FaultSpec::Reorder { p, max_extra, .. } => {
+                    o.field("p", p).field("max_extra", max_extra)
+                }
+                FaultSpec::DelaySpike { extra, .. } => o.field("extra", extra),
+                FaultSpec::Drift {
+                    pid,
+                    offset,
+                    num,
+                    den,
+                } => o
+                    .field("pid", pid)
+                    .field("offset", offset)
+                    .field("num", num)
+                    .field("den", den),
+                FaultSpec::Crash { pid, at }
+                | FaultSpec::Start { pid, at }
+                | FaultSpec::Leave { pid, at }
+                | FaultSpec::Revive { pid, at } => o.field("pid", pid).field("at", at),
+            };
+        });
     }
+}
 
+impl ToJson for ProtoSpec {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("variant", self.variant.name())
+                .field("tmin", self.params.tmin())
+                .field("tmax", self.params.tmax())
+                .field("fix", self.fix.name())
+                .field("n", self.n)
+                .field("duration", self.duration)
+                .field("membership", self.membership);
+        });
+    }
+}
+
+impl ProtoSpec {
     fn from_value(v: &Value) -> Result<ProtoSpec, PlanError> {
         let tmin = v.field("tmin")?.as_uint()?;
         let tmax = v.field("tmax")?.as_uint()?;
@@ -669,14 +654,7 @@ impl FaultPlan {
 
     /// Serialize to the shareable JSON spec (single line).
     pub fn to_json(&self) -> String {
-        let faults: Vec<String> = self.faults.iter().map(FaultSpec::to_json).collect();
-        format!(
-            "{{\"record\":\"fault_plan\",\"name\":\"{}\",\"seed\":{},\"proto\":{},\"faults\":[{}]}}",
-            escape(&self.name),
-            self.seed,
-            self.proto.to_json(),
-            faults.join(",")
-        )
+        json::render(self)
     }
 
     /// Parse and validate a JSON plan.
@@ -708,6 +686,18 @@ impl FaultPlan {
         };
         plan.validate()?;
         Ok(plan)
+    }
+}
+
+impl ToJson for FaultPlan {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("record", "fault_plan")
+                .field("name", &self.name)
+                .field("seed", self.seed)
+                .field("proto", self.proto)
+                .field("faults", &self.faults);
+        });
     }
 }
 

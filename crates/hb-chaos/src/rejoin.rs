@@ -17,6 +17,7 @@ use hb_core::{FixLevel, Params, Pid, Variant};
 use hb_sim::channel::Time;
 use hb_sim::schema::RunSummary;
 
+use crate::json::{self, ToJson};
 use crate::plan::{FaultPlan, FaultSpec, Link, ProtoSpec, Window};
 use crate::{run_plan_monitored, Backend};
 
@@ -35,6 +36,7 @@ pub const DEMO_REVIVE_AT: Time = 201;
 /// except the fix level (and the name recording it) is identical, so
 /// the naive and epoch-tagged runs face the same adversary.
 pub fn rejoin_demo_plan(fix: FixLevel, seed: u64) -> FaultPlan {
+    #[expect(clippy::unwrap_used, reason = "tmin = 2 <= tmax = 8 is valid")]
     let proto = ProtoSpec {
         variant: Variant::Expanding,
         params: Params::new(2, 8).unwrap(),
@@ -126,21 +128,26 @@ impl RejoinDemo {
     /// The demo as a single-line JSON artifact (the checked-in
     /// `artifacts/rejoin_*.json` format).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"record\":\"rejoin_demo\",\"backend\":\"{}\",\"seed\":{},\
-             \"crash_at\":{DEMO_CRASH_AT},\"revive_at\":{DEMO_REVIVE_AT},\
-             \"replay_identical\":{},\"separates\":{},\
-             \"naive_plan\":{},\"epoch_plan\":{},\
-             \"naive\":{},\"epoch\":{}}}",
-            self.backend.name(),
-            self.seed,
-            self.replay_identical,
-            self.separates(),
-            rejoin_demo_plan(FixLevel::CorrectedBounds, self.seed).to_json(),
-            rejoin_demo_plan(FixLevel::Full, self.seed).to_json(),
-            self.naive.to_json(),
-            self.epoch.to_json(),
-        )
+        json::render(self)
+    }
+}
+
+impl ToJson for RejoinDemo {
+    fn write_json(&self, out: &mut String) {
+        let plan = |fix| rejoin_demo_plan(fix, self.seed);
+        json::object(out, |o| {
+            o.field("record", "rejoin_demo")
+                .field("backend", self.backend.name())
+                .field("seed", self.seed)
+                .field("crash_at", DEMO_CRASH_AT)
+                .field("revive_at", DEMO_REVIVE_AT)
+                .field("replay_identical", self.replay_identical)
+                .field("separates", self.separates())
+                .field("naive_plan", plan(FixLevel::CorrectedBounds))
+                .field("epoch_plan", plan(FixLevel::Full))
+                .field("naive", &self.naive)
+                .field("epoch", &self.epoch);
+        });
     }
 }
 

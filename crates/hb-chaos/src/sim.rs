@@ -34,6 +34,7 @@ pub fn run_plan_sim_tapped(plan: &FaultPlan, tap: SharedTap) -> RunSummary {
 /// to read its verdicts out of (e.g. via `MonitorSet::from_tap`).
 pub fn run_plan_sim_owned_tap(plan: &FaultPlan, tap: OwnedTap) -> (RunSummary, OwnedTap) {
     let (summary, mut taps) = run(plan, |world| world.attach_owned_tap(tap));
+    #[expect(clippy::expect_used, reason = "run hands back what it attached")]
     let tap = taps.pop().expect("the attached owned tap comes back");
     (summary, tap)
 }

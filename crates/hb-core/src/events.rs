@@ -6,15 +6,16 @@
 //! home of that schema: [`event_json`] renders a record, [`parse_event_json`]
 //! reads one back (for log tailing), [`EventSink`] routes events to an
 //! in-memory log, a JSON-lines writer, and any number of attached
-//! [`EventTap`]s (e.g. a streaming requirement monitor). No JSON dependency
-//! is available in this environment; the records are tiny and flat, so they
-//! are emitted and parsed by hand.
+//! [`EventTap`]s (e.g. a streaming requirement monitor). Records are
+//! written and read through [`crate::json`], the workspace's one JSON
+//! module.
 
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use crate::msg::Heartbeat;
+use crate::json::{self, JsonError, ToJson, Value};
+use crate::msg::{Heartbeat, Pid};
 use crate::trace::{Event, EventLog};
 
 /// One protocol event as a single-line JSON object (no trailing newline).
@@ -39,153 +40,117 @@ use crate::trace::{Event, EventLog};
 /// from a restarted incarnation (epoch > 0), keeping pre-rejoin logs
 /// byte-stable.
 pub fn event_json(e: &Event) -> String {
-    let epoch_field = |hb: Heartbeat| {
-        if hb.epoch > 0 {
-            format!(",\"epoch\":{}", hb.epoch)
-        } else {
-            String::new()
-        }
-    };
-    match *e {
-        Event::Send { at, from, to, hb } => {
-            format!(
-                "{{\"t\":{at},\"ev\":\"send\",\"from\":{from},\"to\":{to},\"flag\":{}{}}}",
-                hb.flag,
-                epoch_field(hb)
-            )
-        }
-        Event::Deliver { at, from, to, hb } => {
-            format!(
-                "{{\"t\":{at},\"ev\":\"deliver\",\"from\":{from},\"to\":{to},\"flag\":{}{}}}",
-                hb.flag,
-                epoch_field(hb)
-            )
-        }
-        Event::Lose { at, from, to } => {
-            format!("{{\"t\":{at},\"ev\":\"lose\",\"from\":{from},\"to\":{to}}}")
-        }
-        Event::Timeout { at, pid } => {
-            format!("{{\"t\":{at},\"ev\":\"timeout\",\"pid\":{pid}}}")
-        }
-        Event::Crash { at, pid } => {
-            format!("{{\"t\":{at},\"ev\":\"crash\",\"pid\":{pid}}}")
-        }
-        Event::NvInactivate { at, pid } => {
-            format!("{{\"t\":{at},\"ev\":\"nv_inactivate\",\"pid\":{pid}}}")
-        }
-        Event::Leave { at, pid } => {
-            format!("{{\"t\":{at},\"ev\":\"leave\",\"pid\":{pid}}}")
-        }
-        Event::Revive { at, pid } => {
-            format!("{{\"t\":{at},\"ev\":\"revive\",\"pid\":{pid}}}")
-        }
-        Event::ViewChange {
-            at,
-            pid,
-            view_no,
-            coordinator,
-        } => {
-            format!(
-                "{{\"t\":{at},\"ev\":\"view_change\",\"pid\":{pid},\"view\":{view_no},\"coord\":{coordinator}}}"
-            )
-        }
-        Event::StateTransfer {
-            at,
-            from,
-            to,
-            view_no,
-        } => {
-            format!("{{\"t\":{at},\"ev\":\"state_transfer\",\"from\":{from},\"to\":{to},\"view\":{view_no}}}")
-        }
+    json::render(e)
+}
+
+impl ToJson for Event {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("t", self.at()).field("ev", kind(self));
+            match *self {
+                Event::Send { from, to, hb, .. } | Event::Deliver { from, to, hb, .. } => {
+                    o.field("from", from).field("to", to).field("flag", hb.flag);
+                    if hb.epoch > 0 {
+                        o.field("epoch", hb.epoch);
+                    }
+                }
+                Event::Lose { from, to, .. } => {
+                    o.field("from", from).field("to", to);
+                }
+                Event::Timeout { pid, .. }
+                | Event::Crash { pid, .. }
+                | Event::NvInactivate { pid, .. }
+                | Event::Leave { pid, .. }
+                | Event::Revive { pid, .. } => {
+                    o.field("pid", pid);
+                }
+                Event::ViewChange {
+                    pid,
+                    view_no,
+                    coordinator,
+                    ..
+                } => {
+                    o.field("pid", pid)
+                        .field("view", view_no)
+                        .field("coord", coordinator);
+                }
+                Event::StateTransfer {
+                    from, to, view_no, ..
+                } => {
+                    o.field("from", from).field("to", to).field("view", view_no);
+                }
+            }
+        });
     }
 }
 
-/// Extract the raw text of `"key":<value>` from a flat one-line JSON
-/// object. Good enough for the schema above: values never contain `,`
-/// or `}`.
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(&rest[..end])
+/// A record's `ev` field.
+fn kind(e: &Event) -> &'static str {
+    match e {
+        Event::Send { .. } => "send",
+        Event::Deliver { .. } => "deliver",
+        Event::Lose { .. } => "lose",
+        Event::Timeout { .. } => "timeout",
+        Event::Crash { .. } => "crash",
+        Event::NvInactivate { .. } => "nv_inactivate",
+        Event::Leave { .. } => "leave",
+        Event::Revive { .. } => "revive",
+        Event::ViewChange { .. } => "view_change",
+        Event::StateTransfer { .. } => "state_transfer",
+    }
 }
 
 /// Parse one line in the [`event_json`] schema back into an [`Event`].
 ///
-/// Returns `None` on anything malformed — callers tailing a log decide
-/// whether to skip or abort. Round-trips every record `event_json` emits.
+/// Any valid JSON spelling of a record is read — whitespace, key order —
+/// and `None` comes back on anything malformed; callers tailing a log
+/// decide whether to skip or abort. Round-trips every record `event_json`
+/// emits.
 pub fn parse_event_json(line: &str) -> Option<Event> {
-    let line = line.trim();
-    let at: u64 = raw_field(line, "t")?.parse().ok()?;
-    let ev = raw_field(line, "ev")?.trim_matches('"');
-    let pid = |key: &str| raw_field(line, key).and_then(|v| v.parse::<usize>().ok());
-    let hb = || -> Option<Heartbeat> {
-        let flag: bool = raw_field(line, "flag")?.parse().ok()?;
-        let epoch = raw_field(line, "epoch")
-            .map(|v| v.parse::<u8>())
-            .transpose()
-            .ok()?
-            .unwrap_or(0);
-        let hb = if flag {
-            Heartbeat::plain()
-        } else {
-            Heartbeat::leave()
+    Value::parse(line).and_then(|v| event_from(&v)).ok()
+}
+
+fn event_from(v: &Value) -> Result<Event, JsonError> {
+    let at = v.field("t")?.as_u64()?;
+    let pid = |key: &str| v.field(key)?.as_uint::<Pid>();
+    let view_no = || v.field("view")?.as_uint::<u32>();
+    let beat = |make: fn(u64, Pid, Pid, Heartbeat) -> Event| {
+        let hb = match v.field("flag")?.as_bool()? {
+            true => Heartbeat::plain(),
+            false => Heartbeat::leave(),
         };
-        Some(hb.with_epoch(epoch))
+        let epoch = v.opt_field("epoch")?.map(Value::as_uint).transpose()?;
+        let hb = hb.with_epoch(epoch.unwrap_or(0));
+        Ok(make(at, pid("from")?, pid("to")?, hb))
     };
-    Some(match ev {
-        "send" => Event::Send {
+    let one = |make: fn(u64, Pid) -> Event| Ok(make(at, pid("pid")?));
+    match v.field("ev")?.as_str()? {
+        "send" => beat(|at, from, to, hb| Event::Send { at, from, to, hb }),
+        "deliver" => beat(|at, from, to, hb| Event::Deliver { at, from, to, hb }),
+        "timeout" => one(|at, pid| Event::Timeout { at, pid }),
+        "crash" => one(|at, pid| Event::Crash { at, pid }),
+        "nv_inactivate" => one(|at, pid| Event::NvInactivate { at, pid }),
+        "leave" => one(|at, pid| Event::Leave { at, pid }),
+        "revive" => one(|at, pid| Event::Revive { at, pid }),
+        "lose" => Ok(Event::Lose {
             at,
             from: pid("from")?,
             to: pid("to")?,
-            hb: hb()?,
-        },
-        "deliver" => Event::Deliver {
-            at,
-            from: pid("from")?,
-            to: pid("to")?,
-            hb: hb()?,
-        },
-        "lose" => Event::Lose {
-            at,
-            from: pid("from")?,
-            to: pid("to")?,
-        },
-        "timeout" => Event::Timeout {
+        }),
+        "view_change" => Ok(Event::ViewChange {
             at,
             pid: pid("pid")?,
-        },
-        "crash" => Event::Crash {
-            at,
-            pid: pid("pid")?,
-        },
-        "nv_inactivate" => Event::NvInactivate {
-            at,
-            pid: pid("pid")?,
-        },
-        "leave" => Event::Leave {
-            at,
-            pid: pid("pid")?,
-        },
-        "revive" => Event::Revive {
-            at,
-            pid: pid("pid")?,
-        },
-        "view_change" => Event::ViewChange {
-            at,
-            pid: pid("pid")?,
-            view_no: raw_field(line, "view")?.parse().ok()?,
+            view_no: view_no()?,
             coordinator: pid("coord")?,
-        },
-        "state_transfer" => Event::StateTransfer {
+        }),
+        "state_transfer" => Ok(Event::StateTransfer {
             at,
             from: pid("from")?,
             to: pid("to")?,
-            view_no: raw_field(line, "view")?.parse().ok()?,
-        },
-        _ => return None,
-    })
+            view_no: view_no()?,
+        }),
+        other => Err(JsonError(format!("unknown event kind \"{other}\""))),
+    }
 }
 
 /// `Any`-conversion support for [`EventTap`] objects, so an owned tap
@@ -237,6 +202,8 @@ enum TapSlot {
 pub struct EventSink {
     log: Option<EventLog>,
     writer: Option<Box<dyn Write + Send>>,
+    /// The writer's line buffer, reused for every event.
+    line: String,
     taps: Vec<TapSlot>,
 }
 
@@ -305,7 +272,10 @@ impl EventSink {
             log.push(*e);
         }
         if let Some(w) = &mut self.writer {
-            let _ = writeln!(w, "{}", event_json(e));
+            self.line.clear();
+            e.write_json(&mut self.line);
+            self.line.push('\n');
+            let _ = w.write_all(self.line.as_bytes());
         }
         for tap in &mut self.taps {
             match tap {
@@ -382,6 +352,25 @@ mod tests {
             let line = event_json(&e);
             assert_eq!(parse_event_json(&line), Some(e), "{line}");
         }
+    }
+
+    #[test]
+    fn any_valid_spelling_of_a_record_parses() {
+        assert_eq!(
+            parse_event_json(r#"{"t": 9, "ev": "crash", "pid": 2}"#),
+            Some(Event::Crash { at: 9, pid: 2 })
+        );
+        assert_eq!(
+            parse_event_json(
+                r#" { "epoch":3,"flag" :true,"to":0,"from":1,"ev":"deliver","t":12 } "#
+            ),
+            Some(Event::Deliver {
+                at: 12,
+                from: 1,
+                to: 0,
+                hb: Heartbeat::plain().with_epoch(3),
+            })
+        );
     }
 
     #[test]

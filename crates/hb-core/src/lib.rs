@@ -63,6 +63,7 @@ pub mod dataflow;
 pub mod describe;
 pub mod events;
 pub mod fixes;
+pub mod json;
 pub mod msg;
 pub mod params;
 pub mod responder;

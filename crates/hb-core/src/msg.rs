@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::json::ToJson;
+
 /// Process identifier. `0` is always the coordinator `p[0]`; participants
 /// are `1..=n`.
 pub type Pid = usize;
@@ -101,16 +103,26 @@ impl Status {
     pub fn is_inactive(self) -> bool {
         !self.is_active()
     }
+
+    /// Stable lowercase name (run summaries, reports).
+    pub fn name(self) -> &'static str {
+        match self {
+            Status::Active => "active",
+            Status::Crashed => "crashed",
+            Status::NvInactive => "nv-inactive",
+        }
+    }
 }
 
 impl fmt::Display for Status {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Status::Active => "active",
-            Status::Crashed => "crashed",
-            Status::NvInactive => "nv-inactive",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
+    }
+}
+
+impl ToJson for Status {
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
     }
 }
 

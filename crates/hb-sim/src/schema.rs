@@ -6,23 +6,16 @@
 //! (see [`event_json`], re-exported from [`hb_core::events`] — the single
 //! home of the event schema) and one [`RunSummary`] object per run.
 //! Keeping the schema in one place lets a live run and a simulated run of
-//! the same scenario be diffed line-by-line. No JSON dependency is
-//! available in this environment; the records are tiny and flat, so they
-//! are emitted by hand.
+//! the same scenario be diffed line-by-line. The records are written
+//! through [`hb_core::json`], the workspace's one JSON module.
 
+use hb_core::json::{self, ToJson};
 use hb_core::{Pid, Status};
 
 use crate::channel::Time;
 use crate::metrics::Report;
 
 pub use hb_core::events::{event_json, parse_event_json};
-
-/// Format a list of `(pid, time)` pairs as a JSON array of two-element
-/// arrays, e.g. `[[1,40],[3,900]]`.
-fn pairs_json(pairs: &[(Pid, Time)]) -> String {
-    let items: Vec<String> = pairs.iter().map(|&(p, t)| format!("[{p},{t}]")).collect();
-    format!("[{}]", items.join(","))
-}
 
 /// The first violation of one requirement, as judged by a streaming
 /// monitor: which process broke it, when, and against which bound.
@@ -38,12 +31,13 @@ pub struct FirstViolation {
     pub bound: u32,
 }
 
-impl FirstViolation {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"pid\":{},\"at\":{},\"bound\":{}}}",
-            self.pid, self.at, self.bound
-        )
+impl ToJson for FirstViolation {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("pid", self.pid)
+                .field("at", self.at)
+                .field("bound", self.bound);
+        });
     }
 }
 
@@ -71,17 +65,18 @@ impl MonitorVerdicts {
     /// The verdicts as a JSON object (the `"monitor"` field of a
     /// [`RunSummary`] record).
     pub fn to_json(&self) -> String {
-        let opt = |v: Option<FirstViolation>| match v {
-            Some(v) => v.to_json(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"clean\":{},\"r1\":{},\"r2\":{},\"r3\":{}}}",
-            self.clean(),
-            opt(self.r1),
-            opt(self.r2),
-            opt(self.r3)
-        )
+        json::render(self)
+    }
+}
+
+impl ToJson for MonitorVerdicts {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("clean", self.clean())
+                .field("r1", self.r1)
+                .field("r2", self.r2)
+                .field("r3", self.r3);
+        });
     }
 }
 
@@ -301,51 +296,32 @@ impl RunSummary {
 
     /// The summary as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let statuses: Vec<String> = self
-            .final_status
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect();
-        let detection = match self.detection_delay {
-            Some(d) => d.to_string(),
-            None => "null".to_string(),
-        };
-        let opt_time = |v: Option<Time>| match v {
-            Some(d) => d.to_string(),
-            None => "null".to_string(),
-        };
-        let reconv_detect = opt_time(self.reconv_detect);
-        let reconv_stable = opt_time(self.reconv_stable);
-        let monitor = match &self.monitor {
-            Some(m) => m.to_json(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"record\":\"run_summary\",\"source\":\"{}\",\"duration\":{},\
-             \"messages_sent\":{},\"messages_delivered\":{},\"messages_lost\":{},\
-             \"crashes\":{},\"nv_inactivations\":{},\"leaves\":{},\"revives\":{},\
-             \"reconv_detect\":{},\"reconv_stable\":{},\"stale_beats_admitted\":{},\
-             \"stale_beats_filtered\":{},\
-             \"detection_delay\":{},\"false_inactivations\":{},\"monitor\":{},\
-             \"final_status\":[{}]}}",
-            self.source,
-            self.duration,
-            self.messages_sent,
-            self.messages_delivered,
-            self.messages_lost,
-            pairs_json(&self.crashes),
-            pairs_json(&self.nv_inactivations),
-            pairs_json(&self.leaves),
-            pairs_json(&self.revives),
-            reconv_detect,
-            reconv_stable,
-            self.stale_beats_admitted,
-            self.stale_beats_filtered,
-            detection,
-            self.false_inactivations,
-            monitor,
-            statuses.join(",")
-        )
+        json::render(self)
+    }
+}
+
+impl ToJson for RunSummary {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("record", "run_summary")
+                .field("source", self.source)
+                .field("duration", self.duration)
+                .field("messages_sent", self.messages_sent)
+                .field("messages_delivered", self.messages_delivered)
+                .field("messages_lost", self.messages_lost)
+                .field("crashes", &self.crashes)
+                .field("nv_inactivations", &self.nv_inactivations)
+                .field("leaves", &self.leaves)
+                .field("revives", &self.revives)
+                .field("reconv_detect", self.reconv_detect)
+                .field("reconv_stable", self.reconv_stable)
+                .field("stale_beats_admitted", self.stale_beats_admitted)
+                .field("stale_beats_filtered", self.stale_beats_filtered)
+                .field("detection_delay", self.detection_delay)
+                .field("false_inactivations", self.false_inactivations)
+                .field("monitor", self.monitor)
+                .field("final_status", &self.final_status);
+        });
     }
 }
 

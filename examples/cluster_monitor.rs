@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 
 use accelerated_heartbeat::core::coordinator::CoordSpec;
 use accelerated_heartbeat::core::events::SharedTap;
+use accelerated_heartbeat::core::json;
 use accelerated_heartbeat::core::responder::RespSpec;
 use accelerated_heartbeat::core::trace::Event;
 use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
@@ -642,23 +643,28 @@ fn run_measure(reps: usize, tick: Duration) -> Result<(), Box<dyn std::error::Er
         "calls per tick per node: coordinator try_recv {coord_recv:.2} wait {coord_wait:.2}; \
          participants try_recv {part_recv:.2} wait {part_wait:.2}"
     );
-    println!(
-        "{{\"record\":\"wall_clock_cell\",\"n\":{MEASURE_N},\"tick_ms\":{tick_ms},\
-         \"reps\":{reps},\"detected\":{},\"collapsed\":{},\"detect_ticks_mean\":{ticks_mean:.2},\
-         \"detect_ticks_max\":{},\"bound\":{bound},\"detect_wall_ms_p50\":{:.3},\
-         \"detect_wall_ms_max\":{:.3},\"lateness_samples\":{},\"lateness_us_p50\":{:.1},\
-         \"lateness_us_p99\":{:.1},\"lateness_us_max\":{:.1},\
-         \"coord_try_recv_per_tick\":{coord_recv:.3},\"coord_wait_per_tick\":{coord_wait:.3},\
-         \"part_try_recv_per_tick\":{part_recv:.3},\"part_wait_per_tick\":{part_wait:.3}}}",
-        detected.len(),
-        collapsed.len(),
-        quantile(&ticks, 1.0),
-        quantile(&wall_ms, 0.5),
-        quantile(&wall_ms, 1.0),
-        late_us.len(),
-        quantile(&late_us, 0.5),
-        quantile(&late_us, 0.99),
-        quantile(&late_us, 1.0),
-    );
+    let mut record = String::new();
+    json::object(&mut record, |o| {
+        o.field("record", "wall_clock_cell")
+            .field("n", MEASURE_N)
+            .field("tick_ms", tick_ms)
+            .field("reps", reps)
+            .field("detected", detected.len())
+            .field("collapsed", collapsed.len())
+            .fixed("detect_ticks_mean", ticks_mean, 2)
+            .field("detect_ticks_max", quantile(&ticks, 1.0))
+            .field("bound", bound)
+            .fixed("detect_wall_ms_p50", quantile(&wall_ms, 0.5), 3)
+            .fixed("detect_wall_ms_max", quantile(&wall_ms, 1.0), 3)
+            .field("lateness_samples", late_us.len())
+            .fixed("lateness_us_p50", quantile(&late_us, 0.5), 1)
+            .fixed("lateness_us_p99", quantile(&late_us, 0.99), 1)
+            .fixed("lateness_us_max", quantile(&late_us, 1.0), 1)
+            .fixed("coord_try_recv_per_tick", coord_recv, 3)
+            .fixed("coord_wait_per_tick", coord_wait, 3)
+            .fixed("part_try_recv_per_tick", part_recv, 3)
+            .fixed("part_wait_per_tick", part_wait, 3);
+    });
+    println!("{record}");
     Ok(())
 }
