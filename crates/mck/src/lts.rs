@@ -32,6 +32,14 @@ impl Lts {
     /// Build an LTS from an explored [`StateGraph`], labelling each edge via
     /// `label`. Multiple initial states are joined under a fresh root with
     /// tau edges (rare; models here have a single initial state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no initial state (its model had none).
+    #[expect(
+        clippy::expect_used,
+        reason = "a model without initial states is a caller bug"
+    )]
     pub fn from_graph<M: Model>(
         graph: &StateGraph<M>,
         label: impl Fn(&M::Action) -> String,

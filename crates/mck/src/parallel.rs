@@ -95,7 +95,7 @@ where
                     .collect();
                 handles
                     .into_iter()
-                    .flat_map(|h| h.join().expect("expansion worker panicked"))
+                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                     .collect()
             })
         };

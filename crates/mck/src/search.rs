@@ -50,11 +50,10 @@ struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.write_u64(u64::from_le_bytes(word));
         }
-        let rest = words.remainder();
         if !rest.is_empty() {
             let mut word = [0; 8];
             word[..rest.len()].copy_from_slice(rest);
@@ -144,6 +143,10 @@ impl IdIndex {
             self.0 = vec![0; self.0.len() * 2];
             for id in 0..len {
                 let hash = hash_of_id(id);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a probe that matches nothing ends vacant"
+                )]
                 let slot = self.probe(hash, |_| false).expect_err("nothing matches");
                 self.0[slot] = entry(hash, id);
             }

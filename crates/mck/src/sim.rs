@@ -42,6 +42,14 @@ impl<M: Model> WalkOutcome<M> {
 /// starting from a uniformly chosen initial state.
 ///
 /// The walk stops early at deadlock states.
+///
+/// # Panics
+///
+/// Panics if the model has no initial state.
+#[expect(
+    clippy::expect_used,
+    reason = "a model without initial states is a caller bug"
+)]
 pub fn random_walk<M: Model, R: Rng>(model: &M, rng: &mut R, max_steps: usize) -> Path<M> {
     let inits = model.initial_states();
     let init = inits
@@ -74,6 +82,14 @@ pub fn random_walk<M: Model, R: Rng>(model: &M, rng: &mut R, max_steps: usize) -
 
 /// Run `walks` random walks of up to `max_steps` each, checking `invariant`
 /// on every visited state.
+///
+/// # Panics
+///
+/// Panics if the model has no initial state.
+#[expect(
+    clippy::expect_used,
+    reason = "a model without initial states is a caller bug"
+)]
 pub fn check_invariant_by_walks<M: Model, R: Rng, F>(
     model: &M,
     rng: &mut R,

@@ -5,9 +5,11 @@
 //! of the static heartbeat protocol): states that differ only by a
 //! permutation of those components are bisimilar, so it suffices to
 //! explore one representative per orbit. The caller supplies a
-//! `canonicalize` function mapping each state to its orbit
-//! representative; the wrapper applies it to initial states and to every
-//! successor.
+//! [`Canonicalize`] mapping each state to its orbit representative; the
+//! wrapper applies it to initial states and to every successor. The
+//! successor is handed over by value, so a canonicalizer may rework it in
+//! place; any `Fn(&S) -> S` is one too, at the price of the copy it
+//! returns.
 //!
 //! **Soundness**: canonicalization must be induced by an automorphism of
 //! the transition system — for every state `s` and enabled action `a`,
@@ -50,16 +52,27 @@
 
 use crate::model::Model;
 
+/// Maps a state to the representative of its orbit.
+pub trait Canonicalize<S> {
+    /// The representative of `state`'s orbit. The state is the
+    /// canonicalizer's to rework in place.
+    fn canonicalize(&self, state: S) -> S;
+}
+
+/// A function from a borrowed state to its representative.
+impl<S, F: Fn(&S) -> S> Canonicalize<S> for F {
+    fn canonicalize(&self, state: S) -> S {
+        self(&state)
+    }
+}
+
 /// A model explored modulo a canonicalization function.
 pub struct Symmetric<'a, M: Model, C> {
     inner: &'a M,
     canonicalize: C,
 }
 
-impl<'a, M: Model, C> Symmetric<'a, M, C>
-where
-    C: Fn(&M::State) -> M::State,
-{
+impl<'a, M: Model, C: Canonicalize<M::State>> Symmetric<'a, M, C> {
     /// Wrap `inner`, exploring only canonical representatives.
     pub fn new(inner: &'a M, canonicalize: C) -> Self {
         Self {
@@ -69,8 +82,8 @@ where
     }
 
     /// The canonical representative of a state.
-    pub fn canon(&self, s: &M::State) -> M::State {
-        (self.canonicalize)(s)
+    pub fn canon(&self, s: M::State) -> M::State {
+        self.canonicalize.canonicalize(s)
     }
 
     /// Random self-check of the soundness obligation: from `walks` random
@@ -87,21 +100,21 @@ where
         for _ in 0..walks {
             let path = crate::sim::random_walk(self.inner, rng, steps);
             for s in path.states() {
-                let c = self.canon(&s);
-                if self.canon(&c) != c {
+                let c = self.canon(s.clone());
+                if self.canon(c.clone()) != c {
                     return false; // not idempotent
                 }
                 let mut succ_s: Vec<M::State> = self
                     .inner
                     .successors(&s)
                     .into_iter()
-                    .map(|(_, t)| self.canon(&t))
+                    .map(|(_, t)| self.canon(t))
                     .collect();
                 let mut succ_c: Vec<M::State> = self
                     .inner
                     .successors(&c)
                     .into_iter()
-                    .map(|(_, t)| self.canon(&t))
+                    .map(|(_, t)| self.canon(t))
                     .collect();
                 succ_s.sort();
                 succ_s.dedup();
@@ -116,10 +129,7 @@ where
     }
 }
 
-impl<M: Model, C> Model for Symmetric<'_, M, C>
-where
-    C: Fn(&M::State) -> M::State,
-{
+impl<M: Model, C: Canonicalize<M::State>> Model for Symmetric<'_, M, C> {
     type State = M::State;
     type Action = M::Action;
 
@@ -127,7 +137,7 @@ where
         self.inner
             .initial_states()
             .into_iter()
-            .map(|s| self.canon(&s))
+            .map(|s| self.canon(s))
             .collect()
     }
 
@@ -136,7 +146,7 @@ where
     }
 
     fn next_state(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State> {
-        self.inner.next_state(state, action).map(|s| self.canon(&s))
+        self.inner.next_state(state, action).map(|s| self.canon(s))
     }
 
     fn format_action(&self, action: &Self::Action) -> String {
@@ -192,6 +202,31 @@ mod tests {
         let reduced = Checker::new(&sym).check_invariant(|_| true).stats().states;
         assert_eq!(full, 36);
         assert_eq!(reduced, 21); // multisets {(i,j) : i <= j}
+    }
+
+    /// The same quotient, handed each state by value.
+    struct SortInPlace;
+    impl Canonicalize<(u8, u8)> for SortInPlace {
+        fn canonicalize(&self, (a, b): (u8, u8)) -> (u8, u8) {
+            if a <= b {
+                (a, b)
+            } else {
+                (b, a)
+            }
+        }
+    }
+
+    #[test]
+    fn a_by_value_canonicalizer_explores_the_same_quotient() {
+        let m = Pair(5);
+        let by_ref = Symmetric::new(&m, sort_pair);
+        let by_value = Symmetric::new(&m, SortInPlace);
+        let a = Checker::new(&by_ref).check_invariant(|_| true).stats();
+        let b = Checker::new(&by_value).check_invariant(|_| true).stats();
+        assert_eq!(a, b);
+        assert_eq!(b.states, 21);
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(by_value.verify_symmetric(&mut rng, 10, 20));
     }
 
     #[test]
