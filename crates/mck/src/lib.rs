@@ -14,9 +14,11 @@
 //!   shortest counterexample reconstruction.
 //! * [`dfs`] — depth-first and iterative-deepening exploration, plus
 //!   deadlock detection.
-//! * [`parallel`] — the same BFS with each level expanded across scoped
-//!   threads; statistics and counterexamples are exactly `Checker`'s.
-//! * [`packed`] — the same BFS over bit-packed states in a flat arena.
+//! * [`parallel`] — the same BFS with successors computed on worker
+//!   threads and interned on one, in id order; statistics and
+//!   counterexamples are exactly `Checker`'s.
+//! * [`packed`] — the same BFS over bit-packed states in a flat arena, on
+//!   [`parallel`]'s workers when there are two cores or more.
 //! * [`props`] — several named invariants in one exploration.
 //! * [`por`], [`symmetry`] — partial-order and symmetry reduction as
 //!   [`Model`] wrappers; they compose with every engine above.

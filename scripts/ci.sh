@@ -81,6 +81,16 @@ echo "==> POR soundness cross-check (reduced vs full verdicts, all table cells)"
 cargo run --release --example hb_analyze -- --por-check > "$tmpdir/por.txt"
 tail -n 2 "$tmpdir/por.txt"
 
+echo "==> scale tables: one core (sequential loop) and every core (pipeline) print the same"
+# Pinned to one CPU, available_parallelism is 1 and PackedChecker runs the
+# sequential loop; unpinned, on two or more cores, it runs the pipeline.
+# Every column but the last (ms) must match.
+scale=(--scale --variants static,expanding --ns 2,4 --reqs R2)
+taskset -c 0 cargo run --release --example hb_analyze -- "${scale[@]}" > "$tmpdir/scale_one.txt"
+cargo run --release --example hb_analyze -- "${scale[@]}" > "$tmpdir/scale_all.txt"
+diff <(awk '{$NF=""; print}' "$tmpdir/scale_one.txt") <(awk '{$NF=""; print}' "$tmpdir/scale_all.txt") \
+  || { echo "the pipelined scale cells differ from the sequential ones" >&2; exit 1; }
+
 echo "==> sim-vs-live campaign differ (checked-in artifact pair)"
 cargo run --release --example chaos_campaign -- --diff \
   artifacts/campaign_gm98_sim.json artifacts/campaign_gm98_live.json >/dev/null

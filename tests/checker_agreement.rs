@@ -65,8 +65,9 @@ fn engines_agree_on_verdicts_with_faults() {
     let bfs = Checker::new(&model).check_invariant(|s| !goal(s));
     assert!(seq.is_some());
     assert!(dfs.path().is_some());
-    // The parallel engine is the same search with each level fanned out:
-    // same statistics and the same counterexample, at any thread count.
+    // The parallel engine is the same search with its expansions on
+    // workers: same statistics and the same counterexample, at any thread
+    // count.
     for threads in [1, 2, 4] {
         let par = ParallelChecker::new(&model)
             .threads(threads)

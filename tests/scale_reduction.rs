@@ -56,8 +56,9 @@ proptest! {
         let out = Checker::new(&sym).check_invariant(pred);
         let composed_holds = matches!(out, CheckOutcome::Holds(_));
 
-        // The parallel engine is the same search with each level fanned
-        // out, so it composes with the wrappers and matches to the counter.
+        // The parallel engine is the same search with its expansions on
+        // workers, so it composes with the wrappers and matches to the
+        // counter.
         let par = ParallelChecker::new(&sym).threads(2).check_invariant(pred);
         prop_assert!(
             par.holds() == composed_holds && par.stats() == out.stats(),
