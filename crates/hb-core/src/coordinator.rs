@@ -200,13 +200,6 @@ impl CoordSpec {
         }
     }
 
-    /// Voluntarily inactivate (crash). Idempotent once inactive.
-    pub fn crash(&self, s: &mut CoordState) {
-        if s.status.is_active() {
-            s.status = Status::Crashed;
-        }
-    }
-
     /// The per-participant waiting-time step for a silent round.
     fn silent_step(&self, tm_i: u32) -> u32 {
         let halved = Params::halve(tm_i);
@@ -540,8 +533,7 @@ mod tests {
     fn crashed_coordinator_ignores_everything() {
         let sp = spec(Variant::Binary, 1, 10, 1);
         let mut s = sp.init_state();
-        sp.crash(&mut s);
-        assert_eq!(s.status, Status::Crashed);
+        s.status = Status::Crashed;
         s.rcvd[0] = false;
         assert_eq!(
             sp.on_heartbeat(&mut s, 1, Heartbeat::plain()),

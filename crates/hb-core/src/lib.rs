@@ -25,8 +25,9 @@
 //!
 //! The state machines are *pure*: all inputs (elapsed time, message
 //! arrival, crash) are explicit method calls and all outputs are returned
-//! values. The same code is driven by the `hb-sim` discrete-event simulator
-//! and mirrored state-for-state by the `hb-verify` model-checking models.
+//! values. How a process reacts to each machine event is written once, in
+//! [`react`], and shared by the `hb-sim` discrete-event simulator, the
+//! `hb-net` live runtime and the `hb-verify` model-checking models.
 //!
 //! The module [`fixes`] implements the corrections proposed by Atif &
 //! Mousavi (2009) after model checking found all original variants to
@@ -66,6 +67,7 @@ pub mod fixes;
 pub mod json;
 pub mod msg;
 pub mod params;
+pub mod react;
 pub mod responder;
 pub mod serial;
 pub mod trace;

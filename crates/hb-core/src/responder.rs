@@ -107,7 +107,7 @@ impl RespSpec {
     /// The state of a restarted participant (§7 rejoin): a fresh
     /// [`init_state`](Self::init_state) — back in the join phase for the
     /// join variants — carrying the next incarnation after `prev_epoch`.
-    /// Runtimes call this on a node-restart path after a crash. The epoch
+    /// [`crate::react::revive`] restarts a crashed participant so. The epoch
     /// wraps past 255 back to 0; the coordinator compares epochs in
     /// RFC 1982 serial order (see [`crate::serial`]), so the wrapped
     /// incarnation still registers as fresh.
@@ -177,13 +177,6 @@ impl RespSpec {
             if !s.joined {
                 s.join_elapsed += k;
             }
-        }
-    }
-
-    /// Voluntarily inactivate (crash). Idempotent once inactive.
-    pub fn crash(&self, s: &mut RespState) {
-        if s.status.is_active() {
-            s.status = Status::Crashed;
         }
     }
 
@@ -338,7 +331,7 @@ mod tests {
     fn crashed_participant_never_replies() {
         let sp = spec(Variant::Binary, 1, 2, FixLevel::Original);
         let mut s = sp.init_state();
-        sp.crash(&mut s);
+        s.status = Status::Crashed;
         assert_eq!(
             sp.on_beat(&mut s, Heartbeat::plain(), LeaveDecision::Stay),
             None
@@ -417,7 +410,7 @@ mod tests {
         sp.on_beat(&mut s, Heartbeat::plain(), LeaveDecision::Stay);
         assert_eq!(sp.next_event_in(&s), Some(27));
         // Frozen clocks report no deadline.
-        sp.crash(&mut s);
+        s.status = Status::Crashed;
         assert_eq!(sp.next_event_in(&s), None);
     }
 
@@ -479,7 +472,7 @@ mod tests {
         let mut s = sp.init_state();
         assert_eq!(s.epoch, 0);
         sp.on_beat(&mut s, Heartbeat::plain(), LeaveDecision::Stay);
-        sp.crash(&mut s);
+        s.status = Status::Crashed;
         let r = sp.revive_state(s.epoch);
         assert_eq!(r.epoch, 1);
         assert_eq!(r.status, Status::Active);

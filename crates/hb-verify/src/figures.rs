@@ -172,7 +172,7 @@ fn finish(
         requirement: req,
         replay_valid: runner.ok,
         error_reached: runner.ok && runner.passed_error(req),
-        log: path_to_log(&runner.path),
+        log: path_to_log(model, &runner.path),
         shortest_ce_len: shortest,
     }
 }

@@ -3,6 +3,12 @@
 //!
 //! # Semantics (see DESIGN.md for the full rationale)
 //!
+//! * **One reaction per event.** Every process step is a call to
+//!   [`hb_core::react`], the code the simulator and the live node run.
+//!   The model's effects push each send into the state's in-flight bag;
+//!   the events are dropped while checking and logged when a path is
+//!   rendered ([`crate::render`]). What the model adds is the choice of
+//!   which enabled step comes next, and the ghost monitors.
 //! * **Digital clocks.** A single [`HbAction::Tick`] advances every clock
 //!   by one unit. `Tick` is disabled while any *urgent* event is pending:
 //!   a due coordinator timeout, a due participant watchdog or join-send, or
@@ -22,8 +28,8 @@
 //! * **§7 rejoin.** Off by default (crashes and leaves are then final, as
 //!   in both papers). With [`HbModel::rejoin_cap`] above zero a crashed or
 //!   departed participant may restart at any instant as its next
-//!   incarnation ([`HbAction::Rejoin`], applying the runtimes' own
-//!   [`RespSpec::revive_state`]); whether the coordinator tells the
+//!   incarnation ([`HbAction::Rejoin`], the runtimes' own
+//!   [`react::revive`]); whether the coordinator tells the
 //!   incarnations apart is decided by the [`FixLevel`], exactly as at
 //!   runtime (epoch filter under `Full`, naive admission below it).
 //! * **R1 monitor.** A ghost saturating counter per participant tracks the
@@ -34,8 +40,11 @@
 
 use std::hash::{Hash, Hasher};
 
-use hb_core::coordinator::{CoordReaction, CoordSpec, CoordState, TimeoutOutcome};
+use hb_core::coordinator::{CoordSpec, CoordState};
+use hb_core::react::{self, Effects};
 use hb_core::responder::{LeaveDecision, RespSpec, RespState};
+use hb_core::serial::serial_lt;
+use hb_core::trace::{Event, EventLog};
 use hb_core::{FixLevel, Heartbeat, Params, Pid, Status, Variant};
 use mck::Model;
 
@@ -62,7 +71,7 @@ pub struct HbState {
     /// In-flight messages, kept sorted: the canonical form for hashing,
     /// and [`crate::symmetry::canonicalize`] reads each participant's
     /// messages off it as two sorted runs without re-sorting. Every
-    /// producer ([`HbModel`]'s `push_msg`, the symmetry relabelling, the
+    /// producer ([`HbModel`]'s sends, the symmetry relabelling, the
     /// packed codec's decode of a sorted encode) keeps it so.
     pub channel: Vec<Msg>,
     /// Ghost: has any message ever been lost?
@@ -337,17 +346,165 @@ impl HbModel {
         s.coord.status.is_active() && s.monitors.iter().any(|m| m.armed && m.since_last > bound)
     }
 
-    /// Insert `msg` where it sorts (the channel stays sorted).
-    fn push_msg(channel: &mut Vec<Msg>, msg: Msg) {
-        channel.insert(channel.partition_point(|m| *m < msg), msg);
-    }
-
     fn remove_msg(channel: &mut Vec<Msg>, msg: &Msg) -> bool {
         if let Some(pos) = channel.iter().position(|m| m == msg) {
             channel.remove(pos);
             true
         } else {
             false
+        }
+    }
+
+    /// One transition out of `s`, as [`Model::next_state`]. With `log`,
+    /// the step's events also go there, stamped with the time the caller
+    /// keeps: a delivery or loss, then the reaction's events and sends in
+    /// the order it made them.
+    pub(crate) fn step(
+        &self,
+        s: &HbState,
+        action: &HbAction,
+        log: Option<(&mut EventLog, u64)>,
+    ) -> Option<HbState> {
+        let mut next = s.clone();
+        let (log, now) = log.map_or((None, 0), |(log, now)| (Some(log), now));
+        let fx = &mut InFlight {
+            channel: &mut next.channel,
+            log,
+            now,
+        };
+        match action {
+            HbAction::Tick => {
+                if !self.may_tick(s) {
+                    return None;
+                }
+                self.coord.tick(&mut next.coord);
+                for r in &mut next.resps {
+                    self.resp.tick(r);
+                }
+                for m in fx.channel.iter_mut() {
+                    m.budget -= 1;
+                }
+                let cap = self.monitor_cap();
+                for m in &mut next.monitors {
+                    if m.armed {
+                        m.since_last = (m.since_last + 1).min(cap);
+                    }
+                }
+            }
+            HbAction::CoordTimeout => {
+                react::coord_timeout(&self.coord, &mut next.coord, now, fx)?;
+            }
+            HbAction::RespWatchdog(pid) => {
+                if !react::watchdog(&self.resp, &mut next.resps[pid - 1], now, *pid, fx) {
+                    return None;
+                }
+            }
+            HbAction::JoinSend(pid) => {
+                if !react::join_send(&self.resp, &mut next.resps[pid - 1], *pid, fx) {
+                    return None;
+                }
+            }
+            HbAction::Deliver { msg, leave } => {
+                if !Self::remove_msg(fx.channel, msg) {
+                    return None;
+                }
+                let (at, from, to, hb) = (now, msg.src, msg.dst, msg.hb);
+                fx.emit(&Event::Deliver { at, from, to, hb });
+                if to == 0 {
+                    // Beat from participant `from` arrives at p[0].
+                    if !next.monitors.is_empty() {
+                        let m = &mut next.monitors[from - 1];
+                        // A stale join/stay beat overtaken by a leave must
+                        // not re-arm the monitor: p[0] ignores it (via the
+                        // `left` latch, or the epoch bar under the §7
+                        // rejoin fix), so it expects nothing more from
+                        // this incarnation.
+                        let ignored = if self.coord.fix().epoch_rejoin() {
+                            serial_lt(hb.epoch, next.coord.min_epoch[from - 1])
+                        } else {
+                            next.coord.left[from - 1]
+                        };
+                        if !hb.flag {
+                            m.armed = false;
+                        } else if !ignored {
+                            m.armed = true;
+                            m.since_last = 0;
+                        }
+                    }
+                    react::coord_receive(&self.coord, &mut next.coord, from, hb, fx);
+                } else {
+                    let decision = if *leave {
+                        LeaveDecision::Leave
+                    } else {
+                        LeaveDecision::Stay
+                    };
+                    let r = &mut next.resps[to - 1];
+                    react::resp_receive(&self.resp, r, now, to, (hb, msg.budget), decision, fx);
+                }
+            }
+            HbAction::Lose(msg) => {
+                if !Self::remove_msg(fx.channel, msg) {
+                    return None;
+                }
+                let (at, from, to) = (now, msg.src, msg.dst);
+                fx.emit(&Event::Lose { at, from, to });
+                next.lost = true;
+            }
+            HbAction::Crash(pid) => {
+                let status = match pid {
+                    0 => &mut next.coord.status,
+                    _ => &mut next.resps[pid - 1].status,
+                };
+                if !react::crash(status, now, *pid, fx) {
+                    return None;
+                }
+            }
+            HbAction::Rejoin(pid) => {
+                let r = &mut next.resps[pid - 1];
+                if !self.may_rejoin(r) {
+                    return None;
+                }
+                // A departed participant is out of the protocol as a
+                // crashed one is, and restarts by the same §7 revive.
+                r.status = Status::Crashed;
+                react::revive(&self.resp, r, &mut None, now, *pid, fx);
+            }
+        }
+        // The successor is the state the store keeps: no spare room from
+        // a growing insert or a removal without a reply.
+        if next.channel.capacity() > next.channel.len() {
+            next.channel = next.channel.to_vec();
+        }
+        Some(next)
+    }
+}
+
+/// The model's effects: a send goes into the state's in-flight bag,
+/// where it sorts. While checking, events are dropped; a path being
+/// rendered logs them, the sends included.
+struct InFlight<'a> {
+    channel: &'a mut Vec<Msg>,
+    log: Option<&'a mut EventLog>,
+    now: u64,
+}
+
+impl Effects for InFlight<'_> {
+    fn send(&mut self, src: Pid, dst: Pid, hb: Heartbeat, budget: u32) {
+        let msg = Msg {
+            src,
+            dst,
+            hb,
+            budget,
+        };
+        self.channel
+            .insert(self.channel.partition_point(|m| *m < msg), msg);
+        let (at, from, to) = (self.now, src, dst);
+        self.emit(&Event::Send { at, from, to, hb });
+    }
+
+    fn emit(&mut self, e: &Event) {
+        if let Some(log) = &mut self.log {
+            log.push(*e);
         }
     }
 }
@@ -466,169 +623,7 @@ impl Model for HbModel {
     }
 
     fn next_state(&self, s: &HbState, action: &HbAction) -> Option<HbState> {
-        let mut next = s.clone();
-        match action {
-            HbAction::Tick => {
-                if !self.may_tick(s) {
-                    return None;
-                }
-                self.coord.tick(&mut next.coord);
-                for r in &mut next.resps {
-                    self.resp.tick(r);
-                }
-                for m in &mut next.channel {
-                    m.budget -= 1;
-                }
-                let cap = self.monitor_cap();
-                for m in &mut next.monitors {
-                    if m.armed {
-                        m.since_last = (m.since_last + 1).min(cap);
-                    }
-                }
-            }
-            HbAction::CoordTimeout => {
-                if !self.coord.timeout_due(&s.coord) {
-                    return None;
-                }
-                match self.coord.on_timeout(&mut next.coord) {
-                    TimeoutOutcome::Inactivated => {}
-                    TimeoutOutcome::Beat => {
-                        // `on_timeout` never changes `jnd`, so reading the
-                        // recipients off the post-state is exact.
-                        for pid in self.coord.recipients(&next.coord) {
-                            Self::push_msg(
-                                &mut next.channel,
-                                Msg {
-                                    src: 0,
-                                    dst: pid,
-                                    hb: self.coord.beat_for(&next.coord, pid),
-                                    budget: self.params().tmin(),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            HbAction::RespWatchdog(pid) => {
-                let r = &mut next.resps[pid - 1];
-                if !self.resp.watchdog_due(r) {
-                    return None;
-                }
-                self.resp.on_watchdog(r);
-            }
-            HbAction::JoinSend(pid) => {
-                let r = &mut next.resps[pid - 1];
-                if !self.resp.join_send_due(r) {
-                    return None;
-                }
-                let hb = self.resp.on_join_send(r);
-                Self::push_msg(
-                    &mut next.channel,
-                    Msg {
-                        src: *pid,
-                        dst: 0,
-                        hb,
-                        budget: self.params().tmin(),
-                    },
-                );
-            }
-            HbAction::Deliver { msg, leave } => {
-                if !Self::remove_msg(&mut next.channel, msg) {
-                    return None;
-                }
-                if msg.dst == 0 {
-                    // Beat from participant `msg.src` arrives at p[0].
-                    if !next.monitors.is_empty() {
-                        let m = &mut next.monitors[msg.src - 1];
-                        // A stale join/stay beat overtaken by a leave must
-                        // not re-arm the monitor: p[0] ignores it (via the
-                        // `left` latch, or the epoch bar under the §7
-                        // rejoin fix), so it expects nothing more from
-                        // this incarnation.
-                        let ignored = if self.coord.fix().epoch_rejoin() {
-                            hb_core::serial::serial_lt(
-                                msg.hb.epoch,
-                                next.coord.min_epoch[msg.src - 1],
-                            )
-                        } else {
-                            next.coord.left[msg.src - 1]
-                        };
-                        if !msg.hb.flag {
-                            m.armed = false;
-                        } else if !ignored {
-                            m.armed = true;
-                            m.since_last = 0;
-                        }
-                    }
-                    match self.coord.on_heartbeat(&mut next.coord, msg.src, msg.hb) {
-                        CoordReaction::None => {}
-                        CoordReaction::LeaveAck(pid, ack) => {
-                            Self::push_msg(
-                                &mut next.channel,
-                                Msg {
-                                    src: 0,
-                                    dst: pid,
-                                    hb: ack,
-                                    budget: self.params().tmin(),
-                                },
-                            );
-                        }
-                    }
-                } else {
-                    let decision = if *leave {
-                        LeaveDecision::Leave
-                    } else {
-                        LeaveDecision::Stay
-                    };
-                    let r = &mut next.resps[msg.dst - 1];
-                    if let Some(reply) = self.resp.on_beat(r, msg.hb, decision) {
-                        // The reply continues the round-trip budget.
-                        Self::push_msg(
-                            &mut next.channel,
-                            Msg {
-                                src: msg.dst,
-                                dst: 0,
-                                hb: reply,
-                                budget: msg.budget,
-                            },
-                        );
-                    }
-                }
-            }
-            HbAction::Lose(msg) => {
-                if !Self::remove_msg(&mut next.channel, msg) {
-                    return None;
-                }
-                next.lost = true;
-            }
-            HbAction::Crash(pid) => {
-                if *pid == 0 {
-                    if !s.coord.status.is_active() {
-                        return None;
-                    }
-                    self.coord.crash(&mut next.coord);
-                } else {
-                    let r = &mut next.resps[pid - 1];
-                    if !r.status.is_active() {
-                        return None;
-                    }
-                    self.resp.crash(r);
-                }
-            }
-            HbAction::Rejoin(pid) => {
-                let r = &mut next.resps[pid - 1];
-                if !self.may_rejoin(r) {
-                    return None;
-                }
-                *r = self.resp.revive_state(r.epoch);
-            }
-        }
-        // The successor is the state the store keeps: no spare room from
-        // a growing insert or a removal without a reply.
-        if next.channel.capacity() > next.channel.len() {
-            next.channel = next.channel.to_vec();
-        }
-        Some(next)
+        self.step(s, action, None)
     }
 
     fn format_action(&self, action: &HbAction) -> String {

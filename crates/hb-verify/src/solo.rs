@@ -17,6 +17,7 @@
 //! the figure's last action for it has been shown.
 
 use hb_core::coordinator::{CoordSpec, CoordState};
+use hb_core::react::{self, Discard};
 use hb_core::responder::{LeaveDecision, RespSpec, RespState};
 use hb_core::{FixLevel, Heartbeat, Params, Variant};
 use mck::graph::StateGraph;
@@ -125,7 +126,7 @@ impl Model for P0Solo {
                 self.spec.on_heartbeat(&mut n.now, 1, Heartbeat::plain());
             }
             (P0Label::InactivateV, None) if n.now.status.is_active() => {
-                self.spec.crash(&mut n.now);
+                react::crash(&mut n.now.status, 0, 0, &mut Discard);
             }
             (P0Label::Timeout, None) if self.spec.timeout_due(&n.now) => {
                 let mut p = n.now.clone();
@@ -266,7 +267,7 @@ impl Model for P1Solo {
                 }
             }
             (P1Label::InactivateV, None) if n.now.status.is_active() => {
-                self.spec.crash(&mut n.now);
+                react::crash(&mut n.now.status, 0, 1, &mut Discard);
             }
             (P1Label::Timeout, None) if self.spec.watchdog_due(&n.now) => {
                 let mut p = n.now.clone();

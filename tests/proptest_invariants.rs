@@ -1,6 +1,7 @@
 //! Property-based tests of the core protocol state machines.
 
 use accelerated_heartbeat::core::coordinator::{CoordSpec, TimeoutOutcome};
+use accelerated_heartbeat::core::react::{self, Discard};
 use accelerated_heartbeat::core::responder::{LeaveDecision, RespSpec};
 use accelerated_heartbeat::core::{FixLevel, Heartbeat, Params, Status, Variant};
 use proptest::prelude::*;
@@ -104,7 +105,9 @@ proptest! {
                 Stim::Timeout => {
                     if spec.timeout_due(&s) { let _ = spec.on_timeout(&mut s); }
                 }
-                Stim::Crash => spec.crash(&mut s),
+                Stim::Crash => {
+                    react::crash(&mut s.status, 0, 0, &mut Discard);
+                }
             }
             check_jump(
                 &s,
@@ -147,7 +150,9 @@ proptest! {
                 }
                 // A crash, and at the next one the restart.
                 Stim::Crash if s.status == Status::Crashed => s = spec.revive_state(s.epoch),
-                Stim::Crash => spec.crash(&mut s),
+                Stim::Crash => {
+                    react::crash(&mut s.status, 0, 0, &mut Discard);
+                }
             }
             check_jump(
                 &s,
@@ -241,7 +246,9 @@ proptest! {
                         let _ = spec.on_timeout(&mut s);
                     }
                 }
-                Stim::Crash => spec.crash(&mut s),
+                Stim::Crash => {
+                    react::crash(&mut s.status, 0, 0, &mut Discard);
+                }
             }
             prop_assert!(s.t >= params.tmin() && s.t <= params.tmax());
             prop_assert!(s.elapsed <= s.t);
@@ -286,7 +293,9 @@ proptest! {
                 Stim::Timeout => {
                     if spec.watchdog_due(&s) { spec.on_watchdog(&mut s); }
                 }
-                Stim::Crash => spec.crash(&mut s),
+                Stim::Crash => {
+                    react::crash(&mut s.status, 0, 0, &mut Discard);
+                }
             }
             prop_assert!(s.waiting <= spec.watchdog_bound());
             prop_assert!(s.join_elapsed <= params.tmin());
