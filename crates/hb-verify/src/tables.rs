@@ -713,6 +713,39 @@ mod tests {
         }
     }
 
+    /// One cell past the protocol state's inline capacity (eight
+    /// participants): static n = 9 under the quotient stacks, cut at a
+    /// state cap so a debug build finishes it in seconds. The time budget
+    /// is far beyond what the cap takes, so the cap alone decides where
+    /// the search stops.
+    #[test]
+    fn a_cell_past_the_inline_capacity_is_pinned() {
+        let limits = ScaleLimits {
+            max_states: 20_000,
+            time_budget: Duration::from_secs(600),
+        };
+        for (reduction, states, transitions, peak_bytes) in [
+            (Reduction::SymPor, 20_000, 66_551, None),
+            (Reduction::SymPorPacked, 20_000, 66_551, Some(1_007_919)),
+        ] {
+            let c = scale_cell(
+                Variant::Static,
+                Params::new(2, 6).unwrap(),
+                FixLevel::Full,
+                Requirement::R2,
+                9,
+                reduction,
+                limits,
+            );
+            assert_eq!(c.outcome, ScaleOutcome::Exhausted, "{reduction}");
+            assert_eq!(
+                (c.states, c.transitions, c.peak_bytes),
+                (states, transitions, peak_bytes),
+                "{reduction}"
+            );
+        }
+    }
+
     #[test]
     fn scale_cell_reports_exhaustion_within_budget() {
         let p = Params::new(2, 8).unwrap();

@@ -410,3 +410,76 @@ fn cluster_runs_are_pinned() {
     assert!(events > 50_000, "the grid must actually run: {events}");
     assert_eq!(digest, 0x6220_07ef_fc31_3c86, "{digest:#018x}");
 }
+
+/// Both sides of the protocol state's inline capacity (eight
+/// participants) pinned on both substrates: one FNV-1a-64 digest over
+/// every event and the summary of `World` and `VirtualCluster` runs at
+/// n = 8, 9 and 64, static and dynamic, with a crash, a crash and revive,
+/// a late start and (dynamic) a leave under light loss.
+#[test]
+fn runs_across_the_inline_capacity_are_pinned() {
+    let params = Params::new(2, 8).unwrap();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut events = 0;
+    for variant in [Variant::Static, Variant::Dynamic] {
+        for n in [8, 9, 64] {
+            let mut world = World::new(
+                WorldConfig {
+                    variant,
+                    params,
+                    fix: FixLevel::Full,
+                    n,
+                    loss_prob: 0.02,
+                    log_events: true,
+                },
+                7,
+            );
+            let mut cl = VirtualCluster::new(ClusterConfig {
+                variant,
+                params,
+                fix: FixLevel::Full,
+                n,
+                faults: Faults::bernoulli(0.02),
+                seed: 7,
+                record_events: true,
+            });
+            world.schedule_crash(n, 130);
+            cl.schedule_crash(n, 130);
+            world.schedule_crash(2, 100);
+            cl.schedule_crash(2, 100);
+            world.schedule_revive(2, 144);
+            cl.schedule_revive(2, 144);
+            world.schedule_start(n - 1, 43);
+            cl.schedule_start(n - 1, 43);
+            if variant.supports_leave() {
+                world.schedule_leave(1, 90);
+                cl.schedule_leave(1, 90);
+            }
+            world.run_until(600);
+            cl.run_until(600);
+            let sim = world.into_report();
+            let head = format!(
+                "{:?} {:?} {:?} {:?} {:?}",
+                sim.crashes, sim.nv_inactivations, sim.leaves, sim.revives, sim.final_status
+            );
+            let mut cell = fnv1a(digest, head.as_bytes());
+            for e in sim.log.events() {
+                cell = fnv1a(cell, event_json(e).as_bytes());
+            }
+            events += sim.log.len();
+            let live = cl.into_report();
+            cell = fnv1a(cell, live.summary.to_json().as_bytes());
+            for node in &live.nodes {
+                let head = format!("{} {:?} {:?}", node.pid, node.status, node.counters);
+                cell = fnv1a(cell, head.as_bytes());
+                for e in node.log.events() {
+                    cell = fnv1a(cell, event_json(e).as_bytes());
+                }
+                events += node.log.len();
+            }
+            digest = cell;
+        }
+    }
+    assert!(events > 10_000, "the grid must actually run: {events}");
+    assert_eq!(digest, 0x659e_0ccd_73c7_4192, "{digest:#018x}");
+}
