@@ -15,6 +15,7 @@ use crate::fixes::FixLevel;
 use crate::msg::{Heartbeat, Pid, Status};
 use crate::params::Params;
 use crate::serial::{serial_bump, serial_gt, serial_lt, serial_max};
+use crate::slots::Slots;
 use crate::variant::Variant;
 
 /// Immutable description of a coordinator.
@@ -27,7 +28,8 @@ pub struct CoordSpec {
 }
 
 /// Mutable state of a coordinator (hashable; used directly inside model
-/// states).
+/// states). The per-participant fields are [`Slots`]: inline up to eight
+/// participants, so a copy of the state allocates nothing there.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoordState {
     /// Liveness status.
@@ -37,23 +39,23 @@ pub struct CoordState {
     /// Time elapsed in the current round (kept `<= t` by urgency).
     pub elapsed: u32,
     /// Per-participant: heartbeat received during the current round?
-    pub rcvd: Vec<bool>,
+    pub rcvd: Slots<bool>,
     /// Per-participant waiting times (the paper's `tm` list).
-    pub tm: Vec<u32>,
+    pub tm: Slots<u32>,
     /// Per-participant: joined the protocol? (All-true for non-join
     /// variants.)
-    pub jnd: Vec<bool>,
+    pub jnd: Slots<bool>,
     /// Per-participant: has permanently left (dynamic protocol only;
     /// unused when the §7 epoch rejoin is active — the epoch bar below
     /// replaces the latch).
-    pub left: Vec<bool>,
+    pub left: Slots<bool>,
     /// Per-participant §7 epoch bar: the registered incarnation. Beats
     /// tagged with a smaller epoch are stale leftovers of a superseded
     /// incarnation; an epoch-rejoin coordinator ignores them, the base
     /// protocols merely count them (see `stale_admitted`). Always
     /// maintained, so a run can report what naive rejoin would have let
     /// through.
-    pub min_epoch: Vec<u8>,
+    pub min_epoch: Slots<u8>,
     /// Stale beats processed as if fresh (naive rejoin only).
     pub stale_admitted: u32,
     /// Stale beats rejected by the epoch filter (§7 rejoin only).
@@ -149,11 +151,11 @@ impl CoordSpec {
             } else {
                 0
             },
-            rcvd: vec![true; self.n],
-            tm: vec![self.params.tmax(); self.n],
-            jnd: vec![joined; self.n],
-            left: vec![false; self.n],
-            min_epoch: vec![0; self.n],
+            rcvd: Slots::from_elem(true, self.n),
+            tm: Slots::from_elem(self.params.tmax(), self.n),
+            jnd: Slots::from_elem(joined, self.n),
+            left: Slots::from_elem(false, self.n),
+            min_epoch: Slots::from_elem(0, self.n),
             stale_admitted: 0,
             stale_filtered: 0,
         }
@@ -227,14 +229,14 @@ impl CoordSpec {
         // inactivating timeout from mutating `tm` — exactly what the old
         // clone-then-discard achieved, without the per-round allocation.
         let mut decide_min = u32::MAX;
-        for i in 0..self.n {
-            if !s.jnd[i] {
+        for ((&joined, &rcvd), &tm) in s.jnd.iter().zip(s.rcvd.iter()).zip(s.tm.iter()) {
+            if !joined {
                 continue;
             }
-            decide_min = decide_min.min(if s.rcvd[i] {
+            decide_min = decide_min.min(if rcvd {
                 self.params.tmax()
             } else {
-                Params::halve(s.tm[i])
+                Params::halve(tm)
             });
         }
         if decide_min < self.params.tmin() {
@@ -246,17 +248,18 @@ impl CoordSpec {
         // participants, tmax while nobody has joined (every stored time is
         // at most tmax, so the tmax seed is exact, not a clamp).
         let mut round = self.params.tmax();
-        for i in 0..self.n {
-            if !s.jnd[i] {
+        let participants = s.jnd.iter().zip(s.rcvd.iter_mut()).zip(s.tm.iter_mut());
+        for ((&joined, rcvd), tm) in participants {
+            if !joined {
                 continue;
             }
-            s.tm[i] = if s.rcvd[i] {
+            *tm = if *rcvd {
                 self.params.tmax()
             } else {
-                self.silent_step(s.tm[i])
+                self.silent_step(*tm)
             };
-            round = round.min(s.tm[i]);
-            s.rcvd[i] = false;
+            round = round.min(*tm);
+            *rcvd = false;
         }
         s.t = round;
         s.elapsed = 0;
@@ -303,7 +306,8 @@ impl CoordSpec {
         if s.left[i] && !rejoin {
             return CoordReaction::None;
         }
-        if serial_lt(hb.epoch, s.min_epoch[i]) {
+        let min_epoch = &mut s.min_epoch[i];
+        if serial_lt(hb.epoch, *min_epoch) {
             if rejoin {
                 s.stale_filtered = s.stale_filtered.saturating_add(1);
                 return CoordReaction::None;
@@ -314,7 +318,7 @@ impl CoordSpec {
             s.jnd[i] = false;
             s.rcvd[i] = false;
             if rejoin {
-                s.min_epoch[i] = serial_max(s.min_epoch[i], serial_bump(hb.epoch));
+                *min_epoch = serial_max(*min_epoch, serial_bump(hb.epoch));
             } else {
                 s.left[i] = true;
             }
@@ -324,8 +328,8 @@ impl CoordSpec {
         if self.variant.has_join_phase() {
             s.jnd[i] = true;
         }
-        if serial_gt(hb.epoch, s.min_epoch[i]) {
-            s.min_epoch[i] = hb.epoch;
+        if serial_gt(hb.epoch, *min_epoch) {
+            *min_epoch = hb.epoch;
         }
         CoordReaction::None
     }
@@ -449,7 +453,7 @@ mod tests {
         // Only participant 2 responds.
         sp.on_heartbeat(&mut s, 2, Heartbeat::plain());
         run_to_timeout(&sp, &mut s);
-        assert_eq!(s.tm, vec![5, 10, 5]);
+        assert_eq!(*s.tm, [5, 10, 5]);
         assert_eq!(s.t, 5);
     }
 
@@ -576,7 +580,7 @@ mod tests {
         let sp = rejoin_spec(Variant::Binary, 1);
         let mut s = sp.init_state();
         sp.on_heartbeat(&mut s, 1, Heartbeat::plain().with_epoch(2));
-        assert_eq!(s.min_epoch, vec![2]);
+        assert_eq!(*s.min_epoch, [2]);
         s.rcvd[0] = false;
         sp.on_heartbeat(&mut s, 1, Heartbeat::plain().with_epoch(1));
         assert!(!s.rcvd[0], "stale beat must not count as liveness");
@@ -604,7 +608,7 @@ mod tests {
         s.rcvd[0] = false;
         sp.on_heartbeat(&mut s, 1, Heartbeat::plain().with_epoch(0));
         assert!(s.rcvd[0], "wrapped incarnation must re-register");
-        assert_eq!(s.min_epoch, vec![0], "bar follows the wrap");
+        assert_eq!(*s.min_epoch, [0], "bar follows the wrap");
         assert_eq!((s.stale_filtered, s.stale_admitted), (0, 0));
         // A leftover beat of the superseded incarnation 255 is now stale.
         s.rcvd[0] = false;
@@ -625,14 +629,14 @@ mod tests {
         );
         assert!(!s.jnd[0]);
         assert!(!s.left[0], "no permanent latch under rejoin");
-        assert_eq!(s.min_epoch, vec![2]);
+        assert_eq!(*s.min_epoch, [2]);
         // The old incarnation can no longer re-enrol...
         sp.on_heartbeat(&mut s, 1, Heartbeat::plain().with_epoch(1));
         assert!(!s.jnd[0]);
         // ...but a fresh one can.
         sp.on_heartbeat(&mut s, 1, Heartbeat::plain().with_epoch(2));
         assert!(s.jnd[0]);
-        assert_eq!(s.min_epoch, vec![2]);
+        assert_eq!(*s.min_epoch, [2]);
         // A straggling leave of the old incarnation must not un-enrol it.
         sp.on_heartbeat(&mut s, 1, Heartbeat::leave().with_epoch(1));
         assert!(s.jnd[0]);

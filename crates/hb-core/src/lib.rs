@@ -70,6 +70,7 @@ pub mod params;
 pub mod react;
 pub mod responder;
 pub mod serial;
+pub mod slots;
 pub mod trace;
 pub mod variant;
 pub mod view;
@@ -80,5 +81,6 @@ pub use fixes::FixLevel;
 pub use msg::{Heartbeat, Pid, Status};
 pub use params::Params;
 pub use responder::{RespSpec, RespState};
+pub use slots::Slots;
 pub use variant::Variant;
 pub use view::{View, MAX_VIEW_MEMBERS};

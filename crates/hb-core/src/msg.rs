@@ -82,9 +82,10 @@ impl fmt::Display for Heartbeat {
 /// "chooses to become inactive") from *non-voluntary* inactivation (the
 /// protocol shutting a process down after missing heartbeats). Neither is
 /// recoverable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Status {
     /// Running the protocol.
+    #[default]
     Active,
     /// Voluntarily inactive (crashed). Crashed processes still *receive*
     /// messages (per the paper's channel assumptions) but never react.

@@ -23,7 +23,7 @@ pub struct RespSpec {
 
 /// Mutable participant state (hashable; used directly inside model
 /// states).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RespState {
     /// Liveness status.
     pub status: Status,

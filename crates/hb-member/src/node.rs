@@ -47,7 +47,7 @@ use hb_core::events::EventSink;
 use hb_core::responder::{LeaveDecision, RespState};
 use hb_core::serial::serial_bump;
 use hb_core::trace::Event;
-use hb_core::{CoordSpec, FixLevel, Params, Pid, RespSpec, Variant, View, MAX_VIEW_MEMBERS};
+use hb_core::{CoordSpec, FixLevel, Params, Pid, RespSpec, Slots, Variant, View, MAX_VIEW_MEMBERS};
 use hb_net::wire::Frame;
 
 /// An outgoing frame: `(destination, frame, delay budget)`.
@@ -107,20 +107,6 @@ pub enum RoleKind {
     Solo,
     /// Crashed.
     Down,
-}
-
-/// The non-coordinator members of a view, inline: read as a `[Pid]`.
-struct Slots {
-    pids: [Pid; MAX_VIEW_MEMBERS],
-    len: usize,
-}
-
-impl std::ops::Deref for Slots {
-    type Target = [Pid];
-
-    fn deref(&self) -> &[Pid] {
-        &self.pids[..self.len]
-    }
 }
 
 #[cfg_attr(test, derive(Clone, Debug, PartialEq))]
@@ -227,16 +213,9 @@ impl MemberNode {
 
     /// The non-coordinator members of the current view, ascending: slot
     /// `k` (1-based) of the wrapped coordinator machine is `slots()[k-1]`.
-    fn slots(&self) -> Slots {
-        let mut slots = Slots {
-            pids: [0; MAX_VIEW_MEMBERS],
-            len: 0,
-        };
-        for p in self.view.members().filter(|&p| p != self.view.coordinator) {
-            slots.pids[slots.len] = p;
-            slots.len += 1;
-        }
-        slots
+    fn slots(&self) -> Slots<Pid, MAX_VIEW_MEMBERS> {
+        let coordinator = self.view.coordinator;
+        self.view.members().filter(|&p| p != coordinator).collect()
     }
 
     /// Whether an urgent machine event is due (the harness must call

@@ -138,7 +138,7 @@ impl<'a> Runner<'a> {
             .state
             .channel
             .iter()
-            .filter(|m| m.src == src)
+            .filter(|m| usize::from(m.src) == src)
             .min_by_key(|m| m.budget)
             .copied();
         let Some(msg) = msg else {

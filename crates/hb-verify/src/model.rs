@@ -45,40 +45,49 @@ use hb_core::react::{self, Effects};
 use hb_core::responder::{LeaveDecision, RespSpec, RespState};
 use hb_core::serial::serial_lt;
 use hb_core::trace::{Event, EventLog};
-use hb_core::{FixLevel, Heartbeat, Params, Pid, Status, Variant};
+use hb_core::{FixLevel, Heartbeat, Params, Pid, Slots, Status, Variant};
 use mck::Model;
 
-/// An in-flight heartbeat message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// An in-flight heartbeat message: 8 bytes, since [`HbModel::new`]
+/// keeps every pid below 256.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Msg {
     /// Sender pid (`0` = coordinator).
-    pub src: Pid,
+    pub src: u8,
     /// Destination pid.
-    pub dst: Pid,
+    pub dst: u8,
     /// The heartbeat carried.
     pub hb: Heartbeat,
     /// Remaining delay budget; delivery is urgent at `0`.
     pub budget: u32,
 }
 
-/// A global configuration of the composed system.
+/// Messages a state keeps inline: twice the participants the other
+/// fields keep inline, since a join variant's channel outgrows its group
+/// (expanding n = 4 reaches ten messages in flight).
+pub const CHANNEL_INLINE: usize = 16;
+
+/// A global configuration of the composed system. Every per-participant
+/// and per-message field is a [`Slots`], so up to eight participants (and
+/// [`CHANNEL_INLINE`] messages) the whole state is one block of bytes: a
+/// successor costs one copy.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct HbState {
     /// Coordinator state.
     pub coord: CoordState,
     /// Participant states (index `i` is pid `i + 1`).
-    pub resps: Vec<RespState>,
+    pub resps: Slots<RespState>,
     /// In-flight messages, kept sorted: the canonical form for hashing,
     /// and [`crate::symmetry::canonicalize`] reads each participant's
     /// messages off it as two sorted runs without re-sorting. Every
     /// producer ([`HbModel`]'s sends, the symmetry relabelling, the
     /// packed codec's decode of a sorted encode) keeps it so.
-    pub channel: Vec<Msg>,
+    pub channel: Slots<Msg, CHANNEL_INLINE>,
     /// Ghost: has any message ever been lost?
     pub lost: bool,
     /// Ghost R1 monitors, one per participant (empty when monitoring is
     /// off).
-    pub monitors: Vec<MonitorState>,
+    pub monitors: Slots<MonitorState>,
 }
 
 /// One word per participant, message and monitor, plus two for the
@@ -98,19 +107,21 @@ impl Hash for HbState {
                 | (self.monitors.len() as u64) << 52,
         );
         h.write_u64(u64::from(c.stale_admitted) | u64::from(c.stale_filtered) << 32);
+        let (rcvd, jnd, left) = (&*c.rcvd, &*c.jnd, &*c.left);
+        let (min_epoch, tm) = (&*c.min_epoch, &*c.tm);
         for (i, r) in self.resps.iter().enumerate() {
             h.write_u64(
                 r.status as u64
                     | u64::from(r.joined) << 2
                     | u64::from(r.left) << 3
-                    | u64::from(c.rcvd[i]) << 4
-                    | u64::from(c.jnd[i]) << 5
-                    | u64::from(c.left[i]) << 6
+                    | u64::from(rcvd[i]) << 4
+                    | u64::from(jnd[i]) << 5
+                    | u64::from(left[i]) << 6
                     | u64::from(r.epoch) << 8
-                    | u64::from(c.min_epoch[i]) << 16
+                    | u64::from(min_epoch[i]) << 16
                     | u64::from(r.waiting) << 24
                     | u64::from(r.join_elapsed) << 38
-                    | u64::from(c.tm[i]) << 51,
+                    | u64::from(tm[i]) << 51,
             );
         }
         for m in &self.channel {
@@ -130,7 +141,7 @@ impl Hash for HbState {
 
 /// Ghost R1 watchdog for one participant (the paper's Figure 9 monitor
 /// automaton).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MonitorState {
     /// Whether `p[0]` currently expects beats from this participant.
     pub armed: bool,
@@ -186,7 +197,15 @@ impl HbModel {
     /// A model of `variant` with `n` participants at the given fix level,
     /// with all faults enabled, leaves enabled (dynamic only) and no R1
     /// monitor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 255`: a [`Msg`] carries its pids in a byte each.
     pub fn new(variant: Variant, params: Params, n: usize, fix: FixLevel) -> Self {
+        assert!(
+            n <= usize::from(u8::MAX),
+            "a model has at most 255 participants (a message's pids are bytes), not {n}"
+        );
         Self {
             coord: CoordSpec::new(variant, params, n, fix),
             resp: RespSpec::new(variant, params, fix),
@@ -346,7 +365,7 @@ impl HbModel {
         s.coord.status.is_active() && s.monitors.iter().any(|m| m.armed && m.since_last > bound)
     }
 
-    fn remove_msg(channel: &mut Vec<Msg>, msg: &Msg) -> bool {
+    fn remove_msg(channel: &mut Slots<Msg, CHANNEL_INLINE>, msg: &Msg) -> bool {
         if let Some(pos) = channel.iter().position(|m| m == msg) {
             channel.remove(pos);
             true
@@ -408,7 +427,8 @@ impl HbModel {
                 if !Self::remove_msg(fx.channel, msg) {
                     return None;
                 }
-                let (at, from, to, hb) = (now, msg.src, msg.dst, msg.hb);
+                let (from, to) = (usize::from(msg.src), usize::from(msg.dst));
+                let (at, hb) = (now, msg.hb);
                 fx.emit(&Event::Deliver { at, from, to, hb });
                 if to == 0 {
                     // Beat from participant `from` arrives at p[0].
@@ -446,8 +466,8 @@ impl HbModel {
                 if !Self::remove_msg(fx.channel, msg) {
                     return None;
                 }
-                let (at, from, to) = (now, msg.src, msg.dst);
-                fx.emit(&Event::Lose { at, from, to });
+                let (from, to) = (usize::from(msg.src), usize::from(msg.dst));
+                fx.emit(&Event::Lose { at: now, from, to });
                 next.lost = true;
             }
             HbAction::Crash(pid) => {
@@ -470,11 +490,6 @@ impl HbModel {
                 react::revive(&self.resp, r, &mut None, now, *pid, fx);
             }
         }
-        // The successor is the state the store keeps: no spare room from
-        // a growing insert or a removal without a reply.
-        if next.channel.capacity() > next.channel.len() {
-            next.channel = next.channel.to_vec();
-        }
         Some(next)
     }
 }
@@ -483,16 +498,17 @@ impl HbModel {
 /// where it sorts. While checking, events are dropped; a path being
 /// rendered logs them, the sends included.
 struct InFlight<'a> {
-    channel: &'a mut Vec<Msg>,
+    channel: &'a mut Slots<Msg, CHANNEL_INLINE>,
     log: Option<&'a mut EventLog>,
     now: u64,
 }
 
 impl Effects for InFlight<'_> {
     fn send(&mut self, src: Pid, dst: Pid, hb: Heartbeat, budget: u32) {
+        // `HbModel::new` keeps every pid below 256.
         let msg = Msg {
-            src,
-            dst,
+            src: src as u8,
+            dst: dst as u8,
             hb,
             budget,
         };
@@ -518,15 +534,13 @@ impl Model for HbModel {
             // Non-join variants expect every participant from the start;
             // join variants arm on the first delivered beat.
             let armed = !self.variant().has_join_phase();
-            vec![
-                MonitorState {
-                    armed,
-                    since_last: 0,
-                };
-                self.n
-            ]
+            let monitor = MonitorState {
+                armed,
+                since_last: 0,
+            };
+            Slots::from_elem(monitor, self.n)
         } else {
-            Vec::new()
+            Slots::new()
         };
         let resps = (0..self.n)
             .map(|i| {
@@ -557,7 +571,7 @@ impl Model for HbModel {
         vec![HbState {
             coord: self.coord.init_state(),
             resps,
-            channel: Vec::new(),
+            channel: Slots::new(),
             lost: false,
             monitors,
         }]
@@ -604,7 +618,7 @@ impl Model for HbModel {
                 leave: false,
             });
             if self.allow_leave && m.dst != 0 && m.hb.flag {
-                let r = &s.resps[m.dst - 1];
+                let r = &s.resps[usize::from(m.dst) - 1];
                 if r.status.is_active() && !r.left {
                     out.push(HbAction::Deliver {
                         msg: *m,
@@ -988,18 +1002,18 @@ mod tests {
         let c = run(&m, round.clone(), &[Crash(3), beat(1), beat(0), Crash(1)]);
         assert_eq!((&a, &a), (&b, &c));
         assert_eq!((hash_of(&a), hash_of(&a)), (hash_of(&b), hash_of(&c)));
-        // Spare capacity in every vector is not part of the state.
-        let mut roomy = a.clone();
-        roomy.channel.reserve(64);
-        roomy.resps.reserve(7);
-        roomy.monitors.reserve(3);
-        for v in [&mut roomy.coord.rcvd, &mut roomy.coord.jnd] {
-            v.reserve(11);
+        // Where the values live is not part of the state: the channel
+        // spilled to the heap and shrunk back is the same state.
+        let mut spilled = a.clone();
+        let len = spilled.channel.len();
+        while !spilled.channel.is_spilled() {
+            spilled.channel.push(Msg::default());
         }
-        roomy.coord.tm.reserve(5);
-        roomy.coord.min_epoch.reserve(2);
-        assert_eq!(roomy, a);
-        assert_eq!(hash_of(&roomy), hash_of(&a));
+        while spilled.channel.len() > len {
+            spilled.channel.remove(len);
+        }
+        assert_eq!(spilled, a);
+        assert_eq!(hash_of(&spilled), hash_of(&a));
         // A different state hashes differently here (not a contract, but
         // a hash that ignored the channel would fail it).
         assert_ne!(hash_of(&round), hash_of(&a));

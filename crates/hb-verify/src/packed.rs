@@ -36,7 +36,7 @@
 //!   counters are capped at `(rejoin_cap + 1)·(4n + 2)`.
 
 use hb_core::dataflow::{system_ranges, Interval, CHECKER_TRIGGERS, REJOIN_TRIGGERS};
-use hb_core::{CoordState, Heartbeat, RespState, Status};
+use hb_core::{CoordState, Heartbeat, RespState, Slots, Status};
 use mck::packed::{BitReader, BitWriter, StateCodec};
 
 use crate::model::{HbModel, HbState, MonitorState, Msg};
@@ -177,12 +177,14 @@ impl StateCodec<HbState> for HbCodec {
         push_iv(w, s.coord.elapsed, self.iv_elapsed);
         push_iv(w, s.coord.stale_admitted, self.iv_stale_admitted);
         push_iv(w, s.coord.stale_filtered, self.iv_stale_filtered);
+        let c = &s.coord;
+        let (rcvd, tm, jnd, left, min_epoch) = (&*c.rcvd, &*c.tm, &*c.jnd, &*c.left, &*c.min_epoch);
         for i in 0..self.n {
-            push_bool(w, s.coord.rcvd[i]);
-            push_iv(w, s.coord.tm[i], self.iv_tm);
-            push_bool(w, s.coord.jnd[i]);
-            push_bool(w, s.coord.left[i]);
-            push_iv(w, s.coord.min_epoch[i] as u32, self.iv_min_epoch);
+            push_bool(w, rcvd[i]);
+            push_iv(w, tm[i], self.iv_tm);
+            push_bool(w, jnd[i]);
+            push_bool(w, left[i]);
+            push_iv(w, min_epoch[i] as u32, self.iv_min_epoch);
         }
         for r in &s.resps {
             push_status(w, r.status);
@@ -197,7 +199,7 @@ impl StateCodec<HbState> for HbCodec {
             let to_coord = m.dst == 0;
             let peer = if to_coord { m.src } else { m.dst };
             push_bool(w, to_coord);
-            push_iv(w, peer as u32 - 1, self.iv_peer);
+            push_iv(w, u32::from(peer) - 1, self.iv_peer);
             push_bool(w, m.hb.flag);
             push_iv(w, m.hb.epoch as u32, self.iv_wire);
             push_iv(w, m.budget, self.iv_budget);
@@ -217,69 +219,74 @@ impl StateCodec<HbState> for HbCodec {
         let elapsed = read_iv(r, self.iv_elapsed);
         let stale_admitted = read_iv(r, self.iv_stale_admitted);
         let stale_filtered = read_iv(r, self.iv_stale_filtered);
-        let mut coord = CoordState {
-            status,
-            t,
-            elapsed,
-            rcvd: Vec::with_capacity(self.n),
-            tm: Vec::with_capacity(self.n),
-            jnd: Vec::with_capacity(self.n),
-            left: Vec::with_capacity(self.n),
-            min_epoch: Vec::with_capacity(self.n),
-            stale_admitted,
-            stale_filtered,
+        // Every field is sized first and filled in place: no push.
+        let n = self.n;
+        let mut s = HbState {
+            coord: CoordState {
+                status,
+                t,
+                elapsed,
+                rcvd: Slots::from_elem(false, n),
+                tm: Slots::from_elem(0, n),
+                jnd: Slots::from_elem(false, n),
+                left: Slots::from_elem(false, n),
+                min_epoch: Slots::from_elem(0, n),
+                stale_admitted,
+                stale_filtered,
+            },
+            resps: Slots::from_elem(RespState::default(), n),
+            channel: Slots::new(),
+            lost: false,
+            monitors: Slots::new(),
         };
-        for _ in 0..self.n {
-            coord.rcvd.push(read_bool(r));
-            coord.tm.push(read_iv(r, self.iv_tm));
-            coord.jnd.push(read_bool(r));
-            coord.left.push(read_bool(r));
-            coord.min_epoch.push(read_iv(r, self.iv_min_epoch) as u8);
+        let c = &mut s.coord;
+        let (rcvd, tm, jnd) = (&mut *c.rcvd, &mut *c.tm, &mut *c.jnd);
+        let (left, min_epoch) = (&mut *c.left, &mut *c.min_epoch);
+        for i in 0..n {
+            rcvd[i] = read_bool(r);
+            tm[i] = read_iv(r, self.iv_tm);
+            jnd[i] = read_bool(r);
+            left[i] = read_bool(r);
+            min_epoch[i] = read_iv(r, self.iv_min_epoch) as u8;
         }
-        let resps = (0..self.n)
-            .map(|_| RespState {
+        for p in s.resps.iter_mut() {
+            *p = RespState {
                 status: read_status(r),
                 waiting: read_iv(r, self.iv_waiting),
                 join_elapsed: read_iv(r, self.iv_join_elapsed),
                 joined: read_bool(r),
                 left: read_bool(r),
                 epoch: read_iv(r, self.iv_epoch) as u8,
-            })
-            .collect();
+            };
+        }
         let len = read_iv(r, self.iv_count) as usize;
-        let channel = (0..len)
-            .map(|_| {
-                let to_coord = read_bool(r);
-                let peer = read_iv(r, self.iv_peer) as usize + 1;
-                let flag = read_bool(r);
-                let epoch = read_iv(r, self.iv_wire) as u8;
-                let budget = read_iv(r, self.iv_budget);
-                let (src, dst) = if to_coord { (peer, 0) } else { (0, peer) };
-                Msg {
-                    src,
-                    dst,
-                    hb: Heartbeat { flag, epoch },
-                    budget,
-                }
-            })
-            .collect();
-        let lost = read_bool(r);
-        let monitors = match self.iv_since {
-            Some(iv) => (0..self.n)
-                .map(|_| MonitorState {
+        s.channel = Slots::from_elem(Msg::default(), len);
+        for m in s.channel.iter_mut() {
+            let to_coord = read_bool(r);
+            // A pid below 256 (`HbModel::new`) encodes as one.
+            let peer = read_iv(r, self.iv_peer) as u8 + 1;
+            let flag = read_bool(r);
+            let epoch = read_iv(r, self.iv_wire) as u8;
+            let budget = read_iv(r, self.iv_budget);
+            let (src, dst) = if to_coord { (peer, 0) } else { (0, peer) };
+            *m = Msg {
+                src,
+                dst,
+                hb: Heartbeat { flag, epoch },
+                budget,
+            };
+        }
+        s.lost = read_bool(r);
+        if let Some(iv) = self.iv_since {
+            s.monitors = Slots::from_elem(MonitorState::default(), n);
+            for m in s.monitors.iter_mut() {
+                *m = MonitorState {
                     armed: read_bool(r),
                     since_last: read_iv(r, iv),
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        HbState {
-            coord,
-            resps,
-            channel,
-            lost,
-            monitors,
+                };
+            }
         }
+        s
     }
 }
 

@@ -131,7 +131,7 @@ impl HbAmpleOracle {
                         && !state
                             .channel
                             .iter()
-                            .any(|msg| msg.dst == 0 && msg.src == i + 1 && msg.hb.flag)
+                            .any(|msg| msg.dst == 0 && usize::from(msg.src) == i + 1 && msg.hb.flag)
                 })
             }
             // NvInactive is both the violation and absorbing, so a
@@ -154,9 +154,13 @@ impl HbAmpleOracle {
             // Runs on p[0]; and its broadcast targets every participant.
             HbAction::CoordTimeout => m.dst != 0 && !self.coord.time_sends,
             // Runs on p; sends nothing.
-            HbAction::RespWatchdog(p) | HbAction::Crash(p) | HbAction::Rejoin(p) => *p != m.dst,
+            HbAction::RespWatchdog(p) | HbAction::Crash(p) | HbAction::Rejoin(p) => {
+                *p != usize::from(m.dst)
+            }
             // Runs on p; its join beat targets p[0].
-            HbAction::JoinSend(p) => *p != m.dst && !(self.resp.time_sends && m.dst == 0),
+            HbAction::JoinSend(p) => {
+                *p != usize::from(m.dst) && !(self.resp.time_sends && m.dst == 0)
+            }
             // Another message's delivery: disjoint destination, and its
             // follow-up send (reply to p[0], or leave-ack back to the
             // leaver) must not target m.dst.
@@ -187,7 +191,7 @@ impl HbAmpleOracle {
         if m.dst == 0 {
             return false; // deliveries at p[0] drive the R1 monitors
         }
-        let r = &state.resps[m.dst - 1];
+        let r = &state.resps[usize::from(m.dst) - 1];
         !r.status.is_active() || r.left || !m.hb.flag
     }
 }

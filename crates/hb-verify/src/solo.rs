@@ -256,7 +256,7 @@ impl Model for P1Solo {
             (P1Label::Tick, None) if self.spec.may_tick(&n.now) => self.spec.tick(&mut n.now),
             (P1Label::FromP0, None) => {
                 // Inactive: the message is consumed, with no effect.
-                let mut p = n.now.clone();
+                let mut p = n.now;
                 let beat = Heartbeat::plain();
                 if self
                     .spec
@@ -270,7 +270,7 @@ impl Model for P1Solo {
                 react::crash(&mut n.now.status, 0, 1, &mut Discard);
             }
             (P1Label::Timeout, None) if self.spec.watchdog_due(&n.now) => {
-                let mut p = n.now.clone();
+                let mut p = n.now;
                 self.spec.on_watchdog(&mut p);
                 n.pending = Some(p);
             }

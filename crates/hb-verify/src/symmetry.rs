@@ -76,9 +76,10 @@ fn swap_participants(s: &mut HbState, i: usize, j: usize) {
 /// cycle by cycle, each swap sending one participant home. `new_pid` is
 /// left as the identity.
 fn relabel(s: &mut HbState, new_pid: &mut [Pid]) {
+    // Pids below 256 (`HbModel::new`) rename to pids below 256.
     for m in &mut s.channel {
-        m.src = new_pid[m.src];
-        m.dst = new_pid[m.dst];
+        m.src = new_pid[usize::from(m.src)] as u8;
+        m.dst = new_pid[usize::from(m.dst)] as u8;
     }
     s.channel.sort_unstable();
     for i in 1..new_pid.len() {
@@ -195,7 +196,7 @@ fn key_all(s: &HbState, keyed: &mut [Keyed]) {
         k.key = (high, low);
     }
     for (at, m) in (0u32..).zip(&s.channel) {
-        let k = &mut keyed[m.src.max(m.dst) - 1];
+        let k = &mut keyed[usize::from(m.src.max(m.dst)) - 1];
         let run = if m.src == 0 {
             &mut k.inbound
         } else {
@@ -387,12 +388,12 @@ mod tests {
         let mut msgs: Vec<(bool, hb_core::Heartbeat, u32)> = s
             .channel
             .iter()
-            .filter(|m| m.src == pid || m.dst == pid)
+            .filter(|m| usize::from(m.src) == pid || usize::from(m.dst) == pid)
             .map(|m| (m.dst == 0, m.hb, m.budget))
             .collect();
         msgs.sort_unstable();
         (
-            s.resps[i].clone(),
+            s.resps[i],
             s.coord.rcvd[i],
             s.coord.tm[i],
             s.coord.jnd[i],

@@ -165,21 +165,34 @@ impl IdIndex {
 /// The plain store: every state kept in full, once, found again through
 /// the [`IdIndex`] by hash and equality.
 pub(crate) struct Hashed<S> {
-    states: Vec<S>,
+    /// The states by id, [`CHUNK`] to a chunk. The store grows a chunk at
+    /// a time and never moves a state, so it never holds room for twice
+    /// its states, as a doubling vector does while it grows.
+    chunks: Vec<Vec<S>>,
+    len: usize,
     index: IdIndex,
+}
+
+/// States per chunk of the [`Hashed`] store.
+const CHUNK: usize = 1 << 12;
+
+/// The state with this id in [`Hashed::chunks`].
+fn at<S>(chunks: &[Vec<S>], id: usize) -> &S {
+    &chunks[id / CHUNK][id % CHUNK]
 }
 
 impl<S> Hashed<S> {
     pub(crate) fn new() -> Self {
         Hashed {
-            states: Vec::new(),
+            chunks: Vec::new(),
+            len: 0,
             index: IdIndex::new(),
         }
     }
 
     /// All interned states, indexed by id.
     pub(crate) fn into_states(self) -> Vec<S> {
-        self.states
+        self.chunks.into_iter().flatten().collect()
     }
 }
 
@@ -191,14 +204,18 @@ impl<S: Eq + Hash> Hashed<S> {
         hash: u64,
         fresh: impl FnOnce(&S) -> R,
     ) -> (usize, Option<R>) {
-        let (states, id) = (&self.states, self.states.len());
-        let same = |known: usize| states[known] == state;
-        let rehash = |known: usize| hash_of(&states[known]);
+        let (chunks, id) = (&self.chunks, self.len);
+        let same = |known: usize| *at(chunks, known) == state;
+        let rehash = |known: usize| hash_of(at(chunks, known));
         if let Some(known) = self.index.intern(id, hash, same, rehash) {
             return (known, None);
         }
         let answer = fresh(&state);
-        self.states.push(state);
+        if id % CHUNK == 0 {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks[id / CHUNK].push(state);
+        self.len += 1;
         (id, Some(answer))
     }
 }
@@ -210,7 +227,7 @@ impl<S: Clone + Eq + Hash> Store<S> for Hashed<S> {
     }
 
     fn get(&self, id: usize) -> S {
-        self.states[id].clone()
+        at(&self.chunks, id).clone()
     }
 }
 
@@ -584,6 +601,24 @@ mod tests {
             );
             assert_eq!(known, Some(id), "found again after the doubling");
         }
+    }
+
+    #[test]
+    fn the_hashed_store_keeps_ids_across_its_chunks() {
+        let mut store = Hashed::new();
+        let count = 2 * CHUNK + 3;
+        for v in 0..count as u64 {
+            assert_eq!(store.intern(v * 7, |&s| s), (v as usize, Some(v * 7)));
+        }
+        assert_eq!(store.chunks.len(), 3);
+        for id in [0, CHUNK - 1, CHUNK, 2 * CHUNK, count - 1] {
+            let v = id as u64 * 7;
+            assert_eq!(store.get(id), v);
+            assert_eq!(store.intern(v, |_| ()), (id, None), "found again");
+        }
+        let states = store.into_states();
+        assert!(states.iter().enumerate().all(|(id, &v)| v == id as u64 * 7));
+        assert_eq!(states.len(), count);
     }
 
     #[test]
