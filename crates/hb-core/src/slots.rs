@@ -66,7 +66,6 @@ impl<T: Copy + Default, const N: usize> Slots<T, N> {
     }
 
     /// Append `value`, as `Vec::push`.
-    #[inline]
     pub fn push(&mut self, value: T) {
         match &mut self.0 {
             Repr::Inline { len, items } if usize::from(*len) < N => {
@@ -131,7 +130,6 @@ impl<T: Copy + Default, const N: usize> Default for Slots<T, N> {
 impl<T: Copy + Default, const N: usize> Deref for Slots<T, N> {
     type Target = [T];
 
-    #[inline]
     fn deref(&self) -> &[T] {
         match &self.0 {
             // `min` tells the compiler the length is in bounds.
@@ -142,7 +140,6 @@ impl<T: Copy + Default, const N: usize> Deref for Slots<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> DerefMut for Slots<T, N> {
-    #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
         match &mut self.0 {
             Repr::Inline { len, items } => &mut items[..usize::from(*len).min(N)],
@@ -165,7 +162,6 @@ impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a Slots<T, N> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;
 
-    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -175,14 +171,12 @@ impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a mut Slots<T, N>
     type Item = &'a mut T;
     type IntoIter = std::slice::IterMut<'a, T>;
 
-    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.iter_mut()
     }
 }
 
 impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for Slots<T, N> {
-    #[inline]
     fn eq(&self, other: &Self) -> bool {
         **self == **other
     }
@@ -191,21 +185,18 @@ impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for Slots<T, N> {
 impl<T: Copy + Default + Eq, const N: usize> Eq for Slots<T, N> {}
 
 impl<T: Copy + Default + PartialOrd, const N: usize> PartialOrd for Slots<T, N> {
-    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         (**self).partial_cmp(&**other)
     }
 }
 
 impl<T: Copy + Default + Ord, const N: usize> Ord for Slots<T, N> {
-    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         (**self).cmp(&**other)
     }
 }
 
 impl<T: Copy + Default + Hash, const N: usize> Hash for Slots<T, N> {
-    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         (**self).hash(state);
     }

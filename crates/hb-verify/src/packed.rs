@@ -219,74 +219,70 @@ impl StateCodec<HbState> for HbCodec {
         let elapsed = read_iv(r, self.iv_elapsed);
         let stale_admitted = read_iv(r, self.iv_stale_admitted);
         let stale_filtered = read_iv(r, self.iv_stale_filtered);
-        // Every field is sized first and filled in place: no push.
-        let n = self.n;
-        let mut s = HbState {
-            coord: CoordState {
-                status,
-                t,
-                elapsed,
-                rcvd: Slots::from_elem(false, n),
-                tm: Slots::from_elem(0, n),
-                jnd: Slots::from_elem(false, n),
-                left: Slots::from_elem(false, n),
-                min_epoch: Slots::from_elem(0, n),
-                stale_admitted,
-                stale_filtered,
-            },
-            resps: Slots::from_elem(RespState::default(), n),
-            channel: Slots::new(),
-            lost: false,
-            monitors: Slots::new(),
+        let mut coord = CoordState {
+            status,
+            t,
+            elapsed,
+            rcvd: Slots::new(),
+            tm: Slots::new(),
+            jnd: Slots::new(),
+            left: Slots::new(),
+            min_epoch: Slots::new(),
+            stale_admitted,
+            stale_filtered,
         };
-        let c = &mut s.coord;
-        let (rcvd, tm, jnd) = (&mut *c.rcvd, &mut *c.tm, &mut *c.jnd);
-        let (left, min_epoch) = (&mut *c.left, &mut *c.min_epoch);
-        for i in 0..n {
-            rcvd[i] = read_bool(r);
-            tm[i] = read_iv(r, self.iv_tm);
-            jnd[i] = read_bool(r);
-            left[i] = read_bool(r);
-            min_epoch[i] = read_iv(r, self.iv_min_epoch) as u8;
+        for _ in 0..self.n {
+            coord.rcvd.push(read_bool(r));
+            coord.tm.push(read_iv(r, self.iv_tm));
+            coord.jnd.push(read_bool(r));
+            coord.left.push(read_bool(r));
+            coord.min_epoch.push(read_iv(r, self.iv_min_epoch) as u8);
         }
-        for p in s.resps.iter_mut() {
-            *p = RespState {
+        let resps = (0..self.n)
+            .map(|_| RespState {
                 status: read_status(r),
                 waiting: read_iv(r, self.iv_waiting),
                 join_elapsed: read_iv(r, self.iv_join_elapsed),
                 joined: read_bool(r),
                 left: read_bool(r),
                 epoch: read_iv(r, self.iv_epoch) as u8,
-            };
-        }
+            })
+            .collect();
         let len = read_iv(r, self.iv_count) as usize;
-        s.channel = Slots::from_elem(Msg::default(), len);
-        for m in s.channel.iter_mut() {
-            let to_coord = read_bool(r);
-            // A pid below 256 (`HbModel::new`) encodes as one.
-            let peer = read_iv(r, self.iv_peer) as u8 + 1;
-            let flag = read_bool(r);
-            let epoch = read_iv(r, self.iv_wire) as u8;
-            let budget = read_iv(r, self.iv_budget);
-            let (src, dst) = if to_coord { (peer, 0) } else { (0, peer) };
-            *m = Msg {
-                src,
-                dst,
-                hb: Heartbeat { flag, epoch },
-                budget,
-            };
-        }
-        s.lost = read_bool(r);
-        if let Some(iv) = self.iv_since {
-            s.monitors = Slots::from_elem(MonitorState::default(), n);
-            for m in s.monitors.iter_mut() {
-                *m = MonitorState {
+        let channel = (0..len)
+            .map(|_| {
+                let to_coord = read_bool(r);
+                // Pids are below 256 (`HbModel::new`).
+                let peer = read_iv(r, self.iv_peer) as u8 + 1;
+                let flag = read_bool(r);
+                let epoch = read_iv(r, self.iv_wire) as u8;
+                let budget = read_iv(r, self.iv_budget);
+                let (src, dst) = if to_coord { (peer, 0) } else { (0, peer) };
+                Msg {
+                    src,
+                    dst,
+                    hb: Heartbeat { flag, epoch },
+                    budget,
+                }
+            })
+            .collect();
+        let lost = read_bool(r);
+        let monitors = match self.iv_since {
+            Some(iv) => (0..self.n)
+                .map(|_| MonitorState {
                     armed: read_bool(r),
                     since_last: read_iv(r, iv),
-                };
-            }
+                })
+                .collect(),
+            None => Slots::new(),
+        };
+        HbState {
+            coord,
+            resps,
+            channel,
+            lost,
+            monitors,
         }
-        s
     }
 }
 
