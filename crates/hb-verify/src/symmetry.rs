@@ -55,26 +55,11 @@ use mck::symmetry::Canonicalize;
 
 use crate::model::{HbModel, HbState, Msg};
 
-/// Exchange participants `i` and `j` (0-based) in every per-participant
-/// vector. The channel is left alone.
-fn swap_participants(s: &mut HbState, i: usize, j: usize) {
-    s.resps.swap(i, j);
-    let c = &mut s.coord;
-    c.rcvd.swap(i, j);
-    c.tm.swap(i, j);
-    c.jnd.swap(i, j);
-    c.left.swap(i, j);
-    c.min_epoch.swap(i, j);
-    if !s.monitors.is_empty() {
-        s.monitors.swap(i, j);
-    }
-}
-
 /// Rename participants in place: old pid `p` becomes `new_pid[p]`
 /// (`new_pid[0] == 0`, the coordinator stays put). The channel is
-/// relabelled and re-sorted; the per-participant vectors are permuted
-/// cycle by cycle, each swap sending one participant home. `new_pid` is
-/// left as the identity.
+/// relabelled and re-sorted; the per-participant fields are permuted
+/// cycle by cycle, each swap sending one participant home, on slices
+/// taken once. `new_pid` is left as the identity.
 fn relabel(s: &mut HbState, new_pid: &mut [Pid]) {
     // Pids below 256 (`HbModel::new`) rename to pids below 256.
     for m in &mut s.channel {
@@ -82,10 +67,23 @@ fn relabel(s: &mut HbState, new_pid: &mut [Pid]) {
         m.dst = new_pid[usize::from(m.dst)] as u8;
     }
     s.channel.sort_unstable();
+    let c = &mut s.coord;
+    let (rcvd, tm, jnd) = (&mut *c.rcvd, &mut *c.tm, &mut *c.jnd);
+    let (left, min_epoch) = (&mut *c.left, &mut *c.min_epoch);
+    let (resps, monitors) = (&mut *s.resps, &mut *s.monitors);
     for i in 1..new_pid.len() {
         while new_pid[i] != i {
             let home = new_pid[i];
-            swap_participants(s, i - 1, home - 1);
+            let (a, b) = (i - 1, home - 1);
+            resps.swap(a, b);
+            rcvd.swap(a, b);
+            tm.swap(a, b);
+            jnd.swap(a, b);
+            left.swap(a, b);
+            min_epoch.swap(a, b);
+            if !monitors.is_empty() {
+                monitors.swap(a, b);
+            }
             new_pid.swap(i, home);
         }
     }
