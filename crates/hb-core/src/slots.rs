@@ -72,7 +72,8 @@ impl<T: Copy + Default, const N: usize> Slots<T, N> {
                 items[usize::from(*len)] = value;
                 *len += 1;
             }
-            _ => self.insert(self.len(), value),
+            Repr::Inline { .. } => self.spill().push(value),
+            Repr::Spilled(values) => values.push(value),
         }
     }
 
@@ -90,13 +91,24 @@ impl<T: Copy + Default, const N: usize> Slots<T, N> {
                 items[index] = value;
                 *len += 1;
             }
-            Repr::Inline { items, .. } => {
-                let mut spilled = Vec::with_capacity(2 * N + 1);
-                spilled.extend_from_slice(items);
-                spilled.insert(index, value);
-                self.0 = Repr::Spilled(spilled);
-            }
+            Repr::Inline { .. } => self.spill().insert(index, value),
             Repr::Spilled(values) => values.insert(index, value),
+        }
+    }
+
+    /// Move full inline values to the heap. Out of line, so the inline
+    /// paths of `push` and `insert` stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self) -> &mut Vec<T> {
+        if let Repr::Inline { items, .. } = &self.0 {
+            let mut values = Vec::with_capacity(2 * N + 1);
+            values.extend_from_slice(items);
+            self.0 = Repr::Spilled(values);
+        }
+        match &mut self.0 {
+            Repr::Spilled(values) => values,
+            Repr::Inline { .. } => unreachable!("spilled just above"),
         }
     }
 
@@ -149,12 +161,29 @@ impl<T: Copy + Default, const N: usize> DerefMut for Slots<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> FromIterator<T> for Slots<T, N> {
+    /// Fills a local array and length, so the loop keeps both in
+    /// registers; a value past `N` spills the lot.
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut slots = Self::new();
-        for value in iter {
-            slots.push(value);
+        let () = Self::FITS;
+        let mut items = [T::default(); N];
+        let mut len = 0;
+        let mut iter = iter.into_iter();
+        while let Some(value) = iter.next() {
+            if len == N {
+                let mut values = Vec::with_capacity(2 * N + 1);
+                values.extend_from_slice(&items);
+                values.push(value);
+                values.extend(iter);
+                return Slots(Repr::Spilled(values));
+            }
+            items[len] = value;
+            len += 1;
         }
-        slots
+        // `len <= N <= 255` (`FITS`).
+        Slots(Repr::Inline {
+            len: len as u8,
+            items,
+        })
     }
 }
 
