@@ -170,11 +170,14 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for Slots<T, N> {
         let mut iter = iter.into_iter();
         while let Some(value) = iter.next() {
             if len == N {
-                let mut values = Vec::with_capacity(2 * N + 1);
-                values.extend_from_slice(&items);
+                let mut slots = Slots(Repr::Inline {
+                    len: N as u8,
+                    items,
+                });
+                let values = slots.spill();
                 values.push(value);
                 values.extend(iter);
-                return Slots(Repr::Spilled(values));
+                return slots;
             }
             items[len] = value;
             len += 1;

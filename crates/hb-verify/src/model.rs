@@ -1020,6 +1020,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 255 participants")]
+    fn a_model_refuses_pids_past_a_byte() {
+        let p = Params::new(2, 4).unwrap();
+        assert_eq!(
+            HbModel::new(Variant::Static, p, 255, FixLevel::Full).n(),
+            255
+        );
+        HbModel::new(Variant::Static, p, 256, FixLevel::Full);
+    }
+
+    #[test]
     fn channel_stays_sorted_and_bounded() {
         let m = binary(1, 3, FixLevel::Original);
         let out = Checker::new(&m).check_invariant(|s| {
