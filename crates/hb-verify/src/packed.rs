@@ -130,6 +130,7 @@ impl HbCodec {
     }
 }
 
+#[inline(always)]
 fn push_iv(w: &mut BitWriter, v: u32, iv: Interval) {
     assert!(
         iv.contains(v),
@@ -144,6 +145,7 @@ fn read_iv(r: &mut BitReader, iv: Interval) -> u32 {
     iv.lo + r.read(iv.bits())
 }
 
+#[inline(always)]
 fn push_bool(w: &mut BitWriter, b: bool) {
     w.push(b as u32, 1);
 }
@@ -152,6 +154,7 @@ fn read_bool(r: &mut BitReader) -> bool {
     r.read(1) == 1
 }
 
+#[inline(always)]
 fn push_status(w: &mut BitWriter, s: Status) {
     let v = match s {
         Status::Active => 0,

@@ -4,7 +4,8 @@
 use std::time::Duration;
 
 use crate::model::Model;
-use crate::search::{find, Hashed, Limits, Order};
+use crate::parallel::{find_on, workers};
+use crate::search::{Hashed, Limits};
 use crate::trace::Path;
 
 /// Exploration statistics reported by every check.
@@ -60,11 +61,15 @@ impl<M: Model> CheckOutcome<M> {
     }
 }
 
-/// A sequential breadth-first checker over a [`Model`].
+/// A breadth-first checker over a [`Model`].
 ///
 /// BFS guarantees that the first violation found is at minimal depth, i.e.
 /// counterexamples are shortest — this matters for regenerating the paper's
 /// counter-example figures, which are minimal scenarios.
+///
+/// With two or more cores it expands states on one worker thread per core
+/// ([`crate::parallel`]; [`threads`](Self::threads) pins the count), and
+/// the search, its `Stats` and counterexample are the same on any number.
 ///
 /// # Example
 ///
@@ -83,15 +88,28 @@ impl<M: Model> CheckOutcome<M> {
 pub struct Checker<'a, M: Model> {
     model: &'a M,
     limits: Limits,
+    workers: usize,
 }
 
-impl<'a, M: Model> Checker<'a, M> {
-    /// Create a checker with no practical limits (usize::MAX states/depth).
+impl<'a, M> Checker<'a, M>
+where
+    M: Model + Sync,
+    M::State: Send + Sync,
+{
+    /// A checker with no practical limits, on every core.
     pub fn new(model: &'a M) -> Self {
         Self {
             model,
             limits: Limits::NONE,
+            workers: workers(),
         }
+    }
+
+    /// Expand on `n` worker threads; one (or none) runs the sequential
+    /// loop on the calling thread.
+    pub fn threads(mut self, n: usize) -> Self {
+        self.workers = if n < 2 { 0 } else { n };
+        self
     }
 
     /// Stop exploring (returning [`CheckOutcome::Incomplete`]) after this
@@ -116,7 +134,7 @@ impl<'a, M: Model> Checker<'a, M> {
     /// Check that `invariant` holds on every reachable state.
     pub fn check_invariant<F>(&self, invariant: F) -> CheckOutcome<M>
     where
-        F: Fn(&M::State) -> bool,
+        F: Fn(&M::State) -> bool + Sync,
     {
         self.check_reachability(|s| !invariant(s)).into_check()
     }
@@ -130,9 +148,9 @@ impl<'a, M: Model> Checker<'a, M> {
     /// [`find_state`](Checker::find_state) for goal-oriented naming.
     pub fn check_reachability<F>(&self, goal: F) -> Reachability<M>
     where
-        F: Fn(&M::State) -> bool,
+        F: Fn(&M::State) -> bool + Sync,
     {
-        find(self.model, Hashed::new(), Order::Fifo, self.limits, goal).reachability(self.model)
+        find_on(self.model, Hashed::new(), self.workers, self.limits, goal).reachability(self.model)
     }
 
     /// Goal-oriented alias for [`check_reachability`](Self::check_reachability):
@@ -140,7 +158,7 @@ impl<'a, M: Model> Checker<'a, M> {
     /// reachable within the configured limits.
     pub fn find_state<F>(&self, goal: F) -> Option<Path<M>>
     where
-        F: Fn(&M::State) -> bool,
+        F: Fn(&M::State) -> bool + Sync,
     {
         match self.check_reachability(goal) {
             Reachability::Found { path, .. } => Some(path),

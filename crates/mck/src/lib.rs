@@ -11,12 +11,13 @@
 //! * [`Model`] — describe a transition system: initial states, enabled
 //!   actions per state, successor per action.
 //! * [`bfs::Checker`] — breadth-first reachability / invariant checking with
-//!   shortest counterexample reconstruction.
+//!   shortest counterexample reconstruction, on [`parallel`]'s workers when
+//!   there are two cores or more.
 //! * [`dfs`] — depth-first and iterative-deepening exploration, plus
 //!   deadlock detection.
-//! * [`parallel`] — the same BFS with successors computed on worker
-//!   threads and interned on one, in id order; statistics and
-//!   counterexamples are exactly `Checker`'s.
+//! * [`parallel`] — the pipeline: successors computed on worker threads
+//!   and interned on one, in id order, so statistics and counterexamples
+//!   are the sequential loop's.
 //! * [`packed`] — the same BFS over bit-packed states in a flat arena, on
 //!   [`parallel`]'s workers when there are two cores or more.
 //! * [`props`] — several named invariants in one exploration.
@@ -31,9 +32,9 @@
 //!   determinization and strong-bisimulation minimization (used to
 //!   regenerate the reduced LTS figures of the paper).
 //!
-//! The engines ([`bfs`], [`dfs`], [`parallel`], [`packed`], [`props`],
-//! [`graph`]) are a few lines each over one crate-private search loop: a
-//! state store, a frontier order, shared limits and two callbacks.
+//! The engines ([`bfs`], [`dfs`], [`packed`], [`props`], [`graph`]) are a
+//! few lines each over one crate-private search loop: a state store, a
+//! frontier order, shared limits and two callbacks.
 //!
 //! # Example
 //!

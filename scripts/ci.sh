@@ -76,19 +76,26 @@ echo "==> static analyzer gate (fixed machines must be free of error findings)"
 # reported but do not deny.
 cargo run --release --example hb_analyze -- --machines fixed --deny-findings
 
+# Pinned to one CPU, available_parallelism is 1 and both Checker and
+# PackedChecker run the sequential loop; unpinned, on two or more cores,
+# they run the pipeline. The gates below run both ways and diff them.
 echo "==> symmetry certificate gate (census + quotient vs brute vs full on the smoke grid)"
 cargo run --release --example hb_analyze -- --sym-check > "$tmpdir/sym.txt"
 tail -n 1 "$tmpdir/sym.txt"
+taskset -c 0 cargo run --release --example hb_analyze -- --sym-check > "$tmpdir/sym_one.txt"
+diff "$tmpdir/sym_one.txt" "$tmpdir/sym.txt" \
+  || { echo "the pipelined symmetry gate differs from the sequential one" >&2; exit 1; }
 
 echo "==> POR soundness cross-check (reduced vs full verdicts, all table cells)"
 # por_cross_check panics on any verdict divergence; the tail lines report
 # the state savings (EXPERIMENTS.md carries the full table).
 cargo run --release --example hb_analyze -- --por-check > "$tmpdir/por.txt"
 tail -n 2 "$tmpdir/por.txt"
+taskset -c 0 cargo run --release --example hb_analyze -- --por-check > "$tmpdir/por_one.txt"
+diff "$tmpdir/por_one.txt" "$tmpdir/por.txt" \
+  || { echo "the pipelined POR cross-check differs from the sequential one" >&2; exit 1; }
 
 echo "==> scale tables: one core (sequential loop) and every core (pipeline) print the same"
-# Pinned to one CPU, available_parallelism is 1 and PackedChecker runs the
-# sequential loop; unpinned, on two or more cores, it runs the pipeline.
 # Every column but the last (ms) must match.
 scale=(--scale --variants static,expanding --ns 2,4 --reqs R2)
 taskset -c 0 cargo run --release --example hb_analyze -- "${scale[@]}" > "$tmpdir/scale_one.txt"
