@@ -1,6 +1,7 @@
-//! Integration: the exploration engines (sequential BFS, parallel BFS,
-//! packed BFS, DFS) and the random walker agree with each other on the
-//! heartbeat models, and the LTS pipeline is self-consistent.
+//! Integration: the exploration engines (BFS on the sequential loop and
+//! on the worker pipeline, packed BFS, DFS) and the random walker agree
+//! with each other on the heartbeat models, and the LTS pipeline is
+//! self-consistent.
 
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::verify::requirements::{build_model, error_predicate, Requirement};
@@ -8,7 +9,6 @@ use accelerated_heartbeat::verify::solo::{p0_raw_lts, p0_reduced_lts};
 use accelerated_heartbeat::verify::HbCodec;
 use mck::dfs::{Dfs, DfsOutcome};
 use mck::packed::PackedChecker;
-use mck::parallel::ParallelChecker;
 use mck::sim::random_walk;
 use mck::{Checker, Model};
 use rand::rngs::StdRng;
@@ -25,12 +25,14 @@ fn engines_agree_on_state_counts() {
             1,
             Requirement::R2,
         );
-        let seq = Checker::new(&model).check_invariant(|_| true);
-        for threads in [1, 2, 4] {
-            let par = ParallelChecker::new(&model)
-                .threads(threads)
-                .check_invariant(|_| true);
-            assert_eq!(seq.stats(), par.stats(), "({tmin},{tmax}) x{threads}");
+        let seq = Checker::new(&model).threads(1).check_invariant(|_| true);
+        for (par, on) in [
+            (Checker::new(&model).threads(2), "x2"),
+            (Checker::new(&model).threads(4), "x4"),
+            (Checker::new(&model), "every core"),
+        ] {
+            let par = par.check_invariant(|_| true);
+            assert_eq!(seq.stats(), par.stats(), "({tmin},{tmax}) {on}");
         }
         let packed =
             PackedChecker::new(&model, HbCodec::for_model(&model)).check_invariant(|_| true);
@@ -62,21 +64,25 @@ fn engines_agree_on_verdicts_with_faults() {
     let goal = |s: &_| error_predicate(&model, Requirement::R1)(s);
     let seq = Checker::new(&model).find_state(goal);
     let dfs = Dfs::new(&model).find(goal);
-    let bfs = Checker::new(&model).check_invariant(|s| !goal(s));
+    let bfs = Checker::new(&model)
+        .threads(1)
+        .check_invariant(|s| !goal(s));
     assert!(seq.is_some());
     assert!(dfs.path().is_some());
-    // The parallel engine is the same search with its expansions on
-    // workers: same statistics and the same counterexample, at any thread
+    // The pipeline is the same search with its expansions on workers:
+    // the sequential loop's statistics and counterexample, at any thread
     // count.
-    for threads in [1, 2, 4] {
-        let par = ParallelChecker::new(&model)
-            .threads(threads)
-            .check_invariant(|s| !goal(s));
-        assert_eq!(par.stats(), bfs.stats(), "x{threads}");
+    for (par, on) in [
+        (Checker::new(&model).threads(2), "x2"),
+        (Checker::new(&model).threads(4), "x4"),
+        (Checker::new(&model), "every core"),
+    ] {
+        let par = par.check_invariant(|s| !goal(s));
+        assert_eq!(par.stats(), bfs.stats(), "{on}");
         assert_eq!(
             par.counterexample().expect("violated").steps(),
             bfs.counterexample().expect("violated").steps(),
-            "x{threads}"
+            "{on}"
         );
     }
     // BFS counterexamples are shortest.

@@ -105,17 +105,24 @@ fn counterexamples_replay_against_the_model() {
 
 #[test]
 fn verdict_is_independent_of_engine() {
-    // The parallel checker must agree with the sequential one.
+    // `verify` and the search on four workers must agree with the
+    // sequential loop.
     use accelerated_heartbeat::verify::requirements::{build_model, error_predicate};
-    use mck::parallel::ParallelChecker;
 
     let params = Params::new(5, 10).unwrap();
     for req in [Requirement::R2, Requirement::R3] {
         let model = build_model(Variant::Expanding, params, FixLevel::Original, 1, req);
-        let seq = verify(Variant::Expanding, params, FixLevel::Original, req);
-        let par = ParallelChecker::new(&model)
-            .threads(4)
-            .check_invariant(|s| !error_predicate(&model, req)(s));
-        assert_eq!(seq.holds, par.holds(), "engine disagreement on {req}");
+        let on = |threads: usize| {
+            mck::Checker::new(&model)
+                .threads(threads)
+                .check_invariant(|s| !error_predicate(&model, req)(s))
+        };
+        let seq = on(1);
+        let par = on(4);
+        let v = verify(Variant::Expanding, params, FixLevel::Original, req);
+        assert_eq!(seq.holds(), par.holds(), "engine disagreement on {req}");
+        assert_eq!(seq.stats(), par.stats(), "engine disagreement on {req}");
+        assert_eq!(seq.holds(), v.holds, "verify disagrees on {req}");
+        assert_eq!(seq.stats(), v.stats, "verify disagrees on {req}");
     }
 }

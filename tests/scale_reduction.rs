@@ -10,7 +10,6 @@
 
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::mck::packed::{BitReader, BitWriter, StateCodec};
-use accelerated_heartbeat::mck::parallel::ParallelChecker;
 use accelerated_heartbeat::mck::symmetry::Symmetric;
 use accelerated_heartbeat::mck::{CheckOutcome, Checker, Model, ModelExt, Reduced};
 use accelerated_heartbeat::verify::por::HbAmpleOracle;
@@ -53,16 +52,16 @@ proptest! {
         let canon = certified_canonical(&model).expect("plain machines are certified");
         let red = Reduced::new(&model, HbAmpleOracle::new(&model, req));
         let sym = Symmetric::new(&red, canon);
-        let out = Checker::new(&sym).check_invariant(pred);
+        let out = Checker::new(&sym).threads(1).check_invariant(pred);
         let composed_holds = matches!(out, CheckOutcome::Holds(_));
 
-        // The parallel engine is the same search with its expansions on
-        // workers, so it composes with the wrappers and matches to the
-        // counter.
-        let par = ParallelChecker::new(&sym).threads(2).check_invariant(pred);
+        // The pipeline is the same search with its expansions on
+        // workers, so it composes with the wrappers and matches the
+        // sequential loop to the counter.
+        let par = Checker::new(&sym).threads(2).check_invariant(pred);
         prop_assert!(
             par.holds() == composed_holds && par.stats() == out.stats(),
-            "parallel {:?} != sequential {:?} over sym+por",
+            "two workers {:?} != sequential {:?} over sym+por",
             par.stats(),
             out.stats(),
         );
