@@ -6,9 +6,9 @@
 //! home of that schema: [`event_json`] renders a record, [`parse_event_json`]
 //! reads one back (for log tailing), [`EventSink`] routes events to an
 //! in-memory log, a JSON-lines writer, and any number of attached
-//! [`EventTap`]s (e.g. a streaming requirement monitor). Records are
-//! written and read through [`crate::json`], the workspace's one JSON
-//! module.
+//! [`EventTap`]s (e.g. a streaming requirement monitor, which reports
+//! [`MonitorVerdicts`]). Records are written and read through
+//! [`crate::json`], the workspace's one JSON module.
 
 use std::fmt;
 use std::io::Write;
@@ -150,6 +150,69 @@ fn event_from(v: &Value) -> Result<Event, JsonError> {
             view_no: view_no()?,
         }),
         other => Err(JsonError(format!("unknown event kind \"{other}\""))),
+    }
+}
+
+/// The first violation of one requirement, as judged by a streaming
+/// monitor: which process broke it, when, and against which bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FirstViolation {
+    /// The process the violation is attributed to (the silent participant
+    /// for R1, the inactivated process for R2/R3).
+    pub pid: Pid,
+    /// The tick at which the requirement first failed.
+    pub at: u64,
+    /// The offending bound (the R1 inactivation bound; 0 for the
+    /// untimed requirements R2/R3).
+    pub bound: u32,
+}
+
+impl ToJson for FirstViolation {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("pid", self.pid)
+                .field("at", self.at)
+                .field("bound", self.bound);
+        });
+    }
+}
+
+/// Monitor verdicts for one run: whether any requirement monitor fired,
+/// and the first violation per requirement.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MonitorVerdicts {
+    /// First R1 violation (a participant silent past the inactivation
+    /// bound while the coordinator stayed active), if any.
+    pub r1: Option<FirstViolation>,
+    /// First R2 violation (a participant non-voluntarily inactivated in a
+    /// fault-free run), if any.
+    pub r2: Option<FirstViolation>,
+    /// First R3 violation (the coordinator non-voluntarily inactivated in
+    /// a fault-free run with every participant active), if any.
+    pub r3: Option<FirstViolation>,
+}
+
+impl MonitorVerdicts {
+    /// Whether no monitor fired.
+    pub fn clean(&self) -> bool {
+        self.r1.is_none() && self.r2.is_none() && self.r3.is_none()
+    }
+
+    /// The verdicts as a JSON object (the `"monitor"` field of a
+    /// run summary record).
+    pub fn to_json(&self) -> String {
+        json::render(self)
+    }
+}
+
+impl ToJson for MonitorVerdicts {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("clean", self.clean())
+                .field("r1", self.r1)
+                .field("r2", self.r2)
+                .field("r3", self.r3);
+        });
     }
 }
 
@@ -429,5 +492,29 @@ mod tests {
         sink.emit(&Event::Leave { at: 4, pid: 1 });
         assert_eq!(shared.lock().unwrap().0, 4);
         assert!(sink.take_owned_taps().is_empty());
+    }
+
+    #[test]
+    fn monitor_verdicts_render_as_a_nested_object() {
+        let clean = MonitorVerdicts::default();
+        assert!(clean.clean());
+        assert_eq!(
+            clean.to_json(),
+            "{\"clean\":true,\"r1\":null,\"r2\":null,\"r3\":null}"
+        );
+        let fired = MonitorVerdicts {
+            r1: Some(FirstViolation {
+                pid: 1,
+                at: 1022,
+                bound: 16,
+            }),
+            ..MonitorVerdicts::default()
+        };
+        assert!(!fired.clean());
+        assert_eq!(
+            fired.to_json(),
+            "{\"clean\":false,\"r1\":{\"pid\":1,\"at\":1022,\"bound\":16},\
+             \"r2\":null,\"r3\":null}"
+        );
     }
 }

@@ -15,70 +15,7 @@ use hb_core::{Pid, Status};
 use crate::channel::Time;
 use crate::metrics::Report;
 
-pub use hb_core::events::{event_json, parse_event_json};
-
-/// The first violation of one requirement, as judged by a streaming
-/// monitor: which process broke it, when, and against which bound.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FirstViolation {
-    /// The process the violation is attributed to (the silent participant
-    /// for R1, the inactivated process for R2/R3).
-    pub pid: Pid,
-    /// The tick at which the requirement first failed.
-    pub at: Time,
-    /// The offending bound (the R1 inactivation bound; 0 for the
-    /// untimed requirements R2/R3).
-    pub bound: u32,
-}
-
-impl ToJson for FirstViolation {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("pid", self.pid)
-                .field("at", self.at)
-                .field("bound", self.bound);
-        });
-    }
-}
-
-/// Monitor verdicts for one run: whether any requirement monitor fired,
-/// and the first violation per requirement.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MonitorVerdicts {
-    /// First R1 violation (a participant silent past the inactivation
-    /// bound while the coordinator stayed active), if any.
-    pub r1: Option<FirstViolation>,
-    /// First R2 violation (a participant non-voluntarily inactivated in a
-    /// fault-free run), if any.
-    pub r2: Option<FirstViolation>,
-    /// First R3 violation (the coordinator non-voluntarily inactivated in
-    /// a fault-free run with every participant active), if any.
-    pub r3: Option<FirstViolation>,
-}
-
-impl MonitorVerdicts {
-    /// Whether no monitor fired.
-    pub fn clean(&self) -> bool {
-        self.r1.is_none() && self.r2.is_none() && self.r3.is_none()
-    }
-
-    /// The verdicts as a JSON object (the `"monitor"` field of a
-    /// [`RunSummary`] record).
-    pub fn to_json(&self) -> String {
-        json::render(self)
-    }
-}
-
-impl ToJson for MonitorVerdicts {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("clean", self.clean())
-                .field("r1", self.r1)
-                .field("r2", self.r2)
-                .field("r3", self.r3);
-        });
-    }
-}
+pub use hb_core::events::{event_json, parse_event_json, FirstViolation, MonitorVerdicts};
 
 /// The per-run summary record shared by the simulator's [`Report`] and the
 /// live runtime's cluster report.
@@ -463,30 +400,6 @@ mod tests {
         assert_eq!(close(l.clone()).detection_delay, None);
         l.note_all_inactive(90, true);
         assert_eq!(close(l).detection_delay, Some(50));
-    }
-
-    #[test]
-    fn monitor_verdicts_render_as_a_nested_object() {
-        let clean = MonitorVerdicts::default();
-        assert!(clean.clean());
-        assert_eq!(
-            clean.to_json(),
-            "{\"clean\":true,\"r1\":null,\"r2\":null,\"r3\":null}"
-        );
-        let fired = MonitorVerdicts {
-            r1: Some(FirstViolation {
-                pid: 1,
-                at: 1022,
-                bound: 16,
-            }),
-            ..MonitorVerdicts::default()
-        };
-        assert!(!fired.clean());
-        assert_eq!(
-            fired.to_json(),
-            "{\"clean\":false,\"r1\":{\"pid\":1,\"at\":1022,\"bound\":16},\
-             \"r2\":null,\"r3\":null}"
-        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod symmetry;
 pub mod tables;
 
 pub use model::{HbAction, HbModel, HbState, Msg};
-pub use monitor::{monitor_defs, reference_verdicts, MonitorDef, ReferenceVerdicts, Violation};
+pub use monitor::reference_verdicts;
 pub use packed::HbCodec;
 pub use por::{verify_with_n_por, HbAmpleOracle};
 pub use requirements::{verify, verify_with_n, Requirement, Verdict};

@@ -1,24 +1,21 @@
-//! The R1–R3 requirement monitors as *data*, plus a reference replay.
+//! The tick-stepped reference replay of the R1–R3 requirement monitors.
 //!
 //! The model checker evaluates the requirements as ghost monitors woven
 //! into [`HbModel`](crate::model::HbModel): R1 is a per-participant
-//! watchdog (armed on an admitted heartbeat, error when the silence
-//! exceeds the inactivation bound while the coordinator is still active),
-//! R2/R3 are reachability properties under a fault-free premise. This
-//! module exposes those monitors declaratively — [`MonitorDef`] describes
-//! each requirement automaton in terms of the PR 4 `describe` IR
-//! vocabulary ([`Trigger`]/[`Atom`] guards), so a runtime-verification
-//! layer (`hb-monitor`) can *compile* them into streaming checkers instead
-//! of hand-fusing requirement logic into the runtimes.
+//! watchdog (armed on an admitted heartbeat — and from the start unless
+//! the variant [has a join phase](Variant::has_join_phase) — error when
+//! the silence exceeds [`r1_bound`] while the coordinator is still
+//! active), R2/R3 are reachability properties under a fault-free premise.
 //!
-//! [`reference_verdicts`] is the executable semantics of the definitions:
+//! [`reference_verdicts`] is the executable semantics of those monitors:
 //! a tick-stepped replay over a recorded event stream that mirrors the
 //! model's ghost monitors action for action (ghost counters advance on the
 //! tick *before* the tick's events are processed, exactly like the model's
-//! `Tick` interleaving). The streaming checkers in `hb-monitor` implement
-//! the same semantics with deadline arithmetic instead of per-tick
-//! counters; `tests/monitor_agreement.rs` proves the two agree on random
-//! fault traces.
+//! `Tick` interleaving). The streaming checkers in `hb-monitor` take the
+//! same bound and arming and implement the same semantics with deadline
+//! arithmetic instead of per-tick counters; both report
+//! [`MonitorVerdicts`], and `tests/monitor_agreement.rs` proves the two
+//! agree on random fault traces.
 //!
 //! One deliberate strengthening relative to the *naive* coordinator: the
 //! monitor ignores a heartbeat iff the participant's slot is latched
@@ -32,125 +29,12 @@
 //! violation instead of silently extending the deadline.
 
 use hb_core::coordinator::{CoordSpec, CoordState};
-use hb_core::describe::{satisfiable, Atom, Trigger};
+use hb_core::events::{FirstViolation, MonitorVerdicts};
 use hb_core::serial::serial_lt;
 use hb_core::trace::Event;
-use hb_core::{FixLevel, Params, Pid, Variant};
+use hb_core::{FixLevel, Params, Variant};
 
-use crate::requirements::{r1_bound, Requirement};
-
-/// One requirement monitor, described declaratively.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MonitorDef {
-    /// The requirement this monitor checks.
-    pub requirement: Requirement,
-    /// The timing bound the monitor enforces (`None` for the untimed
-    /// requirements R2/R3). For R1 this is the claimed `2·tmax` bound
-    /// below `FixLevel::CorrectedBounds` and the corrected per-variant
-    /// bound at or above it — the same [`r1_bound`] the model checks.
-    pub bound: Option<u32>,
-    /// Whether the per-participant watchdog starts armed (non-join
-    /// variants: every participant is expected to beat from t = 0).
-    pub arm_at_start: bool,
-    /// Whether the verdict is gated on a fault-free trace (R2/R3: the
-    /// premise "no crashes and no loss" is over the *whole* run).
-    pub fault_premise: bool,
-    /// What feeds the automaton, in the `describe` IR vocabulary.
-    pub trigger: Trigger,
-    /// Guard (IR atoms) under which the triggering event *resets* the
-    /// monitor rather than advancing it towards a violation.
-    pub reset_guard: Vec<Atom>,
-}
-
-impl MonitorDef {
-    /// One-line human-readable description of the automaton.
-    pub fn describe(&self) -> String {
-        match self.requirement {
-            Requirement::R1 => format!(
-                "watchdog per participant: armed on an admitted heartbeat \
-                 (guard {:?}), violation when silence exceeds {} ticks while \
-                 p[0] is active; O(n) counters",
-                self.reset_guard,
-                self.bound.unwrap_or(0),
-            ),
-            Requirement::R2 => "latch: a participant nv-inactivation in a fault-free run \
-                 is a violation; O(n) status bits"
-                .to_string(),
-            Requirement::R3 => "latch: a coordinator nv-inactivation in a fault-free run \
-                 with every participant active is a violation; O(n) status bits"
-                .to_string(),
-        }
-    }
-}
-
-/// The three requirement monitors for one protocol cell, as data.
-///
-/// This is the compilation *source* for the streaming checkers: the R1
-/// bound, arming discipline and reset guard all come from here, so the
-/// runtime monitors cannot drift from what the model checker verifies.
-pub fn monitor_defs(variant: Variant, params: Params, fix: FixLevel) -> Vec<MonitorDef> {
-    let reset_guard = vec![Atom::Active, Atom::MessageFlag(true), Atom::EpochFresh];
-    debug_assert!(satisfiable(&reset_guard));
-    vec![
-        MonitorDef {
-            requirement: Requirement::R1,
-            bound: Some(r1_bound(variant, params, fix)),
-            arm_at_start: !variant.has_join_phase(),
-            fault_premise: false,
-            trigger: Trigger::Receive,
-            reset_guard,
-        },
-        MonitorDef {
-            requirement: Requirement::R2,
-            bound: None,
-            arm_at_start: true,
-            fault_premise: true,
-            trigger: Trigger::Internal,
-            reset_guard: vec![],
-        },
-        MonitorDef {
-            requirement: Requirement::R3,
-            bound: None,
-            arm_at_start: true,
-            fault_premise: true,
-            trigger: Trigger::Internal,
-            reset_guard: vec![],
-        },
-    ]
-}
-
-/// The first violation of one requirement: which process broke it, when,
-/// and against which bound (0 for the untimed R2/R3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Violation {
-    /// The violated requirement.
-    pub requirement: Requirement,
-    /// The process the violation is attributed to: the silent participant
-    /// for R1, the inactivated process for R2/R3.
-    pub pid: Pid,
-    /// The tick at which the requirement first failed.
-    pub at: u64,
-    /// The offending bound (R1 only; 0 otherwise).
-    pub bound: u32,
-}
-
-/// Verdicts of the reference replay: first violation per requirement.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReferenceVerdicts {
-    /// First R1 violation, if any.
-    pub r1: Option<Violation>,
-    /// First R2 violation, if any.
-    pub r2: Option<Violation>,
-    /// First R3 violation, if any.
-    pub r3: Option<Violation>,
-}
-
-impl ReferenceVerdicts {
-    /// Whether no monitor fired.
-    pub fn clean(&self) -> bool {
-        self.r1.is_none() && self.r2.is_none() && self.r3.is_none()
-    }
-}
+use crate::requirements::r1_bound;
 
 /// Replay a recorded event stream through the model-side ghost monitors.
 ///
@@ -165,7 +49,9 @@ impl ReferenceVerdicts {
 ///
 /// The R2/R3 fault-free premise is evaluated over the whole trace, like
 /// the model's `allow_loss(false).allow_crashes(false)` restriction: a
-/// loss *after* an inactivation still discharges the premise.
+/// loss *after* an inactivation still discharges the premise. A crash,
+/// inactivation or revive naming a pid outside `0..=n` is ignored, like a
+/// beat from one.
 pub fn reference_verdicts(
     variant: Variant,
     params: Params,
@@ -173,7 +59,7 @@ pub fn reference_verdicts(
     n: usize,
     events: &[Event],
     horizon: u64,
-) -> ReferenceVerdicts {
+) -> MonitorVerdicts {
     let bound = r1_bound(variant, params, fix);
     let cap = bound + 1;
     let spec = CoordSpec::new(variant, params, n, fix);
@@ -195,8 +81,7 @@ pub fn reference_verdicts(
             }
             if coord_active && r1.is_none() {
                 if let Some(i) = (0..n).find(|&i| armed[i] && since[i] > bound) {
-                    r1 = Some(Violation {
-                        requirement: Requirement::R1,
+                    r1 = Some(FirstViolation {
                         pid: i + 1,
                         at: t,
                         bound,
@@ -223,14 +108,13 @@ pub fn reference_verdicts(
                     coord_active = false;
                     any_fault = true;
                 }
-                Event::Crash { pid, .. } => {
+                Event::Crash { pid, .. } if (1..=n).contains(&pid) => {
                     any_fault = true;
                     resp_active[pid - 1] = false;
                 }
                 Event::NvInactivate { pid: 0, at } => {
                     if coord_active && r3.is_none() && resp_active.iter().all(|&a| a) {
-                        r3 = Some(Violation {
-                            requirement: Requirement::R3,
+                        r3 = Some(FirstViolation {
                             pid: 0,
                             at,
                             bound: 0,
@@ -238,25 +122,20 @@ pub fn reference_verdicts(
                     }
                     coord_active = false;
                 }
-                Event::NvInactivate { pid, at } => {
+                Event::NvInactivate { pid, at } if (1..=n).contains(&pid) => {
                     if r2.is_none() {
-                        r2 = Some(Violation {
-                            requirement: Requirement::R2,
-                            pid,
-                            at,
-                            bound: 0,
-                        });
+                        r2 = Some(FirstViolation { pid, at, bound: 0 });
                     }
                     resp_active[pid - 1] = false;
                 }
-                Event::Revive { pid, .. } => resp_active[pid - 1] = true,
+                Event::Revive { pid, .. } if (1..=n).contains(&pid) => resp_active[pid - 1] = true,
                 Event::Lose { .. } => any_fault = true,
                 _ => {}
             }
             idx += 1;
         }
     }
-    ReferenceVerdicts {
+    MonitorVerdicts {
         r1,
         r2: if any_fault { None } else { r2 },
         r3: if any_fault { None } else { r3 },
@@ -272,25 +151,6 @@ mod tests {
 
     fn params() -> Params {
         Params::new(P.0, P.1).unwrap()
-    }
-
-    #[test]
-    fn defs_carry_the_model_checked_bounds() {
-        let naive = monitor_defs(Variant::Binary, params(), FixLevel::Original);
-        assert_eq!(naive[0].bound, Some(params().p0_bound_claimed()));
-        assert!(naive[0].arm_at_start);
-        let fixed = monitor_defs(Variant::Binary, params(), FixLevel::Full);
-        assert_eq!(
-            fixed[0].bound,
-            Some(params().p0_bound_corrected(Variant::Binary))
-        );
-        let join = monitor_defs(Variant::Expanding, params(), FixLevel::Full);
-        assert!(!join[0].arm_at_start, "join variants arm on first beat");
-        for def in &naive {
-            assert!(satisfiable(&def.reset_guard));
-            assert!(!def.describe().is_empty());
-        }
-        assert!(!naive[0].fault_premise && naive[1].fault_premise && naive[2].fault_premise);
     }
 
     #[test]

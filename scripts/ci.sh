@@ -56,6 +56,25 @@ echo "==> monitor gate (streaming R1–R3 verdicts on the smoke grid)"
 # cells reproduce the R1 breach.
 cargo run --release --example chaos_campaign -- --smoke --monitor >/dev/null
 
+echo "==> offline monitor (hb_monitor --emit, then --log replay)"
+# The seed-1 binary crash log (crash at t=300): under the claimed bound the
+# replay must report R1 at the 2·tmax deadline, under the full fix it must
+# be clean. A two-participant static log replayed at the default --n 1
+# names a pid the monitor does not watch, which it must ignore.
+mon=(cargo run --release --example hb_monitor --)
+for fix in original full-fix; do
+  "${mon[@]}" --emit "$tmpdir/mon_$fix.jsonl" --fix "$fix" 2>/dev/null
+  "${mon[@]}" --log "$tmpdir/mon_$fix.jsonl" --fix "$fix" --horizon 600 2>/dev/null |
+    tail -n 1 > "$tmpdir/mon_$fix.json"
+done
+grep -qF '"r1":{"pid":1,"at":315,"bound":16}' "$tmpdir/mon_original.json" \
+  || { echo "the original-fix replay lost its R1 breach: $(cat "$tmpdir/mon_original.json")" >&2; exit 1; }
+grep -qF '"clean":true' "$tmpdir/mon_full-fix.json" \
+  || { echo "the full-fix replay is not clean: $(cat "$tmpdir/mon_full-fix.json")" >&2; exit 1; }
+"${mon[@]}" --emit "$tmpdir/mon_n2.jsonl" --variant static --n 2 --fix original 2>/dev/null
+"${mon[@]}" --log "$tmpdir/mon_n2.jsonl" --variant static --fix original >/dev/null 2>&1 \
+  || { echo "replaying an n=2 log at --n 1 failed" >&2; exit 1; }
+
 echo "==> membership failover gate (coordinator crash, sim + live, monitors clean)"
 # The emitter fails unless every cell demotes the ex-coordinator, agrees
 # on one view, resolves both sides of the re-convergence samples, keeps

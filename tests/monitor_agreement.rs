@@ -218,16 +218,9 @@ fn a_leave_is_recorded_once_by_the_leaver_on_both_substrates() {
 
 // -- Streaming vs reference vs live tap ------------------------------
 
-/// The reference replay's `(r1, r2, r3)` mapped into the shared schema.
-type RefVerdicts = (
-    Option<FirstViolation>,
-    Option<FirstViolation>,
-    Option<FirstViolation>,
-);
-
 /// Run `plan` on the simulator three ways and return
-/// `(tap_verdicts, replay_verdicts, reference_as_first_violations)`.
-fn three_way(plan: &FaultPlan) -> (MonitorVerdicts, MonitorVerdicts, RefVerdicts) {
+/// `(tap_verdicts, replay_verdicts, reference_verdicts)`.
+fn three_way(plan: &FaultPlan) -> (MonitorVerdicts, MonitorVerdicts, MonitorVerdicts) {
     let p = &plan.proto;
 
     // 1. the tap attached during the run
@@ -244,19 +237,8 @@ fn three_way(plan: &FaultPlan) -> (MonitorVerdicts, MonitorVerdicts, RefVerdicts
 
     // 3. the tick-stepped hb-verify reference on the same stream
     events.sort_by_key(Event::at);
-    let refv = reference_verdicts(p.variant, p.params, p.fix, p.n, &events, summary.duration);
-    let as_fv = |v: Option<accelerated_heartbeat::verify::Violation>| {
-        v.map(|v| FirstViolation {
-            pid: v.pid,
-            at: v.at,
-            bound: v.bound,
-        })
-    };
-    (
-        tapped,
-        replayed,
-        (as_fv(refv.r1), as_fv(refv.r2), as_fv(refv.r3)),
-    )
+    let reference = reference_verdicts(p.variant, p.params, p.fix, p.n, &events, summary.duration);
+    (tapped, replayed, reference)
 }
 
 fn assert_three_way_agree(plan: &FaultPlan) {
@@ -267,8 +249,7 @@ fn assert_three_way_agree(plan: &FaultPlan) {
         plan.name
     );
     assert_eq!(
-        (replayed.r1, replayed.r2, replayed.r3),
-        reference,
+        replayed, reference,
         "{}: streaming checker vs hb-verify reference diverge",
         plan.name
     );
