@@ -21,7 +21,7 @@
 //! scheduled crash at tick 1200 actually fires and the detection delay
 //! is meaningful on every run below.
 
-use hb_chaos::{run_plan, Backend, FaultPlan, FaultSpec, ProtoSpec};
+use hb_chaos::{run_campaign, run_plan, Backend, CampaignSpec, FaultPlan, FaultSpec, ProtoSpec};
 use hb_core::{FixLevel, Params, Variant};
 
 /// The checked-in plan text, exactly as `FaultPlan::to_json` emits it.
@@ -235,4 +235,77 @@ fn drift_shapes_the_live_run_but_not_the_sim() {
         run_plan(&without, Backend::Live).to_json(),
         "live applies drift"
     );
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Sim campaign reports pinned byte for byte: per spec the length and
+/// the FNV-1a-64 digest of `to_json()`, over loss {0, 5 %} × burst
+/// {1, 4} × partition {0, 20} × drift {none, 101/100}, eight seeds,
+/// monitored and unmonitored. A campaign seed's crash, crash+revive and
+/// quiet runs share everything up to the crash; however `run_campaign`
+/// executes them, these bytes must not move.
+#[test]
+fn sim_campaign_reports_are_pinned() {
+    let cells = [
+        (
+            Variant::Static,
+            4,
+            vec![FixLevel::Full],
+            [(8643, 0x28c96a9c9f93a7b1), (8658, 0xdf0342e6888bb2f0)],
+        ),
+        (
+            Variant::Expanding,
+            3,
+            vec![FixLevel::Original, FixLevel::Full],
+            [(17132, 0xcec63470d62b742e), (17151, 0xf1fe74a4d2bb947b)],
+        ),
+        (
+            Variant::Dynamic,
+            3,
+            vec![FixLevel::Original, FixLevel::Full],
+            [(17130, 0xa96b023558faf859), (17149, 0xd8882342a1408dea)],
+        ),
+        (
+            Variant::Binary,
+            1,
+            vec![FixLevel::Original, FixLevel::Full],
+            [(17123, 0x6f2fdfc375b64cef), (17144, 0x088b9d58175a899c)],
+        ),
+    ];
+    let mut drifted = Vec::new();
+    for (variant, n, fixes, pinned) in cells {
+        for (monitor, want) in [false, true].into_iter().zip(pinned) {
+            let report = run_campaign(&CampaignSpec {
+                name: "pinned".into(),
+                backend: Backend::Sim,
+                variant,
+                params: Params::new(2, 8).unwrap(),
+                n,
+                duration: 400,
+                fixes: fixes.clone(),
+                loss: vec![0.0, 0.05],
+                burst: vec![1.0, 4.0],
+                drift: vec![(1, 1), (101, 100)],
+                partition: vec![0, 20],
+                seeds: (1..=8).collect(),
+                threads: 2,
+                monitor,
+            });
+            let json = report.to_json();
+            let (len, digest) = (json.len(), fnv1a(json.as_bytes()));
+            if (len, digest) != want {
+                let name = variant.name();
+                drifted.push(format!(
+                    "{name} n={n} monitor={monitor}: ({len}, {digest:#018x})"
+                ));
+            }
+        }
+    }
+    assert!(drifted.is_empty(), "reports drifted: {drifted:#?}");
 }
