@@ -2,12 +2,14 @@
 //! runs and aggregating detection and overhead statistics.
 //!
 //! A [`CampaignSpec`] is the cartesian grid
-//! `fix × loss × burst × drift × partition`; every cell is executed for
-//! every seed, three times — once with a participant crash at mid-run
-//! (measuring detection delay against the claimed and corrected §6.2
-//! bounds), once with the crash followed by a §7 revive (measuring
-//! re-convergence and stale-beat admission), and once quiet (measuring
-//! false suspicions and steady-state overhead). Cells are distributed
+//! `fix × loss × burst × drift × partition`; every cell runs three plans
+//! per seed — one with a participant crash at mid-run (measuring
+//! detection delay against the claimed and corrected §6.2 bounds), one
+//! with the crash followed by a §7 revive (measuring re-convergence and
+//! stale-beat admission), and one quiet (measuring false suspicions and
+//! steady-state overhead). The three are one run up to the crash: the
+//! simulator runs that prefix once and forks the world at the crash tick,
+//! the live backend runs each plan whole. Cells are distributed
 //! across worker threads; results are collected in grid order, so the
 //! emitted report is deterministic and a campaign re-run diffs clean
 //! (the CI smoke campaign relies on this).
@@ -19,9 +21,10 @@ use hb_sim::schema::RunSummary;
 use crate::json::{self, ToJson};
 use crate::pipeline::burst_model;
 use crate::plan::{FaultPlan, FaultSpec, Link, ProtoSpec, Window};
-use crate::{run_plan, run_plan_monitored, Backend};
+use crate::{run_plan, run_plan_monitored, sim, Backend};
 
-/// The campaign grid and its fixed protocol context.
+/// The campaign grid and its fixed protocol context. A seed's three
+/// plans ([`RunKind`]) share one simulated world up to `duration / 2`.
 #[derive(Clone, Debug)]
 pub struct CampaignSpec {
     /// Campaign name (embedded in the report and the per-run plan names).
@@ -332,11 +335,15 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellStats {
     // event stamps come from skewed local clocks, which a global-deadline
     // monitor would misread as requirement breaches.
     let monitored = spec.monitor && cell.drift == (1, 1);
-    let exec = |plan: &FaultPlan| {
-        if monitored {
-            run_plan_monitored(plan, spec.backend)
-        } else {
-            run_plan(plan, spec.backend)
+    let exec = |plans: &[FaultPlan]| match spec.backend {
+        Backend::Sim => sim::run_plans(plans, monitored),
+        Backend::Live => {
+            let run = if monitored {
+                run_plan_monitored
+            } else {
+                run_plan
+            };
+            plans.iter().map(|plan| run(plan, Backend::Live)).collect()
         }
     };
     let mut tally = |s: &RunSummary| {
@@ -357,7 +364,11 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellStats {
         }
     };
     for &seed in &spec.seeds {
-        let crashed: RunSummary = exec(&cell_plan(spec, cell, seed, RunKind::Crash));
+        let kinds = [RunKind::Crash, RunKind::CrashRevive, RunKind::Quiet];
+        let plans = kinds.map(|kind| cell_plan(spec, cell, seed, kind));
+        let Ok([crashed, revive, quiet]) = <[RunSummary; 3]>::try_from(exec(&plans)) else {
+            unreachable!("one summary per plan");
+        };
         tally(&crashed);
         match crashed.detection_delay {
             Some(d) => {
@@ -383,7 +394,6 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellStats {
                 violations_corrected += 1;
             }
         }
-        let revive: RunSummary = exec(&cell_plan(spec, cell, seed, RunKind::CrashRevive));
         tally(&revive);
         if let Some(d) = revive.reconv_detect {
             reconverged += 1;
@@ -396,7 +406,6 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellStats {
             reconv_stable_max = reconv_stable_max.max(d);
         }
         stale_admitted += u64::from(revive.stale_beats_admitted);
-        let quiet: RunSummary = exec(&cell_plan(spec, cell, seed, RunKind::Quiet));
         tally(&quiet);
         false_suspicions += u64::from(quiet.false_inactivations);
         if quiet.duration > 0 {

@@ -122,20 +122,8 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
     // merges event streams from many node threads and keeps the shared,
     // locked tap.
     match backend {
-        Backend::Sim => {
-            let monitor = MonitorSet::new(
-                plan.proto.variant,
-                plan.proto.params,
-                plan.proto.fix,
-                plan.proto.n,
-            );
-            let (mut summary, tap) = sim::run_plan_sim_owned_tap(plan, Box::new(monitor));
-            #[expect(clippy::expect_used, reason = "the tap handed back is ours")]
-            let mut mon = MonitorSet::from_tap(tap).expect("the tap is the monitor");
-            mon.finish(summary.duration);
-            summary.monitor = Some(mon.verdicts());
-            summary
-        }
+        // One plan in, one summary out.
+        Backend::Sim => sim::run_plans(std::slice::from_ref(plan), true).remove(0),
         Backend::Live => {
             let monitor = MonitorSet::shared(
                 plan.proto.variant,

@@ -225,6 +225,10 @@ impl FaultHook for FaultPipeline {
     fn fate(&mut self, now: Time, src: Pid, dst: Pid) -> SendFate {
         self.decide(now, src, dst)
     }
+
+    fn fork(&self) -> Option<Box<dyn FaultHook>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// Derive a Gilbert–Elliott burst model from an average loss probability

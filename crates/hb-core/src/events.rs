@@ -238,6 +238,13 @@ impl<T: std::any::Any> TapAny for T {
 pub trait EventTap: TapAny {
     /// Observe one event as it happens.
     fn on_event(&mut self, e: &Event);
+
+    /// A copy for a forked run: fed what the original is fed next, it
+    /// ends where the original ends. `None` (the default): the state
+    /// cannot be copied, and a sink holding the tap cannot fork.
+    fn fork(&self) -> Option<OwnedTap> {
+        None
+    }
 }
 
 /// A shareable tap handle: the runtime feeds events through it while the
@@ -313,6 +320,25 @@ impl EventSink {
     /// with [`take_owned_taps`](Self::take_owned_taps).
     pub fn attach_owned_tap(&mut self, tap: OwnedTap) {
         self.taps.push(TapSlot::Owned(tap));
+    }
+
+    /// A copy for a forked run: the log so far and a [`fork`](EventTap::fork)
+    /// of every owned tap; later events reach one copy only. `None` if the
+    /// sink has a writer or a shared tap (both runs would write into it) or
+    /// an owned tap that cannot fork.
+    pub fn fork(&self) -> Option<EventSink> {
+        if self.writer.is_some() {
+            return None;
+        }
+        let taps = self.taps.iter().map(|slot| match slot {
+            TapSlot::Owned(tap) => tap.fork().map(TapSlot::Owned),
+            TapSlot::Shared(_) => None,
+        });
+        Some(EventSink {
+            log: self.log.clone(),
+            taps: taps.collect::<Option<_>>()?,
+            ..Self::default()
+        })
     }
 
     /// Detach and return every owned tap (shared taps stay attached), in
@@ -492,6 +518,61 @@ mod tests {
         sink.emit(&Event::Leave { at: 4, pid: 1 });
         assert_eq!(shared.lock().unwrap().0, 4);
         assert!(sink.take_owned_taps().is_empty());
+    }
+
+    /// A tap that copies itself on fork and remembers what it saw.
+    #[derive(Clone, Default)]
+    struct Seen(Vec<Event>);
+    impl EventTap for Seen {
+        fn on_event(&mut self, e: &Event) {
+            self.0.push(*e);
+        }
+
+        fn fork(&self) -> Option<OwnedTap> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    fn seen(tap: OwnedTap) -> Vec<Event> {
+        tap.into_any().downcast::<Seen>().expect("a Seen").0
+    }
+
+    #[test]
+    fn a_forked_sink_copies_its_log_and_owned_taps_and_then_runs_apart() {
+        let (before, mine, theirs) = (
+            Event::Timeout { at: 1, pid: 0 },
+            Event::Crash { at: 2, pid: 1 },
+            Event::Revive { at: 3, pid: 1 },
+        );
+        let mut sink = EventSink::memory();
+        sink.attach_owned_tap(Box::<Seen>::default());
+        sink.emit(&before);
+        let mut fork = sink.fork().expect("a log and an owned tap fork");
+        sink.emit(&mine);
+        fork.emit(&theirs);
+        assert_eq!(sink.log().unwrap().events(), [before, mine]);
+        assert_eq!(fork.log().unwrap().events(), [before, theirs]);
+        // Each copy of the tap saw the prefix and its own run only.
+        assert_eq!(seen(sink.take_owned_taps().remove(0)), [before, mine]);
+        assert_eq!(seen(fork.take_owned_taps().remove(0)), [before, theirs]);
+    }
+
+    #[test]
+    fn a_sink_with_a_writer_a_shared_tap_or_an_unforkable_tap_does_not_fork() {
+        struct Opaque;
+        impl EventTap for Opaque {
+            fn on_event(&mut self, _e: &Event) {}
+        }
+        assert!(EventSink::disabled().fork().is_some());
+        let written = EventSink::memory().with_writer(Box::new(Vec::new()));
+        assert!(written.fork().is_none());
+        let mut shared = EventSink::disabled();
+        shared.attach_tap(Arc::new(Mutex::new(Seen::default())));
+        assert!(shared.fork().is_none());
+        let mut opaque = EventSink::disabled();
+        opaque.attach_owned_tap(Box::<Seen>::default());
+        opaque.attach_owned_tap(Box::new(Opaque));
+        assert!(opaque.fork().is_none());
     }
 
     #[test]

@@ -256,6 +256,10 @@ impl EventTap for MonitorSet {
     fn on_event(&mut self, e: &Event) {
         self.observe(e);
     }
+
+    fn fork(&self) -> Option<OwnedTap> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// Replay a recorded event log (sorted by timestamp) through a fresh

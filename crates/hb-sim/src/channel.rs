@@ -64,6 +64,13 @@ impl SendFate {
 pub trait FaultHook: Send + std::fmt::Debug {
     /// Decide the fate of a message from `src` to `dst` sent at `now`.
     fn fate(&mut self, now: Time, src: Pid, dst: Pid) -> SendFate;
+
+    /// A copy for a forked world: asked what the original is asked next,
+    /// it answers as the original does. `None` (the default): the state
+    /// cannot be copied, and a world holding the hook cannot fork.
+    fn fork(&self) -> Option<Box<dyn FaultHook>> {
+        None
+    }
 }
 
 /// The one delay rule, for every queue a message can sit in (this

@@ -272,6 +272,38 @@ impl World {
         self.env.sink.take_owned_taps()
     }
 
+    /// A copy of this world that, run on, ends where this one run on ends:
+    /// its state, clocks, RNG, channel, ledger, scheduled faults and log,
+    /// and forks of its hook and owned taps. `None` if the hook or the
+    /// sink cannot be copied ([`FaultHook::fork`], [`EventSink::fork`]).
+    pub fn fork(&self) -> Option<World> {
+        let env = &self.env;
+        let fault_hook = match &env.fault_hook {
+            Some(hook) => Some(hook.fork()?),
+            None => None,
+        };
+        let env = Env {
+            channel: env.channel.clone(),
+            fault_hook,
+            rng: env.rng.clone(),
+            ledger: env.ledger.clone(),
+            sink: env.sink.fork()?,
+            ..*env
+        };
+        Some(World {
+            coord: self.coord.clone(),
+            resps: self.resps.clone(),
+            start_at: self.start_at.clone(),
+            leave_after: self.leave_after.clone(),
+            scheduled_crashes: self.scheduled_crashes.clone(),
+            scheduled_revives: self.scheduled_revives.clone(),
+            env,
+            due_scratch: Vec::new(),
+            flight_scratch: Vec::new(),
+            ..*self
+        })
+    }
+
     /// Collect everything due this tick into `due_scratch` (cleared
     /// first). The element order fed to the shuffle — deliveries in
     /// channel-extraction order, then the coordinator timeout, then
@@ -726,7 +758,7 @@ mod tests {
     /// An adversary with every shape a hook can give a message: an outage
     /// window, a delay spike far past the round-trip budget, and every
     /// third message doubled.
-    #[derive(Debug, Default)]
+    #[derive(Clone, Debug, Default)]
     struct Shaper(u32);
     impl FaultHook for Shaper {
         fn fate(&mut self, now: Time, _src: Pid, _dst: Pid) -> crate::channel::SendFate {
@@ -739,6 +771,83 @@ mod tests {
                 extra_delay: if (60..90).contains(&now) { 11 } else { 0 },
             }
         }
+
+        fn fork(&self) -> Option<Box<dyn FaultHook>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// A fork taken mid-run, with frames in flight under a hook that
+    /// drops, doubles and delays, and the log on, continued to the
+    /// horizon, reports what the original continued reports, byte for
+    /// byte, on every variant and fix level.
+    #[test]
+    fn a_fork_continued_equals_the_original_continued() {
+        for variant in [
+            Variant::Static,
+            Variant::Expanding,
+            Variant::Dynamic,
+            Variant::Binary,
+        ] {
+            for fix in [
+                FixLevel::Original,
+                FixLevel::ReceivePriority,
+                FixLevel::Full,
+            ] {
+                let cell = format!("{variant} {fix}");
+                let n = if variant == Variant::Binary { 1 } else { 3 };
+                let mut w = World::new(
+                    WorldConfig {
+                        fix,
+                        n,
+                        log_events: true,
+                        ..cfg(variant, 2, 8)
+                    },
+                    5,
+                );
+                w.set_fault_hook(Box::new(Shaper::default()));
+                w.schedule_crash(1, 150);
+                w.schedule_revive(1, 160);
+                // To a frame in flight, before the hook's delay spike.
+                w.run_until(40);
+                while w.env.channel.next_due().is_none() && w.now() < 60 {
+                    w.step();
+                }
+                assert!(
+                    w.env.channel.next_due().is_some(),
+                    "{cell}: nothing in flight"
+                );
+                let at = w.now();
+                let fork = w.fork().expect("a Shaper world forks");
+                let [ran, forked] = [w, fork].map(|mut w| {
+                    w.run_until(600);
+                    w.into_report()
+                });
+                assert_eq!(
+                    crate::schema::RunSummary::from_report(&ran).to_json(),
+                    crate::schema::RunSummary::from_report(&forked).to_json(),
+                    "{cell}"
+                );
+                assert_eq!(ran.log.events(), forked.log.events(), "{cell}");
+                let after = ran.log.events().iter().filter(|e| e.at() > at).count();
+                assert!(after > 30, "{cell}: the run must go on past the fork");
+            }
+        }
+    }
+
+    #[test]
+    fn a_world_whose_hook_cannot_fork_does_not_fork() {
+        #[derive(Debug)]
+        struct Opaque;
+        impl FaultHook for Opaque {
+            fn fate(&mut self, _now: Time, _src: Pid, _dst: Pid) -> crate::channel::SendFate {
+                crate::channel::SendFate::clean()
+            }
+        }
+        let mut w = World::new(cfg(Variant::Binary, 2, 8), 1);
+        assert!(w.fork().is_some(), "no hook, nothing to copy");
+        w.set_fault_hook(Box::new(Opaque));
+        assert!(w.fork().is_none());
     }
 
     #[test]

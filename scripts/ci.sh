@@ -122,6 +122,16 @@ cargo run --release --example hb_analyze -- "${scale[@]}" > "$tmpdir/scale_all.t
 diff <(awk '{$NF=""; print}' "$tmpdir/scale_one.txt") <(awk '{$NF=""; print}' "$tmpdir/scale_all.txt") \
   || { echo "the pipelined scale cells differ from the sequential ones" >&2; exit 1; }
 
+echo "==> gm98 campaign through the example (monitored grid, sim + live, vs the checked-in pair)"
+# The simulator forks each seed's runs at the crash tick; the live backend
+# runs them whole. Both must still emit the goldens byte for byte.
+for backend in sim live; do
+  cargo run --release --example chaos_campaign -- --backend "$backend" --monitor \
+    --out "$tmpdir/campaign_gm98_$backend.json" >/dev/null
+  diff "$tmpdir/campaign_gm98_$backend.json" "artifacts/campaign_gm98_$backend.json" \
+    || { echo "campaign_gm98_$backend.json drifted from the checked-in golden" >&2; exit 1; }
+done
+
 echo "==> sim-vs-live campaign differ (checked-in artifact pair)"
 cargo run --release --example chaos_campaign -- --diff \
   artifacts/campaign_gm98_sim.json artifacts/campaign_gm98_live.json >/dev/null
