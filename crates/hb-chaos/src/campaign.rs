@@ -408,9 +408,7 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellStats {
         stale_admitted += u64::from(revive.stale_beats_admitted);
         tally(&quiet);
         false_suspicions += u64::from(quiet.false_inactivations);
-        if quiet.duration > 0 {
-            rate_sum += quiet.messages_sent as f64 / quiet.duration as f64;
-        }
+        rate_sum += quiet.message_rate();
     }
     CellStats {
         cell: *cell,

@@ -124,25 +124,36 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
     match backend {
         // One plan in, one summary out.
         Backend::Sim => sim::run_plans(std::slice::from_ref(plan), true).remove(0),
-        Backend::Live => {
-            let monitor = MonitorSet::shared(
-                plan.proto.variant,
-                plan.proto.params,
-                plan.proto.fix,
-                plan.proto.n,
-            );
-            let tap: SharedTap = monitor.clone();
-            let mut cluster = live::ChaosCluster::new(plan.clone());
-            cluster.attach_monitor(tap);
-            cluster.run_until(plan.proto.duration);
-            let mut summary = cluster.into_summary();
-            #[expect(clippy::expect_used, reason = "poisoned only if the run panicked")]
-            let mut mon = monitor.lock().expect("monitor poisoned");
-            mon.finish(summary.duration);
-            summary.monitor = Some(mon.verdicts());
-            summary
-        }
+        Backend::Live => monitored(
+            plan,
+            |tap| {
+                let mut cluster = live::ChaosCluster::new(plan.clone());
+                cluster.attach_monitor(tap);
+                cluster.run_until(plan.proto.duration);
+                cluster.into_summary()
+            },
+            |summary| summary,
+        ),
     }
+}
+
+/// Run `run` with a shared R1–R3 [`MonitorSet`] for `plan` as its tap,
+/// then close the monitor at the run's end tick and store its verdicts in
+/// the summary `summary` picks out of the result.
+pub(crate) fn monitored<R>(
+    plan: &FaultPlan,
+    run: impl FnOnce(SharedTap) -> R,
+    summary: impl FnOnce(&mut R) -> &mut RunSummary,
+) -> R {
+    let p = &plan.proto;
+    let monitor = MonitorSet::shared(p.variant, p.params, p.fix, p.n);
+    let mut out = run(monitor.clone());
+    let summary = summary(&mut out);
+    #[expect(clippy::expect_used, reason = "poisoned only if the run panicked")]
+    let mut mon = monitor.lock().expect("monitor poisoned");
+    mon.finish(summary.duration);
+    summary.monitor = Some(mon.verdicts());
+    out
 }
 
 #[cfg(test)]

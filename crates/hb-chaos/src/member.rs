@@ -22,12 +22,11 @@
 //! [`reconv_stable`]: RunSummary::reconv_stable
 
 use hb_core::events::SharedTap;
-use hb_core::trace::Event;
+use hb_core::trace::{Event, EventLog};
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
 use hb_member::{
     run_live, run_sim, FaultKind, MemberConfig, MemberFault, MemberReport, MemberSpec, RoleKind,
 };
-use hb_monitor::MonitorSet;
 use hb_sim::channel::{FaultHook, LossModel, Time};
 use hb_sim::schema::RunSummary;
 
@@ -136,6 +135,7 @@ fn summarize(backend: Backend, plan: &FaultPlan, report: &MemberReport) -> RunSu
         detection_delay: None,
         false_inactivations: 0,
         monitor: None,
+        log: EventLog::new(),
         final_status: report
             .roles
             .iter()
@@ -168,7 +168,7 @@ pub fn run_plan_member(plan: &FaultPlan, backend: Backend) -> MemberRun {
     run_member(plan, backend, Vec::new())
 }
 
-/// Run a membership plan with a streaming R1–R3 [`MonitorSet`] tapping
+/// Run a membership plan with a streaming R1–R3 [`hb_monitor::MonitorSet`] tapping
 /// the engine's event stream, and record its verdicts in the summary.
 ///
 /// The membership events ride the same `hb_core` trace the plain
@@ -177,19 +177,8 @@ pub fn run_plan_member(plan: &FaultPlan, backend: Backend) -> MemberRun {
 /// never non-voluntarily inactivates anybody, so a healthy failover run
 /// must come back clean.
 pub fn run_plan_member_monitored(plan: &FaultPlan, backend: Backend) -> MemberRun {
-    let monitor = MonitorSet::shared(
-        plan.proto.variant,
-        plan.proto.params,
-        plan.proto.fix,
-        plan.proto.n,
-    );
-    let tap: SharedTap = monitor.clone();
-    let mut run = run_member(plan, backend, vec![tap]);
-    #[expect(clippy::expect_used, reason = "poisoned only if the run panicked")]
-    let mut mon = monitor.lock().expect("monitor poisoned");
-    mon.finish(run.summary.duration);
-    run.summary.monitor = Some(mon.verdicts());
-    run
+    let run = |tap| run_member(plan, backend, vec![tap]);
+    crate::monitored(plan, run, |run| &mut run.summary)
 }
 
 /// Tick at which the failover campaign crashes the coordinator.

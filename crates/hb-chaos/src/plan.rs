@@ -356,23 +356,16 @@ impl FaultSpec {
                 window: window_from(v)?,
                 extra: v.field("extra")?.as_uint()?,
             }),
-            "drift" => {
-                let num = v.field("num")?.as_u64()?;
-                let den = v.field("den")?.as_u64()?;
-                if num == 0 || den == 0 {
-                    return Err(PlanError("drift rate must be positive".into()));
-                }
-                Ok(FaultSpec::Drift {
-                    pid: v.field("pid")?.as_uint()?,
-                    offset: v
-                        .opt_field("offset")?
-                        .map(Value::as_u64)
-                        .transpose()?
-                        .unwrap_or(0),
-                    num,
-                    den,
-                })
-            }
+            "drift" => Ok(FaultSpec::Drift {
+                pid: v.field("pid")?.as_uint()?,
+                offset: v
+                    .opt_field("offset")?
+                    .map(Value::as_u64)
+                    .transpose()?
+                    .unwrap_or(0),
+                num: v.field("num")?.as_u64()?,
+                den: v.field("den")?.as_u64()?,
+            }),
             "crash" => pid_at().map(|(pid, at)| FaultSpec::Crash { pid, at }),
             "start" => pid_at().map(|(pid, at)| FaultSpec::Start { pid, at }),
             "leave" => pid_at().map(|(pid, at)| FaultSpec::Leave { pid, at }),
@@ -519,7 +512,9 @@ impl FaultPlan {
     /// must precede that pid's crash. Reviving the coordinator (pid 0)
     /// additionally requires a membership plan — without the failover
     /// layer a revived coordinator has no story — and follows the same
-    /// lifecycle ordering as participant pids.
+    /// lifecycle ordering as participant pids. A drift runs at a positive
+    /// rate, and its clock at `proto.duration` leaves room for a `u32`
+    /// timer span.
     pub fn validate(&self) -> Result<(), PlanError> {
         let n = self.proto.n;
         if n == 0 {
@@ -566,7 +561,29 @@ impl FaultPlan {
                     }
                 }
                 FaultSpec::DelaySpike { .. } => {}
-                FaultSpec::Drift { pid, .. } => check(*pid, "drift")?,
+                FaultSpec::Drift {
+                    pid,
+                    offset,
+                    num,
+                    den,
+                } => {
+                    check(*pid, "drift")?;
+                    if *num == 0 || *den == 0 {
+                        return Err(PlanError("drift rate must be positive".into()));
+                    }
+                    // The node's clock at the horizon, plus the longest
+                    // timer it can arm from there, must fit a tick.
+                    let duration = self.proto.duration;
+                    let end = duration
+                        .checked_mul(*num)
+                        .and_then(|t| (t / den).checked_add(*offset))
+                        .and_then(|t| t.checked_add(u32::MAX.into()));
+                    if end.is_none() {
+                        return Err(PlanError(format!(
+                            "drift of pid {pid} overflows its clock by the horizon {duration}"
+                        )));
+                    }
+                }
                 FaultSpec::Crash { pid, .. } => check(*pid, "crash")?,
                 FaultSpec::Start { pid, .. } => {
                     check_part(*pid, "start")?;
@@ -902,6 +919,40 @@ mod tests {
         );
         let msg = FaultPlan::from_json(&json).unwrap_err().to_string();
         assert!(msg.contains("revive must name a participant"), "{msg}");
+    }
+
+    #[test]
+    fn drift_that_stops_or_overflows_the_clock_is_refused() {
+        let proto = ProtoSpec {
+            duration: 100,
+            ..proto()
+        };
+        let drift = |offset, num, den| {
+            FaultPlan::new("d", 1, proto).with(FaultSpec::Drift {
+                pid: 1,
+                offset,
+                num,
+                den,
+            })
+        };
+        for (num, den) in [(0, 1), (1, 0)] {
+            let msg = drift(0, num, den).validate().unwrap_err().to_string();
+            assert!(msg.contains("rate must be positive"), "{msg}");
+        }
+        // The last offset whose clock at the horizon (100 · 3/2 = 150)
+        // leaves a u32 span of room, and one past it.
+        let room = u64::MAX - u64::from(u32::MAX) - 150;
+        assert!(drift(room, 3, 2).validate().is_ok());
+        for bad in [drift(room + 1, 3, 2), drift(0, u64::MAX / 99, 1)] {
+            let msg = bad.validate().unwrap_err().to_string();
+            assert!(msg.contains("overflows its clock"), "{msg}");
+        }
+        let json = r#"{"name":"x","seed":1,"proto":{"variant":"binary","tmin":2,"tmax":8,"fix":"full-fix","n":1,"duration":100},"faults":[{"kind":"drift","pid":1,"offset":18446744073709551615,"num":1,"den":1}]}"#;
+        let msg = FaultPlan::from_json(json).unwrap_err().to_string();
+        assert!(msg.contains("overflows its clock"), "{msg}");
+        let json = json.replace("\"den\":1", "\"den\":0");
+        let msg = FaultPlan::from_json(&json).unwrap_err().to_string();
+        assert!(msg.contains("rate must be positive"), "{msg}");
     }
 
     #[test]

@@ -34,17 +34,6 @@ pub fn run_plan_sim_tapped(plan: &FaultPlan, tap: SharedTap) -> RunSummary {
     run_one(plan, |world| world.attach_tap(tap)).0
 }
 
-/// Like [`run_plan_sim_tapped`], but the world's sink *owns* the tap —
-/// the simulator is single-threaded, so events dispatch without any
-/// mutex. The tap is handed back alongside the summary for the caller
-/// to read its verdicts out of (e.g. via `MonitorSet::from_tap`).
-pub fn run_plan_sim_owned_tap(plan: &FaultPlan, tap: OwnedTap) -> (RunSummary, OwnedTap) {
-    let (summary, mut taps) = run_one(plan, |world| world.attach_owned_tap(tap));
-    #[expect(clippy::expect_used, reason = "run hands back what it attached")]
-    let tap = taps.pop().expect("the attached owned tap comes back");
-    (summary, tap)
-}
-
 /// Run each of `plans` as [`crate::run_plan`] (or, `monitored`,
 /// [`crate::run_plan_monitored`]) does, sharing one world up to their
 /// [`fork_tick`].
@@ -124,7 +113,7 @@ fn run(plans: &[FaultPlan], fork_at: Time, attach: impl FnOnce(&mut World)) -> V
         schedule(&mut world, plan, false, fork_at);
         world.run_until(plan.proto.duration);
         let taps = world.take_owned_taps();
-        (RunSummary::from_report(&world.into_report()), taps)
+        (world.into_report(), taps)
     };
     #[expect(clippy::expect_used, reason = "the pipeline and the owned taps fork")]
     let fork = |plan| finish(base.fork().expect("a chaos world forks"), plan);

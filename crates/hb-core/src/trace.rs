@@ -169,7 +169,7 @@ impl fmt::Display for Event {
 }
 
 /// An append-only log of protocol events.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventLog {
     events: Vec<Event>,
 }

@@ -21,8 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::channel::{Channel, Time};
-use crate::metrics::Report;
-use crate::schema::RunLedger;
+use crate::schema::{RunLedger, RunSummary};
 
 /// Configuration of the naive heartbeat protocol.
 #[derive(Clone, Copy, Debug)]
@@ -205,15 +204,13 @@ impl NaiveWorld {
         }
     }
 
-    /// Produce the metrics report.
-    pub fn into_report(self) -> Report {
+    /// Finish the run and produce its record (`source: "sim"`, no log).
+    pub fn into_report(self) -> RunSummary {
         let mut final_status = vec![self.coord_status];
         final_status.extend(&self.resp_status);
         let traffic = self.channel.stats();
-        let summary = self
-            .ledger
-            .into_summary("sim", self.now, traffic, (0, 0), final_status);
-        Report::from_summary(summary, hb_core::trace::EventLog::new())
+        self.ledger
+            .into_summary("sim", self.now, traffic, (0, 0), final_status)
     }
 }
 

@@ -7,7 +7,7 @@
 //! the original ICDCS '98 paper:
 //!
 //! * **overhead** — steady-state message rate ≈ `2/tmax`, independent of
-//!   the detection parameters ([`metrics::Report::message_rate`]);
+//!   the detection parameters ([`RunSummary::message_rate`]);
 //! * **detection delay** — every crash is detected within the (corrected)
 //!   analytical bounds;
 //! * **reliability** — a false inactivation needs
@@ -42,14 +42,12 @@
 
 pub mod baseline;
 pub mod channel;
-pub mod metrics;
 pub mod scenario;
 pub mod schema;
 pub mod world;
 
 pub use baseline::{NaiveConfig, NaiveWorld};
 pub use channel::{FaultHook, LossModel, SendFate};
-pub use metrics::Report;
 pub use scenario::{run_scenario, Scenario};
 pub use schema::{FirstViolation, MonitorVerdicts, RunSummary};
 pub use world::World;

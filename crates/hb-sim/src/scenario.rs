@@ -3,7 +3,7 @@
 use hb_core::{Params, Pid, Variant};
 
 use crate::channel::{LossModel, Time};
-use crate::metrics::Report;
+use crate::schema::RunSummary;
 use crate::world::{World, WorldConfig};
 use hb_core::FixLevel;
 
@@ -128,7 +128,7 @@ impl Scenario {
 }
 
 /// Build the world for a scenario and run it to completion.
-pub fn run_scenario(sc: &Scenario, seed: u64) -> Report {
+pub fn run_scenario(sc: &Scenario, seed: u64) -> RunSummary {
     let cfg = WorldConfig {
         variant: sc.variant,
         params: sc.params,

@@ -1,24 +1,27 @@
 //! The JSON-lines telemetry schema shared by the simulator and the live
-//! runtime (`hb-net`).
+//! runtime (`hb-net`), and the one record of a finished run.
 //!
 //! Both substrates drive the same `hb-core` state machines, so they emit
 //! the same record shapes: one flat JSON object per protocol [`Event`](hb_core::trace::Event)
 //! (see [`event_json`], re-exported from [`hb_core::events`] — the single
-//! home of the event schema) and one [`RunSummary`] object per run.
+//! home of the event schema) and one [`RunSummary`] object per run. The
+//! [`RunSummary`] is also what a simulator run returns
+//! ([`World::into_report`](crate::World::into_report)), with the run's
+//! event log riding along outside the JSON record.
 //! Keeping the schema in one place lets a live run and a simulated run of
 //! the same scenario be diffed line-by-line. The records are written
 //! through [`hb_core::json`], the workspace's one JSON module.
 
 use hb_core::json::{self, ToJson};
+use hb_core::trace::EventLog;
 use hb_core::{Pid, Status};
 
 use crate::channel::Time;
-use crate::metrics::Report;
 
 pub use hb_core::events::{event_json, parse_event_json, FirstViolation, MonitorVerdicts};
 
-/// The per-run summary record shared by the simulator's [`Report`] and the
-/// live runtime's cluster report.
+/// The record of one finished run, shared by the simulator (`World`,
+/// `NaiveWorld`) and the live runtime's cluster report.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunSummary {
     /// Which substrate produced the run: `"sim"` or `"live"`.
@@ -61,6 +64,11 @@ pub struct RunSummary {
     pub monitor: Option<MonitorVerdicts>,
     /// Final status per process (index 0 = coordinator).
     pub final_status: Vec<Status>,
+    /// The run's event log: empty unless the simulator recorded events
+    /// (`WorldConfig::log_events`); the live cluster keeps its logs per
+    /// node. Not part of the JSON record: [`to_json`](Self::to_json)
+    /// omits it.
+    pub log: EventLog,
 }
 
 /// Message counters of one run (heartbeat frames only).
@@ -203,32 +211,42 @@ impl RunLedger {
             false_inactivations,
             monitor: None,
             final_status,
+            log: EventLog::new(),
         }
     }
 }
 
 impl RunSummary {
-    /// Summarize a simulator [`Report`].
-    pub fn from_report(r: &Report) -> Self {
-        RunSummary {
-            source: "sim",
-            duration: r.duration,
-            messages_sent: r.messages_sent,
-            messages_delivered: r.messages_delivered,
-            messages_lost: r.messages_lost,
-            crashes: r.crashes.clone(),
-            nv_inactivations: r.nv_inactivations.clone(),
-            leaves: r.leaves.clone(),
-            revives: r.revives.clone(),
-            reconv_detect: r.reconv_detect,
-            reconv_stable: r.reconv_stable,
-            stale_beats_admitted: r.stale_beats_admitted,
-            stale_beats_filtered: r.stale_beats_filtered,
-            detection_delay: r.detection_delay,
-            false_inactivations: r.false_inactivations,
-            monitor: None,
-            final_status: r.final_status.clone(),
+    /// Steady-state message rate: messages per time unit.
+    ///
+    /// For a healthy accelerated protocol with one participant this is
+    /// ≈ `2/tmax` (one beat and one reply per round).
+    pub fn message_rate(&self) -> f64 {
+        if self.duration == 0 {
+            return 0.0;
         }
+        self.messages_sent as f64 / self.duration as f64
+    }
+
+    /// Whether every process ended inactive.
+    pub fn all_inactive(&self) -> bool {
+        self.final_status.iter().all(|s| s.is_inactive())
+    }
+
+    /// Observed message-loss ratio.
+    pub fn loss_ratio(&self) -> f64 {
+        if self.messages_sent == 0 {
+            return 0.0;
+        }
+        self.messages_lost as f64 / self.messages_sent as f64
+    }
+
+    /// First non-voluntary inactivation time of a given process.
+    pub fn nv_time_of(&self, pid: Pid) -> Option<Time> {
+        self.nv_inactivations
+            .iter()
+            .find(|(p, _)| *p == pid)
+            .map(|(_, t)| *t)
     }
 
     /// The summary as a single-line JSON object.
@@ -287,9 +305,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn summary_round_trips_report_fields() {
-        let r = Report {
+    fn summary() -> RunSummary {
+        RunSummary {
+            source: "sim",
             duration: 100,
             messages_sent: 25,
             messages_delivered: 20,
@@ -304,13 +322,16 @@ mod tests {
             stale_beats_filtered: 0,
             detection_delay: Some(20),
             false_inactivations: 0,
+            monitor: None,
             final_status: vec![Status::NvInactive, Status::Crashed],
             log: EventLog::new(),
-        };
-        let s = RunSummary::from_report(&r);
-        assert_eq!(s.source, "sim");
-        assert_eq!(s.detection_delay, Some(20));
-        assert_eq!(s.monitor, None);
+        }
+    }
+
+    #[test]
+    fn summary_json_carries_every_field_but_the_log() {
+        let mut s = summary();
+        s.log.push(Event::NvInactivate { at: 60, pid: 0 });
         let json = s.to_json();
         assert!(json.contains("\"crashes\":[[1,40]]"), "{json}");
         assert!(json.contains("\"detection_delay\":20"), "{json}");
@@ -320,6 +341,7 @@ mod tests {
         assert!(json.contains("\"stale_beats_admitted\":2"), "{json}");
         assert!(json.contains("\"monitor\":null"), "{json}");
         assert!(json.contains("\"final_status\":[\"nv-inactive\",\"crashed\"]"));
+        assert_eq!(json, summary().to_json(), "the log stays out of the record");
     }
 
     #[test]
@@ -342,10 +364,39 @@ mod tests {
             false_inactivations: 0,
             monitor: None,
             final_status: vec![],
+            log: EventLog::new(),
         };
         assert!(s.to_json().contains("\"detection_delay\":null"));
         assert!(s.to_json().contains("\"reconv_detect\":null"));
         assert!(s.to_json().contains("\"reconv_stable\":null"));
+    }
+
+    #[test]
+    fn rates() {
+        let s = summary();
+        assert!((s.message_rate() - 0.25).abs() < 1e-12);
+        assert!((s.loss_ratio() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_inactive_detects_terminal_runs() {
+        assert!(summary().all_inactive());
+    }
+
+    #[test]
+    fn nv_lookup() {
+        let s = summary();
+        assert_eq!(s.nv_time_of(0), Some(60));
+        assert_eq!(s.nv_time_of(1), None);
+    }
+
+    #[test]
+    fn zero_duration_is_safe() {
+        let mut s = summary();
+        s.duration = 0;
+        s.messages_sent = 0;
+        assert_eq!(s.message_rate(), 0.0);
+        assert_eq!(s.loss_ratio(), 0.0);
     }
 
     fn close(ledger: RunLedger) -> RunSummary {

@@ -32,8 +32,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::channel::{Channel, FaultHook, InFlight, LossModel, Time};
-use crate::metrics::Report;
-use crate::schema::RunLedger;
+use crate::schema::{RunLedger, RunSummary};
 
 /// Static configuration of a simulation world.
 #[derive(Clone, Copy, Debug)]
@@ -502,8 +501,9 @@ impl World {
         }
     }
 
-    /// Finish the run and produce the metrics report.
-    pub fn into_report(self) -> Report {
+    /// Finish the run and produce its record (`source: "sim"`), carrying
+    /// the event log if one was recorded.
+    pub fn into_report(self) -> RunSummary {
         let Env {
             now,
             channel,
@@ -520,7 +520,7 @@ impl World {
         );
         let stale = (self.coord.stale_admitted, self.coord.stale_filtered);
         let summary = ledger.into_summary("sim", now, channel.stats(), stale, final_status);
-        Report::from_summary(summary, log)
+        RunSummary { log, ..summary }
     }
 }
 
@@ -823,11 +823,7 @@ mod tests {
                     w.run_until(600);
                     w.into_report()
                 });
-                assert_eq!(
-                    crate::schema::RunSummary::from_report(&ran).to_json(),
-                    crate::schema::RunSummary::from_report(&forked).to_json(),
-                    "{cell}"
-                );
+                assert_eq!(ran.to_json(), forked.to_json(), "{cell}");
                 assert_eq!(ran.log.events(), forked.log.events(), "{cell}");
                 let after = ran.log.events().iter().filter(|e| e.at() > at).count();
                 assert!(after > 30, "{cell}: the run must go on past the fork");
@@ -933,11 +929,7 @@ mod tests {
                                 assert_eq!(stepped.now(), ran.now(), "{cell}: now at leg {t}");
                             }
                             let (stepped, ran) = (stepped.into_report(), ran.into_report());
-                            assert_eq!(
-                                crate::schema::RunSummary::from_report(&stepped).to_json(),
-                                crate::schema::RunSummary::from_report(&ran).to_json(),
-                                "{cell}"
-                            );
+                            assert_eq!(stepped.to_json(), ran.to_json(), "{cell}");
                             assert_eq!(stepped.log.events(), ran.log.events(), "{cell}");
                             events += ran.log.len();
                         }

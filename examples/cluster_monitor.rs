@@ -34,7 +34,7 @@ use accelerated_heartbeat::core::coordinator::CoordSpec;
 use accelerated_heartbeat::core::events::SharedTap;
 use accelerated_heartbeat::core::json;
 use accelerated_heartbeat::core::responder::RespSpec;
-use accelerated_heartbeat::core::trace::Event;
+use accelerated_heartbeat::core::trace::{Event, EventLog};
 use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
 use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::wire::{Command, Frame};
@@ -263,6 +263,7 @@ fn report_live(reports: &[NodeReport], bound: u64, verdicts: MonitorVerdicts) {
         false_inactivations: 0,
         monitor: Some(verdicts),
         final_status: reports.iter().map(|r| r.status).collect(),
+        log: EventLog::new(),
     };
 
     println!("\nrun summary (shared sim/live schema):");
@@ -326,7 +327,7 @@ fn run_sim() -> Result<(), Box<dyn std::error::Error>> {
     .with_fix(FixLevel::Full)
     .with_log();
 
-    let report = run_scenario(&scenario, 2024);
+    let mut report = run_scenario(&scenario, 2024);
 
     // Print a digest rather than the full log (hundreds of events).
     println!("timeline digest:");
@@ -364,10 +365,9 @@ fn run_sim() -> Result<(), Box<dyn std::error::Error>> {
         report.log.events(),
         report.duration,
     );
-    let mut summary = RunSummary::from_report(&report);
-    summary.monitor = Some(verdicts);
+    report.monitor = Some(verdicts);
     println!("\nrun summary (shared sim/live schema):");
-    println!("  {}", summary.to_json());
+    println!("  {}", report.to_json());
     assert!(
         verdicts.clean(),
         "the fully-fixed simulated run must be monitor-clean: {}",

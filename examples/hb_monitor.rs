@@ -153,7 +153,7 @@ fn run_emit(args: &[String], path: &str) -> Result<(), Box<dyn std::error::Error
     eprintln!(
         "wrote {} events ({variant}/{fix} {params} n={n}, crash at t=300, horizon {duration}) \
          -> {path}",
-        report.log.events().len()
+        report.log.len()
     );
     eprintln!(
         "replay with: --log {path} --variant {variant} --fix {fix} --tmin {tmin} --tmax {tmax} \

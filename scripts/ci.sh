@@ -75,6 +75,10 @@ grep -qF '"clean":true' "$tmpdir/mon_full-fix.json" \
 "${mon[@]}" --log "$tmpdir/mon_n2.jsonl" --variant static --fix original >/dev/null 2>&1 \
   || { echo "replaying an n=2 log at --n 1 failed" >&2; exit 1; }
 
+echo "==> simulator examples (seeded; cluster_monitor --sim asserts a monitor-clean replay and one graceful leave)"
+cargo run --release --example quickstart >/dev/null
+cargo run --release --example cluster_monitor -- --sim >/dev/null
+
 echo "==> membership failover gate (coordinator crash, sim + live, monitors clean)"
 # The emitter fails unless every cell demotes the ex-coordinator, agrees
 # on one view, resolves both sides of the re-convergence samples, keeps
