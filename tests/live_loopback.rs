@@ -334,8 +334,9 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// log and a streaming monitor's verdicts, folded into one constant over
 /// 4 variants × 3 fix levels × 5 networks × 4 fault plans at one seed.
 /// The network stays on true time whatever clock a node is polled at,
-/// so the skewed cells (a fast participant and a slow coordinator) pin
-/// that too.
+/// so the skewed cells (a fast participant and a slow coordinator, and
+/// with three participants also a slow one and one whose clock is only
+/// offset) pin that too.
 #[test]
 fn cluster_runs_are_pinned() {
     const NETS: [&str; 5] = ["lossless", "bernoulli", "burst", "hook", "skew"];
@@ -375,6 +376,10 @@ fn cluster_runs_are_pinned() {
                         "skew" => {
                             cl.skew_clock(n, 3, 5, 4);
                             cl.skew_clock(0, 0, 7, 8);
+                            if n > 2 {
+                                cl.skew_clock(1, 0, 6, 7);
+                                cl.skew_clock(2, 4, 1, 1);
+                            }
                         }
                         _ => {}
                     }
@@ -408,7 +413,7 @@ fn cluster_runs_are_pinned() {
         }
     }
     assert!(events > 50_000, "the grid must actually run: {events}");
-    assert_eq!(digest, 0x6220_07ef_fc31_3c86, "{digest:#018x}");
+    assert_eq!(digest, 0x353e_51d8_0289_0dc9, "{digest:#018x}");
 }
 
 /// The simulator's run record pinned byte for byte: per run the length
