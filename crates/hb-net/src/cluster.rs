@@ -4,20 +4,21 @@
 //! [`VirtualCluster`] wires [`NodeRuntime`]s together over a
 //! [`LoopbackCore`] and advances them tick by tick, with scheduled crash /
 //! leave injection delivered over the control channel — the live
-//! counterpart of [`hb_sim::World`], producing the same
-//! [`RunSummary`](hb_sim::schema::RunSummary) schema so runs from the two
-//! substrates can be compared directly. One thread steps it all, so the
-//! core has no lock: a node borrows it for the length of one poll.
+//! counterpart of [`hb_sim::World`], producing the same [`RunSummary`]
+//! schema so runs from the two substrates can be compared directly. One
+//! thread steps it all, so the core has no lock: a node borrows it for
+//! the length of one poll.
 //!
 //! Nothing due, nothing done, at both scales. Within a tick
 //! ([`VirtualCluster::step`]) a node is polled only if the loopback's due
-//! index names a frame for it or its own deadline has come; the others'
-//! clocks move and nothing else. Across ticks,
+//! index names a frame for it or its own deadline has come on its own
+//! clock; the others' clocks move and nothing else. Across ticks,
 //! [`VirtualCluster::run_until`] steps only the ticks on which something
 //! is due and jumps every node's clock over the rest, never past its
 //! horizon: a tick with nothing due changes no state but the clocks (hook,
-//! loss model and taps act on sends; the ledger reads node state). Not
-//! under a skewed clock: see [`VirtualCluster::skew_clock`].
+//! loss model and taps act on sends; the ledger reads node state). A
+//! drifted node's deadline is a tick of its own clock, and
+//! [`SkewedClock::first_reaching`] says which true tick that is.
 
 use std::io::{self, ErrorKind};
 
@@ -103,8 +104,6 @@ pub struct VirtualCluster {
     now: Time,
     /// Per pid, the drifted clock it is polled at (`None`: true time).
     local: Vec<Option<SkewedClock>>,
-    /// Whether any clock drifts: then nothing is skipped.
-    skewed: bool,
     statuses: Vec<Option<(Status, bool)>>,
     ledger: RunLedger,
     /// A live event tap (e.g. a streaming monitor) attached to every
@@ -115,6 +114,11 @@ pub struct VirtualCluster {
 /// The local tick `pid` is polled at when the true tick is `now`.
 fn local_tick(local: &[Option<SkewedClock>], pid: Pid, now: Time) -> Time {
     local[pid].map_or(now, |clock| clock.map(now))
+}
+
+/// The first true tick at which `pid`'s clock reads `local` or later.
+fn true_tick(local: &[Option<SkewedClock>], pid: Pid, t: Time) -> Time {
+    local[pid].map_or(t, |clock| clock.first_reaching(t))
 }
 
 /// The transport a node of the cluster starts with: no core yet.
@@ -144,7 +148,6 @@ impl VirtualCluster {
             injections: Vec::new(),
             now: 0,
             local: vec![None; cfg.n + 1],
-            skewed: false,
             statuses: vec![None; cfg.n + 1],
             ledger: RunLedger::default(),
             tap: None,
@@ -170,17 +173,12 @@ impl VirtualCluster {
     /// slow one late. The network, the schedule and the observer stay on
     /// true time. Call before running.
     ///
-    /// A cluster with a skewed clock steps every tick and polls every
-    /// node on each: a deadline is a tick of the node's own clock, and
-    /// [`SkewedClock`] has no inverse to say which true tick that is.
-    ///
     /// # Panics
     ///
     /// Panics if `pid` is out of range or `num` or `den` is zero.
     pub fn skew_clock(&mut self, pid: Pid, offset: Time, num: u64, den: u64) {
         assert!(pid <= self.cfg.n, "pid {pid} out of range");
         self.local[pid] = Some(SkewedClock::new(offset, num, den));
-        self.skewed = true;
     }
 
     /// Attach a live [`EventTap`](crate::events::EventTap) — e.g. a
@@ -256,9 +254,36 @@ impl VirtualCluster {
     ///
     /// A node is polled only if a frame or its own deadline is due; any
     /// other node's clock just moves, which is all a poll would have come
-    /// to. (Under a skewed clock every node is polled on every lap.)
+    /// to.
     pub fn step(&mut self) {
         let now = self.now;
+        self.begin_tick(now);
+        loop {
+            for pid in 0..self.nodes.len() {
+                // Asked at the node's turn, not at the top of the lap: a
+                // lower pid's zero-delay frame is served in the same lap.
+                let due = self.core().next_due(pid);
+                let local = local_tick(&self.local, pid, now);
+                let Some(node) = &mut self.nodes[pid] else {
+                    continue;
+                };
+                if due <= now || node.next_deadline().is_some_and(|d| d <= local) {
+                    self.poll(pid, now);
+                } else {
+                    node.skip_to(local);
+                }
+            }
+            if !self.lap_again(now) {
+                break;
+            }
+        }
+        self.observe(now);
+        self.now += 1;
+    }
+
+    /// Start the participants due to start at `now` and send the
+    /// injections due then.
+    fn begin_tick(&mut self, now: Time) {
         for pid in 1..=self.cfg.n {
             if self.nodes[pid].is_none() && self.start_at[pid - 1] == now {
                 // Frames sent before a node exists vanish, as in the sim.
@@ -286,42 +311,35 @@ impl VirtualCluster {
             false
         });
         self.injections = pending;
+    }
 
-        loop {
-            for pid in 0..self.nodes.len() {
-                // Asked at the node's turn, not at the top of the lap: a
-                // lower pid's zero-delay frame is served in the same lap.
-                let due = self.core().next_due(pid);
-                let Some(node) = &mut self.nodes[pid] else {
-                    continue;
-                };
-                let has_work = due <= now || node.next_deadline().is_some_and(|d| d <= now);
-                if has_work || self.skewed {
-                    node.transport.now = now;
-                    std::mem::swap(&mut node.transport.core, &mut self.core);
-                    let polled = node.poll(local_tick(&self.local, pid, now));
-                    std::mem::swap(&mut node.transport.core, &mut self.core);
-                    #[expect(clippy::expect_used, reason = "a core send or receive cannot fail")]
-                    polled.expect("the core was lent for the poll");
-                } else {
-                    node.skip_to(now);
-                }
-            }
-            if !self.core().any_deliverable(now) {
-                break;
-            }
-            // Still due: a reply chain (next lap), or frames for a
-            // participant that has not started. Those vanish, as in the
-            // sim, instead of holding the tick open for good.
-            for pid in 1..=self.cfg.n {
-                if self.nodes[pid].is_none() {
-                    while self.core().recv(now, pid).is_some() {}
-                }
+    /// Lend `pid` the core and poll it at its local reading of `now`.
+    fn poll(&mut self, pid: Pid, now: Time) {
+        let local = local_tick(&self.local, pid, now);
+        let Some(node) = &mut self.nodes[pid] else {
+            return;
+        };
+        node.transport.now = now;
+        std::mem::swap(&mut node.transport.core, &mut self.core);
+        let polled = node.poll(local);
+        std::mem::swap(&mut node.transport.core, &mut self.core);
+        #[expect(clippy::expect_used, reason = "a core send or receive cannot fail")]
+        polled.expect("the core was lent for the poll");
+    }
+
+    /// Whether tick `now` needs another lap: a reply chain is still due.
+    /// Frames for a participant that has not started vanish here, as in
+    /// the sim, instead of holding the tick open for good.
+    fn lap_again(&mut self, now: Time) -> bool {
+        if !self.core().any_deliverable(now) {
+            return false;
+        }
+        for pid in 1..=self.cfg.n {
+            if self.nodes[pid].is_none() {
+                while self.core().recv(now, pid).is_some() {}
             }
         }
-
-        self.observe(now);
-        self.now += 1;
+        true
     }
 
     /// Feed the ledger this tick's status transitions (crash /
@@ -364,17 +382,21 @@ impl VirtualCluster {
 
     /// The earliest tick, `now` or later, on which [`step`](Self::step)
     /// finds anything to do: a frame due (for a node or, to be voided, for
-    /// a pid not started yet), a node's own deadline, a start, an
-    /// injection. `Time::MAX` if nothing ever will; `now` under skew.
+    /// a pid not started yet), a node's own deadline (the first true tick
+    /// its clock reaches it), a start, an injection. `Time::MAX` if
+    /// nothing ever will.
     fn next_event_at(&mut self) -> Time {
         let (now, n, core) = (self.now, self.cfg.n, self.core());
         let due = (0..=n).map(|pid| core.next_due(pid));
         let next = due.min().unwrap_or(Time::MAX);
-        if next <= now || self.skewed {
+        if next <= now {
             return now;
         }
-        let deadlines = self.nodes.iter().flatten();
-        let deadlines = deadlines.filter_map(NodeRuntime::next_deadline);
+        let local = &self.local;
+        let deadlines = self.nodes.iter().enumerate().filter_map(|(pid, node)| {
+            let deadline = node.as_ref()?.next_deadline()?;
+            Some(true_tick(local, pid, deadline))
+        });
         let unstarted = self.nodes[1..].iter().zip(&self.start_at);
         let starts = unstarted
             .filter(|(node, _)| node.is_none())
@@ -386,13 +408,15 @@ impl VirtualCluster {
 
     /// Jump over the ticks with nothing due: to
     /// [`next_event_at`](Self::next_event_at), never past `t`. Node clocks
-    /// move to the tick before it, so the step there ticks once and drains
-    /// as on any other tick.
+    /// move to their reading of the tick before it, so the step there
+    /// ticks once and drains as on any other tick.
     fn skip_idle(&mut self, t: Time) {
         let next = self.next_event_at().min(t);
         if next > self.now {
-            for node in self.nodes.iter_mut().flatten() {
-                node.skip_to(next - 1);
+            for (pid, node) in self.nodes.iter_mut().enumerate() {
+                if let Some(node) = node {
+                    node.skip_to(local_tick(&self.local, pid, next - 1));
+                }
             }
             self.now = next;
         }
@@ -525,12 +549,22 @@ mod tests {
     }
 
     /// What `run_until` must stay equal to: its liveness condition around
-    /// `step()`, every tick executed — and, with `skewed` raised over
-    /// clocks that all read true time, every node polled on every lap.
+    /// a step, every tick executed, and every started node polled on
+    /// every lap at its own clock's reading, due or not.
     fn run_stepwise(cl: &mut VirtualCluster, t: Time) {
-        cl.skewed = true;
         while cl.now < t && (!cl.all_inactive() || cl.revives_pending()) {
-            cl.step();
+            let now = cl.now;
+            cl.begin_tick(now);
+            loop {
+                for pid in 0..cl.nodes.len() {
+                    cl.poll(pid, now);
+                }
+                if !cl.lap_again(now) {
+                    break;
+                }
+            }
+            cl.observe(now);
+            cl.now += 1;
         }
     }
 
@@ -650,6 +684,19 @@ mod tests {
             }
         }
         assert!(events > 250_000, "the grid must actually run: {events}");
+    }
+
+    /// A drifted clock does not pin the cluster to stepping: with nothing
+    /// in flight, the next event is the coordinator's first timeout, its
+    /// local tick `tmax` = 8 on a clock at 7/8, which the true tick
+    /// ⌈8·8/7⌉ = 10 first reaches.
+    #[test]
+    fn an_idle_skewed_cluster_looks_past_now() {
+        let mut cl = VirtualCluster::new(cfg(Variant::Binary, 2, 8, 1));
+        cl.skew_clock(1, 3, 5, 4);
+        cl.skew_clock(0, 0, 7, 8);
+        cl.step();
+        assert_eq!(cl.next_event_at(), 10);
     }
 
     /// `run_until`'s own loop, counting the ticks it steps and the ticks

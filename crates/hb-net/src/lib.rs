@@ -7,23 +7,22 @@
 //!
 //! * [`wire`] — a tiny length-prefixed codec for [`hb_core::Heartbeat`]
 //!   frames (version byte, fuzz-resistant decoding);
-//! * [`transport`] — the [`Transport`](transport::Transport) abstraction,
-//!   with two implementations: [`loopback`] (in-process, with injectable
+//! * [`transport`] — the [`Transport`] abstraction, with two
+//!   implementations: [`loopback`] (in-process, with injectable
 //!   Bernoulli / burst loss and delays drawn exactly like the simulator's
 //!   channel) and [`udp`] (one `std::net::UdpSocket` per node, no async
 //!   runtime);
-//! * [`time`] — the [`TimeSource`](time::TimeSource) abstraction: a
-//!   wall-clock mapping protocol ticks onto a real tick duration, and the
-//!   per-node clock skew the deterministic cluster polls drifted nodes at;
-//! * [`node`] — [`NodeRuntime`](node::NodeRuntime), the deadline-driven
-//!   event loop that polls a machine forward tick by tick, honouring
+//! * [`time`] — [`WallClock`], mapping protocol ticks onto a real tick
+//!   duration, and [`SkewedClock`], the per-node clock drift the
+//!   deterministic cluster polls a drifted node at;
+//! * [`node`] — [`NodeRuntime`], the deadline-driven event loop that
+//!   polls a machine forward tick by tick, honouring
 //!   `FixLevel::ReceivePriority` (drain deliverable messages before firing
 //!   a simultaneous timeout, Atif & Mousavi §6.1);
 //! * [`events`] — per-node counters and the shared sim/live JSON-lines
 //!   event schema;
-//! * [`cluster`] — [`VirtualCluster`](cluster::VirtualCluster), a
-//!   deterministically steppable coordinator + N participants harness over
-//!   loopback producing the same
+//! * [`cluster`] — [`VirtualCluster`], a deterministically steppable
+//!   coordinator + N participants harness over loopback producing the same
 //!   [`RunSummary`](hb_sim::schema::RunSummary) as the simulator, for
 //!   direct live-vs-sim cross-validation.
 
@@ -44,7 +43,7 @@ pub use cluster::{ClusterConfig, LiveReport, VirtualCluster};
 pub use events::{Counters, EventSink, EventTap, SharedTap};
 pub use loopback::{Faults, LoopbackCore, LoopbackEndpoint, LoopbackNet, NetStats};
 pub use node::{NodeReport, NodeRuntime};
-pub use time::{SkewedClock, Time, TimeSource, WallClock};
+pub use time::{SkewedClock, Time, WallClock};
 pub use transport::{Recv, Transport};
 pub use udp::UdpTransport;
 pub use wire::{Command, DecodeError, Frame, WIRE_VERSION};

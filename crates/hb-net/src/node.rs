@@ -49,7 +49,7 @@ use hb_core::trace::{Event, EventLog};
 use hb_core::{FixLevel, Heartbeat, Pid, Status};
 
 use crate::events::{Counters, EventSink};
-use crate::time::{Time, TimeSource};
+use crate::time::{Time, WallClock};
 use crate::transport::{Recv, Transport};
 use crate::wire::{Command, Frame};
 
@@ -445,10 +445,10 @@ impl<T: Transport> NodeRuntime<T> {
         }
     }
 
-    /// Run the node against a real (or virtual) clock until it halts or
-    /// `stop` is raised: poll up to the clock's tick, then block on the
-    /// transport until the next protocol deadline or an arrival.
-    pub fn run(&mut self, clock: &dyn TimeSource, stop: &AtomicBool) -> io::Result<()> {
+    /// Run the node against the wall clock until it halts or `stop` is
+    /// raised: poll up to the clock's tick, then block on the transport
+    /// until the next protocol deadline or an arrival.
+    pub fn run(&mut self, clock: &WallClock, stop: &AtomicBool) -> io::Result<()> {
         /// Cap on one blocking wait, so `stop` is honoured promptly even
         /// with no traffic and no deadline.
         const MAX_WAIT: Duration = Duration::from_millis(50);

@@ -1,29 +1,18 @@
-//! Time sources: mapping the protocols' discrete ticks onto real or
-//! virtual time.
+//! Time: mapping the protocols' discrete ticks onto real or virtual
+//! time.
 //!
 //! The `hb-core` machines count in abstract unit ticks (the same unit as
-//! [`Params`](hb_core::Params)). A [`TimeSource`] decides what a tick
-//! means: [`WallClock`] pins tick 0 to a real instant and advances with
-//! wall time (the digital-clock semantics of the verification models, run
-//! live). Deterministic harnesses need no source at all — they hand each
-//! node its tick, through a [`SkewedClock`] where a node's clock drifts.
+//! [`Params`](hb_core::Params)). [`WallClock`] pins tick 0 to a real
+//! instant and advances with wall time (the digital-clock semantics of the
+//! verification models, run live). Deterministic harnesses read no clock:
+//! they hand each node its tick, through a [`SkewedClock`] where a node's
+//! clock drifts.
 
 use std::time::{Duration, Instant};
 
 /// Discrete protocol time, in ticks. Identical to the simulator's
 /// [`hb_sim::channel::Time`].
 pub type Time = u64;
-
-/// Something that can tell the current tick and how long (in real time)
-/// until a future tick.
-pub trait TimeSource: Send + Sync {
-    /// The current tick.
-    fn now(&self) -> Time;
-
-    /// Real-time duration from now until tick `t` begins (zero if `t` is
-    /// already past, or for virtual time sources).
-    fn until(&self, t: Time) -> Duration;
-}
 
 /// A wall-clock time source: tick `t` begins `t × tick` after creation.
 #[derive(Clone, Copy, Debug)]
@@ -50,14 +39,15 @@ impl WallClock {
     pub fn tick(&self) -> Duration {
         self.tick
     }
-}
 
-impl TimeSource for WallClock {
-    fn now(&self) -> Time {
+    /// The current tick.
+    pub fn now(&self) -> Time {
         (self.start.elapsed().as_nanos() / self.tick.as_nanos()) as Time
     }
 
-    fn until(&self, t: Time) -> Duration {
+    /// Real-time duration from now until tick `t` begins (zero if `t` is
+    /// already past).
+    pub fn until(&self, t: Time) -> Duration {
         let deadline = self.start + self.tick.saturating_mul(t.min(u64::from(u32::MAX)) as u32);
         deadline.saturating_duration_since(Instant::now())
     }
@@ -91,6 +81,16 @@ impl SkewedClock {
     pub fn map(&self, t: Time) -> Time {
         self.offset + t.saturating_mul(self.num) / self.den
     }
+
+    /// The inverse of [`map`](Self::map): the least true tick whose local
+    /// reading is `local` or later (0 if the offset alone gets there).
+    /// `map` floors `t·num/den`, so this is the ceiling of
+    /// `(local − offset)·den/num`.
+    pub fn first_reaching(&self, local: Time) -> Time {
+        let ahead = u128::from(local.saturating_sub(self.offset));
+        let (num, den) = (u128::from(self.num), u128::from(self.den));
+        Time::try_from((ahead * den).div_ceil(num)).unwrap_or(Time::MAX)
+    }
 }
 
 #[cfg(test)]
@@ -119,6 +119,26 @@ mod tests {
         assert_eq!(SkewedClock::new(0, 3, 2).map(100), 150);
         assert_eq!(SkewedClock::new(0, 1, 2).map(100), 50);
         assert_eq!(SkewedClock::new(10, 1, 1).map(100), 110);
+    }
+
+    /// Every clock with an offset up to 5 and a rate of `num/den` up to
+    /// 8 in either part, at every local tick up to 64: the tick the
+    /// inverse names reaches it, and the tick before does not.
+    #[test]
+    fn first_reaching_is_the_least_tick_that_reaches() {
+        for offset in 0..=5 {
+            for num in 1..=8 {
+                for den in 1..=8 {
+                    let clock = SkewedClock::new(offset, num, den);
+                    for local in 0..=64 {
+                        let t = clock.first_reaching(local);
+                        let cell = format!("{offset} + t·{num}/{den} reaching {local}");
+                        assert!(clock.map(t) >= local, "{cell}: {t} does not");
+                        assert!(t == 0 || clock.map(t - 1) < local, "{cell}: {t} is late");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The transport abstraction: how frames move between nodes.
 //!
-//! A [`Transport`] hands [`Frame`](crate::wire::Frame)s between processes
-//! identified by [`Pid`]. Implementations decide what the medium is — an
-//! in-process loopback with injectable loss and delay
-//! ([`crate::loopback`]), or UDP sockets ([`crate::udp`]).
+//! A [`Transport`] hands [`Frame`]s between processes identified by
+//! [`Pid`]. Implementations decide what the medium is — an in-process
+//! loopback with injectable loss and delay ([`crate::loopback`]), or UDP
+//! sockets ([`crate::udp`]).
 //!
 //! The interface mirrors the paper's channel assumptions: a send carries a
 //! round-trip latency *budget* (the protocols assume send + immediate

@@ -36,8 +36,8 @@
 //! claiming more than [`MAX_FRAME`] bytes are rejected before any
 //! allocation, so a hostile peer cannot make a receiver buffer unbounded
 //! data. View frames are canonical: members strictly ascending, count
-//! within [`MAX_VIEW_MEMBERS`](hb_core::MAX_VIEW_MEMBERS), coordinator a
-//! member — one frame, one byte string.
+//! within [`MAX_VIEW_MEMBERS`], coordinator a member — one frame, one
+//! byte string.
 
 use std::fmt;
 

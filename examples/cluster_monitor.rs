@@ -39,7 +39,7 @@ use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
 use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::wire::{Command, Frame};
 use accelerated_heartbeat::net::{
-    EventSink, NodeReport, NodeRuntime, Recv, Time, TimeSource, Transport, UdpTransport, WallClock,
+    EventSink, NodeReport, NodeRuntime, Recv, Time, Transport, UdpTransport, WallClock,
 };
 use accelerated_heartbeat::sim::schema::{MonitorVerdicts, RunSummary};
 

@@ -60,7 +60,7 @@ use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::wire::{Command, Frame};
 use accelerated_heartbeat::net::{
-    EventSink, NodeReport, NodeRuntime, TimeSource, Transport, UdpTransport, WallClock,
+    EventSink, NodeReport, NodeRuntime, Transport, UdpTransport, WallClock,
 };
 use accelerated_heartbeat::sim::schema::{FirstViolation, MonitorVerdicts};
 

@@ -18,7 +18,7 @@ use accelerated_heartbeat::core::view::View;
 use accelerated_heartbeat::core::{FixLevel, Heartbeat, Params, Pid, Status, Variant};
 use accelerated_heartbeat::net::{
     Command, EventSink, Faults, Frame, LoopbackCore, LoopbackNet, NetStats, NodeRuntime, Recv,
-    Time, TimeSource, Transport, WallClock,
+    Time, Transport, WallClock,
 };
 use accelerated_heartbeat::sim::channel::LossModel;
 use proptest::prelude::*;

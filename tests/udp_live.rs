@@ -21,7 +21,7 @@ use accelerated_heartbeat::core::trace::Event;
 use accelerated_heartbeat::core::{FixLevel, Params, Pid, Status, Variant};
 use accelerated_heartbeat::net::wire::{Command, Frame};
 use accelerated_heartbeat::net::{
-    EventSink, NodeRuntime, Recv, Time, TimeSource, Transport, UdpTransport, WallClock,
+    EventSink, NodeRuntime, Recv, Time, Transport, UdpTransport, WallClock,
 };
 
 #[test]
