@@ -219,16 +219,10 @@ impl Channel {
         self.outage = Some((from, to));
     }
 
-    fn drops_now<R: Rng>(&mut self, rng: &mut R, now: Time) -> bool {
-        let in_outage = self
-            .outage
-            .is_some_and(|(from, to)| (from..to).contains(&now));
-        in_outage || self.model.drops(&mut self.ge_bad, rng)
-    }
-
     /// Send a message at time `now` with a delay drawn uniformly from
-    /// `0..=budget`. Returns `true` if the message was accepted (not
-    /// lost).
+    /// `0..=budget`, unless the outage window or the loss model drops it
+    /// (the loss draw comes first, then the delay draw). Returns `true` if
+    /// the message was accepted (not lost).
     pub fn send<R: Rng>(
         &mut self,
         rng: &mut R,
@@ -238,20 +232,15 @@ impl Channel {
         hb: Heartbeat,
         budget: u32,
     ) -> bool {
-        self.sent += 1;
-        if self.drops_now(rng, now) {
-            self.lost += 1;
-            return false;
-        }
-        let (deliver_at, budget_left) = draw_delivery(rng, now, budget, 0);
-        self.in_flight.push(InFlight {
-            deliver_at,
-            src,
-            dst,
-            hb,
-            budget_left,
-        });
-        true
+        let in_outage = self
+            .outage
+            .is_some_and(|(from, to)| (from..to).contains(&now));
+        let fate = if in_outage || self.model.drops(&mut self.ge_bad, rng) {
+            SendFate::Drop
+        } else {
+            SendFate::clean()
+        };
+        self.send_shaped(rng, now, (src, dst), hb, budget, fate)
     }
 
     /// Send a message over the `(src, dst)` link whose drop/duplicate/delay
