@@ -22,13 +22,14 @@
 //! [`reconv_stable`]: RunSummary::reconv_stable
 
 use hb_core::events::SharedTap;
-use hb_core::trace::{Event, EventLog};
+use hb_core::trace::Event;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
 use hb_member::{
-    run_live, run_sim, FaultKind, MemberConfig, MemberFault, MemberReport, MemberSpec, RoleKind,
+    run_live, run_sim, FaultKind, MemberConfig, MemberFault, MemberReport, MemberSpec,
+    ReconvSample, RoleKind,
 };
 use hb_sim::channel::{FaultHook, LossModel, Time};
-use hb_sim::schema::RunSummary;
+use hb_sim::schema::{NetStats, RunLedger, RunSummary};
 
 use crate::json::{self, ToJson};
 use crate::pipeline::FaultPipeline;
@@ -93,61 +94,37 @@ pub struct MemberRun {
 /// victim back inside its own installed view. Message counters mirror
 /// the plain backends: pipeline drops count as sent and lost.
 fn summarize(backend: Backend, plan: &FaultPlan, report: &MemberReport) -> RunSummary {
-    let mut crashes = Vec::new();
-    let mut revives = Vec::new();
-    let mut nv_inactivations = Vec::new();
-    let mut leaves = Vec::new();
+    let mut ledger = RunLedger::default();
     let mut lose = 0u64;
     for e in report.events.events() {
-        match e {
-            Event::Crash { at, pid } => crashes.push((*pid, *at)),
-            Event::Revive { at, pid } => revives.push((*pid, *at)),
-            Event::NvInactivate { at, pid } => nv_inactivations.push((*pid, *at)),
-            Event::Leave { at, pid } => leaves.push((*pid, *at)),
+        match *e {
+            Event::Crash { at, pid } => ledger.crash(pid, at),
+            // The epoch opens a re-convergence sample the ledger never
+            // resolves: `reconv_*` come from the report's own samples.
+            Event::Revive { at, pid } => ledger.revive(pid, 0, at),
+            Event::NvInactivate { at, pid } => ledger.nv_inactivation(pid, at),
+            Event::Leave { at, pid } => ledger.leave(pid, at),
             Event::Lose { .. } => lose += 1,
             _ => {}
         }
     }
-    let mut reconv_detect = None;
-    let mut reconv_stable = None;
-    for s in &report.reconv {
-        if let Some(d) = s.detect.map(|t| t - s.at) {
-            reconv_detect = Some(reconv_detect.map_or(d, |m: Time| m.max(d)));
-        }
-        if let Some(d) = s.stable.map(|t| t - s.at) {
-            reconv_stable = Some(reconv_stable.map_or(d, |m: Time| m.max(d)));
-        }
-    }
-    RunSummary {
-        source: backend.name(),
-        duration: plan.proto.duration,
-        messages_sent: report.stats.sent + lose,
-        messages_delivered: report.stats.delivered,
-        messages_lost: report.stats.lost + lose,
-        crashes,
-        nv_inactivations,
-        leaves,
-        revives,
-        reconv_detect,
-        reconv_stable,
-        stale_beats_admitted: 0,
-        stale_beats_filtered: 0,
-        detection_delay: None,
-        false_inactivations: 0,
-        monitor: None,
-        log: EventLog::new(),
-        final_status: report
-            .roles
-            .iter()
-            .map(|r| {
-                if *r == RoleKind::Down {
-                    Status::Crashed
-                } else {
-                    Status::Active
-                }
-            })
-            .collect(),
-    }
+    let traffic = NetStats {
+        sent: report.stats.sent + lose,
+        delivered: report.stats.delivered,
+        lost: report.stats.lost + lose,
+    };
+    let status = |&r| match r {
+        RoleKind::Down => Status::Crashed,
+        _ => Status::Active,
+    };
+    let final_status = report.roles.iter().map(status).collect();
+    let (source, duration) = (backend.name(), plan.proto.duration);
+    let mut summary = ledger.into_summary(source, duration, traffic, (0, 0), final_status);
+    let worst =
+        |delta: fn(&ReconvSample) -> Option<Time>| report.reconv.iter().filter_map(delta).max();
+    summary.reconv_detect = worst(|s| Some(s.detect? - s.at));
+    summary.reconv_stable = worst(|s| Some(s.stable? - s.at));
+    summary
 }
 
 fn run_member(plan: &FaultPlan, backend: Backend, taps: Vec<SharedTap>) -> MemberRun {
