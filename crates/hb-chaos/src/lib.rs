@@ -16,14 +16,13 @@
 //!   [`FaultHook`](hb_sim::FaultHook) of whichever queue carries the
 //!   run's messages;
 //! * [`sim`] / [`live`] — the two injection backends, neither with a
-//!   harness of its own. [`run_plan_sim`](sim::run_plan_sim) installs the
-//!   pipeline in `hb_sim::World`; [`run_plan_live`](live::run_plan_live)
-//!   runs [`ChaosCluster`](live::ChaosCluster), which is
+//!   harness of its own. [`run_plan_sim`] installs the pipeline in
+//!   `hb_sim::World`; [`run_plan_live`] runs [`ChaosCluster`], which is
 //!   `hb_net::VirtualCluster` with the pipeline installed in its
 //!   loopback network and every node polled at its drifted local tick.
-//!   The same plan runs on both, producing the shared
-//!   [`RunSummary`](hb_sim::schema::RunSummary) schema (assembled by the
-//!   one `RunLedger`), byte-identical under replay;
+//!   The same plan runs on both, producing the shared [`RunSummary`]
+//!   schema (assembled by the one `RunLedger`), byte-identical under
+//!   replay;
 //! * [`campaign`] — a parallel campaign runner sweeping
 //!   `fix × loss × burst × drift × partition` grids across worker
 //!   threads into a deterministic JSON report;

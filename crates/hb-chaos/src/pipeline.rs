@@ -2,10 +2,9 @@
 //! every message.
 //!
 //! [`FaultPipeline`] is the single injection engine shared by every
-//! substrate, installed the same way on each: as the
-//! [`FaultHook`](hb_sim::FaultHook) asked where a message enters the
-//! queue — the simulator's world, the live loopback network, the
-//! membership engine. All fault randomness lives in the pipeline's own RNG, seeded from the
+//! substrate, installed the same way on each: as the [`FaultHook`] asked
+//! where a message enters the queue — the simulator's world, the live
+//! loopback network, the membership engine. All fault randomness lives in the pipeline's own RNG, seeded from the
 //! plan — replaying a plan with the same seed reproduces the exact fault
 //! schedule, independently of the substrate's delay randomness.
 //!

@@ -2,8 +2,8 @@
 //!
 //! [`SimMesh`] *is* [`hb_net::loopback::LoopbackCore`] — the queue, loss
 //! and delay-draw implementation the live [`LoopbackNet`] keeps behind
-//! its mutex — so an [`Engine`](crate::Engine) run over `SimMesh` and one
-//! over [`LiveMesh`](crate::live::LiveMesh) with the same seed consume
+//! its mutex — so an [`Engine`] run over `SimMesh` and one over
+//! [`LiveMesh`](crate::live::LiveMesh) with the same seed consume
 //! fault randomness identically and produce byte-identical event streams
 //! by construction.
 //!

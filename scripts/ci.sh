@@ -143,8 +143,8 @@ cargo run --release --example chaos_campaign -- --diff \
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (intra-doc links must resolve)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+echo "==> cargo doc (intra-doc links must resolve and carry no redundant target)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::redundant_explicit_links" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
