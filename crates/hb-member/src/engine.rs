@@ -482,6 +482,57 @@ mod tests {
         }
     }
 
+    /// Every frame `extra` ticks late, one copy.
+    #[derive(Debug)]
+    struct Spike(u32);
+    impl FaultHook for Spike {
+        fn fate(&mut self, _: u64, _: Pid, _: Pid) -> SendFate {
+            SendFate::Deliver {
+                copies: 1,
+                extra_delay: self.0,
+            }
+        }
+    }
+
+    /// A mesh that notes the budget every received frame has left.
+    struct Budgets(SimMesh, Vec<u32>);
+    impl Mesh for Budgets {
+        fn send(&mut self, now: u64, dst: Pid, frame: &Frame, budget: u32) {
+            self.0.send(now, dst, frame, budget);
+        }
+        fn recv_due(&mut self, now: u64, dst: Pid) -> Option<(Frame, u32)> {
+            let got = self.0.recv_due(now, dst)?;
+            self.1.push(got.1);
+            Some(got)
+        }
+        fn any_due(&self, now: u64) -> bool {
+            self.0.any_due(now)
+        }
+        fn stats(&self) -> NetStats {
+            Mesh::stats(&self.0)
+        }
+    }
+
+    /// A hook-delayed copy enters the mesh `extra` ticks late and the mesh
+    /// draws its delay from the whole budget, so the copy arrives with
+    /// `budget − d` left, not the `budget − d − extra` it has on `World`
+    /// and `VirtualCluster`: with every frame 3 ticks late and a budget of
+    /// `tmin` = 2, frames still arrive with 1 or 2 ticks to spare, where
+    /// those substrates leave every one of them 0.
+    #[test]
+    fn a_hook_delayed_frame_keeps_the_budget_the_spike_used() {
+        let spec = MemberSpec::dynamic_full(Params::new(2, 8).unwrap());
+        let cfg = MemberConfig::clean(spec, 4, 5, 400);
+        let mesh = Budgets(SimMesh::new(4, LossModel::Bernoulli(0.0), 5), Vec::new());
+        let mut e = Engine::new(cfg, mesh, Some(Box::new(Spike(3))), Vec::new());
+        e.run_to_end();
+        let mut left = e.mesh.1;
+        assert!(left.len() > 100, "the group must talk: {}", left.len());
+        left.sort_unstable();
+        left.dedup();
+        assert_eq!(left, [0, 1, 2]);
+    }
+
     /// What `run` must stay equal to: `step()` on every tick of the run.
     fn run_stepwise<M: Mesh>(mut e: Engine<M>) -> (MemberReport, u64) {
         for node in &mut e.nodes {
