@@ -116,11 +116,6 @@ fn local_tick(local: &[Option<SkewedClock>], pid: Pid, now: Time) -> Time {
     local[pid].map_or(now, |clock| clock.map(now))
 }
 
-/// The first true tick at which `pid`'s clock reads `local` or later.
-fn true_tick(local: &[Option<SkewedClock>], pid: Pid, t: Time) -> Time {
-    local[pid].map_or(t, |clock| clock.first_reaching(t))
-}
-
 /// The transport a node of the cluster starts with: no core yet.
 fn lent(pid: Pid) -> Lent {
     Lent {
@@ -394,8 +389,8 @@ impl VirtualCluster {
         }
         let local = &self.local;
         let deadlines = self.nodes.iter().enumerate().filter_map(|(pid, node)| {
-            let deadline = node.as_ref()?.next_deadline()?;
-            Some(true_tick(local, pid, deadline))
+            let d = node.as_ref()?.next_deadline()?;
+            Some(local[pid].map_or(d, |clock| clock.first_reaching(d)))
         });
         let unstarted = self.nodes[1..].iter().zip(&self.start_at);
         let starts = unstarted
