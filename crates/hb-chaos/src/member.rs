@@ -120,10 +120,12 @@ fn summarize(backend: Backend, plan: &FaultPlan, report: &MemberReport) -> RunSu
     let final_status = report.roles.iter().map(status).collect();
     let (source, duration) = (backend.name(), plan.proto.duration);
     let mut summary = ledger.into_summary(source, duration, traffic, (0, 0), final_status);
-    let worst =
-        |delta: fn(&ReconvSample) -> Option<Time>| report.reconv.iter().filter_map(delta).max();
-    summary.reconv_detect = worst(|s| Some(s.detect? - s.at));
-    summary.reconv_stable = worst(|s| Some(s.stable? - s.at));
+    let worst = |side: fn(&ReconvSample) -> Option<Time>| {
+        let deltas = report.reconv.iter().filter_map(|s| Some(side(s)? - s.at));
+        deltas.max()
+    };
+    summary.reconv_detect = worst(|s| s.detect);
+    summary.reconv_stable = worst(|s| s.stable);
     summary
 }
 
