@@ -244,46 +244,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Sim campaign reports pinned byte for byte: per spec the length and
-/// the FNV-1a-64 digest of `to_json()`, over loss {0, 5 %} × burst
-/// {1, 4} × partition {0, 20} × drift {none, 101/100}, eight seeds,
-/// monitored and unmonitored. A campaign seed's crash, crash+revive and
-/// quiet runs share everything up to the crash; however `run_campaign`
-/// executes them, these bytes must not move.
-#[test]
-fn sim_campaign_reports_are_pinned() {
-    let cells = [
-        (
-            Variant::Static,
-            4,
-            vec![FixLevel::Full],
-            [(8643, 0x28c96a9c9f93a7b1), (8658, 0xdf0342e6888bb2f0)],
-        ),
-        (
-            Variant::Expanding,
-            3,
-            vec![FixLevel::Original, FixLevel::Full],
-            [(17132, 0xcec63470d62b742e), (17151, 0xf1fe74a4d2bb947b)],
-        ),
-        (
-            Variant::Dynamic,
-            3,
-            vec![FixLevel::Original, FixLevel::Full],
-            [(17130, 0xa96b023558faf859), (17149, 0xd8882342a1408dea)],
-        ),
-        (
-            Variant::Binary,
-            1,
-            vec![FixLevel::Original, FixLevel::Full],
-            [(17123, 0x6f2fdfc375b64cef), (17144, 0x088b9d58175a899c)],
-        ),
-    ];
+/// A campaign's report pinned byte for byte: per spec the length and the
+/// FNV-1a-64 digest of `to_json()`, over loss {0, 5 %} × burst {1, 4} ×
+/// partition {0, 20} × drift {none, 101/100}, eight seeds, unmonitored
+/// then monitored. Returns the specs whose bytes moved.
+fn drifted_campaigns(backend: Backend, cells: [PinnedCells; 4]) -> Vec<String> {
     let mut drifted = Vec::new();
     for (variant, n, fixes, pinned) in cells {
         for (monitor, want) in [false, true].into_iter().zip(pinned) {
             let report = run_campaign(&CampaignSpec {
                 name: "pinned".into(),
-                backend: Backend::Sim,
+                backend,
                 variant,
                 params: Params::new(2, 8).unwrap(),
                 n,
@@ -307,5 +278,83 @@ fn sim_campaign_reports_are_pinned() {
             }
         }
     }
+    drifted
+}
+
+/// A variant, its group size, its fix levels, and the pinned
+/// `(length, digest)` of its unmonitored and monitored reports.
+type PinnedCells = (Variant, usize, Vec<FixLevel>, [(usize, u64); 2]);
+
+/// Sim campaign reports pinned ([`drifted_campaigns`]). A campaign
+/// seed's crash, crash+revive and quiet runs share everything up to the
+/// crash; however `run_campaign` executes them, these bytes must not
+/// move.
+#[test]
+fn sim_campaign_reports_are_pinned() {
+    let drifted = drifted_campaigns(
+        Backend::Sim,
+        [
+            (
+                Variant::Static,
+                4,
+                vec![FixLevel::Full],
+                [(8643, 0x28c96a9c9f93a7b1), (8658, 0xdf0342e6888bb2f0)],
+            ),
+            (
+                Variant::Expanding,
+                3,
+                vec![FixLevel::Original, FixLevel::Full],
+                [(17132, 0xcec63470d62b742e), (17151, 0xf1fe74a4d2bb947b)],
+            ),
+            (
+                Variant::Dynamic,
+                3,
+                vec![FixLevel::Original, FixLevel::Full],
+                [(17130, 0xa96b023558faf859), (17149, 0xd8882342a1408dea)],
+            ),
+            (
+                Variant::Binary,
+                1,
+                vec![FixLevel::Original, FixLevel::Full],
+                [(17123, 0x6f2fdfc375b64cef), (17144, 0x088b9d58175a899c)],
+            ),
+        ],
+    );
+    assert!(drifted.is_empty(), "reports drifted: {drifted:#?}");
+}
+
+/// Live campaign reports pinned the same way, on the same grid: drift
+/// shapes these runs, and the monitor rides the loopback cluster.
+#[test]
+fn live_campaign_reports_are_pinned() {
+    let drifted = drifted_campaigns(
+        Backend::Live,
+        [
+            (
+                Variant::Static,
+                4,
+                vec![FixLevel::Full],
+                [(8640, 0x7d7b302f477123a8), (8655, 0x27eb0142a232447b)],
+            ),
+            (
+                Variant::Expanding,
+                3,
+                vec![FixLevel::Original, FixLevel::Full],
+                [(17137, 0x44b929f40580f170), (17156, 0xcf9e579219aed1b9)],
+            ),
+            (
+                Variant::Dynamic,
+                3,
+                vec![FixLevel::Original, FixLevel::Full],
+                [(17135, 0xb9899570a877e2e3), (17154, 0xea2103364a4eb4ac)],
+            ),
+            (
+                Variant::Binary,
+                1,
+                vec![FixLevel::Original, FixLevel::Full],
+                [(17124, 0x9902f3a461a3debf), (17145, 0x07ecbd7a28dbe05a)],
+            ),
+        ],
+    );
     assert!(drifted.is_empty(), "reports drifted: {drifted:#?}");
 }
