@@ -6,7 +6,7 @@
 //! diffable — and both can feed the same streaming requirement monitors
 //! through an attached [`EventTap`].
 
-pub use hb_core::events::{event_json, parse_event_json, EventSink, EventTap, SharedTap};
+pub use hb_core::events::{event_json, parse_event_json, EventSink, EventTap, OwnedTap, SharedTap};
 
 /// Cheap always-on counters for one node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

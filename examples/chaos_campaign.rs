@@ -58,11 +58,11 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The seed-pinned CI grid: 8 cells, 3 seeds, sim backend, < 1 s.
-fn smoke_spec(threads: usize) -> CampaignSpec {
+/// The seed-pinned CI grid: 12 cells, 3 seeds, on `backend`, < 1 s.
+fn smoke_spec(backend: Backend, threads: usize) -> CampaignSpec {
     CampaignSpec {
         name: "smoke".into(),
-        backend: Backend::Sim,
+        backend,
         variant: Variant::Binary,
         params: Params::new(2, 8).unwrap(),
         n: 1,
@@ -311,7 +311,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return emit_failover_artifacts(&dir);
     }
     let mut spec = if args.iter().any(|a| a == "--smoke") {
-        smoke_spec(threads)
+        smoke_spec(backend, threads)
     } else {
         full_spec(backend, threads)
     };

@@ -28,13 +28,19 @@ echo "==> allocation counts in the optimised build (a successor and a warmed-up 
 # the release binary the benchmark times, so it runs there too.
 cargo test --release --test alloc_free -q
 
-echo "==> chaos smoke campaign (seed-pinned, injector determinism)"
+echo "==> chaos smoke campaign (seed-pinned, injector determinism, sim + live backends)"
+# Both backends fork each seed's runs at the crash tick; the report must
+# not depend on how many workers ran the cells.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run --release --example chaos_campaign -- --smoke --out "$tmpdir/a.json" >/dev/null
-cargo run --release --example chaos_campaign -- --smoke --threads 1 --out "$tmpdir/b.json" >/dev/null
-diff "$tmpdir/a.json" "$tmpdir/b.json" \
-  || { echo "chaos campaign is not deterministic" >&2; exit 1; }
+for backend in sim live; do
+  cargo run --release --example chaos_campaign -- --smoke --backend "$backend" \
+    --out "$tmpdir/a_$backend.json" >/dev/null
+  cargo run --release --example chaos_campaign -- --smoke --backend "$backend" --threads 1 \
+    --out "$tmpdir/b_$backend.json" >/dev/null
+  diff "$tmpdir/a_$backend.json" "$tmpdir/b_$backend.json" \
+    || { echo "chaos campaign ($backend) is not deterministic" >&2; exit 1; }
+done
 
 echo "==> §7 crash/revive rejoin demo (seed-pinned, sim + live backends)"
 # Emits rejoin_{sim,live}.json twice; the emitter itself fails unless the
@@ -127,8 +133,8 @@ diff <(awk '{$NF=""; print}' "$tmpdir/scale_one.txt") <(awk '{$NF=""; print}' "$
   || { echo "the pipelined scale cells differ from the sequential ones" >&2; exit 1; }
 
 echo "==> gm98 campaign through the example (monitored grid, sim + live, vs the checked-in pair)"
-# The simulator forks each seed's runs at the crash tick; the live backend
-# runs them whole. Both must still emit the goldens byte for byte.
+# Both backends fork each seed's runs at the crash tick, and must still
+# emit the goldens byte for byte.
 for backend in sim live; do
   cargo run --release --example chaos_campaign -- --backend "$backend" --monitor \
     --out "$tmpdir/campaign_gm98_$backend.json" >/dev/null
