@@ -1,6 +1,7 @@
 //! Allocation counts on the hot paths: up to eight participants the
 //! protocol state is inline, so the model checker's successor path (step,
-//! canonicalize, decode) and a warmed-up simulator run allocate nothing.
+//! canonicalize, decode), a warmed-up simulator run and a warmed-up
+//! loopback cluster run, monitored or not, allocate nothing.
 //!
 //! This binary installs its own global allocator, which counts the
 //! allocations each thread makes. The claim is about the optimised build,
@@ -14,6 +15,8 @@ use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::mck::packed::{BitReader, BitWriter, StateCodec};
 use accelerated_heartbeat::mck::symmetry::Canonicalize;
 use accelerated_heartbeat::mck::Model;
+use accelerated_heartbeat::monitor::MonitorSet;
+use accelerated_heartbeat::net::{ClusterConfig, Faults, VirtualCluster};
 use accelerated_heartbeat::sim::world::WorldConfig;
 use accelerated_heartbeat::sim::World;
 use accelerated_heartbeat::verify::requirements::build_model;
@@ -174,4 +177,34 @@ fn a_warmed_up_world_run_allocates_nothing_at_eight_participants() {
     let ((), allocs) = allocations(|| world.run_until(20_000));
     assert_eq!(world.now(), 20_000, "the group stays up without faults");
     assert_eq!(allocs, 0);
+}
+
+#[test]
+fn a_warmed_up_cluster_allocates_nothing_at_eight_participants() {
+    let cfg = ClusterConfig {
+        variant: Variant::Static,
+        params: Params::new(2, 8).unwrap(),
+        fix: FixLevel::Full,
+        n: 8,
+        faults: Faults::none(),
+        seed: 7,
+        record_events: false,
+    };
+    for monitored in [false, true] {
+        let mut cluster = VirtualCluster::new(cfg);
+        if monitored {
+            let monitor = MonitorSet::new(cfg.variant, cfg.params, cfg.fix, cfg.n);
+            cluster.attach_owned_tap(Box::new(monitor));
+        }
+        cluster.run_until(1_000);
+        let ((), allocs) = allocations(|| cluster.run_until(20_000));
+        assert_eq!(cluster.now(), 20_000, "the group stays up without faults");
+        assert_eq!(allocs, 0, "monitored: {monitored}");
+        if monitored {
+            let tap = cluster.take_owned_taps().pop().expect("the monitor comes back");
+            let mut monitor = MonitorSet::from_tap(tap).expect("a MonitorSet");
+            monitor.finish(20_000);
+            assert!(monitor.verdicts().clean());
+        }
+    }
 }
