@@ -4,18 +4,21 @@
 //!   (same `Recv` sequence, same `any_deliverable`, same counters, same
 //!   random draws), checked against a scanning reference kept here;
 //! * threads that block in `Transport::wait` never miss an arrival, even
-//!   though `send` only signals the condvar when someone is waiting.
+//!   though `send` only signals the condvar when someone is waiting;
+//! * node threads that share one tap each feed it their own events, once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use accelerated_heartbeat::core::coordinator::CoordSpec;
+use accelerated_heartbeat::core::events::{EventTap, SharedTap};
 use accelerated_heartbeat::core::responder::RespSpec;
 use accelerated_heartbeat::core::trace::Event;
 use accelerated_heartbeat::core::view::View;
 use accelerated_heartbeat::core::{FixLevel, Heartbeat, Params, Pid, Status, Variant};
+use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::{
     Command, EventSink, Faults, Frame, LoopbackCore, LoopbackNet, NetStats, NodeRuntime, Recv,
     Time, Transport, WallClock,
@@ -263,6 +266,18 @@ fn ping_pong_never_loses_a_wakeup() {
 /// a crash arrives by control frame and the coordinator must notice
 /// within the corrected bound. The nodes sleep in `wait` between
 /// deadlines, so detection depends on arrivals waking them.
+/// Every event it hears, from whichever thread.
+#[derive(Default)]
+struct Recorder(Vec<Event>);
+impl EventTap for Recorder {
+    fn on_event(&mut self, e: &Event) {
+        self.0.push(*e);
+    }
+}
+
+/// Three node threads, each with one recorder and one R1–R3 monitor
+/// shared among all of them: the recorder hears exactly the union of the
+/// nodes' logs, and the monitor stays clean through a detected crash.
 #[test]
 fn threaded_run_loop_detects_injected_crash() {
     /// Ticks of skew allowed between two threads' readings of the clock.
@@ -273,9 +288,14 @@ fn threaded_run_loop_detects_injected_crash() {
     let stop = Arc::new(AtomicBool::new(false));
     let net = LoopbackNet::new(4, Faults::none(), 1);
     let mut injector = net.endpoint(3);
+    let recorder = Arc::new(Mutex::new(Recorder::default()));
+    let monitor = MonitorSet::shared(Variant::Static, params, FixLevel::Full, 2);
 
     let spawn = |mut node: NodeRuntime<_>| {
         let stop = Arc::clone(&stop);
+        let (recorder, monitor): (SharedTap, SharedTap) = (recorder.clone(), monitor.clone());
+        node.attach_tap(recorder);
+        node.attach_tap(monitor);
         thread::spawn(move || {
             node.run(&clock, &stop).unwrap();
             node.finish()
@@ -344,4 +364,15 @@ fn threaded_run_loop_detects_injected_crash() {
         "detected after {delay} ticks > bound {bound} + {SLACK}"
     );
     assert!(coord.counters.halvings >= 1, "acceleration kicked in");
+
+    let key = |e: &Event| (e.at(), format!("{e:?}"));
+    let mut heard = std::mem::take(&mut recorder.lock().unwrap().0);
+    let nodes = std::iter::once(&coord).chain(&parts);
+    let mut logged: Vec<Event> = nodes.flat_map(|n| n.log.events()).copied().collect();
+    heard.sort_by_key(key);
+    logged.sort_by_key(key);
+    assert_eq!(heard, logged, "the shared tap hears each node's events once");
+    let mut monitor = monitor.lock().unwrap();
+    monitor.finish(coord.now);
+    assert!(monitor.verdicts().clean(), "{:?}", monitor.verdicts());
 }
