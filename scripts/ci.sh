@@ -62,7 +62,7 @@ echo "==> monitor gate (streaming R1–R3 verdicts on the smoke grid)"
 # cells reproduce the R1 breach.
 cargo run --release --example chaos_campaign -- --smoke --monitor >/dev/null
 
-echo "==> offline monitor (hb_monitor --emit, then --log replay)"
+echo "==> offline monitor (hb_monitor --emit, then --log replay; --live --member)"
 # The seed-1 binary crash log (crash at t=300): under the claimed bound the
 # replay must report R1 at the 2·tmax deadline, under the full fix it must
 # be clean. A two-participant static log replayed at the default --n 1
@@ -80,6 +80,11 @@ grep -qF '"clean":true' "$tmpdir/mon_full-fix.json" \
 "${mon[@]}" --emit "$tmpdir/mon_n2.jsonl" --variant static --n 2 --fix original 2>/dev/null
 "${mon[@]}" --log "$tmpdir/mon_n2.jsonl" --variant static --fix original >/dev/null 2>&1 \
   || { echo "replaying an n=2 log at --n 1 failed" >&2; exit 1; }
+# The membership group on the loopback runtime in virtual time, with a
+# shared monitor and a view watch tapping the engine's stream: the run
+# exits non-zero unless failover is healthy and the monitors are clean.
+"${mon[@]}" --live --member >/dev/null \
+  || { echo "hb_monitor --live --member: failover unhealthy or a monitor fired" >&2; exit 1; }
 
 echo "==> simulator examples (seeded; cluster_monitor --sim asserts a monitor-clean replay and one graceful leave)"
 cargo run --release --example quickstart >/dev/null
