@@ -201,7 +201,10 @@ fn a_warmed_up_cluster_allocates_nothing_at_eight_participants() {
         assert_eq!(cluster.now(), 20_000, "the group stays up without faults");
         assert_eq!(allocs, 0, "monitored: {monitored}");
         if monitored {
-            let tap = cluster.take_owned_taps().pop().expect("the monitor comes back");
+            let tap = cluster
+                .take_owned_taps()
+                .pop()
+                .expect("the monitor comes back");
             let mut monitor = MonitorSet::from_tap(tap).expect("a MonitorSet");
             monitor.finish(20_000);
             assert!(monitor.verdicts().clean());

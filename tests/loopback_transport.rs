@@ -371,7 +371,10 @@ fn threaded_run_loop_detects_injected_crash() {
     let mut logged: Vec<Event> = nodes.flat_map(|n| n.log.events()).copied().collect();
     heard.sort_by_key(key);
     logged.sort_by_key(key);
-    assert_eq!(heard, logged, "the shared tap hears each node's events once");
+    assert_eq!(
+        heard, logged,
+        "the shared tap hears each node's events once"
+    );
     let mut monitor = monitor.lock().unwrap();
     monitor.finish(coord.now);
     assert!(monitor.verdicts().clean(), "{:?}", monitor.verdicts());
