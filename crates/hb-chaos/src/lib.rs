@@ -48,7 +48,6 @@ mod runner;
 pub mod sim;
 
 use hb_core::events::SharedTap;
-use hb_monitor::MonitorSet;
 use hb_sim::schema::RunSummary;
 
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, Cell, CellStats, RunKind};
@@ -94,6 +93,10 @@ impl Backend {
 /// Run one fault plan on the chosen backend. Membership plans
 /// ([`ProtoSpec::membership`]) execute on the `hb-member` group layer;
 /// everything else runs the plain detector runtimes.
+///
+/// # Panics
+///
+/// Panics if a plain-detector plan fails [`FaultPlan::validate`].
 pub fn run_plan(plan: &FaultPlan, backend: Backend) -> RunSummary {
     if plan.proto.membership {
         return member::run_plan_member(plan, backend).summary;
@@ -102,15 +105,20 @@ pub fn run_plan(plan: &FaultPlan, backend: Backend) -> RunSummary {
 }
 
 /// Run one fault plan on the chosen backend with a streaming
-/// [`MonitorSet`] attached, and record its verdicts in the summary's
-/// `monitor` field.
+/// [`hb_monitor::MonitorSet`] attached, and record its verdicts in the
+/// summary's `monitor` field.
 ///
 /// The monitor taps the run's event stream live (the world sink on the
 /// simulator, the cluster's one tap site on the live backend, plus the
-/// network's `lose` events on both), is closed at the run's actual
+/// network's `lose` events on both; a membership run's recorded log is
+/// replayed instead), is closed at the run's actual
 /// end tick, and its first-violation verdicts ride along in the shared
 /// schema — so campaign cells, the rejoin demo and CI gates can all ask
 /// the same question: "did any requirement monitor fire?".
+///
+/// # Panics
+///
+/// As [`run_plan`].
 pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
     if plan.proto.membership {
         return member::run_plan_member_monitored(plan, backend).summary;
@@ -127,29 +135,10 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
 ///
 /// # Panics
 ///
-/// Panics on a membership plan.
+/// Panics on a membership plan or one that fails [`FaultPlan::validate`].
 pub fn run_plan_tapped(plan: &FaultPlan, backend: Backend, tap: SharedTap) -> RunSummary {
     assert!(!plan.proto.membership, "no tapped membership run");
     runner::run_tapped(plan, backend, tap)
-}
-
-/// Run `run` with a shared R1–R3 [`MonitorSet`] for `plan` as its tap,
-/// then close the monitor at the run's end tick and store its verdicts in
-/// the summary `summary` picks out of the result.
-pub(crate) fn monitored<R>(
-    plan: &FaultPlan,
-    run: impl FnOnce(SharedTap) -> R,
-    summary: impl FnOnce(&mut R) -> &mut RunSummary,
-) -> R {
-    let p = &plan.proto;
-    let monitor = MonitorSet::shared(p.variant, p.params, p.fix, p.n);
-    let mut out = run(monitor.clone());
-    let summary = summary(&mut out);
-    #[expect(clippy::expect_used, reason = "poisoned only if the run panicked")]
-    let mut mon = monitor.lock().expect("monitor poisoned");
-    mon.finish(summary.duration);
-    summary.monitor = Some(mon.verdicts());
-    out
 }
 
 #[cfg(test)]

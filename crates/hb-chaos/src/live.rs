@@ -36,7 +36,8 @@ impl ChaosCluster {
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
     pub fn new(plan: FaultPlan) -> Self {
-        Self::check(&plan);
+        #[expect(clippy::expect_used, reason = "new's contract is a valid plan")]
+        plan.validate().expect("invalid fault plan");
         let mut cluster = Self::unscheduled(&plan);
         for fault in &plan.faults {
             cluster.schedule(fault);
@@ -49,8 +50,9 @@ impl ChaosCluster {
     /// site, which every node (late joiners included) and the network's
     /// drop site feed in emission order, so the tap sees the same event
     /// stream the simulator would emit: sends, deliveries, lifecycle
-    /// transitions, and losses. One thread steps the cluster; the lock
-    /// is for a caller that keeps a handle to read the tap mid-run.
+    /// transitions, and losses. One thread steps the cluster; the tap
+    /// takes its lock per event, for a caller that keeps a handle to
+    /// read it mid-run.
     pub fn attach_monitor(&mut self, tap: SharedTap) {
         self.0.attach_tap(tap);
     }
@@ -68,11 +70,6 @@ impl ChaosCluster {
 }
 
 impl Substrate for ChaosCluster {
-    #[expect(clippy::expect_used, reason = "new's contract is a valid plan")]
-    fn check(plan: &FaultPlan) {
-        plan.validate().expect("invalid fault plan");
-    }
-
     fn unscheduled(plan: &FaultPlan) -> Self {
         let proto = plan.proto;
         let mut cluster = VirtualCluster::new(ClusterConfig {

@@ -21,7 +21,6 @@
 //!
 //! [`reconv_stable`]: RunSummary::reconv_stable
 
-use hb_core::events::SharedTap;
 use hb_core::trace::Event;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
 use hb_member::{
@@ -129,12 +128,13 @@ fn summarize(backend: Backend, plan: &FaultPlan, report: &MemberReport) -> RunSu
     summary
 }
 
-fn run_member(plan: &FaultPlan, backend: Backend, taps: Vec<SharedTap>) -> MemberRun {
+/// Run a membership plan on the chosen backend.
+pub fn run_plan_member(plan: &FaultPlan, backend: Backend) -> MemberRun {
     let cfg = member_config(plan);
     let hook: Box<dyn FaultHook> = Box::new(FaultPipeline::new(plan));
     let report = match backend {
-        Backend::Sim => run_sim(cfg, Some(hook), taps),
-        Backend::Live => run_live(cfg, Some(hook), taps),
+        Backend::Sim => run_sim(cfg, Some(hook), Vec::new()),
+        Backend::Live => run_live(cfg, Some(hook), Vec::new()),
     };
     MemberRun {
         summary: summarize(backend, plan, &report),
@@ -142,13 +142,10 @@ fn run_member(plan: &FaultPlan, backend: Backend, taps: Vec<SharedTap>) -> Membe
     }
 }
 
-/// Run a membership plan on the chosen backend.
-pub fn run_plan_member(plan: &FaultPlan, backend: Backend) -> MemberRun {
-    run_member(plan, backend, Vec::new())
-}
-
-/// Run a membership plan with a streaming R1–R3 [`hb_monitor::MonitorSet`] tapping
-/// the engine's event stream, and record its verdicts in the summary.
+/// Run a membership plan and record the R1–R3 verdicts of its event
+/// stream in the summary: the engine's log replayed through
+/// [`hb_monitor::replay`] to the run's end, which is what a streaming
+/// [`hb_monitor::MonitorSet`] tapping the engine would report.
 ///
 /// The membership events ride the same `hb_core` trace the plain
 /// runtimes emit, so the monitors work unchanged: a coordinator crash
@@ -156,8 +153,12 @@ pub fn run_plan_member(plan: &FaultPlan, backend: Backend) -> MemberRun {
 /// never non-voluntarily inactivates anybody, so a healthy failover run
 /// must come back clean.
 pub fn run_plan_member_monitored(plan: &FaultPlan, backend: Backend) -> MemberRun {
-    let run = |tap| run_member(plan, backend, vec![tap]);
-    crate::monitored(plan, run, |run| &mut run.summary)
+    let mut run = run_plan_member(plan, backend);
+    let (p, horizon) = (&plan.proto, run.summary.duration);
+    let events = run.report.events.events();
+    let verdicts = hb_monitor::replay(p.variant, p.params, p.fix, p.n, events, horizon);
+    run.summary.monitor = Some(verdicts);
+    run
 }
 
 /// Tick at which the failover campaign crashes the coordinator.

@@ -3,8 +3,7 @@
 //! are one run up to the first tick those differ on: [`run_plans`] runs
 //! that prefix once and forks there. A monitor rides as an owned tap.
 
-use hb_core::events::{EventTap, OwnedTap, SharedTap};
-use hb_core::trace::Event;
+use hb_core::events::{OwnedTap, SharedTap};
 use hb_monitor::MonitorSet;
 use hb_sim::channel::Time;
 use hb_sim::schema::RunSummary;
@@ -16,8 +15,6 @@ use crate::Backend;
 
 /// What the runner needs of `hb_sim::World` and [`ChaosCluster`].
 pub(crate) trait Substrate: Sized {
-    /// Refuse a plan this substrate cannot run (default: none).
-    fn check(_plan: &FaultPlan) {}
     /// A run of `plan` with its fault pipeline and nothing scheduled.
     fn unscheduled(plan: &FaultPlan) -> Self;
     fn attach(&mut self, tap: OwnedTap);
@@ -36,8 +33,7 @@ pub(crate) fn run_one(plan: &FaultPlan, backend: Backend, monitored: bool) -> Ru
 
 /// Run one plan on `backend` with `tap` on its tap site.
 pub(crate) fn run_tapped(plan: &FaultPlan, backend: Backend, tap: SharedTap) -> RunSummary {
-    let tap: OwnedTap = Box::new(Locked(tap));
-    run_on(backend, std::slice::from_ref(plan), Some(tap)).remove(0)
+    run_on(backend, std::slice::from_ref(plan), Some(Box::new(tap))).remove(0)
 }
 
 /// Run each of `plans` as [`crate::run_plan`] (or, `monitored`,
@@ -59,27 +55,22 @@ fn run_on(backend: Backend, plans: &[FaultPlan], tap: Option<OwnedTap>) -> Vec<R
     }
 }
 
-/// A shared tap fed as an owned one. It does not fork, so neither does
-/// a run that carries it.
-struct Locked(SharedTap);
-
-impl EventTap for Locked {
-    fn on_event(&mut self, e: &Event) {
-        if let Ok(mut tap) = self.0.lock() {
-            tap.on_event(e);
-        }
-    }
-}
-
 /// The base run (`tap`, the pipeline, the schedule before the fork tick)
 /// runs to the fork tick; every plan but the last continues on a fork of
 /// it with its own later entries, the last on the base itself. A
 /// [`MonitorSet`] tap's verdicts land in each summary.
+///
+/// # Panics
+///
+/// Panics if a plan fails [`FaultPlan::validate`], on either substrate.
 fn forked<S: Substrate>(plans: &[FaultPlan], tap: Option<OwnedTap>) -> Vec<RunSummary> {
     let Some((last, rest)) = plans.split_last() else {
         return Vec::new();
     };
-    plans.iter().for_each(S::check);
+    for plan in plans {
+        #[expect(clippy::expect_used, reason = "a plan batch's contract is valid plans")]
+        plan.validate().expect("invalid fault plan");
+    }
     let fork_at = fork_tick(plans);
     let mut base = S::unscheduled(last);
     if let Some(tap) = tap {
@@ -278,38 +269,34 @@ mod tests {
         }
     }
 
-    /// The simulator runs a plan `FaultPlan::validate` refuses: here a
-    /// shared revive of a live participant, which does nothing.
+    /// The simulator refuses a plan `FaultPlan::validate` refuses, as the
+    /// live backend does: here a shared revive of a live participant.
     #[test]
-    fn a_shared_revive_of_a_live_participant_is_a_no_op_on_the_simulator() {
+    #[should_panic(expected = "invalid fault plan")]
+    fn a_shared_revive_of_a_live_participant_is_refused_on_the_simulator() {
         let base = FaultPlan::new("fork", 5, proto(FixLevel::Full))
-            .with(FaultSpec::Loss {
-                window: Window::always(),
-                link: Link::any(),
-                model: LossModel::Bernoulli(0.05),
-            })
             .with(FaultSpec::Revive { pid: 1, at: 50 });
         let crash = base.clone().with(FaultSpec::Crash { pid: 1, at: 300 });
         let revive = crash.clone().with(FaultSpec::Revive { pid: 1, at: 304 });
         let plans = [crash, revive, base];
         assert!(plans.iter().all(|plan| plan.validate().is_err()));
-        assert_eq!(fork_tick(&plans), 300);
-        for monitored in [false, true] {
-            let whole = whole(&plans, Backend::Sim, monitored);
-            assert_eq!(run_plans(&plans, Backend::Sim, monitored), whole);
-            assert!(whole[1].reconv_detect.is_some(), "{:?}", whole[1]);
-        }
+        run_plans(&plans, Backend::Sim, false);
     }
 
-    /// The live backend refuses every plan it is handed that fails
+    /// Both backends refuse every plan they are handed that fails
     /// `FaultPlan::validate`, not only the one the base run is built from.
     #[test]
-    #[should_panic(expected = "invalid fault plan")]
-    fn the_live_backend_checks_every_plan() {
+    fn every_backend_checks_every_plan() {
         let quiet = FaultPlan::new("quiet", 5, proto(FixLevel::Full));
         let revive = quiet.clone().with(FaultSpec::Revive { pid: 1, at: 304 });
         assert!(quiet.validate().is_ok() && revive.validate().is_err());
-        run_plans(&[revive, quiet], Backend::Live, false);
+        let plans = [revive, quiet];
+        for backend in [Backend::Sim, Backend::Live] {
+            let run = || run_plans(&plans, backend, false);
+            let refused = std::panic::catch_unwind(run).expect_err("an invalid plan runs");
+            let message = refused.downcast::<String>().expect("a formatted panic");
+            assert!(message.starts_with("invalid fault plan"), "{message}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shared event emission: one JSON-lines schema, one sink, one tap.
+//! Shared event emission: one JSON-lines schema, one sink, one kind of tap.
 //!
 //! Both substrates — the `hb-sim` discrete-event world and the `hb-net`
 //! live node runtime — drive the same state machines, so they emit the
@@ -7,7 +7,9 @@
 //! reads one back (for log tailing), [`EventSink`] routes events to an
 //! in-memory log, a JSON-lines writer, and any number of attached
 //! [`EventTap`]s (e.g. a streaming requirement monitor, which reports
-//! [`MonitorVerdicts`]). Records are written and read through
+//! [`MonitorVerdicts`]). A sink owns its taps; a tap several threads feed
+//! is a [`SharedTap`], which is one more tap that locks inside
+//! [`on_event`](EventTap::on_event). Records are written and read through
 //! [`crate::json`], the workspace's one JSON module.
 
 use std::fmt;
@@ -248,22 +250,24 @@ pub trait EventTap: TapAny {
 }
 
 /// A shareable tap handle: the runtime feeds events through it while the
-/// harness keeps a clone to read verdicts out afterwards.
+/// harness keeps a clone to read verdicts out afterwards. It is itself an
+/// [`EventTap`] that takes the lock inside [`on_event`](EventTap::on_event)
+/// (a poisoned lock skips the event) and does not fork, as two runs
+/// would feed one tap.
 pub type SharedTap = Arc<Mutex<dyn EventTap + Send>>;
 
-/// An exclusively-owned tap: the sink is the only holder, so dispatch is
-/// a plain virtual call with no mutex. Recover it after the run with
+impl<T: EventTap + Send + ?Sized + 'static> EventTap for Arc<Mutex<T>> {
+    fn on_event(&mut self, e: &Event) {
+        if let Ok(mut tap) = self.lock() {
+            tap.on_event(e);
+        }
+    }
+}
+
+/// An attached tap: the sink is the only holder, so dispatch is a plain
+/// virtual call. Recover it after the run with
 /// [`EventSink::take_owned_taps`] and downcast via [`TapAny::into_any`].
 pub type OwnedTap = Box<dyn EventTap + Send>;
-
-/// One attached tap: either exclusively owned by the sink (lock-free
-/// dispatch — the fast path for single-threaded runs) or shared behind a
-/// mutex (the live runtime, where the harness keeps a handle to read
-/// verdicts mid-run and many node sinks feed one monitor).
-enum TapSlot {
-    Owned(OwnedTap),
-    Shared(SharedTap),
-}
 
 /// Where a process's events go: an in-memory [`EventLog`], a JSON-lines
 /// writer, any number of live [`EventTap`]s — in any combination, or
@@ -274,7 +278,7 @@ pub struct EventSink {
     writer: Option<Box<dyn Write + Send>>,
     /// The writer's line buffer, reused for every event.
     line: String,
-    taps: Vec<TapSlot>,
+    taps: Vec<OwnedTap>,
 }
 
 impl fmt::Debug for EventSink {
@@ -308,32 +312,23 @@ impl EventSink {
         self
     }
 
-    /// Attach a live tap; every subsequent [`EventSink::emit`] forwards
-    /// the event to it. A poisoned tap mutex is skipped, not fatal.
-    pub fn attach_tap(&mut self, tap: SharedTap) {
-        self.taps.push(TapSlot::Shared(tap));
-    }
-
-    /// Attach a tap the sink owns exclusively. Dispatch is lock-free —
-    /// use this on single-threaded paths (the simulator) where nothing
-    /// else needs a handle during the run; recover the tap afterwards
-    /// with [`take_owned_taps`](Self::take_owned_taps).
+    /// Attach a tap (a boxed clone of a [`SharedTap`], for one that other
+    /// sinks or threads feed too); every later [`emit`](Self::emit)
+    /// forwards the event to it. Recover it afterwards with
+    /// [`take_owned_taps`](Self::take_owned_taps).
     pub fn attach_owned_tap(&mut self, tap: OwnedTap) {
-        self.taps.push(TapSlot::Owned(tap));
+        self.taps.push(tap);
     }
 
     /// A copy for a forked run: the log so far and a [`fork`](EventTap::fork)
-    /// of every owned tap; later events reach one copy only. `None` if the
-    /// sink has a writer or a shared tap (both runs would write into it) or
-    /// an owned tap that cannot fork.
+    /// of every tap; later events reach one copy only. `None` if the sink
+    /// has a writer (both runs would write into it) or a tap that cannot
+    /// fork, a shared one included.
     pub fn fork(&self) -> Option<EventSink> {
         if self.writer.is_some() {
             return None;
         }
-        let taps = self.taps.iter().map(|slot| match slot {
-            TapSlot::Owned(tap) => tap.fork().map(TapSlot::Owned),
-            TapSlot::Shared(_) => None,
-        });
+        let taps = self.taps.iter().map(|tap| tap.fork());
         Some(EventSink {
             log: self.log.clone(),
             taps: taps.collect::<Option<_>>()?,
@@ -341,18 +336,11 @@ impl EventSink {
         })
     }
 
-    /// Detach and return every owned tap (shared taps stay attached), in
-    /// attachment order — so a harness can downcast them back to their
-    /// concrete types and read verdicts out.
+    /// Detach and return every tap, in attachment order — so a harness
+    /// can downcast them back to their concrete types and read verdicts
+    /// out.
     pub fn take_owned_taps(&mut self) -> Vec<OwnedTap> {
-        let mut owned = Vec::new();
-        for slot in std::mem::take(&mut self.taps) {
-            match slot {
-                TapSlot::Owned(t) => owned.push(t),
-                shared => self.taps.push(shared),
-            }
-        }
-        owned
+        std::mem::take(&mut self.taps)
     }
 
     /// Record one event.
@@ -367,14 +355,7 @@ impl EventSink {
             let _ = w.write_all(self.line.as_bytes());
         }
         for tap in &mut self.taps {
-            match tap {
-                TapSlot::Owned(t) => t.on_event(e),
-                TapSlot::Shared(t) => {
-                    if let Ok(mut t) = t.lock() {
-                        t.on_event(e);
-                    }
-                }
-            }
+            tap.on_event(e);
         }
     }
 
@@ -485,14 +466,14 @@ mod tests {
         }
         let tap = Arc::new(Mutex::new(Counter(0)));
         let mut sink = EventSink::disabled();
-        sink.attach_tap(tap.clone());
+        sink.attach_owned_tap(Box::new(tap.clone()));
         sink.emit(&Event::Timeout { at: 1, pid: 0 });
         sink.emit(&Event::Crash { at: 2, pid: 1 });
         assert_eq!(tap.lock().unwrap().0, 2);
     }
 
     #[test]
-    fn owned_taps_dispatch_without_a_lock_and_come_back() {
+    fn every_tap_comes_back_in_attachment_order() {
         struct Counter(usize);
         impl EventTap for Counter {
             fn on_event(&mut self, _e: &Event) {
@@ -502,21 +483,27 @@ mod tests {
         let shared = Arc::new(Mutex::new(Counter(0)));
         let mut sink = EventSink::disabled();
         sink.attach_owned_tap(Box::new(Counter(0)));
-        sink.attach_tap(shared.clone());
+        sink.attach_owned_tap(Box::new(shared.clone()));
         sink.attach_owned_tap(Box::new(Counter(0)));
         sink.emit(&Event::Timeout { at: 1, pid: 0 });
         sink.emit(&Event::Crash { at: 2, pid: 1 });
         sink.emit(&Event::Revive { at: 3, pid: 1 });
-        // Both owned taps come back, in attachment order, downcastable.
-        let owned = sink.take_owned_taps();
-        assert_eq!(owned.len(), 2);
-        for tap in owned {
-            let c = tap.into_any().downcast::<Counter>().expect("a Counter");
-            assert_eq!(c.0, 3);
+        // All three come back, in attachment order and downcastable, the
+        // shared one as a clone of the handle the caller holds.
+        let mut taps: Vec<_> = sink
+            .take_owned_taps()
+            .into_iter()
+            .map(TapAny::into_any)
+            .collect();
+        assert_eq!(taps.len(), 3);
+        let handle = taps.remove(1).downcast::<Arc<Mutex<Counter>>>().unwrap();
+        assert!(Arc::ptr_eq(&handle, &shared));
+        for tap in taps {
+            assert_eq!(tap.downcast::<Counter>().expect("a Counter").0, 3);
         }
-        // The shared tap stays attached and keeps seeing events.
+        // Taken, it hears nothing more.
         sink.emit(&Event::Leave { at: 4, pid: 1 });
-        assert_eq!(shared.lock().unwrap().0, 4);
+        assert_eq!(shared.lock().unwrap().0, 3);
         assert!(sink.take_owned_taps().is_empty());
     }
 
@@ -567,7 +554,7 @@ mod tests {
         let written = EventSink::memory().with_writer(Box::new(Vec::new()));
         assert!(written.fork().is_none());
         let mut shared = EventSink::disabled();
-        shared.attach_tap(Arc::new(Mutex::new(Seen::default())));
+        shared.attach_owned_tap(Box::new(Arc::new(Mutex::new(Seen::default()))));
         assert!(shared.fork().is_none());
         let mut opaque = EventSink::disabled();
         opaque.attach_owned_tap(Box::<Seen>::default());

@@ -200,7 +200,7 @@ impl<M: Mesh> Engine<M> {
             .collect();
         let mut sink = EventSink::memory();
         for tap in taps {
-            sink.attach_tap(tap);
+            sink.attach_owned_tap(Box::new(tap));
         }
         Engine {
             cfg,

@@ -230,18 +230,17 @@ impl MonitorSet {
         }
     }
 
-    /// Recover a `MonitorSet` that was moved into an owned tap
-    /// (`EventSink::attach_owned_tap`) once the run is over — the
-    /// single-threaded counterpart of [`shared`](Self::shared), with no
-    /// mutex on the event path. Returns `None` if the tap holds some
-    /// other type.
+    /// Recover a `MonitorSet` attached by value as a tap once the run is
+    /// over, from what `take_owned_taps` hands back — the single-threaded
+    /// counterpart of [`shared`](Self::shared), with no mutex on the event
+    /// path. `None` if the tap holds some other type, a shared one too.
     pub fn from_tap(tap: OwnedTap) -> Option<MonitorSet> {
         tap.into_any().downcast::<MonitorSet>().ok().map(|b| *b)
     }
 
-    /// A shareable, thread-safe monitor ready to be attached to event
-    /// sinks via `EventSink::attach_tap` (both runtimes accept the same
-    /// `SharedTap` type).
+    /// A monitor several sinks or threads feed, each attaching a clone
+    /// (as a `SharedTap`, which takes the lock per event); the caller
+    /// keeps one to read verdicts mid-run or after.
     pub fn shared(
         variant: Variant,
         params: Params,

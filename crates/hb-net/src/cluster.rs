@@ -8,7 +8,9 @@
 //! schema so runs from the two substrates can be compared directly. One
 //! thread steps it all, so the core has no lock: a node borrows it for
 //! the length of one poll, and its sink is the cluster's one tap site,
-//! fed by every node through the lent transport and by the network.
+//! which every node emits into through the lent transport, once per
+//! event, and the network its drops into. The per-node logs of a
+//! [`LiveReport`] are that site's log, split by emitting node.
 //!
 //! Nothing due, nothing done, at both scales. Within a tick
 //! ([`VirtualCluster::step`]) a node is polled only if the loopback's due
@@ -25,6 +27,7 @@ use std::io::{self, ErrorKind};
 
 use hb_core::coordinator::CoordSpec;
 use hb_core::responder::RespSpec;
+use hb_core::trace::Event;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
 use hb_sim::channel::FaultHook;
 use hb_sim::schema::{RunLedger, RunSummary};
@@ -61,7 +64,8 @@ pub struct LiveReport {
     /// The run summary in the shared sim/live schema.
     pub summary: RunSummary,
     /// Per-node reports (index 0 = coordinator; participants that never
-    /// started are absent).
+    /// started are absent). With [`ClusterConfig::record_events`], each
+    /// log holds the events its node emitted into the tap site.
     pub nodes: Vec<NodeReport>,
 }
 
@@ -71,9 +75,6 @@ pub(crate) struct Lent {
     core: Option<Box<LoopbackCore>>,
     pid: Pid,
     now: Time,
-    /// Whether the core has a tap site: a node of an untapped cluster
-    /// never looks for one.
-    tapped: bool,
 }
 
 impl Transport for Lent {
@@ -96,10 +97,7 @@ impl Transport for Lent {
 
     #[inline]
     fn tap(&mut self) -> Option<&mut EventSink> {
-        if !self.tapped {
-            return None;
-        }
-        self.core.as_deref_mut()?.tap.as_mut()
+        Some(&mut self.core.as_deref_mut()?.tap)
     }
 }
 
@@ -126,25 +124,23 @@ fn local_tick(local: &[Option<SkewedClock>], pid: Pid, now: Time) -> Time {
 }
 
 /// The transport a node of the cluster starts with: no core yet.
-fn lent(pid: Pid, tapped: bool) -> Lent {
+fn lent(pid: Pid) -> Lent {
     Lent {
         core: None,
         pid,
         now: 0,
-        tapped,
     }
 }
 
 impl VirtualCluster {
     /// Build a cluster; nothing runs until [`step`](Self::step).
     pub fn new(cfg: ClusterConfig) -> Self {
-        let core = LoopbackCore::new(cfg.n + 1, cfg.faults.loss, cfg.seed);
-        let coord_spec = CoordSpec::new(cfg.variant, cfg.params, cfg.n, cfg.fix);
-        let mut coord = NodeRuntime::coordinator(coord_spec, lent(0, false));
+        let mut core = LoopbackCore::new(cfg.n + 1, cfg.faults.loss, cfg.seed);
         if cfg.record_events {
-            coord = coord.with_sink(EventSink::memory());
+            core.tap = EventSink::memory();
         }
-        let mut nodes = vec![Some(coord)];
+        let coord_spec = CoordSpec::new(cfg.variant, cfg.params, cfg.n, cfg.fix);
+        let mut nodes = vec![Some(NodeRuntime::coordinator(coord_spec, lent(0)))];
         nodes.extend((0..cfg.n).map(|_| None));
         VirtualCluster {
             core: Some(Box::new(core)),
@@ -189,33 +185,27 @@ impl VirtualCluster {
     /// streaming requirement monitor — to the cluster's tap site. Every
     /// node, participants that start later included, feeds it its events
     /// and the network the beats it drops, in emission order: a drop comes
-    /// before the send that suffered it.
-    pub fn attach_tap(&mut self, tap: SharedTap) {
-        self.tap_site().attach_tap(tap);
-    }
-
-    /// Attach a tap the cluster owns: lock-free, as one thread steps it.
-    /// Recover it with [`take_owned_taps`](Self::take_owned_taps).
+    /// before the send that suffered it. The cluster owns it, and one
+    /// thread steps the cluster, so dispatch takes no lock. Recover it
+    /// with [`take_owned_taps`](Self::take_owned_taps).
     pub fn attach_owned_tap(&mut self, tap: OwnedTap) {
         self.tap_site().attach_owned_tap(tap);
     }
 
-    /// Detach and return every owned tap, in attachment order.
+    /// Attach a tap shared with the caller, who reads it mid-run or
+    /// after; as [`attach_owned_tap`](Self::attach_owned_tap), under its
+    /// lock. A cluster carrying one does not fork.
+    pub fn attach_tap(&mut self, tap: SharedTap) {
+        self.attach_owned_tap(Box::new(tap));
+    }
+
+    /// Detach and return every tap, in attachment order.
     pub fn take_owned_taps(&mut self) -> Vec<OwnedTap> {
-        let site = self.core().tap.as_mut();
-        site.map_or_else(Vec::new, EventSink::take_owned_taps)
+        self.tap_site().take_owned_taps()
     }
 
     fn tap_site(&mut self) -> &mut EventSink {
-        for node in self.nodes.iter_mut().flatten() {
-            node.transport.tapped = true;
-        }
-        self.core().tap.get_or_insert_with(EventSink::disabled)
-    }
-
-    /// Whether the cluster has a tap site (see [`Lent::tapped`]).
-    fn tapped(&self) -> bool {
-        self.core.as_ref().is_some_and(|core| core.tap.is_some())
+        &mut self.core().tap
     }
 
     /// A whole copy that, run on, ends where this one run on ends, as
@@ -224,7 +214,7 @@ impl VirtualCluster {
     pub fn fork(&self) -> Option<VirtualCluster> {
         let core = self.core.as_deref()?.fork()?;
         let nodes = self.nodes.iter().enumerate().map(|(pid, node)| {
-            let transport = lent(pid, self.tapped());
+            let transport = lent(pid);
             node.as_ref()
                 .map_or(Some(None), |node| node.fork_onto(transport).map(Some))
         });
@@ -335,12 +325,8 @@ impl VirtualCluster {
                 // Frames sent before a node exists vanish, as in the sim.
                 self.core().purge(pid);
                 let spec = RespSpec::new(self.cfg.variant, self.cfg.params, self.cfg.fix);
-                let transport = lent(pid, self.tapped());
-                let mut node = NodeRuntime::participant(pid, spec, transport)
-                    .started_at(local_tick(&self.local, pid, now));
-                if self.cfg.record_events {
-                    node = node.with_sink(EventSink::memory());
-                }
+                let local = local_tick(&self.local, pid, now);
+                let node = NodeRuntime::participant(pid, spec, lent(pid)).started_at(local);
                 self.nodes[pid] = Some(node);
             }
         }
@@ -487,16 +473,22 @@ impl VirtualCluster {
             .collect();
         let stale = self.nodes[0].as_ref().map_or((0, 0), |c| c.stale_beats());
         let stats = self.core().stats();
+        let log = self.tap_site().take_log();
         let summary = self
             .ledger
             .into_summary("live", self.now, stats, stale, final_status);
-        let nodes = self
-            .nodes
-            .into_iter()
-            .flatten()
-            .map(NodeRuntime::finish)
-            .collect();
-        LiveReport { summary, nodes }
+        let nodes = self.nodes.into_iter().flatten().map(|node| {
+            let mut report = node.finish();
+            // A `lose` is the network's own, no node's.
+            let own = log.of_process(report.pid).into_iter();
+            own.filter(|e| !matches!(e, Event::Lose { .. }))
+                .for_each(|e| report.log.push(e));
+            report
+        });
+        LiveReport {
+            summary,
+            nodes: nodes.collect(),
+        }
     }
 }
 

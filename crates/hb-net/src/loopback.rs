@@ -100,12 +100,12 @@ pub struct LoopbackCore {
     /// The external adversary, asked once per in-band send before the
     /// loss model above sees the frame (or each copy the hook made of it).
     pub(crate) hook: Option<Box<dyn FaultHook>>,
-    /// The tap site of a cluster stepped on one thread (`None` until a
-    /// tap is attached). It hears a `lose` record for every beat dropped
-    /// here — the drop is known to the network alone, and a streaming
-    /// monitor's fault-free premise depends on it — and, through
+    /// The tap site of a cluster stepped on one thread (disabled outside
+    /// one). It hears a `lose` record for every beat dropped here — the
+    /// drop is known to the network alone, and a streaming monitor's
+    /// fault-free premise depends on it — and, through
     /// [`Transport::tap`], every event of the node the core is lent to.
-    pub(crate) tap: Option<EventSink>,
+    pub(crate) tap: EventSink,
 }
 
 // The `#[inline]`s in this file matter across crates only: the membership
@@ -124,7 +124,7 @@ impl LoopbackCore {
             rng: StdRng::seed_from_u64(seed),
             stats: NetStats::default(),
             hook: None,
-            tap: None,
+            tap: EventSink::disabled(),
         }
     }
 
@@ -201,13 +201,11 @@ impl LoopbackCore {
     fn lose(&mut self, now: Time, dst: Pid, frame: &Frame) {
         if let Frame::Beat { src, .. } = *frame {
             self.stats.lost += 1;
-            if let Some(tap) = &mut self.tap {
-                tap.emit(&Event::Lose {
-                    at: now,
-                    from: src,
-                    to: dst,
-                });
-            }
+            self.tap.emit(&Event::Lose {
+                at: now,
+                from: src,
+                to: dst,
+            });
         }
     }
 
@@ -263,16 +261,12 @@ impl LoopbackCore {
             .hook
             .as_ref()
             .map_or(Some(None), |h| h.fork().map(Some))?;
-        let tap = self
-            .tap
-            .as_ref()
-            .map_or(Some(None), |t| t.fork().map(Some))?;
         Some(LoopbackCore {
             queues: self.queues.clone(),
             due: self.due.iter().map(|at| at.load(Acquire).into()).collect(),
             rng: self.rng.clone(),
             hook,
-            tap,
+            tap: self.tap.fork()?,
             ..*self
         })
     }

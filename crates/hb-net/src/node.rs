@@ -81,7 +81,8 @@ pub struct NodeReport {
     pub now: Time,
     /// Counters.
     pub counters: Counters,
-    /// The in-memory event log (empty unless a memory sink was attached).
+    /// The in-memory event log (empty unless a memory sink was attached;
+    /// a cluster node's is its share of the cluster's log).
     pub log: EventLog,
 }
 
@@ -137,13 +138,13 @@ impl<T: Transport> Effects for Io<'_, T> {
 }
 
 impl<T: Transport> Io<'_, T> {
-    /// Hand `e` to the node's sink and, in a tapped cluster, to the
-    /// cluster's tap site ([`Transport::tap`]).
+    /// Hand `e` to the transport's tap site if it has one (a cluster
+    /// node's: the cluster's), else to the node's own sink.
     #[inline]
     fn record(&mut self, e: &Event) {
-        self.sink.emit(e);
-        if let Some(tap) = self.transport.tap() {
-            tap.emit(e);
+        match self.transport.tap() {
+            Some(site) => site.emit(e),
+            None => self.sink.emit(e),
         }
     }
 }
@@ -198,8 +199,11 @@ impl<T: Transport> NodeRuntime<T> {
     /// Attach a live [`EventTap`](crate::events::EventTap) — e.g. a
     /// streaming requirement monitor — to this node's sink. Composes
     /// with [`with_sink`](Self::with_sink) and works on a disabled sink.
+    /// Several node threads may share one. A node whose transport has a
+    /// tap site ([`Transport::tap`]) emits there instead, so it never
+    /// reaches this sink.
     pub fn attach_tap(&mut self, tap: crate::events::SharedTap) {
-        self.sink.attach_tap(tap);
+        self.sink.attach_owned_tap(Box::new(tap));
     }
 
     /// A copy on `transport` for a forked cluster; `None` if the sink

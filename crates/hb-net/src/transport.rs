@@ -48,8 +48,11 @@ pub trait Transport: Send {
     /// whichever is first. Spurious wakeups are fine; callers re-poll.
     fn wait(&mut self, timeout: Duration) -> io::Result<()>;
 
-    /// A sink of the network's that hears every event the node emits, as
-    /// the cluster's one tap site does (default `None`: there is none).
+    /// The network's tap site, if it has one: a node whose transport has
+    /// a site emits every event there and only there, not into its own
+    /// sink, as every node of a [`VirtualCluster`](crate::VirtualCluster)
+    /// does into the cluster's one site. Default `None`: the node emits
+    /// into its own sink.
     #[inline]
     fn tap(&mut self) -> Option<&mut EventSink> {
         None

@@ -22,7 +22,7 @@
 //! the ledger and the event sink.
 
 use hb_core::coordinator::{CoordSpec, CoordState};
-use hb_core::events::{EventSink, OwnedTap, SharedTap};
+use hb_core::events::{EventSink, OwnedTap};
 use hb_core::react::{self, Effects};
 use hb_core::responder::{RespSpec, RespState};
 use hb_core::trace::Event;
@@ -253,20 +253,15 @@ impl World {
 
     /// Attach a live [`EventTap`](hb_core::events::EventTap) — e.g. a
     /// streaming requirement monitor — that sees every event the world
-    /// emits, whether or not the in-memory log is enabled.
-    pub fn attach_tap(&mut self, tap: SharedTap) {
-        self.env.sink.attach_tap(tap);
-    }
-
-    /// Attach a tap the world's sink owns exclusively — lock-free
-    /// dispatch on this single-threaded path. Recover it (e.g. to read
-    /// monitor verdicts) with [`take_owned_taps`](Self::take_owned_taps)
+    /// emits, logged or not. The world's sink owns it, and one thread
+    /// steps the world, so dispatch takes no lock. Recover it (e.g. to
+    /// read monitor verdicts) with [`take_owned_taps`](Self::take_owned_taps)
     /// before [`into_report`](Self::into_report).
     pub fn attach_owned_tap(&mut self, tap: OwnedTap) {
         self.env.sink.attach_owned_tap(tap);
     }
 
-    /// Detach and return every owned tap, in attachment order.
+    /// Detach and return every tap, in attachment order.
     pub fn take_owned_taps(&mut self) -> Vec<OwnedTap> {
         self.env.sink.take_owned_taps()
     }
