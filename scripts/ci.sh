@@ -23,7 +23,7 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> allocation counts in the optimised build (a successor and a warmed-up World allocate nothing)"
+echo "==> allocation counts in the optimised build (a successor, a warmed-up World and a warmed-up VirtualCluster allocate nothing)"
 # tests/alloc_free.rs ran above in the debug build; the claim is about
 # the release binary the benchmark times, so it runs there too.
 cargo test --release --test alloc_free -q
