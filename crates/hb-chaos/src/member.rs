@@ -385,6 +385,50 @@ mod tests {
         );
     }
 
+    /// The verdicts a monitored membership run replays from the engine's
+    /// log are what a streaming monitor tapping the engine reports, on
+    /// both backends, fired or clean: the failover plan with and without
+    /// a participant crash, lossless or at 20 % loss, at the claimed and
+    /// the corrected bound.
+    #[test]
+    fn replayed_membership_verdicts_equal_a_streaming_monitor() {
+        let mut fired = 0;
+        for backend in [Backend::Sim, Backend::Live] {
+            for (fix, loss, seed, crash) in [
+                (FixLevel::Full, 0.0, 1, None),
+                (FixLevel::Full, 0.2, 2, Some(2)),
+                (FixLevel::Original, 0.0, 3, Some(2)),
+                (FixLevel::Original, 0.2, 4, None),
+            ] {
+                let mut plan = failover_plan(loss, seed);
+                plan.proto.fix = fix;
+                if let Some(pid) = crash {
+                    plan = plan.with(FaultSpec::Crash { pid, at: 200 });
+                }
+                let replayed = run_plan_member_monitored(&plan, backend).summary.monitor;
+                let p = &plan.proto;
+                let monitor = hb_monitor::MonitorSet::shared(p.variant, p.params, p.fix, p.n);
+                let hook: Box<dyn FaultHook> = Box::new(FaultPipeline::new(&plan));
+                let (cfg, hook, taps) =
+                    (member_config(&plan), Some(hook), vec![monitor.clone() as _]);
+                match backend {
+                    Backend::Sim => run_sim(cfg, hook, taps),
+                    Backend::Live => run_live(cfg, hook, taps),
+                };
+                let mut streamed = monitor.lock().unwrap();
+                streamed.finish(p.duration);
+                assert_eq!(
+                    replayed,
+                    Some(streamed.verdicts()),
+                    "{backend:?} {}",
+                    plan.name
+                );
+                fired += usize::from(!streamed.verdicts().clean());
+            }
+        }
+        assert!(fired > 0, "no monitor fired: the comparison shows nothing");
+    }
+
     #[test]
     fn the_failover_campaign_passes_on_sim() {
         let report = run_failover_campaign(Backend::Sim);
