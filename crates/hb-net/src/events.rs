@@ -8,26 +8,20 @@
 
 pub use hb_core::events::{event_json, parse_event_json, EventSink, EventTap, OwnedTap, SharedTap};
 
-/// Cheap always-on counters for one node.
+/// Cheap always-on counters for one node. Timeouts, crashes and
+/// non-voluntary inactivations are not counted: each is an event in the
+/// node's stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Heartbeats handed to the transport.
     pub beats_sent: u64,
     /// Heartbeats received.
     pub beats_received: u64,
-    /// Coordinator round timeouts fired.
-    pub timeouts: u64,
     /// Coordinator rounds that shortened the waiting time (the
     /// acceleration visibly kicking in).
     pub halvings: u64,
     /// Join heartbeats sent (join-phase variants).
     pub join_sends: u64,
-    /// Control frames received.
-    pub controls_received: u64,
-    /// Voluntary inactivations executed (crash injections).
-    pub crashes: u64,
-    /// Non-voluntary inactivations (this node shut itself down).
-    pub nv_inactivations: u64,
     /// Graceful leaves observed (own leave for participants, acknowledged
     /// leaves for the coordinator).
     pub leaves: u64,

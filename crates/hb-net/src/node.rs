@@ -126,10 +126,7 @@ impl<T: Transport> Effects for Io<'_, T> {
     fn emit(&mut self, e: &Event) {
         let c = &mut *self.counters;
         match e {
-            Event::Timeout { .. } => c.timeouts += 1,
-            Event::NvInactivate { .. } => c.nv_inactivations += 1,
             Event::Leave { .. } => c.leaves += 1,
-            Event::Crash { .. } => c.crashes += 1,
             Event::Revive { .. } => c.revives += 1,
             _ => {}
         }
@@ -432,12 +429,10 @@ impl<T: Transport> NodeRuntime<T> {
                 cmd: Command::Shutdown,
                 ..
             } => {
-                self.counters.controls_received += 1;
                 self.shutdown = true;
                 Ok(())
             }
             Frame::Control { cmd, .. } => {
-                self.counters.controls_received += 1;
                 let (role, mut io) = self.split();
                 match (cmd, role) {
                     (Command::Crash, Role::Coordinator { state, .. }) => {

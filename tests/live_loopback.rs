@@ -413,7 +413,7 @@ fn cluster_runs_are_pinned() {
         }
     }
     assert!(events > 50_000, "the grid must actually run: {events}");
-    assert_eq!(digest, 0x353e_51d8_0289_0dc9, "{digest:#018x}");
+    assert_eq!(digest, 0xe243_5571_1177_5951, "{digest:#018x}");
 }
 
 /// The simulator's run record pinned byte for byte: per run the length
@@ -563,5 +563,5 @@ fn runs_across_the_inline_capacity_are_pinned() {
         }
     }
     assert!(events > 10_000, "the grid must actually run: {events}");
-    assert_eq!(digest, 0x659e_0ccd_73c7_4192, "{digest:#018x}");
+    assert_eq!(digest, 0xfbd5_f354_a6c6_15f8, "{digest:#018x}");
 }
