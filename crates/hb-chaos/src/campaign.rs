@@ -336,7 +336,10 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellStats {
     // event stamps come from skewed local clocks, which a global-deadline
     // monitor would misread as requirement breaches.
     let monitored = spec.monitor && cell.drift == (1, 1);
-    let exec = |plans: &[FaultPlan]| runner::run_plans(plans, spec.backend, monitored);
+    let exec = |plans: &[FaultPlan]| {
+        let monitor = monitored.then(|| runner::monitor(&plans[0]));
+        runner::run_plans(plans, spec.backend, monitor)
+    };
     let mut tally = |s: &RunSummary| {
         let Some(v) = &s.monitor else { return };
         monitor_runs += 1;

@@ -11,8 +11,9 @@
 //!   drift, and crash / late-start / leave schedules — serializable
 //!   to/from a small JSON spec through [`json`], a re-export of
 //!   `hb_core::json`;
-//! * [`pipeline`] — [`FaultPipeline`], the compiled plan: one stateful
-//!   engine owning all fault randomness, installed as the
+//! * [`pipeline`] — [`FaultPipeline`], the plan's message-level
+//!   [`FaultSpec`]s interpreted per message: one stateful engine owning
+//!   all fault randomness, installed as the
 //!   [`FaultHook`](hb_sim::FaultHook) of whichever queue carries the
 //!   run's messages;
 //! * [`sim`] / [`live`] — the two injection backends, neither with a
@@ -96,12 +97,12 @@ impl Backend {
 ///
 /// # Panics
 ///
-/// Panics if a plain-detector plan fails [`FaultPlan::validate`].
+/// Panics if `plan` fails [`FaultPlan::validate`].
 pub fn run_plan(plan: &FaultPlan, backend: Backend) -> RunSummary {
     if plan.proto.membership {
         return member::run_plan_member(plan, backend).summary;
     }
-    runner::run_one(plan, backend, false)
+    runner::run_plans(std::slice::from_ref(plan), backend, None).remove(0)
 }
 
 /// Run one fault plan on the chosen backend with a streaming
@@ -125,7 +126,8 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
     }
     // One thread steps either substrate, so the monitor rides as an
     // *owned* tap — no mutex on the per-event path.
-    runner::run_one(plan, backend, true)
+    let monitor = runner::monitor(plan);
+    runner::run_plans(std::slice::from_ref(plan), backend, Some(monitor)).remove(0)
 }
 
 /// Run one plain-detector fault plan (not a membership plan) on the
@@ -138,7 +140,7 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
 /// Panics on a membership plan or one that fails [`FaultPlan::validate`].
 pub fn run_plan_tapped(plan: &FaultPlan, backend: Backend, tap: SharedTap) -> RunSummary {
     assert!(!plan.proto.membership, "no tapped membership run");
-    runner::run_tapped(plan, backend, tap)
+    runner::run_plans(std::slice::from_ref(plan), backend, Some(Box::new(tap))).remove(0)
 }
 
 #[cfg(test)]

@@ -129,7 +129,13 @@ fn summarize(backend: Backend, plan: &FaultPlan, report: &MemberReport) -> RunSu
 }
 
 /// Run a membership plan on the chosen backend.
+///
+/// # Panics
+///
+/// Panics if `plan` fails [`FaultPlan::validate`], on either backend.
 pub fn run_plan_member(plan: &FaultPlan, backend: Backend) -> MemberRun {
+    #[expect(clippy::expect_used, reason = "a run's contract is a valid plan")]
+    plan.validate().expect("invalid fault plan");
     let cfg = member_config(plan);
     let hook: Box<dyn FaultHook> = Box::new(FaultPipeline::new(plan));
     let report = match backend {
@@ -335,6 +341,21 @@ pub fn run_failover_campaign(backend: Backend) -> FailoverReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both backends refuse a membership plan that fails
+    /// `FaultPlan::validate`, as they refuse a plain one: here a revive of
+    /// a participant that never crashed.
+    #[test]
+    fn every_backend_checks_a_membership_plan() {
+        let plan = failover_plan(0.0, 1).with(FaultSpec::Revive { pid: 1, at: 100 });
+        assert!(plan.validate().is_err());
+        for backend in [Backend::Sim, Backend::Live] {
+            let run = || crate::run_plan(&plan, backend);
+            let refused = std::panic::catch_unwind(run).expect_err("an invalid plan runs");
+            let message = refused.downcast::<String>().expect("a formatted panic");
+            assert!(message.starts_with("invalid fault plan"), "{message}");
+        }
+    }
 
     #[test]
     fn membership_plans_map_to_member_configs() {

@@ -317,6 +317,17 @@ impl FaultSpec {
         }
     }
 
+    /// Whether this fault acts on messages (the
+    /// [`FaultPipeline`](crate::FaultPipeline)'s share of a plan) rather
+    /// than on a node's lifecycle or clock.
+    pub(crate) fn on_messages(&self) -> bool {
+        use FaultSpec::{Crash, Drift, Leave, Revive, Start};
+        !matches!(
+            self,
+            Drift { .. } | Crash { .. } | Start { .. } | Leave { .. } | Revive { .. }
+        )
+    }
+
     fn from_value(v: &Value) -> Result<FaultSpec, PlanError> {
         let pid_at = || -> Result<(Pid, Time), PlanError> {
             Ok((v.field("pid")?.as_uint()?, v.field("at")?.as_u64()?))

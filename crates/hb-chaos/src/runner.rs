@@ -3,7 +3,7 @@
 //! are one run up to the first tick those differ on: [`run_plans`] runs
 //! that prefix once and forks there. A monitor rides as an owned tap.
 
-use hb_core::events::{OwnedTap, SharedTap};
+use hb_core::events::OwnedTap;
 use hb_monitor::MonitorSet;
 use hb_sim::channel::Time;
 use hb_sim::schema::RunSummary;
@@ -25,30 +25,19 @@ pub(crate) trait Substrate: Sized {
     fn finish(self) -> (RunSummary, Vec<OwnedTap>);
 }
 
-/// Run one plan on `backend`, `monitored` or not.
-pub(crate) fn run_one(plan: &FaultPlan, backend: Backend, monitored: bool) -> RunSummary {
-    let mut runs = run_plans(std::slice::from_ref(plan), backend, monitored);
-    runs.remove(0)
+/// A streaming [`MonitorSet`] for `plan`'s protocol, as an owned tap.
+pub(crate) fn monitor(plan: &FaultPlan) -> OwnedTap {
+    let p = &plan.proto;
+    Box::new(MonitorSet::new(p.variant, p.params, p.fix, p.n))
 }
 
-/// Run one plan on `backend` with `tap` on its tap site.
-pub(crate) fn run_tapped(plan: &FaultPlan, backend: Backend, tap: SharedTap) -> RunSummary {
-    run_on(backend, std::slice::from_ref(plan), Some(Box::new(tap))).remove(0)
-}
-
-/// Run each of `plans` as [`crate::run_plan`] (or, `monitored`,
-/// [`crate::run_plan_monitored`]) does, sharing one run up to their
-/// [`fork_tick`].
-pub(crate) fn run_plans(plans: &[FaultPlan], backend: Backend, monitored: bool) -> Vec<RunSummary> {
-    let monitor = plans.last().filter(|_| monitored).map(|plan| -> OwnedTap {
-        let p = &plan.proto;
-        Box::new(MonitorSet::new(p.variant, p.params, p.fix, p.n))
-    });
-    run_on(backend, plans, monitor)
-}
-
-/// [`forked`] on `backend`'s substrate.
-fn run_on(backend: Backend, plans: &[FaultPlan], tap: Option<OwnedTap>) -> Vec<RunSummary> {
+/// Run each of `plans` on `backend` with `tap` on the run's tap site,
+/// sharing one run up to their [`fork_tick`] ([`forked`]).
+pub(crate) fn run_plans(
+    plans: &[FaultPlan],
+    backend: Backend,
+    tap: Option<OwnedTap>,
+) -> Vec<RunSummary> {
     match backend {
         Backend::Sim => forked::<World>(plans, tap),
         Backend::Live => forked::<ChaosCluster>(plans, tap),
@@ -196,7 +185,8 @@ mod tests {
                     let undrifted = cell.drift == (1, 1);
                     for monitored in [false, true].into_iter().filter(|&m| !m || undrifted) {
                         let whole = whole(&plans, backend, monitored);
-                        let forked = run_plans(&plans, backend, monitored);
+                        let tap = monitored.then(|| monitor(&plans[0]));
+                        let forked = run_plans(&plans, backend, tap);
                         assert_eq!(forked, whole, "{backend:?} {}", plans[0].name);
                         detected += usize::from(!monitored && whole[0].detection_delay.is_some());
                     }
@@ -257,7 +247,8 @@ mod tests {
         for backend in [Backend::Sim, Backend::Live] {
             for monitored in [false, true] {
                 let whole = whole(&plans, backend, monitored);
-                assert_eq!(run_plans(&plans, backend, monitored), whole);
+                let tap = monitored.then(|| monitor(&plans[0]));
+                assert_eq!(run_plans(&plans, backend, tap), whole);
                 assert_eq!(whole[1].crashes, [(2, 50), (1, 300)], "{:?}", whole[1]);
                 assert_eq!(whole[1].revives, [(2, 54), (1, 304)], "{:?}", whole[1]);
                 assert!(
@@ -280,7 +271,7 @@ mod tests {
         let revive = crash.clone().with(FaultSpec::Revive { pid: 1, at: 304 });
         let plans = [crash, revive, base];
         assert!(plans.iter().all(|plan| plan.validate().is_err()));
-        run_plans(&plans, Backend::Sim, false);
+        run_plans(&plans, Backend::Sim, None);
     }
 
     /// Both backends refuse every plan they are handed that fails
@@ -292,7 +283,7 @@ mod tests {
         assert!(quiet.validate().is_ok() && revive.validate().is_err());
         let plans = [revive, quiet];
         for backend in [Backend::Sim, Backend::Live] {
-            let run = || run_plans(&plans, backend, false);
+            let run = || run_plans(&plans, backend, None);
             let refused = std::panic::catch_unwind(run).expect_err("an invalid plan runs");
             let message = refused.downcast::<String>().expect("a formatted panic");
             assert!(message.starts_with("invalid fault plan"), "{message}");

@@ -3,6 +3,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The tracked tree must come out of CI as it went in (the last step
+# checks), so a test or example that rewrites a golden under artifacts/
+# fails. benchmark/Cargo.lock is left out: every benchmark build rewrites
+# it until that lock file is refreshed (ROADMAP item 1).
+tree_status() { git status --porcelain -- . ':(exclude)benchmark/Cargo.lock'; }
+if git rev-parse --git-dir >/dev/null 2>&1; then
+  tree_before=$(tree_status)
+else
+  echo "warning: not a git checkout; the tracked tree is not checked after the run" >&2
+fi
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 
@@ -209,5 +220,12 @@ fi
 
 echo "==> line count (reported, never gated)"
 scripts/loc.sh
+
+echo "==> the tracked tree is as CI found it (benchmark/Cargo.lock aside)"
+if [ -n "${tree_before+set}" ] && [ "$(tree_status)" != "$tree_before" ]; then
+  diff <(echo "$tree_before") <(tree_status) >&2
+  echo "a CI step changed the tracked tree (git status above: < before, > after)" >&2
+  exit 1
+fi
 
 echo "CI green."
