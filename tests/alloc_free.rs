@@ -192,6 +192,12 @@ fn a_warmed_up_cluster_allocates_nothing_at_eight_participants() {
     };
     for monitored in [false, true] {
         let mut cluster = VirtualCluster::new(cfg);
+        // A participant that starts inside the first round, and one on a
+        // slow clock (a fast one trips the monitor, which keeps true
+        // time): neither leaves the cluster's bookkeeping anything to
+        // grow once warmed up.
+        cluster.schedule_start(8, 5);
+        cluster.skew_clock(3, 0, 7, 8);
         if monitored {
             let monitor = MonitorSet::new(cfg.variant, cfg.params, cfg.fix, cfg.n);
             cluster.attach_owned_tap(Box::new(monitor));
