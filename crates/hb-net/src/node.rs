@@ -28,8 +28,8 @@
 //!   after the one it went to sleep in (or at that tick, if the clock has
 //!   not moved), never back-dated to a tick the node has already left.
 //!   [`VirtualCluster`](crate::cluster::VirtualCluster) sleeps the same
-//!   way under virtual time: it knows every queue, so it jumps a node's
-//!   clock over ticks with no deadline and no arrival (`skip_to`).
+//!   way under virtual time: it knows every queue, so it leaves a node be
+//!   until something is due, then jumps its clock over the rest (`skip_to`).
 //!
 //! Fault injection and lifecycle are driven over the wire by control
 //! frames ([`crate::wire::Command`]): `Crash` voluntarily inactivates the
@@ -339,12 +339,13 @@ impl<T: Transport> NodeRuntime<T> {
         loop {
             let mut progressed = false;
             if self.fix.receive_priority() {
-                // §6.1: while anything is deliverable, timeouts wait.
+                // §6.1: while anything is deliverable, timeouts wait. Only
+                // a timeout that fired calls for another round: the
+                // transport came back empty just now.
                 while let Some(rcv) = self.transport.try_recv(self.local_now)? {
                     self.on_frame(rcv)?;
-                    progressed = true;
                 }
-                progressed |= self.fire_due()?;
+                progressed = self.fire_due()?;
             } else {
                 // Original semantics, worst case: a due timeout beats a
                 // simultaneously deliverable message.
@@ -599,6 +600,28 @@ mod tests {
         assert_eq!(p.counters.beats_sent, 1, "answered at once");
         assert_eq!(p.now(), 99);
         assert!(p.finish().log.events().iter().all(|e| e.at() == 99));
+    }
+
+    /// A poll that reads k frames asks the transport k + 1 times under
+    /// either ordering: the ask that comes back empty ends the drain, as
+    /// nobody else sends on the poll's thread. On a socket each ask is a
+    /// syscall.
+    #[test]
+    fn a_poll_that_reads_k_frames_asks_k_plus_one_times() {
+        for fix in [FixLevel::Full, FixLevel::Original] {
+            for k in [0, 1, 3] {
+                let params = Params::new(2, 60).unwrap();
+                let spec = RespSpec::new(Variant::Binary, params, fix);
+                let mut p = NodeRuntime::participant(1, spec, Counting::default());
+                for _ in 0..k {
+                    let beat = Frame::beat(0, Heartbeat::plain());
+                    p.transport.inbox.push_back(beat);
+                }
+                p.poll(0).unwrap();
+                assert_eq!(p.counters.beats_received, k as u64, "{fix:?}");
+                assert_eq!(p.transport.asked.len(), k + 1, "{fix:?}, k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,11 @@ echo "==> allocation counts in the optimised build (a successor, a warmed-up Wor
 # the release binary the benchmark times, so it runs there too.
 cargo test --release --test alloc_free -q
 
+echo "==> hb-net unit tests in the optimised build (overflow wraps, debug_asserts off: the build the benchmark times)"
+# The cluster's stepping-equivalence grid, cache checks and fork tests ran
+# above in the debug build; the benchmark times the release one.
+cargo test --release -p hb-net -q
+
 echo "==> chaos smoke campaign (seed-pinned, injector determinism, sim + live backends)"
 # Both backends fork each seed's runs at the crash tick; the report must
 # not depend on how many workers ran the cells.
