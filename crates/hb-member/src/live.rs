@@ -58,6 +58,10 @@ impl Mesh for LiveMesh {
         self.net.any_deliverable(now)
     }
 
+    fn may_be_due(&self, now: u64, dst: Pid) -> bool {
+        self.net.next_due(dst) <= now
+    }
+
     fn stats(&self) -> NetStats {
         self.net.stats()
     }

@@ -211,11 +211,12 @@ impl MemberNode {
         });
     }
 
-    /// The non-coordinator members of the current view, ascending: slot
-    /// `k` (1-based) of the wrapped coordinator machine is `slots()[k-1]`.
-    fn slots(&self) -> Slots<Pid, MAX_VIEW_MEMBERS> {
-        let coordinator = self.view.coordinator;
-        self.view.members().filter(|&p| p != coordinator).collect()
+    /// The non-coordinator members of `view`, ascending: slot `k`
+    /// (1-based) of the wrapped coordinator machine is `slots[k-1]`. Only a
+    /// coordinator's paths build them.
+    fn slots(view: &View) -> Slots<Pid, MAX_VIEW_MEMBERS> {
+        let coordinator = view.coordinator;
+        view.members().filter(|&p| p != coordinator).collect()
     }
 
     /// Whether an urgent machine event is due (the harness must call
@@ -246,11 +247,10 @@ impl MemberNode {
         let pid = self.pid;
         let fresh = self.spec.params.tmin();
         let tmin = self.spec.params.tmin();
-        let slots = self.slots();
-        let rank = self.view.succession_rank(pid);
         let mut act = Act::None;
         match &mut self.role {
             Role::Coordinator { cs } => {
+                let slots = Self::slots(&self.view);
                 let cspec = self.spec.coord_spec(slots.len());
                 if !cspec.timeout_due(cs) {
                     return;
@@ -294,7 +294,10 @@ impl MemberNode {
                         clippy::expect_used,
                         reason = "install seats a participant only in a view that lists it and another coordinator"
                     )]
-                    let rank = rank.expect("a participant is a ranked member");
+                    let rank = self
+                        .view
+                        .succession_rank(pid)
+                        .expect("a participant is a ranked member");
                     if *fires as usize > rank {
                         act = Act::Takeover;
                     }
@@ -370,12 +373,12 @@ impl MemberNode {
         }
         let pid = self.pid;
         let fresh = self.spec.params.tmin();
-        let slots = self.slots();
         match frame {
             Frame::Beat { src, hb } => {
                 let mut reassert = false;
                 match &mut self.role {
                     Role::Coordinator { cs } => {
+                        let slots = Self::slots(&self.view);
                         if let Some(k) = slots.iter().position(|&p| p == src) {
                             let cspec = self.spec.coord_spec(slots.len());
                             match cspec.on_heartbeat(cs, k + 1, hb) {
@@ -558,7 +561,7 @@ impl MemberNode {
     /// already joined (`joiner` excepted) and the first broadcast due
     /// immediately.
     fn seat_coordinator(&mut self, joiner: Option<Pid>) {
-        let slots = self.slots();
+        let slots = Self::slots(&self.view);
         if slots.is_empty() {
             // Alone: start probing for other islands right away.
             self.role = Role::Solo {
@@ -570,7 +573,7 @@ impl MemberNode {
         let mut cs = cspec.init_state();
         let join_variant = self.spec.variant.has_join_phase();
         for (k, &p) in slots.iter().enumerate() {
-            #[expect(clippy::expect_used, reason = "slots() lists members of the view")]
+            #[expect(clippy::expect_used, reason = "slots lists members of the view")]
             let bar = self.view.bar_of(p).expect("slot is a member");
             cs.min_epoch[k] = bar;
             cs.jnd[k] = !join_variant || Some(p) != joiner;

@@ -33,6 +33,10 @@ impl Mesh for LoopbackCore {
         self.any_deliverable(now)
     }
 
+    fn may_be_due(&self, now: u64, dst: Pid) -> bool {
+        self.next_due(dst) <= now
+    }
+
     fn stats(&self) -> NetStats {
         LoopbackCore::stats(self)
     }

@@ -243,9 +243,9 @@ impl LoopbackCore {
         any_due(&self.due, now)
     }
 
-    /// The earliest delivery time queued for `pid` ([`NEVER`]: none).
+    /// The earliest delivery time queued for `pid` (`Time::MAX`: none).
     #[inline]
-    pub(crate) fn next_due(&self, pid: Pid) -> Time {
+    pub fn next_due(&self, pid: Pid) -> Time {
         self.due[pid].load(Acquire)
     }
 
@@ -369,6 +369,13 @@ impl LoopbackNet {
     #[inline]
     pub fn any_deliverable(&self, now: Time) -> bool {
         any_due(&self.inner.due, now)
+    }
+
+    /// The earliest delivery time queued for `pid` (`Time::MAX`: none),
+    /// read without the lock.
+    #[inline]
+    pub fn next_due(&self, pid: Pid) -> Time {
+        self.inner.due[pid].load(Acquire)
     }
 
     /// Message counters so far.

@@ -44,6 +44,11 @@ echo "==> hb-net unit tests in the optimised build (overflow wraps, debug_assert
 # above in the debug build; the benchmark times the release one.
 cargo test --release -p hb-net -q
 
+echo "==> hb-member unit tests in the optimised build (overflow wraps, debug_asserts off: the build the benchmark times)"
+# The engine's due-only tick against its full-scan reference, the wake-tick
+# checks and the jumped-over count ran above in the debug build.
+cargo test --release -p hb-member -q
+
 echo "==> chaos smoke campaign (seed-pinned, injector determinism, sim + live backends)"
 # Both backends fork each seed's runs at the crash tick; the report must
 # not depend on how many workers ran the cells.
