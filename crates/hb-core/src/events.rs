@@ -5,15 +5,14 @@
 //! same [`Event`]s in the same flat JSON schema. This module is the single
 //! home of that schema: [`event_json`] renders a record, [`parse_event_json`]
 //! reads one back (for log tailing), [`EventSink`] routes events to an
-//! in-memory log, a JSON-lines writer, and any number of attached
-//! [`EventTap`]s (e.g. a streaming requirement monitor, which reports
-//! [`MonitorVerdicts`]). A sink owns its taps; a tap several threads feed
+//! in-memory log and any number of attached [`EventTap`]s (e.g. a
+//! streaming requirement monitor, which reports [`MonitorVerdicts`]). A
+//! sink owns its taps; a tap several threads feed
 //! is a [`SharedTap`], which is one more tap that locks inside
 //! [`on_event`](EventTap::on_event). Records are written and read through
 //! [`crate::json`], the workspace's one JSON module.
 
 use std::fmt;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{self, JsonError, ToJson, Value};
@@ -236,7 +235,7 @@ impl<T: std::any::Any> TapAny for T {
 
 /// An online consumer of the event stream (e.g. a streaming requirement
 /// monitor). Taps are attached to an [`EventSink`] and see every event in
-/// emission order, independent of whether the sink also logs or writes.
+/// emission order, independent of whether the sink also logs.
 pub trait EventTap: TapAny {
     /// Observe one event as it happens.
     fn on_event(&mut self, e: &Event);
@@ -269,15 +268,11 @@ impl<T: EventTap + Send + ?Sized + 'static> EventTap for Arc<Mutex<T>> {
 /// [`EventSink::take_owned_taps`] and downcast via [`TapAny::into_any`].
 pub type OwnedTap = Box<dyn EventTap + Send>;
 
-/// Where a process's events go: an in-memory [`EventLog`], a JSON-lines
-/// writer, any number of live [`EventTap`]s — in any combination, or
-/// nowhere.
+/// Where a process's events go: an in-memory [`EventLog`], any number of
+/// live [`EventTap`]s — both, either, or nowhere.
 #[derive(Default)]
 pub struct EventSink {
     log: Option<EventLog>,
-    writer: Option<Box<dyn Write + Send>>,
-    /// The writer's line buffer, reused for every event.
-    line: String,
     taps: Vec<OwnedTap>,
 }
 
@@ -285,7 +280,6 @@ impl fmt::Debug for EventSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventSink")
             .field("log", &self.log.as_ref().map(EventLog::len))
-            .field("writer", &self.writer.is_some())
             .field("taps", &self.taps.len())
             .finish()
     }
@@ -305,13 +299,6 @@ impl EventSink {
         }
     }
 
-    /// Also stream each event as one JSON line to `w` (best-effort: write
-    /// errors are ignored rather than taking the protocol down).
-    pub fn with_writer(mut self, w: Box<dyn Write + Send>) -> Self {
-        self.writer = Some(w);
-        self
-    }
-
     /// Attach a tap (a boxed clone of a [`SharedTap`], for one that other
     /// sinks or threads feed too); every later [`emit`](Self::emit)
     /// forwards the event to it. Recover it afterwards with
@@ -322,17 +309,12 @@ impl EventSink {
 
     /// A copy for a forked run: the log so far and a [`fork`](EventTap::fork)
     /// of every tap; later events reach one copy only. `None` if the sink
-    /// has a writer (both runs would write into it) or a tap that cannot
-    /// fork, a shared one included.
+    /// has a tap that cannot fork, a shared one included.
     pub fn fork(&self) -> Option<EventSink> {
-        if self.writer.is_some() {
-            return None;
-        }
         let taps = self.taps.iter().map(|tap| tap.fork());
         Some(EventSink {
             log: self.log.clone(),
             taps: taps.collect::<Option<_>>()?,
-            ..Self::default()
         })
     }
 
@@ -347,12 +329,6 @@ impl EventSink {
     pub fn emit(&mut self, e: &Event) {
         if let Some(log) = &mut self.log {
             log.push(*e);
-        }
-        if let Some(w) = &mut self.writer {
-            self.line.clear();
-            e.write_json(&mut self.line);
-            self.line.push('\n');
-            let _ = w.write_all(self.line.as_bytes());
         }
         for tap in &mut self.taps {
             tap.on_event(e);
@@ -545,14 +521,12 @@ mod tests {
     }
 
     #[test]
-    fn a_sink_with_a_writer_a_shared_tap_or_an_unforkable_tap_does_not_fork() {
+    fn a_sink_with_a_shared_tap_or_an_unforkable_tap_does_not_fork() {
         struct Opaque;
         impl EventTap for Opaque {
             fn on_event(&mut self, _e: &Event) {}
         }
         assert!(EventSink::disabled().fork().is_some());
-        let written = EventSink::memory().with_writer(Box::new(Vec::new()));
-        assert!(written.fork().is_none());
         let mut shared = EventSink::disabled();
         shared.attach_owned_tap(Box::new(Arc::new(Mutex::new(Seen::default()))));
         assert!(shared.fork().is_none());

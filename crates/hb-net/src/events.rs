@@ -33,21 +33,6 @@ pub struct Counters {
 mod tests {
     use super::*;
     use hb_core::trace::Event;
-    use std::io::Write;
-    use std::sync::{Arc, Mutex};
-
-    /// A Write sink into shared memory for asserting on JSON output.
-    #[derive(Clone, Default)]
-    struct Buf(Arc<Mutex<Vec<u8>>>);
-    impl Write for Buf {
-        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(b);
-            Ok(b.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
 
     #[test]
     fn memory_sink_records() {
@@ -56,18 +41,6 @@ mod tests {
         assert_eq!(s.log().unwrap().len(), 1);
         let log = s.take_log();
         assert_eq!(log.events()[0].at(), 3);
-    }
-
-    #[test]
-    fn writer_sink_streams_json_lines() {
-        let buf = Buf::default();
-        let mut s = EventSink::disabled().with_writer(Box::new(buf.clone()));
-        s.emit(&Event::Crash { at: 9, pid: 2 });
-        s.emit(&Event::Timeout { at: 10, pid: 0 });
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "{\"t\":9,\"ev\":\"crash\",\"pid\":2}");
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! * [`graph`] — exhaustive state-graph construction, statistics and DOT
 //!   export.
 //! * [`lts`] — labelled transition systems: tau-hiding, weak-trace
-//!   determinization and strong-bisimulation minimization (used to
-//!   regenerate the reduced LTS figures of the paper).
+//!   determinization and partition-refinement minimization (trace
+//!   equivalence on a deterministic LTS, strong bisimulation in general;
+//!   used to regenerate the reduced LTS figures of the paper).
 //!
 //! The engines ([`bfs`], [`dfs`], [`packed`], [`props`], [`graph`]) are a
 //! few lines each over one crate-private search loop: a state store, a

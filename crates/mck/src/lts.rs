@@ -166,26 +166,13 @@ impl Lts {
         }
     }
 
-    /// Minimize a *deterministic* LTS modulo trace (language) equivalence
-    /// via partition refinement. For the output of
-    /// [`determinize_weak`](Lts::determinize_weak) this yields the canonical
-    /// minimal weak-trace automaton.
+    /// Minimize via partition refinement: split blocks by the set of
+    /// (label, target-block) signatures until stable. On a *deterministic*
+    /// LTS this is trace (language) minimization — for the output of
+    /// [`determinize_weak`](Lts::determinize_weak), the canonical minimal
+    /// weak-trace automaton. On a nondeterministic one the same refinement
+    /// computes strong bisimulation (tau is an ordinary label).
     pub fn minimize_traces(&self) -> Lts {
-        self.partition_refine(false)
-    }
-
-    /// Minimize modulo strong bisimulation via partition refinement
-    /// (works on nondeterministic systems; tau is treated as an ordinary
-    /// label).
-    pub fn minimize_bisim(&self) -> Lts {
-        self.partition_refine(true)
-    }
-
-    fn partition_refine(&self, _strong: bool) -> Lts {
-        // Classic partition refinement: split blocks by the multiset of
-        // (label, target-block) signatures until stable. For deterministic
-        // systems this is language minimization; in general it computes
-        // strong bisimulation.
         let adj = self.adjacency();
         let mut block: Vec<usize> = vec![0; self.num_states];
         if self.num_states == 0 {
@@ -326,8 +313,8 @@ mod tests {
         // classic: a.(b+c) vs a.b + a.c are trace equivalent but not bisimilar
         let spec = lts(4, 0, &[(0, "a", 1), (1, "b", 2), (1, "c", 3)]);
         let impl_ = lts(6, 0, &[(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "c", 4)]);
-        let ms = spec.minimize_bisim();
-        let mi = impl_.minimize_bisim();
+        let ms = spec.minimize_traces();
+        let mi = impl_.minimize_traces();
         assert_ne!(ms.num_states, mi.num_states);
         // but weak-trace determinization makes them equal-sized
         let ds = spec.determinize_weak().minimize_traces();
@@ -338,7 +325,7 @@ mod tests {
     #[test]
     fn self_loop_ring_minimizes_to_one_state() {
         let l = lts(4, 0, &[(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 0)]);
-        let m = l.minimize_bisim();
+        let m = l.minimize_traces();
         assert_eq!(m.num_states, 1);
         assert_eq!(m.transitions.len(), 1);
     }
