@@ -8,8 +8,9 @@
 //! concentrate losses into exactly the consecutive runs the halving chain
 //! is vulnerable to.
 
+use hb_core::fault::LossModel;
 use hb_core::{Params, Variant};
-use hb_sim::{run_scenario, LossModel, Scenario};
+use hb_sim::{run_scenario, Scenario};
 use std::time::Instant;
 
 const SEEDS: u64 = 200;

@@ -14,9 +14,9 @@
 //! emitted report is deterministic and a campaign re-run diffs clean
 //! (the CI smoke campaign relies on this).
 
+use hb_core::fault::Time;
+use hb_core::schema::RunSummary;
 use hb_core::{FixLevel, Params, Pid, Variant};
-use hb_sim::channel::Time;
-use hb_sim::schema::RunSummary;
 
 use crate::json::{self, ToJson};
 use crate::pipeline::burst_model;

@@ -14,8 +14,8 @@
 //! * [`pipeline`] — [`FaultPipeline`], the plan's message-level
 //!   [`FaultSpec`]s interpreted per message: one stateful engine owning
 //!   all fault randomness, installed as the
-//!   [`FaultHook`](hb_sim::FaultHook) of whichever queue carries the
-//!   run's messages;
+//!   [`FaultHook`](hb_core::fault::FaultHook) of whichever queue carries
+//!   the run's messages;
 //! * [`sim`] / [`live`] — the two injection backends, neither with a
 //!   harness of its own. [`sim`] installs the pipeline in
 //!   `hb_sim::World`; [`live`] in [`ChaosCluster`], which is
@@ -49,7 +49,7 @@ mod runner;
 pub mod sim;
 
 use hb_core::events::SharedTap;
-use hb_sim::schema::RunSummary;
+use hb_core::schema::RunSummary;
 
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, Cell, CellStats, RunKind};
 pub use diff::{diff_reports, DiffReport, Divergence, Severity};

@@ -16,10 +16,10 @@
 //! forks the simulator's world.
 
 use hb_core::events::{OwnedTap, SharedTap};
+use hb_core::fault::Time;
+use hb_core::schema::RunSummary;
 use hb_net::cluster::{ClusterConfig, VirtualCluster};
 use hb_net::loopback::Faults;
-use hb_sim::channel::Time;
-use hb_sim::schema::RunSummary;
 
 use crate::pipeline::FaultPipeline;
 use crate::plan::{FaultPlan, FaultSpec};

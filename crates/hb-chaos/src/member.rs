@@ -21,14 +21,14 @@
 //!
 //! [`reconv_stable`]: RunSummary::reconv_stable
 
+use hb_core::fault::{FaultHook, LossModel, Time};
+use hb_core::schema::{NetStats, RunLedger, RunSummary};
 use hb_core::trace::Event;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
 use hb_member::{
     run_live, run_sim, FaultKind, MemberConfig, MemberFault, MemberReport, MemberSpec,
     ReconvSample, RoleKind,
 };
-use hb_sim::channel::{FaultHook, LossModel, Time};
-use hb_sim::schema::{NetStats, RunLedger, RunSummary};
 
 use crate::json::{self, ToJson};
 use crate::pipeline::FaultPipeline;

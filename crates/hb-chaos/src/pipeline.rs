@@ -21,9 +21,8 @@
 //! for cut messages, so a burst chain's state depends only on the
 //! message sequence, not on which other faults are active.
 
+use hb_core::fault::{FaultHook, LossModel, SendFate, Time};
 use hb_core::Pid;
-use hb_sim::channel::Time;
-use hb_sim::{FaultHook, LossModel, SendFate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

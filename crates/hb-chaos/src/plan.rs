@@ -10,9 +10,8 @@
 
 use std::fmt;
 
+use hb_core::fault::{LossModel, Time};
 use hb_core::{FixLevel, Params, Pid, Variant, MAX_VIEW_MEMBERS};
-use hb_sim::channel::Time;
-use hb_sim::LossModel;
 
 use crate::json::{self, JsonError, Object, ToJson, Value};
 
@@ -523,9 +522,10 @@ impl FaultPlan {
     /// must precede that pid's crash. Reviving the coordinator (pid 0)
     /// additionally requires a membership plan — without the failover
     /// layer a revived coordinator has no story — and follows the same
-    /// lifecycle ordering as participant pids. A drift runs at a positive
-    /// rate, and its clock at `proto.duration` leaves room for a `u32`
-    /// timer span.
+    /// lifecycle ordering as participant pids. A membership plan takes no
+    /// start, leave or drift: its engine runs crash and revive only. A
+    /// drift runs at a positive rate, and its clock at `proto.duration`
+    /// leaves room for a `u32` timer span.
     pub fn validate(&self) -> Result<(), PlanError> {
         let n = self.proto.n;
         if n == 0 {
@@ -553,6 +553,11 @@ impl FaultPlan {
             }
         };
         for f in &self.faults {
+            use FaultSpec::{Drift, Leave, Start};
+            if self.proto.membership && matches!(f, Drift { .. } | Start { .. } | Leave { .. }) {
+                let kind = f.kind();
+                return Err(PlanError(format!("a membership plan takes no {kind}")));
+            }
             match f {
                 FaultSpec::Loss { link, .. }
                 | FaultSpec::Duplicate { link, .. }
@@ -915,6 +920,29 @@ mod tests {
         let msg = bad.validate().unwrap_err().to_string();
         assert!(msg.contains("revives twice"), "{msg}");
 
+        // The engine runs crash and revive only: a start, a leave or a
+        // drift, valid on a plain plan, is refused by name, not dropped.
+        let drift = FaultSpec::Drift {
+            pid: 1,
+            offset: 0,
+            num: 3,
+            den: 1,
+        };
+        let start = FaultSpec::Start { pid: 2, at: 150 };
+        let leave = FaultSpec::Leave { pid: 3, at: 100 };
+        for (f, kind) in [(drift, "drift"), (start, "start"), (leave, "leave")] {
+            FaultPlan::new("p", 1, proto())
+                .with(f.clone())
+                .validate()
+                .unwrap();
+            let bad = FaultPlan::new("p", 1, member).with(f);
+            let msg = bad.validate().unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!("membership plan takes no {kind}")),
+                "{msg}"
+            );
+        }
+
         // The same rejections surface at the JSON level, and a plan
         // merely omitting "membership" stays a plain-detector plan.
         let base = r#"{"name":"x","seed":1,"proto":{"variant":"binary","tmin":1,"tmax":2,"fix":"full-fix","n":2,"duration":100,"membership":true},"faults":FAULTS}"#;
@@ -924,6 +952,18 @@ mod tests {
         );
         let msg = FaultPlan::from_json(&json).unwrap_err().to_string();
         assert!(msg.contains("must follow its crash"), "{msg}");
+        for (fault, kind) in [
+            (r#"{"kind":"drift","pid":1,"num":3,"den":1}"#, "drift"),
+            (r#"{"kind":"start","pid":2,"at":150}"#, "start"),
+            (r#"{"kind":"leave","pid":2,"at":100}"#, "leave"),
+        ] {
+            let json = base.replace("FAULTS", &format!("[{fault}]"));
+            let msg = FaultPlan::from_json(&json).unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!("membership plan takes no {kind}")),
+                "{msg}"
+            );
+        }
         let json = base.replace(",\"membership\":true", "").replace(
             "FAULTS",
             r#"[{"kind":"crash","pid":0,"at":5},{"kind":"revive","pid":0,"at":9}]"#,

@@ -13,9 +13,9 @@
 //! from this module (`chaos_campaign --rejoin`), and CI replays the demo
 //! on both backends expecting byte-identical output.
 
+use hb_core::fault::Time;
+use hb_core::schema::RunSummary;
 use hb_core::{FixLevel, Params, Pid, Variant};
-use hb_sim::channel::Time;
-use hb_sim::schema::RunSummary;
 
 use crate::json::{self, ToJson};
 use crate::plan::{FaultPlan, FaultSpec, Link, ProtoSpec, Window};

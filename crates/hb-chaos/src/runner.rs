@@ -4,9 +4,9 @@
 //! that prefix once and forks there. A monitor rides as an owned tap.
 
 use hb_core::events::OwnedTap;
+use hb_core::fault::Time;
+use hb_core::schema::RunSummary;
 use hb_monitor::MonitorSet;
-use hb_sim::channel::Time;
-use hb_sim::schema::RunSummary;
 use hb_sim::World;
 
 use crate::live::ChaosCluster;
@@ -125,8 +125,8 @@ mod tests {
     use super::*;
     use crate::plan::{Link, ProtoSpec, Window};
     use crate::{run_plan, run_plan_monitored};
+    use hb_core::fault::LossModel;
     use hb_core::{FixLevel, Params, Variant};
-    use hb_sim::LossModel;
 
     fn proto(fix: FixLevel) -> ProtoSpec {
         ProtoSpec {

@@ -1,16 +1,16 @@
 //! Running a fault plan on the discrete-event simulator.
 //!
 //! The plan's message-level faults become the world's
-//! [`FaultHook`](hb_sim::FaultHook); its schedule-level faults (crash /
-//! start / leave / revive) map onto the world's own injection API. Drift faults
-//! are meaningless here — the simulator has a single global clock — and
-//! are skipped (the live backend applies them; see [`crate::live`]). The
-//! world is a `Substrate` of the one runner, which forks it at a
-//! campaign seed's crash tick.
+//! [`FaultHook`](hb_core::fault::FaultHook); its schedule-level faults
+//! (crash / start / leave / revive) map onto the world's own injection
+//! API. Drift faults are meaningless here — the simulator has a single
+//! global clock — and are skipped (the live backend applies them; see
+//! [`crate::live`]). The world is a `Substrate` of the one runner, which
+//! forks it at a campaign seed's crash tick.
 
 use hb_core::events::OwnedTap;
-use hb_sim::channel::Time;
-use hb_sim::schema::RunSummary;
+use hb_core::fault::Time;
+use hb_core::schema::RunSummary;
 use hb_sim::world::{World, WorldConfig};
 
 use crate::pipeline::FaultPipeline;
@@ -66,8 +66,8 @@ mod tests {
     use super::*;
     use crate::plan::{Link, ProtoSpec, Window};
     use crate::{run_plan, Backend};
+    use hb_core::fault::LossModel;
     use hb_core::{FixLevel, Params, Status, Variant};
-    use hb_sim::LossModel;
 
     fn proto(fix: FixLevel) -> ProtoSpec {
         ProtoSpec {

@@ -63,12 +63,14 @@ pub mod coordinator;
 pub mod dataflow;
 pub mod describe;
 pub mod events;
+pub mod fault;
 pub mod fixes;
 pub mod json;
 pub mod msg;
 pub mod params;
 pub mod react;
 pub mod responder;
+pub mod schema;
 pub mod serial;
 pub mod slots;
 pub mod trace;

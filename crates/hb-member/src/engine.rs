@@ -22,11 +22,11 @@
 //! producing the streams they produced tick by tick.
 
 use hb_core::events::{EventSink, SharedTap};
+use hb_core::fault::{FaultHook, LossModel, SendFate};
+use hb_core::schema::NetStats;
 use hb_core::trace::{Event, EventLog};
 use hb_core::{Pid, View};
-use hb_net::loopback::NetStats;
 use hb_net::wire::Frame;
-use hb_sim::channel::{FaultHook, LossModel, SendFate};
 
 use crate::node::{MemberNode, MemberSpec, Outbound, RoleKind};
 

@@ -47,8 +47,8 @@ pub use sim::{run_sim, SimMesh};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hb_core::fault::LossModel;
     use hb_core::Params;
-    use hb_sim::channel::LossModel;
 
     fn cfg(seed: u64, duration: u64) -> MemberConfig {
         MemberConfig::clean(
@@ -182,7 +182,7 @@ mod tests {
             self.mesh.any_due(now)
         }
 
-        fn stats(&self) -> hb_net::NetStats {
+        fn stats(&self) -> hb_core::schema::NetStats {
             self.mesh.stats()
         }
     }
@@ -191,7 +191,7 @@ mod tests {
     /// `ViewChange` evicting a crashed participant, and sees no further
     /// fault, ends the run a view behind. The coordinator it follows is
     /// unchanged, so its beats raise no objection and nothing re-sends
-    /// the view. ROADMAP item 4's fix (anti-entropy on the beat: a member
+    /// the view. ROADMAP item 5's fix (anti-entropy on the beat: a member
     /// that sees a beat stamped with a newer view asks for state) should
     /// turn this test around.
     #[test]

@@ -11,11 +11,11 @@
 //! faults are the engine's hand, applied directly to the nodes.
 
 use hb_core::events::SharedTap;
+use hb_core::fault::FaultHook;
 use hb_core::Pid;
-use hb_net::loopback::{Faults, LoopbackEndpoint, LoopbackNet, NetStats};
+use hb_net::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
 use hb_net::transport::Transport;
 use hb_net::wire::Frame;
-use hb_sim::channel::FaultHook;
 
 use crate::engine::{Engine, MemberConfig, MemberReport, Mesh};
 
@@ -62,7 +62,7 @@ impl Mesh for LiveMesh {
         self.net.next_due(dst) <= now
     }
 
-    fn stats(&self) -> NetStats {
+    fn stats(&self) -> hb_core::schema::NetStats {
         self.net.stats()
     }
 }

@@ -10,10 +10,10 @@
 //! [`LoopbackNet`]: hb_net::loopback::LoopbackNet
 
 use hb_core::events::SharedTap;
+use hb_core::fault::FaultHook;
 use hb_core::Pid;
-use hb_net::loopback::{LoopbackCore, NetStats};
+use hb_net::loopback::LoopbackCore;
 use hb_net::wire::Frame;
-use hb_sim::channel::FaultHook;
 
 use crate::engine::{Engine, MemberConfig, MemberReport, Mesh};
 
@@ -37,7 +37,7 @@ impl Mesh for LoopbackCore {
         self.next_due(dst) <= now
     }
 
-    fn stats(&self) -> NetStats {
+    fn stats(&self) -> hb_core::schema::NetStats {
         LoopbackCore::stats(self)
     }
 }

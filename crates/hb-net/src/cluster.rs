@@ -4,7 +4,7 @@
 //! [`VirtualCluster`] wires [`NodeRuntime`]s together over a
 //! [`LoopbackCore`] and advances them tick by tick, with scheduled crash /
 //! leave injection delivered over the control channel — the live
-//! counterpart of [`hb_sim::World`], producing the same [`RunSummary`]
+//! counterpart of `hb_sim::World`, producing the same [`RunSummary`]
 //! schema so runs from the two substrates can be compared directly. One
 //! thread steps it all, so the core has no lock: a node borrows it for
 //! the length of one poll, and its sink is the cluster's one tap site,
@@ -28,11 +28,11 @@
 use std::io::{self, ErrorKind};
 
 use hb_core::coordinator::CoordSpec;
+use hb_core::fault::FaultHook;
 use hb_core::responder::RespSpec;
+use hb_core::schema::{RunLedger, RunSummary};
 use hb_core::trace::Event;
 use hb_core::{FixLevel, Params, Pid, Status, Variant};
-use hb_sim::channel::FaultHook;
-use hb_sim::schema::{RunLedger, RunSummary};
 
 use crate::events::{EventSink, OwnedTap, SharedTap};
 use crate::loopback::{Faults, LoopbackCore};
@@ -658,12 +658,12 @@ mod tests {
     #[derive(Clone, Debug, Default)]
     struct Shaper(u32);
     impl FaultHook for Shaper {
-        fn fate(&mut self, now: Time, _src: Pid, _dst: Pid) -> hb_sim::channel::SendFate {
+        fn fate(&mut self, now: Time, _src: Pid, _dst: Pid) -> hb_core::fault::SendFate {
             self.0 += 1;
             if (200..212).contains(&now) {
-                return hb_sim::channel::SendFate::Drop;
+                return hb_core::fault::SendFate::Drop;
             }
-            hb_sim::channel::SendFate::Deliver {
+            hb_core::fault::SendFate::Deliver {
                 copies: 1 + u32::from(self.0.is_multiple_of(3)),
                 extra_delay: if (60..90).contains(&now) { 11 } else { 0 },
             }
@@ -800,8 +800,8 @@ mod tests {
         #[derive(Debug)]
         struct Opaque;
         impl FaultHook for Opaque {
-            fn fate(&mut self, _now: Time, _src: Pid, _dst: Pid) -> hb_sim::channel::SendFate {
-                hb_sim::channel::SendFate::clean()
+            fn fate(&mut self, _now: Time, _src: Pid, _dst: Pid) -> hb_core::fault::SendFate {
+                hb_core::fault::SendFate::clean()
             }
         }
         let mut cl = VirtualCluster::new(cfg(Variant::Binary, 2, 8, 1));

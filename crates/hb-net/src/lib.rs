@@ -23,7 +23,7 @@
 //!   event schema;
 //! * [`cluster`] — [`VirtualCluster`], a deterministically steppable
 //!   coordinator + N participants harness over loopback producing the same
-//!   [`RunSummary`](hb_sim::schema::RunSummary) as the simulator, for
+//!   [`RunSummary`](hb_core::schema::RunSummary) as the simulator, for
 //!   direct live-vs-sim cross-validation.
 
 #![forbid(unsafe_code)]
@@ -41,7 +41,7 @@ pub mod wire;
 
 pub use cluster::{ClusterConfig, LiveReport, VirtualCluster};
 pub use events::{Counters, EventSink, EventTap, SharedTap};
-pub use loopback::{Faults, LoopbackCore, LoopbackEndpoint, LoopbackNet, NetStats};
+pub use loopback::{Faults, LoopbackCore, LoopbackEndpoint, LoopbackNet};
 pub use node::{NodeReport, NodeRuntime};
 pub use time::{SkewedClock, Time, WallClock};
 pub use transport::{Recv, Transport};

@@ -4,7 +4,7 @@
 //! simulator's channel — a [`LossModel`] (Bernoulli or Gilbert–Elliott
 //! burst) decides drops, and delays are drawn uniformly from `0..=budget`
 //! ticks, consuming the round-trip budget exactly like
-//! [`hb_sim::channel::Channel`] — so a live loopback run is directly
+//! `hb_sim::channel::Channel` — so a live loopback run is directly
 //! comparable to a simulated run. Single-threaded harnesses drive the core
 //! itself; a [`LoopbackNet`] puts it behind a lock for nodes on threads.
 //!
@@ -13,7 +13,7 @@
 //! protocol traffic.
 //!
 //! An external adversary plugs in where it does on the other two queues
-//! ([`hb_sim::World`], `hb_member::Engine`): one [`FaultHook`] consulted
+//! (`hb_sim::World`, `hb_member::Engine`): one [`FaultHook`] consulted
 //! as a message enters the queue, ahead of the network's own loss model.
 
 use std::io;
@@ -23,9 +23,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use hb_core::events::EventSink;
+use hb_core::fault::{draw_delivery, FaultHook, LossModel, SendFate};
 use hb_core::trace::Event;
 use hb_core::Pid;
-use hb_sim::channel::{draw_delivery, FaultHook, LossModel, SendFate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,7 +68,7 @@ impl Faults {
     }
 }
 
-pub use hb_sim::schema::NetStats;
+pub use hb_core::schema::NetStats;
 
 #[derive(Clone, Copy, Debug)]
 struct Stored {
@@ -98,8 +98,8 @@ pub struct LoopbackCore {
     rng: StdRng,
     stats: NetStats,
     /// The external adversary, asked once per in-band send before the
-    /// loss model above sees the frame (or each copy the hook made of it).
-    pub(crate) hook: Option<Box<dyn FaultHook>>,
+    /// loss model sees the frame (or each copy the hook made of it).
+    pub hook: Option<Box<dyn FaultHook>>,
     /// The tap site of a cluster stepped on one thread (disabled outside
     /// one). It hears a `lose` record for every beat dropped here — the
     /// drop is known to the network alone, and a streaming monitor's
@@ -662,43 +662,5 @@ mod tests {
             .find_map(|t| core.recv(t, 1))
             .expect("delivered by send + extra + budget");
         assert!(r.reply_budget <= 5 - 3, "{r:?}");
-    }
-
-    /// One delay rule on both substrates: over a `(budget, extra)` grid a
-    /// hooked core and the simulator's channel reach the same set of
-    /// `(ticks in flight, reply budget left)` outcomes.
-    #[test]
-    fn a_hooked_core_delays_a_frame_exactly_as_the_simulators_channel_does() {
-        use hb_sim::channel::Channel;
-        use std::collections::BTreeSet;
-        const NOW: Time = 10;
-        for budget in 0..=3u32 {
-            for extra in 0..=4u32 {
-                let fate = SendFate::Deliver {
-                    copies: 1,
-                    extra_delay: extra,
-                };
-                let mut rng = StdRng::seed_from_u64(3);
-                let mut channel = Channel::new(0.0);
-                let mut core = LoopbackCore::new(2, LossModel::Bernoulli(0.0), 3);
-                core.hook = Some(Box::new(Always(fate)));
-                for _ in 0..200 {
-                    channel.send_shaped(&mut rng, NOW, (0, 1), Heartbeat::plain(), budget, fate);
-                    core.send(NOW, 1, &beat(), budget);
-                }
-                let (mut sim, mut live) = (BTreeSet::new(), BTreeSet::new());
-                for t in NOW..=NOW + Time::from(budget + extra) {
-                    for m in channel.due(t) {
-                        sim.insert((m.deliver_at - NOW, m.budget_left));
-                    }
-                    while let Some(r) = core.recv(t, 1) {
-                        live.insert((t - NOW, r.reply_budget));
-                    }
-                }
-                assert_eq!(channel.pending(), 0);
-                assert_eq!(sim.len(), budget as usize + 1, "every delay drawn");
-                assert_eq!(live, sim, "budget {budget}, extra {extra}");
-            }
-        }
     }
 }

@@ -10,9 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-/// Discrete protocol time, in ticks. Identical to the simulator's
-/// [`hb_sim::channel::Time`].
-pub type Time = u64;
+pub use hb_core::fault::Time;
 
 /// A wall-clock time source: tick `t` begins `t × tick` after creation.
 #[derive(Clone, Copy, Debug)]

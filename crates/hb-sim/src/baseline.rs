@@ -16,12 +16,13 @@
 //! `⌊log₂(tmax/tmin)⌋` losses, because it speeds up *only while
 //! suspicious*.
 
+use hb_core::fault::Time;
+use hb_core::schema::{RunLedger, RunSummary};
 use hb_core::{Heartbeat, Pid, Status};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::channel::{Channel, Time};
-use crate::schema::{RunLedger, RunSummary};
+use crate::channel::Channel;
 
 /// Configuration of the naive heartbeat protocol.
 #[derive(Clone, Copy, Debug)]
@@ -139,7 +140,9 @@ impl NaiveWorld {
         self.scheduled_crashes = crashes;
 
         // deliveries
-        for m in self.channel.due(now) {
+        let mut due = Vec::new();
+        self.channel.due_into(now, &mut due);
+        for m in due {
             self.channel.delivered += 1;
             if m.dst == 0 {
                 if self.coord_status.is_active() {

@@ -1,12 +1,9 @@
 //! Lossy bounded-delay channels for the simulator.
 
+use hb_core::fault::{draw_delivery, LossModel, SendFate, Time};
+use hb_core::schema::NetStats;
 use hb_core::{Heartbeat, Pid};
 use rand::Rng;
-
-use crate::schema::NetStats;
-
-/// Discrete simulation time.
-pub type Time = u64;
 
 /// A message in flight, scheduled for delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,146 +21,22 @@ pub struct InFlight {
     pub budget_left: u32,
 }
 
-/// What an external fault engine decided for one message: drop it, or
-/// deliver some number of copies with extra delay beyond the uniform
-/// in-budget draw. `Deliver { copies: 1, extra_delay: 0 }` is a plain
-/// faultless send.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SendFate {
-    /// The message is lost.
-    Drop,
-    /// The message is delivered, possibly duplicated and/or late.
-    Deliver {
-        /// Number of copies injected into the channel (0 behaves as a
-        /// drop that still reports the send as accepted).
-        copies: u32,
-        /// Additional delay ticks on top of the uniform `0..=budget`
-        /// draw. May exceed the round-trip budget — that is the point of
-        /// a delay-spike adversary.
-        extra_delay: u32,
-    },
-}
-
-impl SendFate {
-    /// The fate of a message on a healthy channel.
-    pub fn clean() -> Self {
-        SendFate::Deliver {
-            copies: 1,
-            extra_delay: 0,
-        }
-    }
-}
-
-/// An external adversary consulted for every message the world sends.
-///
-/// Installing a hook (`World::set_fault_hook`) **replaces** the channel's
-/// own [`LossModel`] as the drop authority: the hook owns all fault
-/// randomness (so fault schedules are reproducible independently of the
-/// world's delay stream) while the channel keeps drawing in-budget
-/// delays.
-pub trait FaultHook: Send + std::fmt::Debug {
-    /// Decide the fate of a message from `src` to `dst` sent at `now`.
-    fn fate(&mut self, now: Time, src: Pid, dst: Pid) -> SendFate;
-
-    /// A copy for a forked world: asked what the original is asked next,
-    /// it answers as the original does. `None` (the default): the state
-    /// cannot be copied, and a world holding the hook cannot fork.
-    fn fork(&self) -> Option<Box<dyn FaultHook>> {
-        None
-    }
-}
-
-/// The one delay rule, for every queue a message can sit in (this
-/// channel, the loopback core and through it both membership meshes): a
-/// uniform in-budget draw plus whatever a [`FaultHook`] added, decided
-/// when the message is sent. Returns the delivery tick and the round-trip
-/// budget left at delivery — none once the total delay has used it up.
-pub fn draw_delivery<R: Rng>(rng: &mut R, now: Time, budget: u32, extra_delay: u32) -> (Time, u32) {
-    let delay = rng.gen_range(0..=budget).saturating_add(extra_delay);
-    (now + Time::from(delay), budget.saturating_sub(delay))
-}
-
-/// How the channel decides to drop messages.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LossModel {
-    /// Independent per-message loss with this probability.
-    Bernoulli(f64),
-    /// A two-state Gilbert–Elliott burst-loss chain: the channel moves
-    /// between a *good* and a *bad* state (one step per message) and
-    /// drops with a state-dependent probability. Bursty loss is the
-    /// adversary of the accelerated protocols' "k consecutive losses"
-    /// defense.
-    GilbertElliott {
-        /// P(good → bad) per message.
-        to_bad: f64,
-        /// P(bad → good) per message.
-        to_good: f64,
-        /// Loss probability in the good state.
-        good_loss: f64,
-        /// Loss probability in the bad state.
-        bad_loss: f64,
-    },
-}
-
-impl LossModel {
-    /// The long-run average loss probability of the model.
-    pub fn average_loss(&self) -> f64 {
-        match *self {
-            LossModel::Bernoulli(p) => p,
-            LossModel::GilbertElliott {
-                to_bad,
-                to_good,
-                good_loss,
-                bad_loss,
-            } => {
-                // stationary distribution of the two-state chain
-                let pi_bad = to_bad / (to_bad + to_good);
-                (1.0 - pi_bad) * good_loss + pi_bad * bad_loss
-            }
-        }
-    }
-
-    /// One loss decision: step the burst chain (one step per message,
-    /// its state in `ge_bad`) and draw. Every consumer of a loss model —
-    /// the simulator's channel, the loopback core, the fault pipeline —
-    /// draws through here, so they consume randomness identically.
-    pub fn drops<R: Rng>(&self, ge_bad: &mut bool, rng: &mut R) -> bool {
-        match *self {
-            LossModel::Bernoulli(p) => rng.gen_bool(p),
-            LossModel::GilbertElliott {
-                to_bad,
-                to_good,
-                good_loss,
-                bad_loss,
-            } => {
-                if *ge_bad {
-                    if rng.gen_bool(to_good) {
-                        *ge_bad = false;
-                    }
-                } else if rng.gen_bool(to_bad) {
-                    *ge_bad = true;
-                }
-                rng.gen_bool(if *ge_bad { bad_loss } else { good_loss })
-            }
-        }
-    }
-
-    fn validate(&self) {
-        let probs: Vec<f64> = match *self {
-            LossModel::Bernoulli(p) => vec![p],
-            LossModel::GilbertElliott {
-                to_bad,
-                to_good,
-                good_loss,
-                bad_loss,
-            } => vec![to_bad, to_good, good_loss, bad_loss],
-        };
-        for p in probs {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "loss probability must be in [0, 1], got {p}"
-            );
-        }
+/// Panics unless every probability of `model` is in `[0, 1]`.
+fn validate(model: &LossModel) {
+    let probs: Vec<f64> = match *model {
+        LossModel::Bernoulli(p) => vec![p],
+        LossModel::GilbertElliott {
+            to_bad,
+            to_good,
+            good_loss,
+            bad_loss,
+        } => vec![to_bad, to_good, good_loss, bad_loss],
+    };
+    for p in probs {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "loss probability must be in [0, 1], got {p}"
+        );
     }
 }
 
@@ -201,7 +74,7 @@ impl Channel {
     ///
     /// Panics if any probability is outside `[0, 1]`.
     pub fn with_model(model: LossModel) -> Self {
-        model.validate();
+        validate(&model);
         Self {
             model,
             ge_bad: false,
@@ -244,10 +117,10 @@ impl Channel {
     }
 
     /// Send a message over the `(src, dst)` link whose drop/duplicate/delay
-    /// fate was already decided by an external [`FaultHook`]. The channel's
-    /// own loss model and outage window are bypassed; only the uniform
-    /// in-budget delay draw remains local. Returns `true` if at least one
-    /// copy was scheduled.
+    /// fate an external [`FaultHook`](hb_core::fault::FaultHook) already
+    /// decided. The channel's own loss model and outage window are
+    /// bypassed; only the uniform in-budget delay draw remains local.
+    /// Returns `true` if at least one copy was scheduled.
     pub fn send_shaped<R: Rng>(
         &mut self,
         rng: &mut R,
@@ -279,18 +152,9 @@ impl Channel {
         true
     }
 
-    /// Remove and return every message due at `now` (unordered).
-    pub fn due(&mut self, now: Time) -> Vec<InFlight> {
-        let mut due = Vec::new();
-        self.due_into(now, &mut due);
-        due
-    }
-
-    /// Remove every message due at `now`, appending it to `out` — the
-    /// allocation-free form of [`due`](Self::due) for callers reusing a
-    /// scratch buffer across ticks. Extraction order is identical to
-    /// `due` (the swap-remove sweep), so the two are drop-in equivalent
-    /// for seed-deterministic runs.
+    /// Remove every message due at `now`, appending it to `out` (a
+    /// scratch buffer callers reuse across ticks) in the order of a
+    /// swap-remove sweep, which seed-deterministic runs depend on.
     pub fn due_into(&mut self, now: Time, out: &mut Vec<InFlight>) {
         let mut i = 0;
         while i < self.in_flight.len() {
@@ -337,11 +201,11 @@ mod tests {
         }
         assert_eq!(ch.sent, 100);
         assert_eq!(ch.lost, 0);
-        let mut got = 0;
+        let mut got = Vec::new();
         for t in 0..200 {
-            got += ch.due(t).len();
+            ch.due_into(t, &mut got);
         }
-        assert_eq!(got, 100);
+        assert_eq!(got.len(), 100);
         assert_eq!(ch.pending(), 0);
     }
 
@@ -386,9 +250,13 @@ mod tests {
         let mut ch = Channel::new(0.0);
         ch.send(&mut rng, 0, 0, 1, Heartbeat::plain(), 0); // due at 0
         ch.send(&mut rng, 5, 0, 1, Heartbeat::plain(), 0); // due at 5
-        assert_eq!(ch.due(0).len(), 1);
-        assert_eq!(ch.due(4).len(), 0);
-        assert_eq!(ch.due(5).len(), 1);
+        let mut due = Vec::new();
+        ch.due_into(0, &mut due);
+        assert_eq!(due.len(), 1);
+        ch.due_into(4, &mut due);
+        assert_eq!(due.len(), 1, "nothing ripe at 4");
+        ch.due_into(5, &mut due);
+        assert_eq!(due.len(), 2);
         assert_eq!(ch.pending(), 0);
     }
 

@@ -7,7 +7,8 @@
 //! the original ICDCS '98 paper:
 //!
 //! * **overhead** — steady-state message rate ≈ `2/tmax`, independent of
-//!   the detection parameters ([`RunSummary::message_rate`]);
+//!   the detection parameters
+//!   ([`RunSummary::message_rate`](hb_core::schema::RunSummary::message_rate));
 //! * **detection delay** — every crash is detected within the (corrected)
 //!   analytical bounds;
 //! * **reliability** — a false inactivation needs
@@ -43,11 +44,14 @@
 pub mod baseline;
 pub mod channel;
 pub mod scenario;
-pub mod schema;
 pub mod world;
 
 pub use baseline::{NaiveConfig, NaiveWorld};
-pub use channel::{FaultHook, LossModel, SendFate};
+pub use hb_core::fault::{FaultHook, SendFate};
 pub use scenario::{run_scenario, Scenario};
-pub use schema::{FirstViolation, MonitorVerdicts, RunSummary};
 pub use world::World;
+
+/// The run record's path before it moved to [`hb_core::schema`].
+pub mod schema {
+    pub use hb_core::schema::RunSummary;
+}

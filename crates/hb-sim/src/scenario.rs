@@ -1,9 +1,9 @@
 //! Reusable simulation scenarios (workload generators).
 
+use hb_core::fault::{LossModel, Time};
+use hb_core::schema::RunSummary;
 use hb_core::{Params, Pid, Variant};
 
-use crate::channel::{LossModel, Time};
-use crate::schema::RunSummary;
 use crate::world::{World, WorldConfig};
 use hb_core::FixLevel;
 
@@ -69,30 +69,6 @@ impl Scenario {
         Scenario {
             loss_prob,
             ..Scenario::steady_state(variant, params, duration)
-        }
-    }
-
-    /// A churn run for the join variants: `n` participants starting at the
-    /// given times (and, for the dynamic variant, leaving at the optional
-    /// times).
-    pub fn churn(
-        variant: Variant,
-        params: Params,
-        starts: Vec<(Pid, Time)>,
-        leaves: Vec<(Pid, Time)>,
-        duration: Time,
-    ) -> Self {
-        assert!(
-            variant.has_join_phase(),
-            "churn scenarios need a join-capable variant"
-        );
-        let n = starts.iter().map(|&(p, _)| p).max().unwrap_or(0);
-        Scenario {
-            n,
-            starts,
-            leaves,
-            duration,
-            ..Scenario::steady_state(variant, params, 0)
         }
     }
 
@@ -189,13 +165,13 @@ mod tests {
 
     #[test]
     fn churn_scenario_with_joins_and_leaves() {
-        let sc = Scenario::churn(
-            Variant::Dynamic,
-            params(),
-            vec![(1, 10), (2, 50)],
-            vec![(1, 300)],
-            1_000,
-        );
+        let sc = Scenario {
+            n: 2,
+            starts: vec![(1, 10), (2, 50)],
+            leaves: vec![(1, 300)],
+            duration: 1_000,
+            ..Scenario::steady_state(Variant::Dynamic, params(), 0)
+        };
         let r = run_scenario(&sc, 4);
         assert_eq!(r.leaves.len(), 1);
         assert!(r.nv_inactivations.is_empty());
@@ -235,12 +211,6 @@ mod tests {
         let r = run_scenario(&long, 3);
         assert!(r.false_inactivations > 0, "long outage must inactivate");
         assert!(r.all_inactive());
-    }
-
-    #[test]
-    #[should_panic(expected = "join-capable")]
-    fn churn_rejects_static_variant() {
-        Scenario::churn(Variant::Static, params(), vec![(1, 0)], vec![], 100);
     }
 
     #[test]

@@ -23,16 +23,17 @@
 
 use hb_core::coordinator::{CoordSpec, CoordState};
 use hb_core::events::{EventSink, OwnedTap};
+use hb_core::fault::{FaultHook, LossModel, Time};
 use hb_core::react::{self, Effects};
 use hb_core::responder::{RespSpec, RespState};
+use hb_core::schema::{RunLedger, RunSummary};
 use hb_core::trace::Event;
 use hb_core::{FixLevel, Heartbeat, Params, Pid, Status, Variant};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::channel::{Channel, FaultHook, InFlight, LossModel, Time};
-use crate::schema::{RunLedger, RunSummary};
+use crate::channel::{Channel, InFlight};
 
 /// Static configuration of a simulation world.
 #[derive(Clone, Copy, Debug)]
@@ -724,12 +725,12 @@ mod tests {
         // count as false inactivations.
         #[derive(Debug)]
         struct EatReplies;
-        impl crate::channel::FaultHook for EatReplies {
-            fn fate(&mut self, _now: Time, src: Pid, _dst: Pid) -> crate::channel::SendFate {
+        impl hb_core::fault::FaultHook for EatReplies {
+            fn fate(&mut self, _now: Time, src: Pid, _dst: Pid) -> hb_core::fault::SendFate {
                 if src == 0 {
-                    crate::channel::SendFate::clean()
+                    hb_core::fault::SendFate::clean()
                 } else {
-                    crate::channel::SendFate::Drop
+                    hb_core::fault::SendFate::Drop
                 }
             }
         }
@@ -756,12 +757,12 @@ mod tests {
     #[derive(Clone, Debug, Default)]
     struct Shaper(u32);
     impl FaultHook for Shaper {
-        fn fate(&mut self, now: Time, _src: Pid, _dst: Pid) -> crate::channel::SendFate {
+        fn fate(&mut self, now: Time, _src: Pid, _dst: Pid) -> hb_core::fault::SendFate {
             self.0 += 1;
             if (200..212).contains(&now) {
-                return crate::channel::SendFate::Drop;
+                return hb_core::fault::SendFate::Drop;
             }
-            crate::channel::SendFate::Deliver {
+            hb_core::fault::SendFate::Deliver {
                 copies: 1 + u32::from(self.0.is_multiple_of(3)),
                 extra_delay: if (60..90).contains(&now) { 11 } else { 0 },
             }
@@ -831,8 +832,8 @@ mod tests {
         #[derive(Debug)]
         struct Opaque;
         impl FaultHook for Opaque {
-            fn fate(&mut self, _now: Time, _src: Pid, _dst: Pid) -> crate::channel::SendFate {
-                crate::channel::SendFate::clean()
+            fn fate(&mut self, _now: Time, _src: Pid, _dst: Pid) -> hb_core::fault::SendFate {
+                hb_core::fault::SendFate::clean()
             }
         }
         let mut w = World::new(cfg(Variant::Binary, 2, 8), 1);

@@ -31,9 +31,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use accelerated_heartbeat::core::coordinator::CoordSpec;
-use accelerated_heartbeat::core::events::SharedTap;
+use accelerated_heartbeat::core::events::{MonitorVerdicts, SharedTap};
 use accelerated_heartbeat::core::json;
 use accelerated_heartbeat::core::responder::RespSpec;
+use accelerated_heartbeat::core::schema::RunSummary;
 use accelerated_heartbeat::core::trace::{Event, EventLog};
 use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
 use accelerated_heartbeat::monitor::MonitorSet;
@@ -41,7 +42,6 @@ use accelerated_heartbeat::net::wire::{Command, Frame};
 use accelerated_heartbeat::net::{
     EventSink, NodeReport, NodeRuntime, Recv, Time, Transport, UdpTransport, WallClock,
 };
-use accelerated_heartbeat::sim::schema::{MonitorVerdicts, RunSummary};
 
 const WORKERS: usize = 3;
 const START_TICKS: [u64; WORKERS] = [0, 120, 300];

@@ -53,7 +53,9 @@ use std::thread;
 use std::time::Duration;
 
 use accelerated_heartbeat::core::coordinator::CoordSpec;
-use accelerated_heartbeat::core::events::{parse_event_json, EventTap, SharedTap};
+use accelerated_heartbeat::core::events::{
+    parse_event_json, EventTap, FirstViolation, MonitorVerdicts, SharedTap,
+};
 use accelerated_heartbeat::core::responder::RespSpec;
 use accelerated_heartbeat::core::trace::Event;
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
@@ -62,7 +64,6 @@ use accelerated_heartbeat::net::wire::{Command, Frame};
 use accelerated_heartbeat::net::{
     EventSink, NodeReport, NodeRuntime, Transport, UdpTransport, WallClock,
 };
-use accelerated_heartbeat::sim::schema::{FirstViolation, MonitorVerdicts};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()

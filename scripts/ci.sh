@@ -228,6 +228,18 @@ if [ -n "$direct" ]; then
   exit 1
 fi
 
+echo "==> the live runtime does not depend on the simulator (hb-net, hb-member)"
+# The adversary seam and the run record live in hb-core, so neither crate
+# needs hb-sim, not even as a dev-dependency: World can then be built on
+# the cluster without a cycle.
+for crate in hb-net hb-member; do
+  deps=$(cargo tree --offline -e normal,dev -p "$crate")
+  if grep -q 'hb-sim' <<<"$deps"; then
+    echo "$crate depends on hb-sim: import the seam and the record from hb-core" >&2
+    exit 1
+  fi
+done
+
 echo "==> line count (reported, never gated)"
 scripts/loc.sh
 

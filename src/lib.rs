@@ -9,7 +9,8 @@
 //!
 //! * [`core`] (`hb-core`) — the protocol family (binary, revised binary,
 //!   two-phase, static, expanding, dynamic) as pure state machines, plus the
-//!   Section-6 fixes.
+//!   Section-6 fixes, and what both runtimes share: the fault seam
+//!   ([`core::fault`]) and the run record ([`core::schema`]).
 //! * [`mck`] — an explicit-state model checker (BFS/DFS/parallel, LTS
 //!   reduction, digital clocks).
 //! * [`sim`] (`hb-sim`) — a discrete-event network simulator with lossy

@@ -10,10 +10,10 @@
 
 use accelerated_heartbeat::chaos::{run_plan, Backend, FaultPlan, FaultSpec, ProtoSpec};
 use accelerated_heartbeat::core::events::event_json;
+use accelerated_heartbeat::core::fault::{FaultHook, LossModel, SendFate};
 use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
 use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::{ClusterConfig, Faults, VirtualCluster};
-use accelerated_heartbeat::sim::channel::{FaultHook, LossModel, SendFate};
 use accelerated_heartbeat::sim::world::WorldConfig;
 use accelerated_heartbeat::sim::{run_scenario, NaiveConfig, NaiveWorld, Scenario, World};
 

@@ -3,10 +3,12 @@
 //! * its due-time index answers exactly what a scan of the queues would
 //!   (same `Recv` sequence, same `any_deliverable`, same counters, same
 //!   random draws), checked against a scanning reference kept here;
+//! * a hooked core delays a frame exactly as the simulator's channel does;
 //! * threads that block in `Transport::wait` never miss an arrival, even
 //!   though `send` only signals the condvar when someone is waiting;
 //! * node threads that share one tap each feed it their own events, once.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -14,16 +16,18 @@ use std::time::{Duration, Instant};
 
 use accelerated_heartbeat::core::coordinator::CoordSpec;
 use accelerated_heartbeat::core::events::{EventTap, SharedTap};
+use accelerated_heartbeat::core::fault::{FaultHook, LossModel, SendFate};
 use accelerated_heartbeat::core::responder::RespSpec;
+use accelerated_heartbeat::core::schema::NetStats;
 use accelerated_heartbeat::core::trace::Event;
 use accelerated_heartbeat::core::view::View;
 use accelerated_heartbeat::core::{FixLevel, Heartbeat, Params, Pid, Status, Variant};
 use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::{
-    Command, EventSink, Faults, Frame, LoopbackCore, LoopbackNet, NetStats, NodeRuntime, Recv,
-    Time, Transport, WallClock,
+    Command, EventSink, Faults, Frame, LoopbackCore, LoopbackNet, NodeRuntime, Recv, Time,
+    Transport, WallClock,
 };
-use accelerated_heartbeat::sim::channel::LossModel;
+use accelerated_heartbeat::sim::channel::Channel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -218,6 +222,54 @@ proptest! {
         }
         prop_assert_eq!(core.stats(), scan.stats);
         prop_assert_eq!(net.stats(), scan.stats);
+    }
+}
+
+/// A hook with one answer for everything.
+#[derive(Debug)]
+struct Always(SendFate);
+
+impl FaultHook for Always {
+    fn fate(&mut self, _now: Time, _src: Pid, _dst: Pid) -> SendFate {
+        self.0
+    }
+}
+
+/// One delay rule on both substrates: over a `(budget, extra)` grid a
+/// hooked core and the simulator's channel reach the same set of
+/// `(ticks in flight, reply budget left)` outcomes.
+#[test]
+fn a_hooked_core_delays_a_frame_exactly_as_the_simulators_channel_does() {
+    const NOW: Time = 10;
+    for budget in 0..=3u32 {
+        for extra in 0..=4u32 {
+            let fate = SendFate::Deliver {
+                copies: 1,
+                extra_delay: extra,
+            };
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut channel = Channel::new(0.0);
+            let mut core = LoopbackCore::new(2, LossModel::Bernoulli(0.0), 3);
+            core.hook = Some(Box::new(Always(fate)));
+            for _ in 0..200 {
+                channel.send_shaped(&mut rng, NOW, (0, 1), Heartbeat::plain(), budget, fate);
+                core.send(NOW, 1, &Frame::beat(0, Heartbeat::plain()), budget);
+            }
+            let (mut sim, mut live) = (BTreeSet::new(), BTreeSet::new());
+            let mut due = Vec::new();
+            for t in NOW..=NOW + Time::from(budget + extra) {
+                channel.due_into(t, &mut due);
+                for m in due.drain(..) {
+                    sim.insert((m.deliver_at - NOW, m.budget_left));
+                }
+                while let Some(r) = core.recv(t, 1) {
+                    live.insert((t - NOW, r.reply_budget));
+                }
+            }
+            assert_eq!(channel.pending(), 0);
+            assert_eq!(sim.len(), budget as usize + 1, "every delay drawn");
+            assert_eq!(live, sim, "budget {budget}, extra {extra}");
+        }
     }
 }
 

@@ -13,12 +13,12 @@ use accelerated_heartbeat::chaos::{
     failover_plan, run_plan_member, Backend, FaultPlan, FaultSpec, Link, ProtoSpec, Window,
 };
 use accelerated_heartbeat::core::events::event_json;
+use accelerated_heartbeat::core::fault::{FaultHook, SendFate};
 use accelerated_heartbeat::core::trace::Event;
 use accelerated_heartbeat::core::{FixLevel, Params, Pid, Variant};
 use accelerated_heartbeat::member::{
     run_live, run_sim, FaultKind, MemberConfig, MemberFault, MemberReport, MemberSpec, RoleKind,
 };
-use accelerated_heartbeat::sim::channel::{FaultHook, SendFate};
 
 fn spec() -> MemberSpec {
     MemberSpec::dynamic_full(Params::new(2, 8).unwrap())

@@ -8,13 +8,14 @@ use std::sync::{Arc, Mutex};
 use accelerated_heartbeat::chaos::{
     run_plan_monitored, run_plan_tapped, Backend, FaultPlan, FaultSpec, Link, ProtoSpec, Window,
 };
-use accelerated_heartbeat::core::events::{event_json, EventTap, SharedTap};
+use accelerated_heartbeat::core::events::{
+    event_json, EventTap, FirstViolation, MonitorVerdicts, SharedTap,
+};
+use accelerated_heartbeat::core::fault::LossModel;
 use accelerated_heartbeat::core::trace::Event;
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::monitor;
 use accelerated_heartbeat::net::{ClusterConfig, Faults, VirtualCluster};
-use accelerated_heartbeat::sim::channel::LossModel;
-use accelerated_heartbeat::sim::schema::{FirstViolation, MonitorVerdicts};
 use accelerated_heartbeat::sim::world::WorldConfig;
 use accelerated_heartbeat::sim::{run_scenario, Scenario, World};
 use accelerated_heartbeat::verify::reference_verdicts;
