@@ -842,8 +842,11 @@ mod tests {
         assert!(w.fork().is_none());
     }
 
-    #[test]
-    fn run_until_equals_stepping_every_tick() {
+    /// Every cell of the stepping-equivalence grid (4 variants × 3 fix
+    /// levels × 3 seeds × 5 networks × 7 fault plans), logged: `f` gets
+    /// the cell's name, a builder for its world and the two horizons it
+    /// runs to, as the benchmark's prime and run.
+    fn for_each_grid_cell(mut f: impl FnMut(&str, &dyn Fn() -> World, [Time; 2])) {
         const NETS: [&str; 5] = ["lossless", "bernoulli", "burst", "outage", "hook"];
         const PLANS: [&str; 7] = [
             "none",
@@ -895,7 +898,6 @@ mod tests {
             }
             w
         };
-        let mut events = 0;
         for variant in [
             Variant::Static,
             Variant::Expanding,
@@ -911,29 +913,142 @@ mod tests {
                     for net in NETS {
                         for plan in PLANS {
                             let cell = format!("{variant} {fix} seed {seed} {net} {plan}");
-                            let mut stepped = build(variant, fix, seed, net, plan);
-                            let mut ran = build(variant, fix, seed, net, plan);
-                            // Two legs, as the benchmark's prime + run.
                             let legs = if plan == "mid-round horizon" {
                                 [37, 301]
                             } else {
                                 [120, 600]
                             };
-                            for t in legs {
-                                run_stepwise(&mut stepped, t);
-                                ran.run_until(t);
-                                assert_eq!(stepped.now(), ran.now(), "{cell}: now at leg {t}");
-                            }
-                            let (stepped, ran) = (stepped.into_report(), ran.into_report());
-                            assert_eq!(stepped.to_json(), ran.to_json(), "{cell}");
-                            assert_eq!(stepped.log.events(), ran.log.events(), "{cell}");
-                            events += ran.log.len();
+                            f(&cell, &|| build(variant, fix, seed, net, plan), legs);
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn run_until_equals_stepping_every_tick() {
+        let mut events = 0;
+        for_each_grid_cell(|cell, build, legs| {
+            let (mut stepped, mut ran) = (build(), build());
+            for t in legs {
+                run_stepwise(&mut stepped, t);
+                ran.run_until(t);
+                assert_eq!(stepped.now(), ran.now(), "{cell}: now at leg {t}");
+            }
+            let (stepped, ran) = (stepped.into_report(), ran.into_report());
+            assert_eq!(stepped.to_json(), ran.to_json(), "{cell}");
+            assert_eq!(stepped.log.events(), ran.log.events(), "{cell}");
+            events += ran.log.len();
+        });
         assert!(events > 250_000, "the grid must actually run: {events}");
+    }
+
+    /// FNV-1a, 64 bit.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// A tap folding every event's JSON record into one FNV-1a-64 digest,
+    /// for runs whose log would not fit in memory.
+    #[derive(Debug)]
+    struct Digest(u64);
+    impl hb_core::events::EventTap for Digest {
+        fn on_event(&mut self, e: &Event) {
+            self.0 = fnv1a(self.0, hb_core::events::event_json(e).as_bytes());
+        }
+    }
+
+    /// Every byte a world reports, pinned: one FNV-1a-64 digest over the
+    /// summary JSON and the event log of every cell of the stepping grid,
+    /// run by `run_until`, and of the benchmark's steady cell (static,
+    /// `(2, 8)`, full fix, lossless) at n = 1, 8 and 64 over 80 000
+    /// ticks. The grid compares `run_until` with hand-stepping, and both
+    /// run the same `step`; this pins what either produced before the
+    /// simulator learned to touch only the processes that are due.
+    #[test]
+    fn world_runs_are_pinned() {
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        let mut events = 0;
+        for_each_grid_cell(|_, build, legs| {
+            let mut w = build();
+            for t in legs {
+                w.run_until(t);
+            }
+            let r = w.into_report();
+            digest = fnv1a(digest, r.to_json().as_bytes());
+            for e in r.log.events() {
+                digest = fnv1a(digest, hb_core::events::event_json(e).as_bytes());
+            }
+            events += r.log.len();
+        });
+        for n in [1, 8, 64] {
+            let mut w = World::new(
+                WorldConfig {
+                    fix: FixLevel::Full,
+                    n,
+                    ..cfg(Variant::Static, 2, 8)
+                },
+                2001,
+            );
+            w.attach_owned_tap(Box::new(Digest(digest)));
+            w.run_until(80_000);
+            let tap = w.take_owned_taps().pop().expect("the digest comes back");
+            let tap = tap.into_any().downcast::<Digest>().expect("a Digest");
+            assert_eq!(w.now(), 80_000, "n = {n}: the steady group stays up");
+            digest = fnv1a(tap.0, w.into_report().to_json().as_bytes());
+        }
+        assert!(events > 250_000, "the grid must actually run: {events}");
+        assert_eq!(digest, 0x97de_11bf_b7b0_f225, "{digest:#018x}");
+    }
+
+    /// A crash and a revive scheduled once the run has begun fire on
+    /// their tick — whether that is the current one, a later one reached
+    /// by a jump or by hand-stepping — and one scheduled in the past
+    /// never fires.
+    #[test]
+    fn injections_scheduled_mid_run_fire_on_their_tick() {
+        for fix in [FixLevel::Original, FixLevel::Full] {
+            let build = || {
+                let mut w = World::new(
+                    WorldConfig {
+                        fix,
+                        n: 3,
+                        log_events: true,
+                        ..cfg(Variant::Static, 2, 8)
+                    },
+                    9,
+                );
+                w.run_until(50);
+                // Jumped to the current tick: the run is quiet at 50.
+                w.schedule_crash(1, w.now());
+                w.schedule_revive(1, 53);
+                w.schedule_crash(2, 20);
+                w.schedule_revive(2, 30);
+                w
+            };
+            let (mut stepped, mut ran) = (build(), build());
+            let at = ran.now();
+            run_stepwise(&mut stepped, 120);
+            ran.run_until(120);
+            for w in [&mut stepped, &mut ran] {
+                // Later, mid-way through a quiet stretch.
+                w.schedule_crash(3, 141);
+                w.schedule_revive(3, 146);
+                w.schedule_revive(3, 20);
+            }
+            run_stepwise(&mut stepped, 400);
+            ran.run_until(400);
+            let (stepped, ran) = (stepped.into_report(), ran.into_report());
+            assert_eq!(stepped.to_json(), ran.to_json(), "{fix}");
+            assert_eq!(stepped.log.events(), ran.log.events(), "{fix}");
+            assert_eq!(ran.crashes, vec![(1, at), (3, 141)], "{fix}");
+            assert_eq!(ran.revives, vec![(1, 53), (3, 146)], "{fix}");
+        }
     }
 
     /// `run_until`'s own loop, counting the ticks it steps and the ticks
