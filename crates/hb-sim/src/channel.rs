@@ -50,6 +50,8 @@ pub struct Channel {
     ge_bad: bool,
     outage: Option<(Time, Time)>,
     in_flight: Vec<InFlight>,
+    /// The earliest delivery time in flight, `Time::MAX` if none.
+    next_due: Time,
     /// Total messages accepted for transmission.
     pub sent: u64,
     /// Messages dropped.
@@ -80,6 +82,7 @@ impl Channel {
             ge_bad: false,
             outage: None,
             in_flight: Vec::new(),
+            next_due: Time::MAX,
             sent: 0,
             lost: 0,
             delivered: 0,
@@ -141,6 +144,7 @@ impl Channel {
         };
         for _ in 0..copies {
             let (deliver_at, budget_left) = draw_delivery(rng, now, budget, extra_delay);
+            self.next_due = self.next_due.min(deliver_at);
             self.in_flight.push(InFlight {
                 deliver_at,
                 src,
@@ -156,19 +160,26 @@ impl Channel {
     /// scratch buffer callers reuse across ticks) in the order of a
     /// swap-remove sweep, which seed-deterministic runs depend on.
     pub fn due_into(&mut self, now: Time, out: &mut Vec<InFlight>) {
-        let mut i = 0;
+        if self.next_due > now {
+            return;
+        }
+        let (mut i, mut next) = (0, Time::MAX);
         while i < self.in_flight.len() {
-            if self.in_flight[i].deliver_at <= now {
+            let at = self.in_flight[i].deliver_at;
+            if at <= now {
                 out.push(self.in_flight.swap_remove(i));
             } else {
+                next = next.min(at);
                 i += 1;
             }
         }
+        self.next_due = next;
     }
 
-    /// The earliest delivery time in flight (a scan of ≤ 2n frames).
-    pub(crate) fn next_due(&self) -> Option<Time> {
-        self.in_flight.iter().map(|m| m.deliver_at).min()
+    /// The earliest delivery time in flight, `Time::MAX` if none (kept by
+    /// [`send_shaped`](Self::send_shaped) and [`due_into`](Self::due_into)).
+    pub(crate) fn next_due(&self) -> Time {
+        self.next_due
     }
 
     /// The message counters so far.
@@ -191,6 +202,15 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Channel {
+        /// Assert that the earliest-due word is what the frames in flight
+        /// say.
+        pub(crate) fn assert_next_due(&self) {
+            let earliest = self.in_flight.iter().map(|m| m.deliver_at).min();
+            assert_eq!(self.next_due, earliest.unwrap_or(Time::MAX));
+        }
+    }
 
     #[test]
     fn lossless_channel_delivers_everything() {

@@ -8,13 +8,14 @@
 //! receive-priority fix — and then every clock advances by one.
 //!
 //! A healthy group is silent for most of every round, so
-//! [`World::run_until`] steps only the ticks on which something is due
-//! and moves every clock across the rest in one jump, never past its
-//! horizon. That is sound because a tick with nothing due changes no
-//! state but the clocks: the shuffle of an empty batch draws no
-//! randomness, the loss model, outage window and fault hook act on sends
-//! only, and the ledger reads process state, which only an event changes.
-//! `step()` itself never jumps; a caller stepping by hand gets every tick.
+//! [`World::run_until`] steps only the ticks on which something is due,
+//! never past its horizon, and a step asks only the processes whose wake
+//! tick has come. A process's clocks catch up over the ticks it slept
+//! through when it is next touched. That is sound because a tick with
+//! nothing due changes no state but the clocks: the shuffle of an empty
+//! batch draws no randomness, the loss model, outage window and fault hook
+//! act on sends only, and the ledger reads no clock. `step()` itself never
+//! jumps; a caller stepping by hand gets every tick.
 //!
 //! The world decides *when* each process reacts; *how* it reacts is
 //! [`hb_core::react`], shared with the live node and the model checker.
@@ -66,6 +67,14 @@ pub struct World {
     leave_after: Vec<Option<Time>>,
     scheduled_crashes: Vec<(Pid, Time)>,
     scheduled_revives: Vec<(Pid, Time)>,
+    /// The earliest crash, revive or start at or after `now`; 0 at first,
+    /// when tick 0 starts the participants and wakes every process.
+    next_injection: Time,
+    /// Per pid (0 is the coordinator), the tick its next own deadline
+    /// falls due on, `Time::MAX` if none; see [`rewake`](Self::rewake).
+    wake: Vec<Time>,
+    /// Per pid, the tick its clocks were last caught up to.
+    synced: Vec<Time>,
     env: Env,
     /// Scratch storage for [`gather_due`](Self::gather_due), reused
     /// across ticks so the hot loop never allocates.
@@ -135,6 +144,9 @@ impl World {
             leave_after: vec![None; cfg.n],
             scheduled_crashes: Vec::new(),
             scheduled_revives: Vec::new(),
+            next_injection: 0,
+            wake: vec![Time::MAX; cfg.n + 1],
+            synced: vec![0; cfg.n + 1],
             env: Env {
                 now: 0,
                 channel: Channel::new(cfg.loss_prob),
@@ -163,6 +175,7 @@ impl World {
     pub fn schedule_crash(&mut self, pid: Pid, t: Time) {
         assert!(pid <= self.cfg.n, "pid {pid} out of range");
         self.scheduled_crashes.push((pid, t));
+        self.next_injection = self.next_injection.min(t.max(self.env.now));
     }
 
     /// Delay participant `pid`'s start until time `t` (join variants).
@@ -217,6 +230,7 @@ impl World {
             "pid {pid} out of revivable range"
         );
         self.scheduled_revives.push((pid, t));
+        self.next_injection = self.next_injection.min(t.max(self.env.now));
     }
 
     /// Whether a scheduled revive has not yet fired.
@@ -292,6 +306,8 @@ impl World {
             leave_after: self.leave_after.clone(),
             scheduled_crashes: self.scheduled_crashes.clone(),
             scheduled_revives: self.scheduled_revives.clone(),
+            wake: self.wake.clone(),
+            synced: self.synced.clone(),
             env,
             due_scratch: Vec::new(),
             flight_scratch: Vec::new(),
@@ -318,27 +334,63 @@ impl World {
             self.due_scratch.shuffle(&mut env.rng);
             return;
         }
-        if self.coord_spec.timeout_due(&self.coord) {
-            self.due_scratch.push(Due::CoordTimeout);
-        }
-        for (i, r) in self.resps.iter().enumerate() {
-            if let Some(r) = r {
+        // A process before its wake tick has nothing due: ask the rest.
+        for pid in 0..=self.cfg.n {
+            if self.wake[pid] > self.env.now {
+                continue;
+            }
+            self.catch_up(pid);
+            if pid == 0 {
+                if self.coord_spec.timeout_due(&self.coord) {
+                    self.due_scratch.push(Due::CoordTimeout);
+                }
+            } else if let Some(r) = &self.resps[pid - 1] {
                 if self.resp_spec.watchdog_due(r) {
-                    self.due_scratch.push(Due::Watchdog(i + 1));
+                    self.due_scratch.push(Due::Watchdog(pid));
                 }
                 if self.resp_spec.join_send_due(r) {
-                    self.due_scratch.push(Due::JoinSend(i + 1));
+                    self.due_scratch.push(Due::JoinSend(pid));
                 }
             }
         }
-        self.due_scratch.shuffle(&mut env.rng);
+        self.due_scratch.shuffle(&mut self.env.rng);
+    }
+
+    /// Move `pid`'s clocks over the ticks since it was last touched. A
+    /// running process lags by at most its time left, which fits a `u32`.
+    fn catch_up(&mut self, pid: Pid) {
+        let k = u32::try_from(self.env.now - self.synced[pid]).unwrap_or(u32::MAX);
+        self.synced[pid] = self.env.now;
+        if pid == 0 {
+            self.coord_spec.advance(&mut self.coord, k);
+        } else if let Some(r) = &mut self.resps[pid - 1] {
+            self.resp_spec.advance(r, k);
+        }
+    }
+
+    /// Recompute `pid`'s wake tick after a call on its machine; time alone
+    /// does not move it.
+    fn rewake(&mut self, pid: Pid) {
+        let resp = |r: &RespState| self.resp_spec.next_event_in(r);
+        let due_in = match pid {
+            0 => self.coord_spec.next_timeout_in(&self.coord),
+            _ => self.resps[pid - 1].as_ref().and_then(resp),
+        };
+        self.wake[pid] = due_in.map_or(Time::MAX, |d| self.synced[pid] + Time::from(d));
     }
 
     /// Execute one gathered event. Each reaction runs only if its event
     /// is still due, so one an earlier event of the same batch invalidated
     /// (a delivery that reset the watchdog it raced against) does nothing —
     /// exactly the tie-resolution semantics of the verification models.
+    /// The process reacts on a caught-up clock and is rewoken after.
     fn execute(&mut self, d: Due) {
+        let pid = match d {
+            Due::Deliver(m) => m.dst,
+            Due::CoordTimeout => 0,
+            Due::Watchdog(pid) | Due::JoinSend(pid) => pid,
+        };
+        self.catch_up(pid);
         let env = &mut self.env;
         let now = env.now;
         match d {
@@ -369,12 +421,13 @@ impl World {
                 }
             }
         }
+        self.rewake(pid);
     }
 
-    /// Advance the world by one tick.
-    pub fn step(&mut self) {
-        let now = self.env.now;
-        // Injected faults and starts land at the beginning of the tick.
+    /// Land the crashes, revives and starts due at `now`, at the start of
+    /// the tick, every clock caught up first (such ticks are rare).
+    fn inject(&mut self, now: Time) {
+        (0..=self.cfg.n).for_each(|pid| self.catch_up(pid));
         let mut crashes = std::mem::take(&mut self.scheduled_crashes);
         crashes.retain(|&(pid, t)| {
             if t != now {
@@ -410,7 +463,25 @@ impl World {
                 self.resps[i] = Some(self.resp_spec.init_state());
             }
         }
+        (0..=self.cfg.n).for_each(|pid| self.rewake(pid));
+        self.next_injection = self.first_injection(now + 1);
+    }
 
+    /// The earliest crash, revive or start at or after `from`.
+    fn first_injection(&self, from: Time) -> Time {
+        let starts = self.resps.iter().zip(&self.start_at);
+        let starts = starts.filter_map(|(r, &t)| r.is_none().then_some(t));
+        let faults = self.scheduled_crashes.iter().chain(&self.scheduled_revives);
+        let at = starts.chain(faults.map(|&(_, t)| t)).filter(|&t| t >= from);
+        at.min().unwrap_or(Time::MAX)
+    }
+
+    /// Advance the world by one tick.
+    pub fn step(&mut self) {
+        let now = self.env.now;
+        if now == self.next_injection {
+            self.inject(now);
+        }
         // Drain all events due within this tick (replies may become due in
         // the same tick).
         loop {
@@ -439,12 +510,7 @@ impl World {
         );
         let all_inactive = self.all_inactive();
         self.env.ledger.note_all_inactive(now, all_inactive);
-
-        // Time passes.
-        self.coord_spec.tick(&mut self.coord);
-        for r in self.resps.iter_mut().flatten() {
-            self.resp_spec.tick(r);
-        }
+        // Time passes; each clock catches up when its process is touched.
         self.env.now += 1;
     }
 
@@ -452,37 +518,15 @@ impl World {
     /// finds anything to do: a delivery, a machine's own deadline, a start,
     /// a scheduled crash or revive. `Time::MAX` if nothing ever will.
     fn next_event_at(&self) -> Time {
-        let now = self.env.now;
-        let mut next = self.env.channel.next_due().unwrap_or(Time::MAX);
-        if next <= now {
-            return now;
-        }
-        let after = |ticks: Option<u32>| ticks.map_or(Time::MAX, |k| now + Time::from(k));
-        next = next.min(after(self.coord_spec.next_timeout_in(&self.coord)));
-        for (r, &start_at) in self.resps.iter().zip(&self.start_at) {
-            next = next.min(match r {
-                Some(r) => after(self.resp_spec.next_event_in(r)),
-                None if start_at >= now => start_at,
-                None => Time::MAX,
-            });
-        }
-        let scheduled = self.scheduled_crashes.iter().chain(&self.scheduled_revives);
-        scheduled
-            .filter(|&&(_, at)| at >= now)
-            .fold(next, |next, &(_, at)| next.min(at))
+        let next = self.env.channel.next_due().min(self.next_injection);
+        self.wake.iter().fold(next, |next, &w| next.min(w))
     }
 
-    /// Jump every clock over the ticks with nothing due (see the module
-    /// docs): to [`next_event_at`](Self::next_event_at), never past `t`.
+    /// Jump over the ticks with nothing due (see the module docs): to
+    /// [`next_event_at`](Self::next_event_at), never past `t`. Only `now`
+    /// moves; each clock catches up when its process is next touched.
     fn skip_idle(&mut self, t: Time) {
-        // The clocks count in `u32`: a jump cut short lands on an idle
-        // tick, which `step` passes over as it always did.
-        let idle = u32::try_from(self.next_event_at().min(t) - self.env.now).unwrap_or(u32::MAX);
-        self.coord_spec.advance(&mut self.coord, idle);
-        for r in self.resps.iter_mut().flatten() {
-            self.resp_spec.advance(r, idle);
-        }
-        self.env.now += Time::from(idle);
+        self.env.now = self.env.now.max(self.next_event_at().min(t));
     }
 
     /// Run until time `t` or until every process is inactive (a pending
@@ -743,11 +787,39 @@ mod tests {
         assert!(r.messages_lost > 0);
     }
 
+    impl World {
+        /// Assert that every cache is what the machines and lists say:
+        /// each wake tick (from the machine caught up to `now`), the
+        /// injection cursor and the channel's earliest-due word.
+        fn assert_caches(&self) {
+            let now = self.env.now;
+            for pid in 0..=self.cfg.n {
+                let k = u32::try_from(now - self.synced[pid]).unwrap_or(u32::MAX);
+                let due_in = if pid == 0 {
+                    let mut c = self.coord.clone();
+                    self.coord_spec.advance(&mut c, k);
+                    self.coord_spec.next_timeout_in(&c)
+                } else {
+                    self.resps[pid - 1].and_then(|mut r| {
+                        self.resp_spec.advance(&mut r, k);
+                        self.resp_spec.next_event_in(&r)
+                    })
+                };
+                let wake = due_in.map_or(Time::MAX, |d| now + Time::from(d));
+                assert_eq!(self.wake[pid], wake, "p[{pid}]'s wake tick at {now}");
+            }
+            let cursor = self.first_injection(now);
+            assert_eq!(self.next_injection, cursor, "the injection cursor at {now}");
+            self.env.channel.assert_next_due();
+        }
+    }
+
     /// What `run_until` must stay equal to: its liveness condition around
-    /// `step()`, every tick executed.
+    /// `step()`, every tick executed, the caches checked after each.
     fn run_stepwise(w: &mut World, t: Time) {
         while w.now() < t && (!w.all_inactive() || w.revives_pending()) {
             w.step();
+            w.assert_caches();
         }
     }
 
@@ -806,11 +878,11 @@ mod tests {
                 w.schedule_revive(1, 160);
                 // To a frame in flight, before the hook's delay spike.
                 w.run_until(40);
-                while w.env.channel.next_due().is_none() && w.now() < 60 {
+                while w.env.channel.next_due() == Time::MAX && w.now() < 60 {
                     w.step();
                 }
                 assert!(
-                    w.env.channel.next_due().is_some(),
+                    w.env.channel.next_due() < Time::MAX,
                     "{cell}: nothing in flight"
                 );
                 let at = w.now();
@@ -933,7 +1005,7 @@ mod tests {
             let (mut stepped, mut ran) = (build(), build());
             for t in legs {
                 run_stepwise(&mut stepped, t);
-                ran.run_until(t);
+                run_counting(&mut ran, t);
                 assert_eq!(stepped.now(), ran.now(), "{cell}: now at leg {t}");
             }
             let (stepped, ran) = (stepped.into_report(), ran.into_report());
@@ -1007,52 +1079,55 @@ mod tests {
     }
 
     /// A crash and a revive scheduled once the run has begun fire on
-    /// their tick — whether that is the current one, a later one reached
-    /// by a jump or by hand-stepping — and one scheduled in the past
-    /// never fires.
+    /// their tick — the current one, or a later one reached by a jump or
+    /// by hand-stepping, whether or not another injection is pending
+    /// before it — and one scheduled in the past never fires.
     #[test]
     fn injections_scheduled_mid_run_fire_on_their_tick() {
         for fix in [FixLevel::Original, FixLevel::Full] {
-            let build = || {
-                let mut w = World::new(
-                    WorldConfig {
-                        fix,
-                        n: 3,
-                        log_events: true,
-                        ..cfg(Variant::Static, 2, 8)
-                    },
-                    9,
-                );
-                w.run_until(50);
-                // Jumped to the current tick: the run is quiet at 50.
-                w.schedule_crash(1, w.now());
-                w.schedule_revive(1, 53);
-                w.schedule_crash(2, 20);
-                w.schedule_revive(2, 30);
-                w
-            };
-            let (mut stepped, mut ran) = (build(), build());
-            let at = ran.now();
-            run_stepwise(&mut stepped, 120);
-            ran.run_until(120);
-            for w in [&mut stepped, &mut ran] {
-                // Later, mid-way through a quiet stretch.
-                w.schedule_crash(3, 141);
-                w.schedule_revive(3, 146);
-                w.schedule_revive(3, 20);
+            let world = World::new(
+                WorldConfig {
+                    fix,
+                    n: 3,
+                    log_events: true,
+                    ..cfg(Variant::Static, 2, 8)
+                },
+                9,
+            );
+            let (mut stepped, mut ran) = (world.fork().unwrap(), world);
+            for (t, leg) in [(50, 0), (52, 1), (120, 2), (400, 3)] {
+                run_stepwise(&mut stepped, t);
+                ran.run_until(t);
+                for w in [&mut stepped, &mut ran] {
+                    match leg {
+                        // On the current tick, which the run jumped to.
+                        0 => {
+                            w.schedule_crash(1, 50);
+                            w.schedule_crash(2, 20);
+                            w.schedule_revive(2, 30);
+                        }
+                        // Later, with nothing else pending.
+                        1 => w.schedule_revive(1, 53),
+                        // Later, mid-way through a quiet stretch.
+                        2 => {
+                            w.schedule_crash(3, 141);
+                            w.schedule_revive(3, 146);
+                            w.schedule_revive(3, 20);
+                        }
+                        _ => {}
+                    }
+                }
             }
-            run_stepwise(&mut stepped, 400);
-            ran.run_until(400);
             let (stepped, ran) = (stepped.into_report(), ran.into_report());
             assert_eq!(stepped.to_json(), ran.to_json(), "{fix}");
             assert_eq!(stepped.log.events(), ran.log.events(), "{fix}");
-            assert_eq!(ran.crashes, vec![(1, at), (3, 141)], "{fix}");
+            assert_eq!(ran.crashes, vec![(1, 50), (3, 141)], "{fix}");
             assert_eq!(ran.revives, vec![(1, 53), (3, 146)], "{fix}");
         }
     }
 
     /// `run_until`'s own loop, counting the ticks it steps and the ticks
-    /// it jumps over.
+    /// it jumps over, and checking every cache after every step.
     fn run_counting(w: &mut World, t: Time) -> (Time, Time) {
         let (mut stepped, mut jumped) = (0, 0);
         while w.now() < t && (!w.all_inactive() || w.revives_pending()) {
@@ -1062,6 +1137,7 @@ mod tests {
             if w.now() < t {
                 w.step();
                 stepped += 1;
+                w.assert_caches();
             }
         }
         (stepped, jumped)
