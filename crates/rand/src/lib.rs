@@ -108,12 +108,12 @@ pub trait Rng: RngCore {
             return T::from_u64(self.next_u64());
         }
         // Unbiased sampling by rejection from the widest multiple of
-        // `span + 1` that fits in 64 bits.
+        // `span + 1` that fits in 64 bits. That zone ends above
+        // `u64::MAX - n`, so only a word in the top `n` needs it.
         let n = span + 1;
-        let zone = u64::MAX - (u64::MAX % n);
         loop {
             let v = self.next_u64();
-            if v < zone {
+            if v <= u64::MAX - n || v < u64::MAX - (u64::MAX % n) {
                 return T::from_u64(lo.to_u64() + v % n);
             }
         }
@@ -249,6 +249,68 @@ mod tests {
             let v: u32 = rng.gen_range(3..=5);
             assert!((3..=5).contains(&v));
         }
+    }
+
+    /// The sampler before its one-division fast path: the rejection zone
+    /// computed on every draw.
+    fn gen_range_two_divisions(rng: &mut impl RngCore, lo: u64, hi: u64) -> u64 {
+        let n = hi - lo + 1;
+        let zone = u64::MAX - (u64::MAX % n);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return lo + v % n;
+            }
+        }
+    }
+
+    /// Hands out the given words, then zeros, counting the draws.
+    struct Words(Vec<u64>, usize);
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.get(self.1 - 1).copied().unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn gen_range_accepts_exactly_what_the_two_division_zone_accepts() {
+        // Every word the fast path does not settle: the top 2n.
+        for n in 1..=70u64 {
+            for v in u64::MAX - (2 * n - 1)..=u64::MAX {
+                let mut words = Words(vec![v], 0);
+                let got: u64 = words.gen_range(0..n);
+                let accepted = v < u64::MAX - (u64::MAX % n);
+                assert_eq!(words.1 == 1, accepted, "n {n}, word {v:#x}");
+                assert_eq!(got, if accepted { v % n } else { 0 }, "n {n}, word {v:#x}");
+            }
+        }
+        // Seeded draws over mixed ranges, some rejecting about half the
+        // words: the same values, and the streams stay in step.
+        let spans = [
+            0,
+            1,
+            2,
+            5,
+            6,
+            9,
+            999,
+            u64::MAX / 3,
+            u64::MAX / 2 + 1,
+            u64::MAX - 1,
+        ];
+        let mut a = StdRng::seed_from_u64(11);
+        let mut b = a.clone();
+        for i in 0..1_000_000u64 {
+            let lo = i % 4;
+            let hi = lo + spans[(i % 10) as usize].min(u64::MAX - lo);
+            assert_eq!(
+                a.gen_range(lo..=hi),
+                gen_range_two_divisions(&mut b, lo, hi),
+                "draw {i}"
+            );
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
