@@ -22,7 +22,7 @@ use hb_core::{Heartbeat, Pid, Status};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::channel::Channel;
+use crate::channel::{Channel, InFlight};
 
 /// Configuration of the naive heartbeat protocol.
 #[derive(Clone, Copy, Debug)]
@@ -79,6 +79,8 @@ pub struct NaiveWorld {
     now: Time,
     scheduled_crashes: Vec<(Pid, Time)>,
     ledger: RunLedger,
+    /// Scratch for draining the channel into, reused across ticks.
+    due: Vec<InFlight>,
 }
 
 impl NaiveWorld {
@@ -102,6 +104,7 @@ impl NaiveWorld {
             now: 0,
             scheduled_crashes: Vec::new(),
             ledger: RunLedger::default(),
+            due: Vec::new(),
             cfg,
         }
     }
@@ -140,9 +143,9 @@ impl NaiveWorld {
         self.scheduled_crashes = crashes;
 
         // deliveries
-        let mut due = Vec::new();
+        let mut due = std::mem::take(&mut self.due);
         self.channel.due_into(now, &mut due);
-        for m in due {
+        for m in due.drain(..) {
             self.channel.delivered += 1;
             if m.dst == 0 {
                 if self.coord_status.is_active() {
@@ -155,6 +158,7 @@ impl NaiveWorld {
                     .send(&mut self.rng, now, m.dst, 0, Heartbeat::plain(), bound);
             }
         }
+        self.due = due;
 
         // coordinator period boundary
         if self.coord_status.is_active() && self.elapsed >= self.cfg.period {

@@ -1,7 +1,8 @@
 //! Allocation counts on the hot paths: up to eight participants the
 //! protocol state is inline, so the model checker's successor path (step,
-//! canonicalize, decode), a warmed-up simulator run and a warmed-up
-//! loopback cluster run, monitored or not, allocate nothing.
+//! canonicalize, decode), a warmed-up simulator run, a warmed-up run of
+//! the naive fixed-period comparator and a warmed-up loopback cluster run,
+//! monitored or not, allocate nothing.
 //!
 //! This binary installs its own global allocator, which counts the
 //! allocations each thread makes. The claim is about the optimised build,
@@ -18,7 +19,7 @@ use accelerated_heartbeat::mck::Model;
 use accelerated_heartbeat::monitor::MonitorSet;
 use accelerated_heartbeat::net::{ClusterConfig, Faults, VirtualCluster};
 use accelerated_heartbeat::sim::world::WorldConfig;
-use accelerated_heartbeat::sim::World;
+use accelerated_heartbeat::sim::{NaiveConfig, NaiveWorld, World};
 use accelerated_heartbeat::verify::requirements::build_model;
 use accelerated_heartbeat::verify::symmetry::certify;
 use accelerated_heartbeat::verify::{HbCodec, HbState, Requirement};
@@ -176,6 +177,24 @@ fn a_warmed_up_world_run_allocates_nothing_at_eight_participants() {
     world.run_until(1_000);
     let ((), allocs) = allocations(|| world.run_until(20_000));
     assert_eq!(world.now(), 20_000, "the group stays up without faults");
+    assert_eq!(allocs, 0);
+}
+
+#[test]
+fn a_warmed_up_naive_world_allocates_nothing_at_eight_participants() {
+    let mut world = NaiveWorld::new(
+        NaiveConfig {
+            period: 8,
+            tolerance: 3,
+            delay_bound: 2,
+            n: 8,
+            loss_prob: 0.0,
+        },
+        7,
+    );
+    world.run_until(1_000);
+    let ((), allocs) = allocations(|| world.run_until(20_000));
+    assert!(!world.all_inactive(), "the group stays up without faults");
     assert_eq!(allocs, 0);
 }
 
