@@ -34,7 +34,7 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> allocation counts in the optimised build (a successor, a warmed-up World and a warmed-up VirtualCluster allocate nothing)"
+echo "==> allocation counts in the optimised build (a successor, a warmed-up World, NaiveWorld and VirtualCluster allocate nothing)"
 # tests/alloc_free.rs ran above in the debug build; the claim is about
 # the release binary the benchmark times, so it runs there too.
 cargo test --release --test alloc_free -q
@@ -48,6 +48,12 @@ echo "==> hb-member unit tests in the optimised build (overflow wraps, debug_ass
 # The engine's due-only tick against its full-scan reference, the wake-tick
 # checks and the jumped-over count ran above in the debug build.
 cargo test --release -p hb-member -q
+
+echo "==> hb-sim unit tests in the optimised build (overflow wraps, debug_asserts off: the build the benchmark times)"
+# The world's due-only tick against hand-stepping, the cache checks and
+# the run pin ran above in the debug build, where advance's debug_assert
+# guards each catch-up.
+cargo test --release -p hb-sim -q
 
 echo "==> chaos smoke campaign (seed-pinned, injector determinism, sim + live backends)"
 # Both backends fork each seed's runs at the crash tick; the report must
